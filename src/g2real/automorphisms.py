@@ -1,8 +1,9 @@
 """Automorphisms of an octonion algebra as certified 8x8 matrices.
 
 Certification checks M(1) = 1 and multiplicativity on all 64 basis pairs;
-bilinearity makes that a complete proof, and a seeded norm-preservation
-sample is kept as a redundant safety net.  On top sit the subgroup
+bilinearity makes that a complete proof, and the exact Gram identity
+M^T B M = B (norm preservation, B the polar form of N) is kept as a
+redundant net.  On top sit the subgroup
 embeddings: SL(3) acting through a split frame, SU(3) through a quadratic
 field frame, the norm-one action fixing a quaternion subalgebra, and the
 order-2 map extending the conjugation of a quadratic subalgebra.
@@ -12,10 +13,8 @@ import random
 from collections import namedtuple
 
 from . import linalg
-from .fields import FieldError, QuadraticEtale
+from .fields import FieldError, QuadraticEtale, _cubic_separable
 
-_NORM_SAMPLE = 1000
-_NORM_SEED = 0x5EED
 _INT64_PRIME_CAP = 2**29
 
 
@@ -86,13 +85,16 @@ def _np_matrix(F, m, dtype):
     return np.array(m, dtype=dtype)
 
 
-def certify_automorphism(matrix, alg, norm_sample=_NORM_SAMPLE):
+def certify_automorphism(matrix, alg):
     """Certify that `matrix` is a k-algebra automorphism of alg.
 
     Checks M(1) = 1 and M(e_i e_j) = M(e_i) M(e_j) for all basis pairs, which
-    is complete by bilinearity; certified maps additionally pass a seeded
-    norm-preservation sample.  On failure the AutMap is returned uncertified
-    with the first failing basis pair recorded.
+    is complete by bilinearity: a unital multiplicative map of an octonion
+    algebra is injective (the algebra is simple), and the minimal equation
+    then forces it to preserve the norm.  The exact Gram identity
+    M^T B M = B, with B the polar form of N, is checked as a redundant net
+    (failure "norm").  On failure the AutMap is returned uncertified with
+    the first failing basis pair recorded.
     """
     import numpy as np
 
@@ -109,43 +111,23 @@ def certify_automorphism(matrix, alg, norm_sample=_NORM_SAMPLE):
     use_int = F.kind == "prime" and F.p < _INT64_PRIME_CAP
     dtype = np.int64 if use_int else object
     M = _np_matrix(F, matrix, dtype)
-    if use_int:
-        p = F.p
-        lhs = np.tensordot(T, M, axes=([2], [1])) % p  # lhs[i,j,m]
-        tmp = np.tensordot(M, T, axes=([0], [0])) % p  # tmp[i,a... -> (i, b, m)
-        rhs = np.tensordot(tmp, M, axes=([1], [0])) % p  # (i, m, j)
-        rhs = rhs.transpose(0, 2, 1)
-        bad = np.argwhere(lhs != rhs)
-    else:
-        lhs = np.tensordot(T, M, axes=([2], [1]))
-        tmp = np.tensordot(M, T, axes=([0], [0]))
-        rhs = np.tensordot(tmp, M, axes=([1], [0])).transpose(0, 2, 1)
-        diff = lhs - rhs
-        bad = np.argwhere(diff != 0)
+    B = _np_matrix(F, alg.bil, dtype)
+    p = F.p if F.kind == "prime" else None
+
+    def red(a):
+        # reduce after every product: keeps int64 in range, and makes the
+        # object path (primes past the int64 cap) compare residues
+        return a if p is None else a % p
+
+    lhs = red(np.tensordot(T, M, axes=([2], [1])))  # (i, j, m): M(e_i e_j)
+    tmp = red(np.tensordot(M, T, axes=([0], [0])))  # (i, b, m)
+    rhs = red(np.tensordot(tmp, M, axes=([1], [0]))).transpose(0, 2, 1)
+    bad = np.argwhere(lhs != rhs)
     if len(bad):
         i, j, _ = bad[0]
         return AutMap(matrix, alg, False, failure=(int(i), int(j)))
-
-    if norm_sample:
-        rng = random.Random(_NORM_SEED)
-        if use_int:
-            p = F.p
-            X = np.array(
-                [[rng.randrange(p) for _ in range(n)] for _ in range(norm_sample)],
-                dtype=np.int64,
-            )
-            B = _np_matrix(F, alg.bil, np.int64)
-            inv2 = F.inv(F.add(F.one, F.one))
-            MX = X @ M.T % p
-            nx = ((X @ B % p) * X).sum(axis=1) % p * inv2 % p
-            nmx = ((MX @ B % p) * MX).sum(axis=1) % p * inv2 % p
-            if (nx != nmx).any():
-                return AutMap(matrix, alg, False, failure="norm")
-        else:
-            for _ in range(norm_sample):
-                x = alg.random(rng)
-                if not F.eq(alg.norm(x), alg.norm(linalg.mat_vec(F, matrix, x))):
-                    return AutMap(matrix, alg, False, failure="norm")
+    if (red(M.T @ red(B @ M)) != B).any():
+        return AutMap(matrix, alg, False, failure="norm")
     return AutMap(matrix, alg, True)
 
 
@@ -262,7 +244,8 @@ def zorn_swap(alg):
     for j, i in enumerate(perm):
         M[i][j] = F.one
     out = certify_automorphism(M, alg)
-    assert out.certified
+    if not out.certified:
+        raise FieldError(f"the Zorn swap failed to certify: {out.failure}")
     return out
 
 
@@ -642,15 +625,6 @@ def random_sl3(F, rng, avoid_eigenvalue_one=False, separable=None):
         return A
 
 
-def _cubic_separable(F, chi):
-    from .fields import _poly_gcd_is_one
-
-    c0, c1, c2 = chi
-    two = F.add(F.one, F.one)
-    three = F.add(two, F.one)
-    return _poly_gcd_is_one(F, (c0, c1, c2, F.one), (c1, F.mul(two, c2), three))
-
-
 def random_su(L, H, rng, separable=None, avoid_eigenvalue_one=False):
     """A seeded random element of SU(H) over L = F_{q^2}, via hermitian
     Gram-Schmidt on a random invertible matrix followed by a determinant fix.
@@ -673,23 +647,16 @@ def random_su(L, H, rng, separable=None, avoid_eigenvalue_one=False):
             if L.is_zero(val):
                 continue
         if separable is not None:
-            if _cubic_separable_L(L, chi) != separable:
+            if _cubic_separable(L, chi) != separable:
                 continue
         return A
-
-
-def _cubic_separable_L(L, chi):
-    from .fields import _poly_gcd_is_one
-
-    c0, c1, c2 = chi
-    two = L.embed(L.base.element(2))
-    three = L.embed(L.base.element(3))
-    return _poly_gcd_is_one(L, (c0, c1, c2, L.one), (c1, L.mul(two, c2), three))
 
 
 def _unitary_from_columns(L, H, P):
     """Hermitian Gram-Schmidt of the columns of P against diag(H), rescaled so
     that h(c_i, c_i) = H[i]; returns a matrix in U(H) or None."""
+    from .composition import _solve_norm
+
     k = L.base
     cols = list(linalg.transpose(P))
 
@@ -715,14 +682,8 @@ def _unitary_from_columns(L, H, P):
     for i, v in enumerate(out):
         hv = h(v, v)  # sigma-fixed, so an element of k
         target = k.div(H[i], L.to_base(hv))
-        s = _norm_preimage(L, target)
+        s = _solve_norm(L, target)
         if s is None:
             return None
         fixed.append(tuple(L.mul(s, x) for x in v))
     return linalg.transpose(linalg.mat(fixed))
-
-
-def _norm_preimage(L, target):
-    from .composition import _solve_norm
-
-    return _solve_norm(L, target)

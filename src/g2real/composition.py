@@ -254,13 +254,6 @@ def zorn_algebra(k):
     return Algebra("zorn", F, tuple(table), one, norm_diag, bil)
 
 
-def zorn_norm(F, x):
-    return F.add(
-        F.mul(x[0], x[7]),
-        F.add(F.mul(x[1], x[4]), F.add(F.mul(x[2], x[5]), F.mul(x[3], x[6]))),
-    )
-
-
 # -- Cayley-Dickson doubling -------------------------------------------------
 
 def base_algebra(k):

@@ -443,14 +443,6 @@ class QuadraticEtale:
         return (self.base.from_text(head), self.base.zero)
 
 
-def split_etale(base):
-    return QuadraticEtale(base)
-
-
-def quadratic_field(base, c):
-    return QuadraticEtale(base, c)
-
-
 class CubicAlgebra:
     """E = L[X]/(chi) for a monic cubic chi with coefficients in k.
 
@@ -494,15 +486,7 @@ class CubicAlgebra:
         )
 
     def _separable(self):
-        # chi separable iff gcd(chi, chi') = 1 over k
-        k = self.L.base
-        a0, a1, a2 = self.chi
-        three = k.element(3)
-        two = k.element(2)
-        # Work with k[X] polynomials as coefficient tuples, low degree first.
-        chi = (a0, a1, a2, k.one)
-        dchi = (a1, k.mul(two, a2), three)
-        return _poly_gcd_is_one(k, chi, dchi)
+        return _cubic_separable(self.L.base, self.chi)
 
     def embed(self, x):
         """Image of an L-element in E."""
@@ -660,6 +644,15 @@ def _poly_gcd_is_one(k, f, g):
         shift = df - dg
         for i in range(dg + 1):
             f[i + shift] = k.sub(f[i + shift], k.mul(c, g[i]))
+
+
+def _cubic_separable(F, chi):
+    """Whether the monic cubic chi = (c0, c1, c2) over the field or ring F
+    (k or L) is separable: gcd(chi, chi') = 1."""
+    c0, c1, c2 = chi
+    two = F.add(F.one, F.one)
+    three = F.add(two, F.one)
+    return _poly_gcd_is_one(F, (c0, c1, c2, F.one), (c1, F.mul(two, c2), three))
 
 
 def cubic_is_irreducible(R, chi):

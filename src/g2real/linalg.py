@@ -224,17 +224,6 @@ def inverse3(F, a):
     return scalar_mat(F, dinv, adjugate3(F, a))
 
 
-def eval_poly_at(F, coeffs, a):
-    """f(a) for a square matrix a and f given low-first over F."""
-    n = len(a)
-    out = scalar_mat(F, coeffs[0], identity(F, n)) if coeffs else zeros(F, n, n)
-    p = a
-    for c in coeffs[1:]:
-        out = mat_add(F, out, scalar_mat(F, c, p))
-        p = mat_mul(F, p, a)
-    return out
-
-
 def vectors_matrix_to_flat(a):
     return tuple(x for row in a for x in row)
 

@@ -30,7 +30,7 @@ from .automorphisms import (
     zorn_split_frame,
 )
 from .composition import octonion_from_hermitian, zorn_algebra
-from .fields import FieldError, PrimeField, QuadraticEtale
+from .fields import FieldError, PrimeField, QuadraticEtale, _cubic_separable
 
 DEFAULT_BUDGET = 10**8
 
@@ -164,14 +164,6 @@ def min_equals_char3(F, A):
         linalg.vectors_matrix_to_flat(m) for m in (I, A, A2)
     )
     return linalg.rank(F, rows) == 3
-
-
-def _poly_mat(F, A, coeffs):
-    I = linalg.identity(F, 3)
-    A2 = linalg.mat_mul(F, A, A)
-    out = linalg.scalar_mat(F, coeffs[0], I)
-    out = linalg.mat_add(F, out, linalg.scalar_mat(F, coeffs[1], A))
-    return linalg.mat_add(F, out, linalg.scalar_mat(F, coeffs[2], A2))
 
 
 def _lex_elements(F, cap=None):
@@ -680,7 +672,7 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
     X0 = unitary_base_conjugator(L, H, A, chi)
     d = linalg.det3(L, X0)
     assert k.eq(L.norm(d), k.one)
-    sep = _cubic_separable_over_L(L, chi)
+    sep = _cubic_separable(L, chi)
     report.case["separable"] = sep
     q = k.p if k.kind == "prime" else None
     if q is None:
@@ -769,15 +761,6 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
             report.notes.append("full swap-coset scan found nothing")
         return report
     return _finish_su(L, H, A, unitary_base_conjugator(L, H, A, chi), got, report)
-
-
-def _cubic_separable_over_L(L, chi):
-    from .fields import _poly_gcd_is_one
-
-    c0, c1, c2 = chi
-    two = L.embed(L.base.element(2))
-    three = L.embed(L.base.element(3))
-    return _poly_gcd_is_one(L, (c0, c1, c2, L.one), (c1, L.mul(two, c2), three))
 
 
 def _su_identity_coset_possible(L, chi):
@@ -894,18 +877,6 @@ def _scan_space_for_su(L, H, space, M1, Ainv):
         return None
 
     return rec(0)
-
-
-def su_rho_coset_sweep_count(L, H, A, X0, chunk=1 << 19):
-    """Exhaustive vectorized sweep of the swap-coset conjugator candidates
-    X = X0 (c0 + c1 conj(A) + c2 conj(A)^2): counts those in SU(H).
-
-    Exact integer arithmetic throughout (int64 residues mod p).
-    """
-    from .sweeps import su_coset_sweep
-
-    hits, _ = su_coset_sweep(L, H, A, X0, chunk=chunk)
-    return hits
 
 
 def _run_su_sweep(L, H, A, X0, report, q):

@@ -94,23 +94,6 @@ def batch_minimal_equation(alg, n, seed):
     return int((lhs != 0).any(axis=1).sum())
 
 
-def batch_norm_preservation(alg, matrix, n, seed):
-    """Number of norm-preservation failures N(Mx) = N(x) on a seeded sample."""
-    F = alg.field
-    if F.kind != "prime":
-        raise ValueError("vectorized norm check needs a prime field")
-    p = F.p
-    rng = _rng(seed)
-    M = np.array([[int(c) for c in row] for row in matrix], dtype=np.int64)
-    B = np.array([[int(c) for c in row] for row in alg.bil], dtype=np.int64)
-    inv2 = F.inv(F.element(2))
-    X = rng.integers(0, p, size=(n, alg.dim)).astype(np.int64)
-    MX = X @ M.T % p
-    nx = ((X @ B % p) * X).sum(axis=1) % p * inv2 % p
-    nmx = ((MX @ B % p) * MX).sum(axis=1) % p * inv2 % p
-    return int((nx != nmx).sum())
-
-
 # -- exhaustive SU coset sweep ---------------------------------------------------
 
 class _LArrays:
@@ -123,13 +106,6 @@ class _LArrays:
     def mul(self, x, y):
         a, b = x
         u, v = y
-        p, c = self.p, self.c
-        return ((a * u + c * (b * v % p)) % p, (a * v + b * u) % p)
-
-    def mul_scalar(self, x, s):
-        # s a python pair of ints
-        a, b = x
-        u, v = s
         p, c = self.p, self.c
         return ((a * u + c * (b * v % p)) % p, (a * v + b * u) % p)
 
@@ -189,7 +165,7 @@ def su_coset_sweep(L, H, A, X0, chunk=1 << 18, start=0, stop=None):
     def entry(cs, r, s):
         acc = None
         for t in range(3):
-            term = ar.mul_scalar(cs[t], (int(Ms[t][r][s][0]), int(Ms[t][r][s][1])))
+            term = ar.mul(cs[t], (int(Ms[t][r][s][0]), int(Ms[t][r][s][1])))
             acc = term if acc is None else ar.add(acc, term)
         return acc
 

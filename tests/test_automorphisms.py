@@ -24,13 +24,15 @@ from g2real.automorphisms import (
     zorn_swap,
 )
 from g2real.composition import (
+    base_algebra,
+    cayley_dickson_double,
     hermitian_space,
     octonion_from_hermitian,
     orthogonal_complement,
     zorn_algebra,
 )
 from g2real.automorphisms import build_rho_on_zorn_diagonal
-from g2real.fields import FieldError, PrimeField, QuadraticEtale
+from g2real.fields import FieldError, PrimeField, QuadraticEtale, RationalField
 
 k5 = PrimeField(5)
 k7 = PrimeField(7)
@@ -94,6 +96,100 @@ def test_certified_maps_preserve_norm_and_trace_zero_space(zorn7, frame7):
         x = zorn7.random(rng)
         assert k7.eq(zorn7.norm(t.apply(x)), zorn7.norm(x))
         assert k7.eq(zorn7.trace(t.apply(x)), zorn7.trace(x))
+
+
+def _first_bad_pair(alg, M):
+    """The first (i, j) with M(e_i e_j) != M(e_i) M(e_j), by plain algebra
+    products: an oracle independent of the vectorized check."""
+    F = alg.field
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ei, ej = alg.basis_vec(i), alg.basis_vec(j)
+            lhs = linalg.mat_vec(F, M, alg.mul(ei, ej))
+            rhs = alg.mul(linalg.mat_vec(F, M, ei), linalg.mat_vec(F, M, ej))
+            if not alg.eq(lhs, rhs):
+                return (i, j)
+    return None
+
+
+def _tamper_fixing_one(alg, M, col):
+    """M with 1 added to entry (col, col); M(1) is unchanged when e_col is
+    not in the support of 1."""
+    F = alg.field
+    assert F.is_zero(alg.one[col])
+    T = [list(r) for r in M]
+    T[col][col] = F.add(T[col][col], F.one)
+    out = linalg.mat(T)
+    assert alg.eq(linalg.mat_vec(F, out, alg.one), alg.one)
+    return out
+
+
+def _check_certify_pair(alg, t, col):
+    assert t.certified
+    assert _first_bad_pair(alg, t.matrix) is None
+    bad = _tamper_fixing_one(alg, t.matrix, col)
+    out = certify_automorphism(bad, alg)
+    assert not out.certified
+    assert isinstance(out.failure, tuple)
+    assert out.failure == _first_bad_pair(alg, bad)
+
+
+def test_certify_rational_path():
+    Q = RationalField()
+    alg = zorn_algebra(Q)
+    frame = zorn_split_frame(alg)
+    A = ((Q.zero, Q.zero, Q.one), (Q.one, Q.zero, Q.element(-3)), (Q.zero, Q.one, Q.element(2)))
+    t = sl3_embed(A, frame)
+    assert alg.numpy_table().dtype == object
+    _check_certify_pair(alg, t, 1)
+
+
+def test_certify_hermitian_model(su_setup):
+    L, O, fr = su_setup
+    A = random_su(L, fr.H, random.Random(21), separable=True)
+    _check_certify_pair(O, su_embed(A, fr), 3)
+
+
+def test_certify_past_int64_cap():
+    # primes past the int64 cap take the object path, which must still
+    # compare residues mod p
+    k = PrimeField(2**31 - 1)
+    alg = zorn_algebra(k)
+    t = sl3_embed(random_sl3(k, random.Random(22)), zorn_split_frame(alg))
+    _check_certify_pair(alg, t, 1)
+
+
+def test_certify_norm_net_rejects_non_injective_endomorphism():
+    # on the split etale algebra k x k (not simple), 1 -> 1, i -> 1 is
+    # unital and multiplicative but does not preserve the norm
+    alg = cayley_dickson_double(base_algebra(k7), 1)
+    assert alg.eq(alg.mul(alg.basis_vec(1), alg.basis_vec(1)), alg.one)
+    M = linalg.transpose(linalg.mat([alg.one, alg.one]))
+    out = certify_automorphism(M, alg)
+    assert not out.certified
+    assert out.failure == "norm"
+
+
+def test_certify_does_not_depend_on_global_random_state(zorn7, frame7):
+    good = sl3_embed(random_sl3(k7, random.Random(23)), frame7).matrix
+    bad = _tamper_fixing_one(zorn7, good, 1)
+
+    def verdicts():
+        return [
+            (out.certified, out.failure)
+            for out in (certify_automorphism(M, zorn7) for M in (good, bad))
+        ]
+
+    saved = random.getstate()
+    try:
+        random.seed(12345)
+        state = random.getstate()
+        seeded = verdicts()
+        assert random.getstate() == state
+        random.seed()
+        assert verdicts() == seeded == [(True, None), (False, _first_bad_pair(zorn7, bad))]
+    finally:
+        random.setstate(saved)
 
 
 def test_sl3_embed_rejects_det_not_one(frame7):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,11 @@ def test_report_schema_error(tmp_path, capsys):
     bad.write_text(json.dumps({"scenario": "x"}))
     assert run(["report", "--input", str(bad)]) == 1
     assert "schema error" in capsys.readouterr().err
+
+
+def test_docs_schema_matches_report_schema():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"
+    assert json.loads(doc.read_text()) == reports.REPORT_SCHEMA
 
 
 def test_determinism_modulo_meta(tmp_path):
