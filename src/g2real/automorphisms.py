@@ -249,6 +249,26 @@ def zorn_swap(alg):
     return out
 
 
+def frame_swap(frame):
+    """The order-2 automorphism of a frame that leaves L invariant and acts
+    on it by its nontrivial involution: on a split frame it exchanges e with
+    f and U with W (the Zorn swap on the standard Zorn frame), on a field
+    frame it is frame.rho."""
+    if not isinstance(frame, SplitFrame):
+        return frame.rho
+    alg = frame.alg
+    F = alg.field
+    P = [[F.zero] * 8 for _ in range(8)]
+    for j, i in enumerate((7, 4, 5, 6, 1, 2, 3, 0)):
+        P[i][j] = F.one
+    C = frame_basis_matrix(frame)
+    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(P)), linalg.inverse(F, C))
+    out = certify_automorphism(M, alg)
+    if not out.certified:
+        raise FieldError(f"the frame swap failed to certify: {out.failure}")
+    return out
+
+
 def quadratic_subfield_frame(alg, g_vec):
     """FieldFrame for L = k(g) inside alg: completes g to a doubling basis
     a, b, ab of the orthogonal complement and computes the hermitian Gram.
@@ -436,18 +456,10 @@ def semidirect_split(h, frame):
     """Factor h with h(L) = L as (g, eps) with g fixing L pointwise and
     h = g rho^eps; eps is read off from the action on L."""
     alg = frame.alg
-    if isinstance(frame, SplitFrame):
-        rho = zorn_swap(alg) if alg.model == "zorn" else None
-        if rho is None:
-            raise FieldError("split-frame factorization needs the Zorn model")
-        basis = (frame.e, frame.f)
-    else:
-        rho = frame.rho
-        basis = (frame.one, frame.g)
-    fixes = all(alg.eq(h.apply(v), v) for v in basis)
-    if fixes:
+    basis = (frame.e, frame.f) if isinstance(frame, SplitFrame) else (frame.one, frame.g)
+    if all(alg.eq(h.apply(v), v) for v in basis):
         return h, 0
-    g = h.compose(rho)
+    g = h.compose(frame_swap(frame))
     if all(alg.eq(g.apply(v), v) for v in basis):
         return g, 1
     raise FieldError("h does not leave L invariant")
@@ -461,7 +473,7 @@ def involution_from_symmetric(S, frame):
         raise FieldError("S must be symmetric")
     if not F.eq(linalg.det3(F, S), F.one):
         raise FieldError("S must have determinant 1")
-    return sl3_embed(S, frame).compose(zorn_swap(frame.alg))
+    return sl3_embed(S, frame).compose(frame_swap(frame))
 
 
 def involution_from_quaternion(alg, D_basis):

@@ -2,8 +2,8 @@
 
 Subcommands: axioms, counterexample, cdk, companion, norms, report.
 Exit codes: 0 all pass, 1 assertion failure (a theorem-level check failed,
-which signals an implementation bug), 2 usage error, 3 budget-exhausted
-unknowns present.
+which signals an implementation bug), 2 usage error, 3 a check left unknown
+because a decision or the oracle returned verdict unknown (budget exhausted).
 """
 
 import argparse
@@ -170,10 +170,11 @@ def build_parser():
 
 
 def _add(report, name, passed, detail=None):
-    report["verdicts"].append(
-        {"name": name, "status": "pass" if passed else "fail", "detail": detail}
-    )
-    return passed
+    """Record one check; passed None (an undecided verdict) records status
+    unknown, which is not a failure."""
+    status = "unknown" if passed is None else "pass" if passed else "fail"
+    report["verdicts"].append({"name": name, "status": status, "detail": detail})
+    return passed is not False
 
 
 def cmd_axioms(args):
@@ -266,22 +267,19 @@ def cmd_counterexample(args):
     if args.kind == "sl3":
         k = ce["field"]
         r = reality_sl3(k, ce["B"], args.budget)
-        ok &= _add(
-            rep,
-            "verdict_not_real",
-            r.verdict == "not_real",
-            f"verdict={r.verdict}",
-        )
+        ok &= _add(rep, "verdict_not_real", _not_real(r.verdict), f"verdict={r.verdict}")
         rep["obstruction"] = r.obstruction
         # the triangular base matrix does decompose; the twisted one must not
         decA = symmetric_decomposition(k, ce["A"], args.budget)
-        ok &= _add(rep, "base_matrix_decomposes", decA["ok"])
+        ok &= _add(rep, "base_matrix_decomposes", None if "unknown" in decA else decA["ok"])
         T = ((k.zero, k.zero, k.one), (k.zero, k.neg(k.one), k.zero), (k.one, k.zero, k.zero))
         lhs = linalg.mat_mul(k, T, ce["A"])
         rhs = linalg.mat_mul(k, linalg.transpose(ce["A"]), T)
         ok &= _add(rep, "antidiagonal_conjugates_to_transpose", linalg.mat_eq(k, lhs, rhs))
         orc = brute_force_reality_oracle(ce["t"], ce["frame"], args.budget, level="matrix")
         agree = orc["verdict"] == r.verdict
+        if "unknown" in (orc["verdict"], r.verdict):
+            agree = None
         rep["oracle_agreement"] = agree
         ok &= _add(
             rep,
@@ -302,7 +300,7 @@ def cmd_counterexample(args):
         L = ce["L"]
         k = ce["field"]
         r = reality_su(L, ce["B"], ce["frame"].H, args.budget, args.exhaustive)
-        ok &= _add(rep, "verdict_not_real", r.verdict == "not_real", f"verdict={r.verdict}")
+        ok &= _add(rep, "verdict_not_real", _not_real(r.verdict), f"verdict={r.verdict}")
         rep["obstruction"] = r.obstruction
         b2 = L.mul(ce["b"], ce["b"])
         cube_exp = (args.q * args.q - 1) // 3
@@ -333,6 +331,10 @@ def cmd_counterexample(args):
         )
     reports.finalize(rep, time.perf_counter() - start)
     return rep, ok
+
+
+def _not_real(verdict):
+    return None if verdict == "unknown" else verdict == "not_real"
 
 
 def cmd_cdk(args):

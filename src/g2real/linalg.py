@@ -4,6 +4,7 @@ Matrices are immutable tuples of tuples of raw field elements; the field
 handle supplies the arithmetic.  Gaussian elimination requires an honest
 field (division), so callers must not pass split quadratic algebras here;
 3x3 determinants and adjugates use ring-safe closed forms in fields.py.
+span_search is the one enumerator of matrix spans under a candidate budget.
 """
 
 
@@ -311,6 +312,43 @@ def diagonalize_form(F, gram):
                 sel.append(u2)
         remaining = sel
     return tuple(basis), tuple(diag)
+
+
+class BudgetExhausted(Exception):
+    """A span search needed more candidates than its budget allowed."""
+
+
+def span_search(F, basis, coeffs, accept, budget):
+    """The first non-None accept(M) over M = sum c_i basis[i], and the number
+    of candidates visited: (hit or None, visited).
+
+    Coefficient vectors run in lexicographic order, c_0 slowest, each c_i
+    over coeffs() (a callable returning the coefficient set in order, such
+    as F.elements).  Running partial sums make each candidate cost one
+    scalar_mat and one mat_add, and scalar multiples are formed only when
+    needed, so nothing is tabulated before the first candidate.  The budget
+    is checked before each visit: BudgetExhausted is raised instead of
+    visiting candidate budget + 1.  An empty basis spans no candidates.
+    """
+    last = len(basis) - 1
+    visited = 0
+
+    def level(i, partial):
+        nonlocal visited
+        for c in coeffs():
+            if i == last:
+                if visited == budget:
+                    raise BudgetExhausted(f"span search budget {budget} exhausted")
+                visited += 1
+            term = scalar_mat(F, c, basis[i])
+            M = term if partial is None else mat_add(F, partial, term)
+            got = accept(M) if i == last else level(i + 1, M)
+            if got is not None:
+                return got
+        return None
+
+    hit = level(0, None) if basis else None
+    return hit, visited
 
 
 def first_invertible_combination(F, basis, rng=None, tries=200):

@@ -12,6 +12,7 @@ and the finite-field non-real constructions are built and checked exactly.
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
 from .automorphisms import (
@@ -20,7 +21,7 @@ from .automorphisms import (
     certify_automorphism,
     extract_sl3_matrix,
     extract_su_matrix,
-    frame_basis_matrix,
+    frame_swap,
     in_su,
     in_unitary,
     quadratic_subfield_frame,
@@ -166,39 +167,54 @@ def min_equals_char3(F, A):
     return linalg.rank(F, rows) == 3
 
 
-def _lex_elements(F, cap=None):
-    if F.kind == "prime":
-        return F.elements()
-    span = [0, 1, -1, 2, -2, 3, -3]
-    from fractions import Fraction
-
-    return [Fraction(x) for x in span]
+_RATIONAL_GRID = tuple(Fraction(x) for x in (0, 1, -1, 2, -2, 3, -3))
 
 
-def _lex_elements_L(L):
-    for a in L.base.elements():
-        for b in L.base.elements():
-            yield (a, b)
+class _Undecided(Exception):
+    """A search that cannot settle the question; the message is the note that
+    goes with the verdict unknown."""
 
 
-def find_poly_with_det(F, A, target, budget=None):
-    """First (f0, f1, f2) in lexicographic order with det(f0 + f1 A + f2 A^2)
-    equal to target, or None.  Deterministic so witnesses reproduce."""
-    I = linalg.identity(F, 3)
-    A2 = linalg.mat_mul(F, A, A)
-    count = 0
-    for f0 in _lex_elements(F):
-        r0 = linalg.scalar_mat(F, f0, I)
-        for f1 in _lex_elements(F):
-            r1 = linalg.mat_add(F, r0, linalg.scalar_mat(F, f1, A))
-            for f2 in _lex_elements(F):
-                M = linalg.mat_add(F, r1, linalg.scalar_mat(F, f2, A2))
-                if F.eq(linalg.det3(F, M), target):
-                    return M
-                count += 1
-                if budget and count > budget:
-                    return None
-    return None
+def _coefficients(F):
+    """The coefficient set of every span search, in order: all of a finite
+    field, or the fixed grid 0, 1, -1, 2, -2, 3, -3 over the rationals."""
+    if F.order is not None:
+        return F.elements
+    if F.kind == "rationals":
+        return lambda: _RATIONAL_GRID
+    raise _Undecided("spans over an infinite extension of Q are not searched")
+
+
+class _Search:
+    """The span searches of one top-level call, sharing one candidate budget.
+
+    Running out of budget and missing on the rational grid both raise
+    _Undecided, so a None result means a finite span was enumerated in full.
+    """
+
+    def __init__(self, budget):
+        self.left = budget
+
+    def __call__(self, F, basis, accept):
+        coeffs = _coefficients(F)
+        try:
+            hit, visited = linalg.span_search(F, basis, coeffs, accept, self.left)
+        except linalg.BudgetExhausted:
+            self.left = 0
+            raise _Undecided("budget exhausted") from None
+        self.left -= visited
+        if hit is None and F.order is None:
+            raise _Undecided("no determinant-1 combination on the rational grid")
+        return hit
+
+
+def _powers(F, A):
+    """The basis I, A, A^2 of k[A]; a span search over it visits the f(A)."""
+    return (linalg.identity(F, 3), A, linalg.mat_mul(F, A, A))
+
+
+def _with_det(F, target):
+    return lambda M: M if F.eq(linalg.det3(F, M), target) else None
 
 
 def triple_root(F, chi):
@@ -245,8 +261,17 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET, rng_seed=0):
     (S^-1, S A).  For regular A every solution of the linear system is
     automatically symmetric and the solutions form T0 k[A], so the search is
     a deterministic scan of det f(A) values; otherwise the symmetric solution
-    space is enumerated directly within the budget.
+    space is enumerated directly.  The scans visit at most `budget`
+    candidates; when that is not enough, or a search over the rationals
+    misses its grid, the record carries the reason under "unknown".
     """
+    try:
+        return _symmetric_decomposition(F, A, _Search(budget), rng_seed)
+    except _Undecided as exc:
+        return {"ok": False, "obstruction": None, "unknown": str(exc)}
+
+
+def _symmetric_decomposition(F, A, search, rng_seed=0):
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
     At = linalg.transpose(A)
@@ -274,94 +299,34 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET, rng_seed=0):
                         "class_group_order": g,
                     },
                 }
-        fA = find_poly_with_det(F, A, target, budget)
+        fA = search(F, _powers(F, A), _with_det(F, target))
         if fA is None:
-            return {"ok": False, "obstruction": None, "budget_exhausted": True}
-        S = linalg.mat_mul(F, T0, fA)
-        return _finish_symmetric(F, A, S)
-    # min poly strictly divides the characteristic polynomial: solve with the
-    # symmetry constraint built in (6 unknowns) and scan the solution space
-    rows = []
+            return {"ok": False, "obstruction": None}
+        return _finish_symmetric(F, A, linalg.mat_mul(F, T0, fA))
+    # min poly strictly divides the characteristic polynomial: scan the
+    # symmetric solutions, a subspace of the 6-dimensional symmetric matrices
     idx = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
-    def unflatten(v):
+    def symmetric(v):
         S = [[None] * 3 for _ in range(3)]
         for val, (i, j) in zip(v, idx):
             S[i][j] = val
             S[j][i] = val
         return linalg.mat(S)
 
-    for ei in range(3):
-        for ej in range(3):
-            coeff = [F.zero] * 6
-            for t, (a, b) in enumerate(idx):
-                # (S A - tA S)[ei][ej]; S symmetric with S[a][b] = S[b][a] = v_t
-                val = F.zero
-                for kk in range(3):
-                    sab = F.zero
-                    if (ei, kk) == (a, b) or (ei, kk) == (b, a):
-                        sab = F.one
-                    if not F.is_zero(sab):
-                        val = F.add(val, F.mul(sab, A[kk][ej]))
-                    sab2 = F.zero
-                    if (kk, ej) == (a, b) or (kk, ej) == (b, a):
-                        sab2 = F.one
-                    if not F.is_zero(sab2):
-                        val = F.sub(val, F.mul(At[ei][kk], sab2))
-                coeff[t] = val
-            rows.append(tuple(coeff))
-    basis = linalg.nullspace(F, tuple(rows))
+    units = [symmetric([F.one if s == t else F.zero for s in range(6)]) for t in range(6)]
+    cols = [
+        linalg.vectors_matrix_to_flat(
+            linalg.mat_sub(F, linalg.mat_mul(F, E, A), linalg.mat_mul(F, At, E))
+        )
+        for E in units
+    ]
+    basis = linalg.nullspace(F, linalg.transpose(cols))
     if not basis:
         return {"ok": False, "obstruction": None}
-    d = len(basis)
-    if F.kind == "prime":
-        total = F.p**d
-        if total > budget:
-            return {"ok": False, "obstruction": None, "budget_exhausted": True}
-        coords = [F.zero] * d
-
-        def rec(i):
-            if i == d:
-                v = [F.zero] * 6
-                for c, bv in zip(coords, basis):
-                    for t in range(6):
-                        v[t] = F.add(v[t], F.mul(c, bv[t]))
-                S = unflatten(v)
-                if F.eq(linalg.det3(F, S), F.one):
-                    return S
-                return None
-            for c in F.elements():
-                coords[i] = c
-                got = rec(i + 1)
-                if got is not None:
-                    return got
-            return None
-
-        S = rec(0)
-        if S is None:
-            return {"ok": False, "obstruction": None, "exhaustive": True}
-        return _finish_symmetric(F, A, S)
-    # rationals: small grid
-    from fractions import Fraction
-
-    grid = [Fraction(x) for x in (0, 1, -1, 2, -2, 3, -3)]
-
-    def rec_q(i, acc):
-        if i == d:
-            S = unflatten(acc)
-            if F.eq(linalg.det3(F, S), F.one):
-                return S
-            return None
-        for c in grid:
-            nxt = [F.add(x, F.mul(c, y)) for x, y in zip(acc, basis[i])]
-            got = rec_q(i + 1, nxt)
-            if got is not None:
-                return got
-        return None
-
-    S = rec_q(0, [F.zero] * 6)
+    S = search(F, [symmetric(v) for v in basis], _with_det(F, F.one))
     if S is None:
-        return {"ok": False, "obstruction": None, "budget_exhausted": True}
+        return {"ok": False, "obstruction": None}
     return _finish_symmetric(F, A, S)
 
 
@@ -383,7 +348,9 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     Decides whether A is conjugate to tA in SL(3) (the swap coset; equivalent
     to a symmetric determinant-1 factorization) or A to A^-1 in SL(3) (the
     identity coset), which together exhaust the conjugators when the fixed
-    subalgebra is exactly the split quadratic algebra L.
+    subalgebra is exactly the split quadratic algebra L.  All searches
+    together visit at most `budget` candidates; past it the verdict is
+    unknown.
     """
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
@@ -398,76 +365,43 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
 
     regular = min_equals_char3(F, A)
     report.case["regular"] = regular
-
-    dec = symmetric_decomposition(F, A, budget)
-    if dec["ok"]:
-        report.verdict = "real"
-        report.witness = {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]}
-        return report
-
-    if regular and F.kind == "prime":
-        # identity coset: A conjugate to A^-1 in SL(3) requires matching
-        # characteristic polynomials (reversal), i.e. c2 = -c1 here
-        c0, c1, c2 = chi
-        budget_hit = False
-        if F.eq(c2, F.neg(c1)):
-            Ainv = linalg.inverse3(F, A)
-            space = linalg.solve_sylvester_space(F, Ainv, A)
-            X0 = linalg.first_invertible_combination(F, space, random.Random(0))
-            if X0 is None:
-                # cannot certify the identity coset empty without a base point
-                budget_hit = True
-            else:
-                target = F.inv(linalg.det(F, X0))
-                g = det_image_exponent(F, chi)
-                if _in_power_class(F, target, g):
-                    fA = find_poly_with_det(F, A, target, budget)
-                    if fA is None:
-                        budget_hit = True
-                    else:
-                        B = linalg.mat_mul(F, X0, fA)
-                        assert linalg.mat_eq(
-                            F,
-                            linalg.mat_mul(F, B, A),
-                            linalg.mat_mul(F, Ainv, B),
-                        )
-                        report.verdict = "real"
-                        report.witness = {
-                            "type": "conjugator_matrix",
-                            "B": B,
-                            "coset": 0,
-                        }
-                        return report
-        if dec.get("obstruction") and not budget_hit and not dec.get("budget_exhausted"):
-            report.verdict = "not_real"
-            report.obstruction = dec["obstruction"]
-            report.notes.append(
-                "no symmetric determinant-1 intertwiner, and the identity coset "
-                "is ruled out or obstructed"
-            )
-            return report
-        report.verdict = "unknown"
-        report.notes.append("budget exhausted")
-        return report
-    if not regular and F.kind == "prime" and not _has_eigenvalue_one(F, chi):
-        # the symmetric scan covers only involution products; for a non-regular
-        # matrix a non-symmetric swap-coset conjugator may still exist, so
-        # decide by the full intertwiner spaces of both cosets
-        got = _sl3_full_coset_scan(F, A, budget)
-        if got == "exhausted":
-            report.verdict = "unknown"
-            report.notes.append("budget exhausted (non-regular case)")
-        elif got is None:
-            report.verdict = "not_real"
-            report.notes.append("full intertwiner scan over both cosets found nothing")
-        else:
+    search = _Search(budget)
+    try:
+        dec = _symmetric_decomposition(F, A, search)
+        if dec["ok"]:
             report.verdict = "real"
-            report.witness = {"type": "conjugator_matrix", "B": got[1], "coset": got[0]}
-        return report
-    report.verdict = "unknown"
-    if dec.get("budget_exhausted"):
-        report.notes.append("budget exhausted")
-    if _has_eigenvalue_one(F, chi) and not linalg.mat_eq(F, A, I):
+            report.witness = {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]}
+            return report
+        if regular and F.kind == "prime":
+            B = _identity_coset_conjugator(F, A, chi, search)
+            if B is not None:
+                report.verdict = "real"
+                report.witness = {"type": "conjugator_matrix", "B": B, "coset": 0}
+                return report
+            if dec["obstruction"]:
+                report.verdict = "not_real"
+                report.obstruction = dec["obstruction"]
+                report.notes.append(
+                    "no symmetric determinant-1 intertwiner, and the identity coset "
+                    "is ruled out or obstructed"
+                )
+                return report
+        elif F.kind == "prime" and not _has_eigenvalue_one(F, chi):
+            # the symmetric scan covers only involution products; for a
+            # non-regular matrix a non-symmetric swap-coset conjugator may
+            # still exist, so decide by the full intertwiner spaces of both
+            # cosets
+            got = _sl3_full_coset_scan(F, A, search)
+            if got is None:
+                report.verdict = "not_real"
+                report.notes.append("full intertwiner scan over both cosets found nothing")
+            else:
+                report.verdict = "real"
+                report.witness = {"type": "conjugator_matrix", "B": got[1], "coset": got[0]}
+            return report
+    except _Undecided as exc:
+        report.notes.append(str(exc))
+    if _has_eigenvalue_one(F, chi):
         report.notes.append(
             "fixed subalgebra exceeds L (eigenvalue 1); only the two-involution "
             "route applies and it found nothing"
@@ -479,39 +413,42 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     return report
 
 
-def _sl3_full_coset_scan(F, A, budget):
+def _identity_coset_conjugator(F, A, chi, search):
+    """B of determinant 1 with B A B^-1 = A^-1 for regular A over a finite
+    field, or None when the identity coset holds none: A and A^-1 must share
+    their characteristic polynomial (c2 = -c1 here), and the intertwiners
+    X0 k[A] reach determinant 1 exactly when det X0^-1 lies in (k*)^g."""
+    c0, c1, c2 = chi
+    if not F.eq(c2, F.neg(c1)):
+        return None
+    Ainv = linalg.inverse3(F, A)
+    space = linalg.solve_sylvester_space(F, Ainv, A)
+    X0 = linalg.first_invertible_combination(F, space, random.Random(0))
+    if X0 is None:
+        raise _Undecided("no invertible intertwiner found for the identity coset")
+    target = F.inv(linalg.det(F, X0))
+    if not _in_power_class(F, target, det_image_exponent(F, chi)):
+        return None
+    fA = search(F, _powers(F, A), _with_det(F, target))
+    if fA is None:
+        return None
+    B = linalg.mat_mul(F, X0, fA)
+    assert linalg.mat_eq(F, linalg.mat_mul(F, B, A), linalg.mat_mul(F, Ainv, B))
+    return B
+
+
+def _sl3_full_coset_scan(F, A, search):
     """Exhaustive det-1 search of both conjugator cosets for a (typically
     non-regular) matrix: swap coset {B : A B = B tA}, identity coset
-    {X : A^-1 X = X A}.  Returns (coset, B), None, or "exhausted"."""
+    {X : A^-1 X = X A}.  Returns (coset, B) or None."""
     At = linalg.transpose(A)
     Ainv = linalg.inverse3(F, A)
     for coset, (left, right) in ((1, (A, At)), (0, (Ainv, A))):
         space = linalg.solve_sylvester_space(F, left, right)
-        d = len(space)
-        if d == 0:
-            continue
-        if F.order is None or F.order**d > budget:
-            return "exhausted"
-        coords = [F.zero] * d
-
-        def rec(i):
-            if i == d:
-                B = linalg.zeros(F, 3, 3)
-                for c, bm in zip(coords, space):
-                    B = linalg.mat_add(F, B, linalg.scalar_mat(F, c, bm))
-                if F.eq(linalg.det3(F, B), F.one):
-                    return B
-                return None
-            for c in F.elements():
-                coords[i] = c
-                got = rec(i + 1)
-                if got is not None:
-                    return got
-            return None
-
-        B = rec(0)
-        if B is not None:
-            return (coset, B)
+        if space:
+            B = search(F, space, _with_det(F, F.one))
+            if B is not None:
+                return (coset, B)
     return None
 
 
@@ -646,10 +583,9 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
     """Reality of the automorphism acting as A in SU(H) on a quadratic-field
     frame.  In the swap coset, conjugacy of t and t^-1 is conjugacy of
     conj(A) and A^-1 inside SU(H); the determinant class of a unitary base
-    conjugator against the norms of the unitary centralizer decides it."""
-    from .fields import cubic_is_irreducible
-
-    k = L.base
+    conjugator against the norms of the unitary centralizer decides it.  All
+    searches together visit at most `budget` candidates; past it the verdict
+    is unknown."""
     if not in_su(A, L, H):
         raise RealityError("A must lie in SU(H)")
     chi = linalg.charpoly3(L, A)
@@ -666,9 +602,20 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
         return report
     regular = min_equals_char3(L, A)
     report.case["regular"] = regular
-    if not regular:
-        return _reality_su_non_regular(L, A, H, chi, report, budget)
+    search = _Search(budget)
+    try:
+        if not regular:
+            return _reality_su_non_regular(L, A, H, report, search)
+        return _reality_su_regular(L, A, H, chi, report, search, exhaustive)
+    except _Undecided as exc:
+        report.notes.append(str(exc))
+        return report
 
+
+def _reality_su_regular(L, A, H, chi, report, search, exhaustive):
+    from .fields import cubic_is_irreducible
+
+    k = L.base
     X0 = unitary_base_conjugator(L, H, A, chi)
     d = linalg.det3(L, X0)
     assert k.eq(L.norm(d), k.one)
@@ -691,9 +638,9 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
                 "class_group_order": (q + 1) // order,
             }
             return report
-        z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), budget)
+        z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
         if z is None:
-            report.notes.append("witness search budget exhausted")
+            report.notes.append("no unitary centralizer element has the needed determinant")
             return report
         return _finish_su(L, H, A, X0, z, report)
 
@@ -726,7 +673,12 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
                 elif hits:
                     raise RealityError("sweep found a conjugator against the obstruction")
             return report
-        z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), budget)
+        try:
+            z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
+        except _Undecided:
+            if not exhaustive:
+                raise
+            z = None
         if z is not None:
             return _finish_su(L, H, A, X0, z, report)
         if exhaustive:
@@ -747,20 +699,17 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
             report.witness = {"type": "conjugator_matrix", "B": C, "coset": 1}
             report.notes.append("witness from the exhaustive sweep")
             return report
-        report.notes.append("cube class admits candidates; budget exhausted")
+        report.notes.append("cube class admits candidates; the centralizer scan found none")
         return report
     # min = char with a repeated (but not triple) root: the centralizer is a
-    # product of local pieces; decide by a budgeted direct scan
-    got = _su_direct_scan(L, H, A, budget)
-    if got == "exhausted":
-        report.notes.append("budget exhausted")
-        return report
-    if got is None:
+    # product of local pieces; decide by the same scan of the centralizer
+    z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
+    if z is None:
         report.verdict = "not_real" if not _su_identity_coset_possible(L, chi) else "unknown"
         if report.verdict == "not_real":
             report.notes.append("full swap-coset scan found nothing")
         return report
-    return _finish_su(L, H, A, unitary_base_conjugator(L, H, A, chi), got, report)
+    return _finish_su(L, H, A, X0, z, report)
 
 
 def _su_identity_coset_possible(L, chi):
@@ -768,32 +717,17 @@ def _su_identity_coset_possible(L, chi):
     return L.eq(c2, L.neg(c1))
 
 
-def _find_unitary_centralizer_with_det(L, H, A, target, budget):
+def _find_unitary_centralizer_with_det(L, H, A, target, search):
     """z = y sigma_h(y)^-1 for y in L[conj(A)], unitary by construction, with
-    det z = target; deterministic scan over polynomial coefficients."""
-    Abar = _sigma_mat(L, A)
-    I = linalg.identity(L, 3)
-    Ab2 = linalg.mat_mul(L, Abar, Abar)
-    count = 0
-    for f0 in _lex_elements_L(L):
-        r0 = linalg.scalar_mat(L, f0, I)
-        for f1 in _lex_elements_L(L):
-            r1 = linalg.mat_add(L, r0, linalg.scalar_mat(L, f1, Abar))
-            for f2 in _lex_elements_L(L):
-                y = linalg.mat_add(L, r1, linalg.scalar_mat(L, f2, Ab2))
-                dy = linalg.det3(L, y)
-                if not L.is_unit(dy):
-                    count += 1
-                    continue
-                dz = L.div(dy, L.sigma(dy))
-                if L.eq(dz, target):
-                    sy = sigma_h(L, H, y)
-                    z = linalg.mat_mul(L, y, linalg.inverse3(L, sy))
-                    return z
-                count += 1
-                if count > budget:
-                    return None
-    return None
+    det z = target; the first such y in lexicographic coefficient order."""
+
+    def accept(y):
+        dy = linalg.det3(L, y)
+        if L.is_unit(dy) and L.eq(L.div(dy, L.sigma(dy)), target):
+            return linalg.mat_mul(L, y, linalg.inverse3(L, sigma_h(L, H, y)))
+        return None
+
+    return search(L, _powers(L, _sigma_mat(L, A)), accept)
 
 
 def _finish_su(L, H, A, X0, z, report):
@@ -814,36 +748,20 @@ def _finish_su(L, H, A, X0, z, report):
     return report
 
 
-def _su_direct_scan(L, H, A, budget):
-    """Budgeted scan for unitary z in the centralizer coset with det fixing;
-    used when the centralizer has an unusual (mixed local) shape."""
-    chi = linalg.charpoly3(L, A)
-    try:
-        X0 = unitary_base_conjugator(L, H, A, chi)
-    except (AssertionError, RealityError):
-        return "exhausted"
-    d = linalg.det3(L, X0)
-    return _find_unitary_centralizer_with_det(L, H, A, L.inv(d), budget)
-
-
-def _reality_su_non_regular(L, A, H, chi, report, budget):
+def _reality_su_non_regular(L, A, H, report, search):
     """min poly strictly smaller than char poly: enumerate unitary conjugator
-    candidates over the full intertwiner space within the budget."""
+    candidates over the full intertwiner space of each coset."""
     Abar = _sigma_mat(L, A)
     Ainv = linalg.inverse3(L, A)
-    hits = None
-    total = 0
+
+    def accept(X):
+        return X if L.eq(linalg.det3(L, X), L.one) and in_unitary(X, L, H) else None
+
     for M1, coset in ((Abar, 1), (A, 0)):
         space = linalg.solve_sylvester_space(L, Ainv, M1)
-        dim = len(space)
-        if dim == 0:
+        if not space:
             continue
-        size = L.order ** dim if L.order else None
-        if size is None or size > budget:
-            report.notes.append("budget exhausted (non-regular case)")
-            return report
-        hit = _scan_space_for_su(L, H, space, M1, Ainv)
-        total += size
+        hit = search(L, space, accept)
         if hit is not None:
             report.verdict = "real"
             report.witness = {"type": "conjugator_matrix", "B": hit, "coset": coset}
@@ -851,32 +769,6 @@ def _reality_su_non_regular(L, A, H, chi, report, budget):
     report.verdict = "not_real"
     report.notes.append("full intertwiner scan over both cosets found nothing")
     return report
-
-
-def _scan_space_for_su(L, H, space, M1, Ainv):
-    dim = len(space)
-    coords = [L.zero] * dim
-
-    def rec(i):
-        if i == dim:
-            X = linalg.zeros(L, 3, 3)
-            for c, bm in zip(coords, space):
-                X = linalg.mat_add(L, X, linalg.scalar_mat(L, c, bm))
-            if not L.is_unit(linalg.det3(L, X)):
-                return None
-            if not L.eq(linalg.det3(L, X), L.one):
-                return None
-            if not in_unitary(X, L, H):
-                return None
-            return X
-        for c in L.elements():
-            coords[i] = c
-            got = rec(i + 1)
-            if got is not None:
-                return got
-        return None
-
-    return rec(0)
 
 
 def _run_su_sweep(L, H, A, X0, report, q):
@@ -890,9 +782,7 @@ def _run_su_sweep(L, H, A, X0, report, q):
 
 def _sweep_example_matrix(L, A, example):
     """Rebuild z = c0 + c1 conj(A) + c2 conj(A)^2 from a sweep hit."""
-    Abar = _sigma_mat(L, A)
-    I = linalg.identity(L, 3)
-    Ab2 = linalg.mat_mul(L, Abar, Abar)
+    I, Abar, Ab2 = _powers(L, _sigma_mat(L, A))
     z = linalg.scalar_mat(L, example[0], I)
     z = linalg.mat_add(L, z, linalg.scalar_mat(L, example[1], Abar))
     return linalg.mat_add(L, z, linalg.scalar_mat(L, example[2], Ab2))
@@ -900,46 +790,21 @@ def _sweep_example_matrix(L, A, example):
 
 # -- witnesses at the octonion level -------------------------------------------
 
-def split_frame_swap(frame):
-    """The involution exchanging e with f and U with W for a standard split
-    frame; equals the Zorn swap on the standard frame."""
-    alg = frame.alg
-    F = alg.field
-    C = frame_basis_matrix(frame)
-    P = [[F.zero] * 8 for _ in range(8)]
-    P[7][0] = F.one
-    P[0][7] = F.one
-    for i in range(3):
-        P[4 + i][1 + i] = F.one
-        P[1 + i][4 + i] = F.one
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(P)), linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise RealityError("frame swap failed to certify")
-    return out
-
-
 def two_involution_witness(t, frame, report):
     """Lift a matrix-level real verdict to two exact involutions with
     iota1 iota2 = t; raises when the verification fails (solver bug)."""
     if report.verdict != "real" or report.witness is None:
         raise RealityError("need a real verdict with a matrix witness")
-    alg = frame.alg
     w = report.witness
     if w["type"] == "symmetric_pair":
-        F = alg.field
-        rho = split_frame_swap(frame)
-        S1, S2 = w["S1"], w["S2"]
-        i1 = sl3_embed(S1, frame).compose(rho)
-        i2 = sl3_embed(linalg.inverse3(F, S2), frame).compose(rho)
+        embed, m1, m2 = sl3_embed, w["S1"], linalg.inverse3(frame.alg.field, w["S2"])
     elif w["type"] == "unitary_pair":
-        L = frame.L
-        rho = frame.rho
-        A1, C = w["A1"], w["C"]
-        i1 = su_embed(A1, frame).compose(rho)
-        i2 = su_embed(C, frame).compose(rho)
+        embed, m1, m2 = su_embed, w["A1"], w["C"]
     else:
         raise RealityError(f"witness type {w['type']} has no involution lift")
+    rho = frame_swap(frame)
+    i1 = embed(m1, frame).compose(rho)
+    i2 = embed(m2, frame).compose(rho)
     if not i1.compose(i1).is_identity() or not i2.compose(i2).is_identity():
         raise RealityError("witness maps are not involutions")
     if not i1.compose(i2).eq(t):
@@ -952,19 +817,18 @@ def conjugator_witness(t, frame, report):
     h t h^-1 = t^-1 exactly."""
     if report.witness is None or report.witness["type"] != "conjugator_matrix":
         raise RealityError("no conjugator witness present")
-    B = report.witness["B"]
-    coset = report.witness["coset"]
-    if isinstance(frame, SplitFrame):
-        h = sl3_embed(B, frame)
-        if coset == 1:
-            h = h.compose(split_frame_swap(frame))
-    else:
-        h = su_embed(B, frame)
-        if coset == 1:
-            h = h.compose(frame.rho)
-    lhs = h.compose(t).compose(h.inverse())
-    if not lhs.eq(t.inverse()):
-        raise RealityError("conjugator witness fails")
+    return _lift_conjugator(t, frame, report.witness["B"], report.witness["coset"])
+
+
+def _lift_conjugator(t, frame, B, coset):
+    """h = embedding of B, times the frame swap in coset 1; raises unless
+    h t h^-1 = t^-1 holds exactly."""
+    embed = sl3_embed if isinstance(frame, SplitFrame) else su_embed
+    h = embed(B, frame)
+    if coset == 1:
+        h = h.compose(frame_swap(frame))
+    if not h.compose(t).compose(h.inverse()).eq(t.inverse()):
+        raise RealityError("conjugator witness fails at the octonion level")
     return h
 
 
@@ -985,6 +849,13 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     """Decide reality of t by enumerating conjugator candidates over both
     cosets of the subgroup preserving L, independent of the norm-class logic.
 
+    Each coset is B0 k[G] for one invertible intertwiner B0, searched as the
+    span of B0, B0 G, B0 G^2; a candidate counts when it has determinant 1,
+    intertwines, and (field frame) is unitary.  The coset holding the first
+    witness is enumerated in full, so `checked` counts every candidate of
+    every coset visited.  All cosets together visit at most `budget`
+    candidates; past it, or over the rationals, the verdict is unknown.
+
     Preconditions: t certified, its fixed subalgebra is exactly the frame's
     quadratic algebra, and the induced 3x3 matrix is regular.  At level
     "octonion" a found witness is re-verified as an 8x8 conjugation.
@@ -1001,133 +872,62 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     fixed = t.fixed_space()
     if len(fixed) != 2:
         raise RealityError("fixed subalgebra of t is not 2-dimensional")
-    if isinstance(frame, SplitFrame):
-        Lbasis = (alg.one, alg.sub(frame.e, frame.f))
-    else:
-        Lbasis = (frame.one, frame.g)
+    split = isinstance(frame, SplitFrame)
+    Lbasis = (alg.one, alg.sub(frame.e, frame.f)) if split else (frame.one, frame.g)
     if linalg.rank(F, linalg.mat(tuple(fixed) + Lbasis)) != 2:
         raise RealityError("fixed subalgebra of t is not the frame algebra")
 
-    if isinstance(frame, SplitFrame):
-        return _oracle_split(t, frame, budget, level)
-    return _oracle_field(t, frame, budget, level)
-
-
-def _oracle_split(t, frame, budget, level):
-    alg = frame.alg
-    F = alg.field
-    A = extract_sl3_matrix(t, frame)
-    if not min_equals_char3(F, A):
+    K = F if split else frame.L
+    A = extract_sl3_matrix(t, frame) if split else extract_su_matrix(t, frame)
+    if not min_equals_char3(K, A):
         raise RealityError("oracle needs a regular matrix")
-    Ainv = linalg.inverse3(F, A)
-    At = linalg.transpose(A)
+    Ainv = linalg.inverse3(K, A)
+    # coset: {B : left B = B right}; the swap coset of a split frame is
+    # {B : A B = B tA}, of a field frame {X : A^-1 X = X conj(A)}
+    if split:
+        cosets = ((0, Ainv, A), (1, A, linalg.transpose(A)))
+    else:
+        cosets = ((0, Ainv, A), (1, Ainv, _sigma_mat(K, A)))
+    search = _Search(budget)
     checked = {0: 0, 1: 0}
     witness = None
-    for coset in (0, 1):
-        if coset == 0:
-            space = linalg.solve_sylvester_space(F, Ainv, A)
-        else:
-            space = linalg.solve_sylvester_space(F, A, At)  # {B : A B = B tA}
-        B0 = linalg.first_invertible_combination(F, space, random.Random(1))
+    for coset, left, right in cosets:
+        # an invertible intertwiner makes left and right similar
+        chis = zip(linalg.charpoly3(K, left), linalg.charpoly3(K, right))
+        if not all(K.eq(x, y) for x, y in chis):
+            continue
+        space = linalg.solve_sylvester_space(K, left, right)
+        B0 = linalg.first_invertible_combination(K, space, random.Random(1 if split else 2))
         if B0 is None:
             continue
-        gen = At if coset == 1 else A
-        I = linalg.identity(F, 3)
-        G2 = linalg.mat_mul(F, gen, gen)
-        for f0 in F.elements():
-            m0 = linalg.scalar_mat(F, f0, I)
-            for f1 in F.elements():
-                m1 = linalg.mat_add(F, m0, linalg.scalar_mat(F, f1, gen))
-                for f2 in F.elements():
-                    fM = linalg.mat_add(F, m1, linalg.scalar_mat(F, f2, G2))
-                    B = linalg.mat_mul(F, B0, fM)
-                    checked[coset] += 1
-                    if checked[0] + checked[1] > budget:
-                        return {"verdict": "unknown", "checked": checked}
-                    if not F.eq(linalg.det3(F, B), F.one):
-                        continue
-                    if coset == 1:
-                        # need B tA B^-1 = A, i.e. B tA = A B
-                        lhs = linalg.mat_mul(F, B, At)
-                        rhs = linalg.mat_mul(F, A, B)
-                    else:
-                        lhs = linalg.mat_mul(F, B, A)
-                        rhs = linalg.mat_mul(F, Ainv, B)
-                    if not linalg.mat_eq(F, lhs, rhs):
-                        continue
-                    if witness is None:
-                        witness = (coset, B)
-        if witness:
+        B0R = linalg.mat_mul(K, B0, right)
+        hits = []
+
+        def accept(B):
+            if (
+                not hits
+                and K.eq(linalg.det3(K, B), K.one)
+                and linalg.mat_eq(K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right))
+                and (split or in_unitary(B, K, frame.H))
+            ):
+                hits.append(B)
+
+        before = search.left
+        try:
+            search(K, (B0, B0R, linalg.mat_mul(K, B0R, right)), accept)
+        except _Undecided:
+            checked[coset] += before - search.left
+            return {"verdict": "unknown", "checked": checked}
+        checked[coset] += before - search.left
+        if hits:
+            witness = (coset, hits[0])
             break
     if witness is None:
         return {"verdict": "not_real", "checked": checked}
     coset, B = witness
     out = {"verdict": "real", "checked": checked, "coset": coset, "B": B}
     if level == "octonion":
-        h = sl3_embed(B, frame)
-        if coset == 1:
-            h = h.compose(split_frame_swap(frame))
-        lhs = h.compose(t).compose(h.inverse())
-        if not lhs.eq(t.inverse()):
-            raise RealityError("oracle witness failed octonion-level verification")
-        out["h"] = h
-    return out
-
-
-def _oracle_field(t, frame, budget, level):
-    alg = frame.alg
-    L = frame.L
-    A = extract_su_matrix(t, frame)
-    H = frame.H
-    if not min_equals_char3(L, A):
-        raise RealityError("oracle needs a regular matrix")
-    Abar = _sigma_mat(L, A)
-    Ainv = linalg.inverse3(L, A)
-    checked = {0: 0, 1: 0}
-    witness = None
-    q2 = L.order
-    for coset in (0, 1):
-        M1 = A if coset == 0 else Abar
-        chi1 = linalg.charpoly3(L, M1)
-        chi2 = linalg.charpoly3(L, Ainv)
-        if not all(L.eq(x, y) for x, y in zip(chi1, chi2)):
-            continue
-        space = linalg.solve_sylvester_space(L, Ainv, M1)
-        X0 = linalg.first_invertible_combination(L, space, random.Random(2))
-        if X0 is None:
-            continue
-        if q2 is None or q2**3 > budget:
-            return {"verdict": "unknown", "checked": checked}
-        I = linalg.identity(L, 3)
-        M2 = linalg.mat_mul(L, M1, M1)
-        for f0 in _lex_elements_L(L):
-            m0 = linalg.scalar_mat(L, f0, I)
-            for f1 in _lex_elements_L(L):
-                m1 = linalg.mat_add(L, m0, linalg.scalar_mat(L, f1, M1))
-                for f2 in _lex_elements_L(L):
-                    fM = linalg.mat_add(L, m1, linalg.scalar_mat(L, f2, M2))
-                    X = linalg.mat_mul(L, X0, fM)
-                    checked[coset] += 1
-                    if not L.eq(linalg.det3(L, X), L.one):
-                        continue
-                    if not in_unitary(X, L, H):
-                        continue
-                    if witness is None:
-                        witness = (coset, X)
-        if witness:
-            break
-    if witness is None:
-        return {"verdict": "not_real", "checked": checked}
-    coset, X = witness
-    out = {"verdict": "real", "checked": checked, "coset": coset, "B": X}
-    if level == "octonion":
-        h = su_embed(X, frame)
-        if coset == 1:
-            h = h.compose(frame.rho)
-        lhs = h.compose(t).compose(h.inverse())
-        if not lhs.eq(t.inverse()):
-            raise RealityError("oracle witness failed octonion-level verification")
-        out["h"] = h
+        out["h"] = _lift_conjugator(t, frame, B, coset)
     return out
 
 

@@ -7,6 +7,7 @@ from g2real.automorphisms import (
     certify_automorphism,
     extract_sl3_matrix,
     extract_su_matrix,
+    frame_swap,
     hermitian_form,
     in_su,
     involution_conjugacy_classes,
@@ -382,6 +383,39 @@ def test_involution_from_symmetric(frame7):
         iota = involution_from_symmetric(fixed, frame7)
         assert iota.compose(iota).is_identity()
         count += 1
+
+
+@pytest.fixture(scope="module")
+def other_frame7(zorn7):
+    # a split frame whose idempotent is not the standard one
+    e = zorn7.add(zorn7.basis_vec(0), zorn7.basis_vec(4))
+    return split_frame_from_idempotent(zorn7, e)
+
+
+def test_frame_swap_matches_reference_swaps(frame7, su_setup):
+    assert frame_swap(frame7).eq(zorn_swap(frame7.alg))
+    _, _, fr = su_setup
+    assert frame_swap(fr) is fr.rho
+
+
+def test_frame_swap_on_nonstandard_frame(other_frame7):
+    fr = other_frame7
+    rho = frame_swap(fr)
+    assert rho.compose(rho).is_identity()
+    alg = fr.alg
+    assert alg.eq(rho.apply(fr.e), fr.f) and alg.eq(rho.apply(fr.f), fr.e)
+    g, eps = semidirect_split(rho, fr)
+    assert eps == 1 and g.is_identity()
+    A = random_sl3(k7, random.Random(13))
+    g, eps = semidirect_split(sl3_embed(A, fr).compose(rho), fr)
+    assert eps == 1 and g.eq(sl3_embed(A, fr))
+
+
+def test_involution_from_symmetric_on_nonstandard_frame(other_frame7):
+    S = ((k7.element(2), 0, 0), (0, k7.element(4), 0), (0, 0, k7.one))
+    iota = involution_from_symmetric(S, other_frame7)
+    assert iota.compose(iota).is_identity()
+    assert not iota.eq(involution_from_symmetric(linalg.identity(k7, 3), other_frame7))
 
 
 def test_involution_from_symmetric_rejects_asymmetric(frame7):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,27 @@ def test_counterexample_sl3_q7(tmp_path):
     data = json.loads(out.read_text())
     assert data["oracle_agreement"] is True
     assert data["obstruction"]["class_group_order"] == 3
+
+
+def test_counterexample_budget_exhaustion_exits_3(tmp_path):
+    # the oracle runs out of budget: its check is unknown, not failed, and
+    # the run exits 3 even with assertions stripped
+    import g2real
+
+    out = tmp_path / "ce.json"
+    src = str(Path(g2real.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "g2real.cli", "counterexample", "sl3",
+         "--q", "7", "--budget", "10", "--json", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    data = json.loads(out.read_text())
+    assert data["oracle_agreement"] is None
+    status = {v["name"]: v["status"] for v in data["verdicts"]}
+    assert status["oracle_agreement"] == "unknown"
+    assert "fail" not in status.values()
 
 
 def test_counterexample_sl3_inadmissible(capsys):

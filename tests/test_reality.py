@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from g2real.automorphisms import (
 from g2real.composition import hermitian_space, octonion_from_hermitian, zorn_algebra
 from g2real.fields import PrimeField, QuadraticEtale, RationalField, cubic_is_irreducible
 from g2real.reality import (
+    DEFAULT_BUDGET,
     RealityError,
     brute_force_reality_oracle,
     build_counterexample_sl3,
@@ -714,3 +716,161 @@ def test_pipeline_unipotent_type_reports_honestly(frame5):
     # the element is in fact real; the split-frame route proves it
     direct = reality_sl3(k5, A)
     assert direct.verdict == "real"
+
+
+# ---------------------------------------------------------------------------
+# the span enumerator and the budget rule
+# ---------------------------------------------------------------------------
+
+def _reference_span_search(F, basis, accept, budget):
+    """Plain itertools.product enumeration of the span, same order and rule."""
+    visited = 0
+    for cs in itertools.product(list(F.elements()), repeat=len(basis)):
+        if visited == budget:
+            raise linalg.BudgetExhausted
+        visited += 1
+        M = linalg.zeros(F, 3, 3)
+        for c, b in zip(cs, basis):
+            M = linalg.mat_add(F, M, linalg.scalar_mat(F, c, b))
+        got = accept(M)
+        if got is not None:
+            return got, visited
+    return None, visited
+
+
+@pytest.mark.parametrize("over", ["F5", "F25"])
+def test_span_search_matches_product_reference(over):
+    F = k5 if over == "F5" else QuadraticEtale(k5, 2)
+    rng = random.Random(40)
+    A = tuple(tuple(F.random(rng) for _ in range(3)) for _ in range(3))
+    I, A, A2 = linalg.identity(F, 3), A, linalg.mat_mul(F, A, A)
+    targets = [F.one, F.zero, F.element(3)]
+    if over == "F25":
+        targets.append(F.gen())
+    for basis in ((I, A, A2), (A, A2), (A2,)):
+        for target in targets:
+            def accept(M):
+                return M if F.eq(linalg.det3(F, M), target) else None
+
+            want = _reference_span_search(F, basis, accept, 10**9)
+            assert linalg.span_search(F, basis, F.elements, accept, 10**9) == want
+            hit, n = want
+            if hit is not None:
+                # the budget is checked before each visit, never overrun
+                assert linalg.span_search(F, basis, F.elements, accept, n) == want
+                with pytest.raises(linalg.BudgetExhausted):
+                    linalg.span_search(F, basis, F.elements, accept, n - 1)
+        size = F.order ** len(basis)
+        assert linalg.span_search(F, basis, F.elements, lambda M: None, size) == (None, size)
+        with pytest.raises(linalg.BudgetExhausted):
+            linalg.span_search(F, basis, F.elements, lambda M: None, size - 1)
+    assert linalg.span_search(F, (), F.elements, lambda M: M, 0) == (None, 0)
+
+
+def _visits(monkeypatch, run):
+    """Candidates that run(DEFAULT_BUDGET) visits over all its span searches,
+    and its result."""
+    counts = []
+    search = linalg.span_search
+
+    def counting(*args):
+        hit, n = search(*args)
+        counts.append(n)
+        return hit, n
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "span_search", counting)
+        out = run(DEFAULT_BUDGET)
+    return sum(counts), out
+
+
+def _sl3(rows, F):
+    return tuple(tuple(F.element(x) for x in row) for row in rows)
+
+
+def _report_view(rep):
+    return rep.verdict, rep.to_json()
+
+
+def _su_by_route(L, H, route):
+    rng = random.Random(2)
+    for _ in range(200):
+        A = random_su(L, H, rng)
+        case = reality_su(L, A, H).case
+        got = (
+            "separable" if case.get("separable")
+            else "triple_root" if case.get("triple_root")
+            else "repeated_root" if case.get("regular")
+            else "non_regular"
+        )
+        if got == route:
+            return A
+    raise AssertionError(f"no {route} element drawn")
+
+
+def _budget_routes():
+    k3 = PrimeField(3)
+    L3 = QuadraticEtale(k3, 2)
+    lam = next(x for x in L3.elements() if k3.eq(L3.norm(x), k3.one) and not L3.eq(x, L3.one))
+    z = L3.zero
+    diag3 = ((lam, z, z), (z, lam, z), (z, z, L3.inv(L3.mul(lam, lam))))
+    L5 = QuadraticEtale(k5, 2)
+    O5 = octonion_from_hermitian(hermitian_space(L5, (1, 1, 1)))
+    fr5 = quadratic_subfield_frame(O5, O5.basis_vec(1))
+    H3 = (k3.one, k3.one, k3.one)
+    sym_regular = _sl3(((2, 3, 0), (2, 0, 3), (3, 3, 3)), k5)
+    jordan = _sl3(((2, 1, 0), (0, 2, 0), (0, 0, 2)), k7)
+    real5 = sl3_embed(sym_regular, zorn_split_frame(zorn_algebra(k5)))
+    ce7 = build_counterexample_sl3(7)
+    su = {r: _su_by_route(L5, fr5.H, r) for r in ("separable", "triple_root", "repeated_root")}
+    su_t = su_embed(su["separable"], fr5)
+
+    def dec_view(d):
+        return ("real" if d["ok"] else "unknown" if "unknown" in d else "not_real"), d
+
+    def oracle_view(o):
+        return o["verdict"], o
+
+    return {
+        "sl3 regular, symmetric pair": (lambda b: reality_sl3(k5, sym_regular, b), _report_view),
+        "sl3 non-regular, symmetric pair": (
+            lambda b: reality_sl3(k5, _sl3(((3, 2, 3), (1, 2, 2), (0, 0, 4)), k5), b),
+            _report_view,
+        ),
+        "sl3 identity coset": (
+            lambda b: reality_sl3(k7, _sl3(((2, 4, 5), (3, 0, 3), (6, 2, 1)), k7), b),
+            _report_view,
+        ),
+        "sl3 full coset scan": (lambda b: reality_sl3(k7, jordan, b), _report_view),
+        "symmetric_decomposition": (
+            lambda b: symmetric_decomposition(k5, sym_regular, b), dec_view,
+        ),
+        "su separable": (lambda b: reality_su(L5, su["separable"], fr5.H, b), _report_view),
+        "su triple root": (lambda b: reality_su(L5, su["triple_root"], fr5.H, b), _report_view),
+        "su repeated root": (
+            lambda b: reality_su(L5, su["repeated_root"], fr5.H, b), _report_view,
+        ),
+        "su non-regular": (lambda b: reality_su(L3, diag3, H3, b), _report_view),
+        "oracle split, real": (
+            lambda b: brute_force_reality_oracle(real5, zorn_split_frame(real5.algebra), b),
+            oracle_view,
+        ),
+        "oracle split, not real": (
+            lambda b: brute_force_reality_oracle(ce7["t"], ce7["frame"], b), oracle_view,
+        ),
+        "oracle field": (lambda b: brute_force_reality_oracle(su_t, fr5, b), oracle_view),
+    }
+
+
+@pytest.mark.parametrize("route", list(_budget_routes()))
+def test_budget_one_short_gives_unknown(monkeypatch, route):
+    run, view = _budget_routes()[route]
+    n, default = _visits(monkeypatch, run)
+    assert n > 0
+    short, _ = view(run(n - 1))
+    assert short == "unknown"
+    assert view(run(n)) == view(default)
+    assert view(default)[0] != "unknown"
+    if route.startswith("oracle"):
+        assert sum(run(n - 1)["checked"].values()) == n - 1
+        assert sum(default["checked"].values()) == n
