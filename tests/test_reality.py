@@ -555,6 +555,57 @@ def test_sweep_partition_counts_add_up(su5):
     assert linalg.mat_eq(L, lhs, rhs)
 
 
+@pytest.fixture(scope="module")
+def su5_sweep_reference(su5):
+    """A regular SU element over F_25, its base conjugator, and the flattened
+    indices of the SU(H) members among all 15,625 candidates, found one by
+    one with linalg and in_su.  Its first hit has c0, c1 != 0, so a kernel
+    that mixes up the coefficient slots shows."""
+    L, O, fr = su5
+    A = random_su(L, fr.H, random.Random(24), separable=True)
+    X0 = unitary_base_conjugator(L, fr.H, A, linalg.charpoly3(L, A))
+    Abar = linalg.map_entries(L.sigma, A)
+    powers = (linalg.identity(L, 3), Abar, linalg.mat_mul(L, Abar, Abar))
+    hits = []
+    for i, cs in enumerate(itertools.product(list(L.elements()), repeat=3)):
+        z = linalg.zeros(L, 3, 3)
+        for c, P in zip(cs, powers):
+            z = linalg.mat_add(L, z, linalg.scalar_mat(L, c, P))
+        if in_su(linalg.mat_mul(L, X0, z), L, fr.H):
+            hits.append(i)
+    return A, X0, hits
+
+
+def test_sweep_matches_candidate_by_candidate_reference(su5, su5_sweep_reference):
+    from g2real.sweeps import su_coset_sweep
+
+    L, O, fr = su5
+    A, X0, ref = su5_sweep_reference
+    Q = 25
+    elements = list(L.elements())
+
+    def expected(start, stop):
+        inside = [i for i in ref if start <= i < stop]
+        if not inside:
+            return len(inside), None
+        i0, rem = divmod(inside[0], Q * Q)
+        return len(inside), tuple(elements[i] for i in (i0, *divmod(rem, Q)))
+
+    assert len(ref) > 0
+    assert su_coset_sweep(L, fr.H, A, X0) == expected(0, Q**3)
+    # a window from mid-row across a c0 block, and its complement
+    parts = [(0, 620), (620, 1300), (1300, Q**3)]
+    for start, stop in parts:
+        assert su_coset_sweep(L, fr.H, A, X0, start=start, stop=stop) == expected(start, stop)
+    assert sum(su_coset_sweep(L, fr.H, A, X0, start=a, stop=b)[0] for a, b in parts) == len(ref)
+    # one-candidate windows, on a hit, just before it and at the last index
+    for i in (ref[0], ref[0] - 1, ref[-1], Q**3 - 1):
+        assert su_coset_sweep(L, fr.H, A, X0, start=i, stop=i + 1) == expected(i, i + 1)
+    # an empty window, also where a hit sits
+    for i in (777, ref[0]):
+        assert su_coset_sweep(L, fr.H, A, X0, start=i, stop=i) == (0, None)
+
+
 def test_non_regular_semisimple_is_real(frame7):
     # diag(3, 3, 4) over F7: minimal polynomial degree 2, no eigenvalue 1
     A = (
