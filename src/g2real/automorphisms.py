@@ -410,10 +410,6 @@ def su_embed(A, frame):
     return out
 
 
-def in_sl3(F, A):
-    return F.eq(linalg.det3(F, A), F.one)
-
-
 def in_unitary(A, L, H):
     """Whether tA H conj(A) = H for the diagonal hermitian Gram H over k."""
     Hm = [[L.embed(H[i]) if i == j else L.zero for j in range(3)] for i in range(3)]

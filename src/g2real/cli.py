@@ -277,9 +277,7 @@ def cmd_counterexample(args):
         rhs = linalg.mat_mul(k, linalg.transpose(ce["A"]), T)
         ok &= _add(rep, "antidiagonal_conjugates_to_transpose", linalg.mat_eq(k, lhs, rhs))
         orc = brute_force_reality_oracle(ce["t"], ce["frame"], args.budget, level="matrix")
-        agree = orc["verdict"] == r.verdict
-        if "unknown" in (orc["verdict"], r.verdict):
-            agree = None
+        agree = _agreement(orc["verdict"], r.verdict)
         rep["oracle_agreement"] = agree
         ok &= _add(
             rep,
@@ -299,7 +297,7 @@ def cmd_counterexample(args):
     else:
         L = ce["L"]
         k = ce["field"]
-        r = reality_su(L, ce["B"], ce["frame"].H, args.budget, args.exhaustive)
+        r = reality_su(L, ce["B"], ce["frame"].H, args.budget)
         ok &= _add(rep, "verdict_not_real", _not_real(r.verdict), f"verdict={r.verdict}")
         rep["obstruction"] = r.obstruction
         b2 = L.mul(ce["b"], ce["b"])
@@ -310,16 +308,16 @@ def cmd_counterexample(args):
             not L.eq(L.pow(b2, cube_exp), L.one),
         )
         if args.exhaustive:
-            hits = r.case.get("exhaustive_hits")
-            rep["oracle_agreement"] = hits == 0
+            orc = brute_force_reality_oracle(ce["t"], ce["frame"], args.budget)
+            rep["oracle_agreement"] = _agreement(orc["verdict"], r.verdict)
+            found = {"not_real": "0 conjugators", "real": "a conjugator"}
             ok &= _add(
                 rep,
                 "exhaustive_sweep",
-                hits == 0,
-                f"{r.case.get('exhaustive_candidates')} candidates, {hits} conjugators",
+                _not_real(orc["verdict"]),
+                f"{sum(orc['checked'].values())} candidates, "
+                + found.get(orc["verdict"], "budget exhausted"),
             )
-        else:
-            rep["oracle_agreement"] = None
         rep["witnesses"].append(
             {
                 "kind": "not_real_instance",
@@ -335,6 +333,13 @@ def cmd_counterexample(args):
 
 def _not_real(verdict):
     return None if verdict == "unknown" else verdict == "not_real"
+
+
+def _agreement(oracle_verdict, verdict):
+    """Whether the oracle and the decision agree; None when either is unknown."""
+    if "unknown" in (oracle_verdict, verdict):
+        return None
+    return oracle_verdict == verdict
 
 
 def cmd_cdk(args):

@@ -322,10 +322,6 @@ class QuadraticEtale:
             return (self.base.one, self.base.neg(self.base.one))
         return (self.base.zero, self.base.one)
 
-    def gen_square(self):
-        """gen()**2 as an element of k: c in the field case, 1 when split."""
-        return self.base.one if self.kind == "split" else self.c
-
     def add(self, x, y):
         return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
 
@@ -491,9 +487,6 @@ class CubicAlgebra:
     def embed(self, x):
         """Image of an L-element in E."""
         return (x, self.L.zero, self.L.zero)
-
-    def embed_base(self, a):
-        return self.embed(self.L.embed(a))
 
     def add(self, x, y):
         L = self.L

@@ -33,10 +33,6 @@ def mat_sub(F, a, b):
     return tuple(tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(F, a):
-    return tuple(tuple(F.neg(x) for x in r) for r in a)
-
-
 def scalar_mat(F, c, a):
     return tuple(tuple(F.mul(c, x) for x in r) for r in a)
 

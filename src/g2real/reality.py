@@ -390,15 +390,9 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
             # the symmetric scan covers only involution products; for a
             # non-regular matrix a non-symmetric swap-coset conjugator may
             # still exist, so decide by the full intertwiner spaces of both
-            # cosets
-            got = _sl3_full_coset_scan(F, A, search)
-            if got is None:
-                report.verdict = "not_real"
-                report.notes.append("full intertwiner scan over both cosets found nothing")
-            else:
-                report.verdict = "real"
-                report.witness = {"type": "conjugator_matrix", "B": got[1], "coset": got[0]}
-            return report
+            # cosets: swap {B : A B = B tA}, identity {X : A^-1 X = X A}
+            cosets = ((1, A, linalg.transpose(A)), (0, linalg.inverse3(F, A), A))
+            return _full_coset_scan(F, cosets, _with_det(F, F.one), search, report)
     except _Undecided as exc:
         report.notes.append(str(exc))
     if _has_eigenvalue_one(F, chi):
@@ -437,19 +431,20 @@ def _identity_coset_conjugator(F, A, chi, search):
     return B
 
 
-def _sl3_full_coset_scan(F, A, search):
-    """Exhaustive det-1 search of both conjugator cosets for a (typically
-    non-regular) matrix: swap coset {B : A B = B tA}, identity coset
-    {X : A^-1 X = X A}.  Returns (coset, B) or None."""
-    At = linalg.transpose(A)
-    Ainv = linalg.inverse3(F, A)
-    for coset, (left, right) in ((1, (A, At)), (0, (Ainv, A))):
+def _full_coset_scan(F, cosets, accept, search, report):
+    """Decide a (typically non-regular) matrix by searching the whole
+    intertwiner space {B : left B = B right} of each (coset, left, right) in
+    turn: real with the first accept(B) that is not None, else not real."""
+    for coset, left, right in cosets:
         space = linalg.solve_sylvester_space(F, left, right)
-        if space:
-            B = search(F, space, _with_det(F, F.one))
-            if B is not None:
-                return (coset, B)
-    return None
+        B = search(F, space, accept) if space else None
+        if B is not None:
+            report.verdict = "real"
+            report.witness = {"type": "conjugator_matrix", "B": B, "coset": coset}
+            return report
+    report.verdict = "not_real"
+    report.notes.append("full intertwiner scan over both cosets found nothing")
+    return report
 
 
 def _has_eigenvalue_one(F, chi):
@@ -579,7 +574,7 @@ def _cube_class_order(q):
     return math.gcd(3, q * q - 1)
 
 
-def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
+def reality_su(L, A, H, budget=DEFAULT_BUDGET):
     """Reality of the automorphism acting as A in SU(H) on a quadratic-field
     frame.  In the swap coset, conjugacy of t and t^-1 is conjugacy of
     conj(A) and A^-1 inside SU(H); the determinant class of a unitary base
@@ -606,13 +601,13 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET, exhaustive=False):
     try:
         if not regular:
             return _reality_su_non_regular(L, A, H, report, search)
-        return _reality_su_regular(L, A, H, chi, report, search, exhaustive)
+        return _reality_su_regular(L, A, H, chi, report, search)
     except _Undecided as exc:
         report.notes.append(str(exc))
         return report
 
 
-def _reality_su_regular(L, A, H, chi, report, search, exhaustive):
+def _reality_su_regular(L, A, H, chi, report, search):
     from .fields import cubic_is_irreducible
 
     k = L.base
@@ -666,39 +661,10 @@ def _reality_su_regular(L, A, H, chi, report, search, exhaustive):
                     "identity coset ruled out: characteristic polynomials of A "
                     "and A^-1 differ"
                 )
-            if exhaustive:
-                hits, _ = _run_su_sweep(L, H, A, X0, report, q)
-                if hits == 0 and report.verdict == "not_real":
-                    report.notes.append("exhaustive coset sweep agrees")
-                elif hits:
-                    raise RealityError("sweep found a conjugator against the obstruction")
             return report
-        try:
-            z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
-        except _Undecided:
-            if not exhaustive:
-                raise
-            z = None
+        z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
         if z is not None:
             return _finish_su(L, H, A, X0, z, report)
-        if exhaustive:
-            # decisive either way: a hit yields an explicit conjugator, zero
-            # hits certifies non-reality of the swap coset
-            hits, example = _run_su_sweep(L, H, A, X0, report, q)
-            if hits == 0:
-                if _su_identity_coset_possible(L, chi):
-                    report.notes.append("identity coset needs a separate scan")
-                else:
-                    report.verdict = "not_real"
-                    report.notes.append("exhaustive coset sweep found no conjugator")
-                return report
-            zc = _sweep_example_matrix(L, A, example)
-            C = linalg.mat_mul(L, X0, zc)
-            assert in_su(C, L, H)
-            report.verdict = "real"
-            report.witness = {"type": "conjugator_matrix", "B": C, "coset": 1}
-            report.notes.append("witness from the exhaustive sweep")
-            return report
         report.notes.append("cube class admits candidates; the centralizer scan found none")
         return report
     # min = char with a repeated (but not triple) root: the centralizer is a
@@ -751,41 +717,13 @@ def _finish_su(L, H, A, X0, z, report):
 def _reality_su_non_regular(L, A, H, report, search):
     """min poly strictly smaller than char poly: enumerate unitary conjugator
     candidates over the full intertwiner space of each coset."""
-    Abar = _sigma_mat(L, A)
     Ainv = linalg.inverse3(L, A)
 
     def accept(X):
         return X if L.eq(linalg.det3(L, X), L.one) and in_unitary(X, L, H) else None
 
-    for M1, coset in ((Abar, 1), (A, 0)):
-        space = linalg.solve_sylvester_space(L, Ainv, M1)
-        if not space:
-            continue
-        hit = search(L, space, accept)
-        if hit is not None:
-            report.verdict = "real"
-            report.witness = {"type": "conjugator_matrix", "B": hit, "coset": coset}
-            return report
-    report.verdict = "not_real"
-    report.notes.append("full intertwiner scan over both cosets found nothing")
-    return report
-
-
-def _run_su_sweep(L, H, A, X0, report, q):
-    from .sweeps import su_coset_sweep
-
-    hits, example = su_coset_sweep(L, H, A, X0)
-    report.case["exhaustive_candidates"] = (q * q) ** 3
-    report.case["exhaustive_hits"] = hits
-    return hits, example
-
-
-def _sweep_example_matrix(L, A, example):
-    """Rebuild z = c0 + c1 conj(A) + c2 conj(A)^2 from a sweep hit."""
-    I, Abar, Ab2 = _powers(L, _sigma_mat(L, A))
-    z = linalg.scalar_mat(L, example[0], I)
-    z = linalg.mat_add(L, z, linalg.scalar_mat(L, example[1], Abar))
-    return linalg.mat_add(L, z, linalg.scalar_mat(L, example[2], Ab2))
+    cosets = ((1, Ainv, _sigma_mat(L, A)), (0, Ainv, A))
+    return _full_coset_scan(L, cosets, accept, search, report)
 
 
 # -- witnesses at the octonion level -------------------------------------------
@@ -849,12 +787,15 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     """Decide reality of t by enumerating conjugator candidates over both
     cosets of the subgroup preserving L, independent of the norm-class logic.
 
-    Each coset is B0 k[G] for one invertible intertwiner B0, searched as the
-    span of B0, B0 G, B0 G^2; a candidate counts when it has determinant 1,
-    intertwines, and (field frame) is unitary.  The coset holding the first
-    witness is enumerated in full, so `checked` counts every candidate of
-    every coset visited.  All cosets together visit at most `budget`
-    candidates; past it, or over the rationals, the verdict is unknown.
+    Each coset {B : left B = B right} is B0 k[right] for one invertible
+    intertwiner B0, the span of B0, B0 right, B0 right^2.  On a split frame
+    span_search looks for a candidate of determinant 1 that intertwines; on
+    a field frame over F_p the coset is one sweeps.su_coset_sweep call, and
+    its first SU(H) hit is rebuilt and re-checked exactly.  The coset
+    holding the first witness is enumerated in full, so `checked` counts
+    every candidate of every coset visited.  All cosets together visit at
+    most `budget` candidates; past it, or over the rationals, the verdict
+    is unknown.
 
     Preconditions: t certified, its fixed subalgebra is exactly the frame's
     quadratic algebra, and the induced 3x3 matrix is regular.  At level
@@ -901,24 +842,46 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
         if B0 is None:
             continue
         B0R = linalg.mat_mul(K, B0, right)
+        basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
         hits = []
 
-        def accept(B):
-            if (
-                not hits
-                and K.eq(linalg.det3(K, B), K.one)
-                and linalg.mat_eq(K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right))
-                and (split or in_unitary(B, K, frame.H))
-            ):
-                hits.append(B)
+        def conjugates(B):
+            return K.eq(linalg.det3(K, B), K.one) and linalg.mat_eq(
+                K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right)
+            )
 
-        before = search.left
-        try:
-            search(K, (B0, B0R, linalg.mat_mul(K, B0R, right)), accept)
-        except _Undecided:
+        if split:
+            def accept(B):
+                if not hits and conjugates(B):
+                    hits.append(B)
+
+            before = search.left
+            try:
+                search(K, basis, accept)
+            except _Undecided:
+                checked[coset] += before - search.left
+                return {"verdict": "unknown", "checked": checked}
             checked[coset] += before - search.left
-            return {"verdict": "unknown", "checked": checked}
-        checked[coset] += before - search.left
+        else:
+            if K.base.kind != "prime":
+                return {"verdict": "unknown", "checked": checked}
+            size = K.order**3
+            if size > search.left:
+                checked[coset] += search.left
+                return {"verdict": "unknown", "checked": checked}
+            search.left -= size
+            checked[coset] += size
+            from .sweeps import su_coset_sweep
+
+            # conj(sigma(right)) = right, so the sweep runs over B0 k[right]
+            _, example = su_coset_sweep(K, frame.H, _sigma_mat(K, right), B0)
+            if example is not None:
+                B = linalg.zeros(K, 3, 3)
+                for c, M in zip(example, basis):
+                    B = linalg.mat_add(K, B, linalg.scalar_mat(K, c, M))
+                if not (conjugates(B) and in_unitary(B, K, frame.H)):
+                    raise RealityError("coset sweep hit fails the exact SU(H) re-check")
+                hits.append(B)
         if hits:
             witness = (coset, hits[0])
             break
@@ -1098,7 +1061,7 @@ def build_counterexample_su(q):
 
 # -- end-to-end pipeline --------------------------------------------------------
 
-def reality_report_for(t, budget=DEFAULT_BUDGET, exhaustive=False):
+def reality_report_for(t, budget=DEFAULT_BUDGET):
     """Classify t, extract the 3x3 matrix through a freshly built frame, run
     the matching decision procedure, and lift witnesses back to certified
     automorphisms."""
@@ -1137,7 +1100,7 @@ def reality_report_for(t, budget=DEFAULT_BUDGET, exhaustive=False):
         return rep
     frame = quadratic_subfield_frame(alg, x)
     A = extract_su_matrix(t, frame)
-    rep = reality_su(frame.L, A, frame.H, budget, exhaustive)
+    rep = reality_su(frame.L, A, frame.H, budget)
     rep.case.update(case)
     if rep.verdict == "real" and rep.witness["type"] == "unitary_pair":
         i1, i2 = two_involution_witness(t, frame, rep)

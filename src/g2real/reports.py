@@ -149,17 +149,12 @@ def _parse_mat(F, rows):
     return linalg.mat([[F.from_text(x) for x in row] for row in rows])
 
 
-def _parse_mat_L(L, rows):
-    return linalg.mat([[L.from_text(x) for x in row] for row in rows])
-
-
 class VerificationError(Exception):
     """A report witness failed its exact re-check."""
 
 
 def verify_witnesses(report):
-    """Re-verify every self-contained matrix witness in a report; returns the
-    number checked.  Raises VerificationError naming the index and kind of
+    """Re-verify every witness in a report; returns the number checked.  Raises VerificationError naming the index and kind of
     the first witness that fails, and the identity it fails."""
     checked = 0
     for i, w in enumerate(report.get("witnesses", [])):
@@ -184,9 +179,9 @@ def verify_witnesses(report):
             k = _field_of(w["field"])
             L = QuadraticEtale(k, w["c"])
             H = tuple(k.from_text(x) for x in w["H"])
-            A = _parse_mat_L(L, w["A"])
-            A1 = _parse_mat_L(L, w["A1"])
-            A2 = _parse_mat_L(L, w["A2"])
+            A = _parse_mat(L, w["A"])
+            A1 = _parse_mat(L, w["A1"])
+            A2 = _parse_mat(L, w["A2"])
             from .automorphisms import in_su
 
             I = linalg.identity(L, 3)
@@ -210,7 +205,34 @@ def verify_witnesses(report):
             require(linalg.mat_eq(F, lhs, rhs), "B conjugates A to its inverse")
             require(F.eq(linalg.det3(F, B), F.one), "det B = 1")
             checked += 1
+        elif kind == "not_real_instance":
+            try:
+                _verify_not_real_instance(report["params"].get("kind"), w, require)
+            except ValueError as exc:  # unparsable entries, inadmissible q
+                require(False, exc)
+            checked += 1
     return checked
+
+
+def _verify_not_real_instance(family, w, require):
+    """Rebuild the construction of the report's kind, match the instance's
+    omega, b and B against it, and let the brute-force oracle rule out every
+    conjugator."""
+    from .reality import (
+        brute_force_reality_oracle,
+        build_counterexample_sl3,
+        build_counterexample_su,
+    )
+
+    build = {"sl3": build_counterexample_sl3, "su": build_counterexample_su}
+    require(family in build, f"counterexample kind {family!r} is sl3 or su")
+    ce = build[family](int(w["field"]))
+    K = ce["field"] if family == "sl3" else ce["L"]
+    for key in ("omega", "b"):
+        require(K.eq(K.from_text(w[key]), ce[key]), f"{key} is the construction's")
+    require(linalg.mat_eq(K, _parse_mat(K, w["B"]), ce["B"]), "B is the construction's")
+    verdict = brute_force_reality_oracle(ce["t"], ce["frame"])["verdict"]
+    require(verdict == "not_real", f"oracle verdict not_real, got {verdict}")
 
 
 def mat_text(F, m):

@@ -1,12 +1,13 @@
 """Vectorized exact verifications (int64 residue arithmetic, no floats).
 
 Two jobs live here: the bulk composition/minimal-equation property suites,
-and the exhaustive swap-coset conjugator sweep used to confirm the
-quadratic-field non-real element without trusting the norm-class shortcut.
-The sweep reads every matrix entry off per-coefficient lookup tables, so a
-candidate costs int64 additions, table lookups and residues mod p; the
-full q = 17 coset of 24,137,569 candidates takes about 1 s on one core
-(acceptance criterion 06).
+and the SU coset sweep, the one enumerator of conjugator cosets over
+L = F_p(g).  The brute-force oracle runs each field-frame coset through it,
+which confirms the quadratic-field non-real element without trusting the
+norm-class shortcut.  The sweep reads every matrix entry off
+per-coefficient lookup tables, so a candidate costs int64 additions, table
+lookups and residues mod p; the full q = 17 coset of 24,137,569 candidates
+takes about 1 s on one core (acceptance criterion 06).
 """
 
 import numpy as np
@@ -135,10 +136,12 @@ class _LArrays:
 
 def su_coset_sweep(L, H, A, X0, start=0, stop=None):
     """Count SU(H) members among all X = X0 (c0 + c1 conj(A) + c2 conj(A)^2),
-    (c0, c1, c2) ranging over L^3: the full swap-coset conjugator candidate
-    space for a regular A.  Returns (hits, example): the number of candidates
-    that are unitary with determinant 1 (each such X conjugates conj(A) to
-    A^-1 by construction) and the first hit's coefficient triple, or None.
+    (c0, c1, c2) ranging over L^3.  When X0 is an invertible intertwiner,
+    left X0 = X0 conj(A), and conj(A) is regular, these are all the
+    intertwiners {X : left X = X conj(A)}: a whole conjugator coset (the
+    swap coset for X0 a unitary base conjugator of conj(A) to A^-1).
+    Returns (hits, example): the number of candidates that are unitary with
+    determinant 1 and the first hit's coefficient triple, or None.
 
     start/stop restrict the flattened candidate index range, so disjoint
     partitions can run on separate workers and their counts add up.

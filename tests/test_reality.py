@@ -544,15 +544,28 @@ def test_sweep_partition_counts_add_up(su5):
     b, _ = su_coset_sweep(L, fr.H, A, X0, start=mid)
     assert a + b == total and total > 0
     # the example rebuilds into an exact SU(H) conjugator of conj(A) to A^-1
-    from g2real.reality import _sweep_example_matrix
-
-    z = _sweep_example_matrix(L, A, example)
+    Abar = linalg.map_entries(L.sigma, A)
+    z = linalg.zeros(L, 3, 3)
+    for c, P in zip(example, (linalg.identity(L, 3), Abar, linalg.mat_mul(L, Abar, Abar))):
+        z = linalg.mat_add(L, z, linalg.scalar_mat(L, c, P))
     X = linalg.mat_mul(L, X0, z)
     assert in_su(X, L, fr.H)
-    Abar = linalg.map_entries(L.sigma, A)
     lhs = linalg.mat_mul(L, X, Abar)
     rhs = linalg.mat_mul(L, linalg.inverse3(L, A), X)
     assert linalg.mat_eq(L, lhs, rhs)
+
+
+def test_oracle_rechecks_the_sweep_hit(su5, monkeypatch):
+    # a field-frame coset comes from one sweep call; a hit it reports that
+    # is no SU(H) conjugator is a kernel bug, not a witness
+    from g2real import sweeps
+
+    L, O, fr = su5
+    t = su_embed(random_su(L, fr.H, random.Random(0), separable=True), fr)
+    assert brute_force_reality_oracle(t, fr)["verdict"] == "real"
+    monkeypatch.setattr(sweeps, "su_coset_sweep", lambda *args: (1, (L.zero,) * 3))
+    with pytest.raises(RealityError, match="re-check"):
+        brute_force_reality_oracle(t, fr)
 
 
 @pytest.fixture(scope="module")
@@ -917,6 +930,9 @@ def _budget_routes():
 def test_budget_one_short_gives_unknown(monkeypatch, route):
     run, view = _budget_routes()[route]
     n, default = _visits(monkeypatch, run)
+    if route.startswith("oracle"):
+        # a field-frame coset is one sweep call, not a span search
+        n = sum(default["checked"].values())
     assert n > 0
     short, _ = view(run(n - 1))
     assert short == "unknown"
