@@ -93,6 +93,8 @@ def main(argv=None):
             return 1
         if unknowns:
             return 3
+    if ok is None:  # report --verify left a witness undecided
+        return 3
     return 0 if ok else 1
 
 
@@ -505,6 +507,10 @@ def cmd_report(args):
             print(f"verification failed: {exc}", file=sys.stderr)
             return None, False
         print(f"witnesses re-verified: {n}")
+        left = len(data.get("witnesses", [])) - n
+        if left:
+            print(f"witnesses left unverified: {left}")
+            return None, None
     return None, True
 
 

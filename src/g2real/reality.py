@@ -207,6 +207,13 @@ class _Search:
             raise _Undecided("no determinant-1 combination on the rational grid")
         return hit
 
+    def charge(self, n):
+        """Spend n candidates of the budget, or all that is left if n is more."""
+        if n > self.left:
+            self.left = 0
+            raise _Undecided("budget exhausted")
+        self.left -= n
+
 
 def _powers(F, A):
     """The basis I, A, A^2 of k[A]; a span search over it visits the f(A)."""
@@ -850,38 +857,35 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
                 K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right)
             )
 
-        if split:
-            def accept(B):
-                if not hits and conjugates(B):
-                    hits.append(B)
-
-            before = search.left
-            try:
-                search(K, basis, accept)
-            except _Undecided:
-                checked[coset] += before - search.left
-                return {"verdict": "unknown", "checked": checked}
-            checked[coset] += before - search.left
-        else:
-            if K.base.kind != "prime":
-                return {"verdict": "unknown", "checked": checked}
-            size = K.order**3
-            if size > search.left:
-                checked[coset] += search.left
-                return {"verdict": "unknown", "checked": checked}
-            search.left -= size
-            checked[coset] += size
-            from .sweeps import su_coset_sweep
-
-            # conj(sigma(right)) = right, so the sweep runs over B0 k[right]
-            _, example = su_coset_sweep(K, frame.H, _sigma_mat(K, right), B0)
-            if example is not None:
-                B = linalg.zeros(K, 3, 3)
-                for c, M in zip(example, basis):
-                    B = linalg.mat_add(K, B, linalg.scalar_mat(K, c, M))
-                if not (conjugates(B) and in_unitary(B, K, frame.H)):
-                    raise RealityError("coset sweep hit fails the exact SU(H) re-check")
+        def accept(B):
+            if not hits and conjugates(B):
                 hits.append(B)
+
+        before = search.left
+        try:
+            if split:
+                search(K, basis, accept)
+            elif K.base.kind != "prime":
+                raise _Undecided("coset sweep needs a prime base field")
+            else:
+                search.charge(K.order**3)
+                from .sweeps import su_coset_sweep
+
+                # conj(sigma(right)) = right, so the sweep runs over B0 k[right]
+                _, example = su_coset_sweep(K, frame.H, _sigma_mat(K, right), B0)
+                if example is not None:
+                    B = linalg.zeros(K, 3, 3)
+                    for c, M in zip(example, basis):
+                        B = linalg.mat_add(K, B, linalg.scalar_mat(K, c, M))
+                    if not (conjugates(B) and in_unitary(B, K, frame.H)):
+                        raise RealityError("coset sweep hit fails the exact SU(H) re-check")
+                    hits.append(B)
+            undecided = False
+        except _Undecided:
+            undecided = True
+        checked[coset] += before - search.left
+        if undecided:
+            return {"verdict": "unknown", "checked": checked}
         if hits:
             witness = (coset, hits[0])
             break

@@ -210,6 +210,20 @@ def test_not_real_instance_needs_the_oracle_verdict(tmp_path, monkeypatch):
         reports.verify_witnesses(data)
 
 
+def test_not_real_instance_left_unverified_when_the_oracle_runs_out(tmp_path, monkeypatch):
+    # an oracle out of budget says nothing about the instance: not a failure
+    from g2real import reality
+
+    out = tmp_path / "ce.json"
+    assert run(["counterexample", "sl3", "--q", "7", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    monkeypatch.setattr(
+        reality, "brute_force_reality_oracle", lambda t, frame: {"verdict": "unknown"}
+    )
+    assert reports.verify_witnesses(data) == 0
+    assert run(["report", "--input", str(out), "--verify"]) == 3
+
+
 def test_report_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "x"}))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from g2real import linalg
+from g2real import linalg, sweeps
 from g2real.automorphisms import (
     in_su,
     involution_from_quaternion,
@@ -558,8 +558,6 @@ def test_sweep_partition_counts_add_up(su5):
 def test_oracle_rechecks_the_sweep_hit(su5, monkeypatch):
     # a field-frame coset comes from one sweep call; a hit it reports that
     # is no SU(H) conjugator is a kernel bug, not a witness
-    from g2real import sweeps
-
     L, O, fr = su5
     t = su_embed(random_su(L, fr.H, random.Random(0), separable=True), fr)
     assert brute_force_reality_oracle(t, fr)["verdict"] == "real"
@@ -848,6 +846,21 @@ def _visits(monkeypatch, run):
     return sum(counts), out
 
 
+def _sweep_calls(monkeypatch, run):
+    """Coset sweeps that run(DEFAULT_BUDGET) makes."""
+    calls = []
+    sweep = sweeps.su_coset_sweep
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "su_coset_sweep", counting)
+        run(DEFAULT_BUDGET)
+    return len(calls)
+
+
 def _sl3(rows, F):
     return tuple(tuple(F.element(x) for x in row) for row in rows)
 
@@ -930,9 +943,9 @@ def _budget_routes():
 def test_budget_one_short_gives_unknown(monkeypatch, route):
     run, view = _budget_routes()[route]
     n, default = _visits(monkeypatch, run)
-    if route.startswith("oracle"):
-        # a field-frame coset is one sweep call, not a span search
-        n = sum(default["checked"].values())
+    if route == "oracle field":
+        # a field-frame coset is one sweep over all 25^3 candidates, not a span search
+        n = 25**3 * _sweep_calls(monkeypatch, run)
     assert n > 0
     short, _ = view(run(n - 1))
     assert short == "unknown"
