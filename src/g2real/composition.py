@@ -692,7 +692,8 @@ def norm_is_isotropic(alg):
         for t in range(alg.dim):
             w[t] = F.add(w[t], F.mul(c, bv[t]))
     w = tuple(w)
-    assert F.is_zero(alg.norm(w))
+    if not F.is_zero(alg.norm(w)):
+        raise FieldError("isotropic vector from the diagonal form has nonzero norm")
     return ("isotropic", w)
 
 

@@ -149,9 +149,6 @@ class PrimeField:
     def random(self, rng):
         return rng.randrange(self.p)
 
-    def random_unit(self, rng):
-        return rng.randrange(1, self.p)
-
     def nonsquare(self):
         for x in range(2, self.p):
             if not self.is_square(x):
@@ -244,12 +241,6 @@ class RationalField:
 
     def random(self, rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
-
-    def random_unit(self, rng):
-        while True:
-            x = self.random(rng)
-            if x != 0:
-                return x
 
     def to_text(self, a):
         a = Fraction(a)
@@ -416,12 +407,6 @@ class QuadraticEtale:
     def random(self, rng):
         return (self.base.random(rng), self.base.random(rng))
 
-    def random_unit(self, rng):
-        while True:
-            x = self.random(rng)
-            if self.is_unit(x):
-                return x
-
     def to_text(self, x):
         t = self.base.to_text
         if self.kind == "split":
@@ -585,12 +570,6 @@ class CubicAlgebra:
 
     def random(self, rng):
         return (self.L.random(rng), self.L.random(rng), self.L.random(rng))
-
-    def random_unit(self, rng):
-        while True:
-            x = self.random(rng)
-            if self.is_unit(x):
-                return x
 
     def is_field(self):
         if self.is_field_flag is None:

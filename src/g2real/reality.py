@@ -5,8 +5,11 @@ classifies t by its fixed subalgebra, reduces to a 3x3 matrix problem over k
 (split fixed algebra) or over a quadratic extension L (field case), decides
 by norm-class arithmetic in the centralizer algebra, and produces verifiable
 witnesses: either an exact two-involution factorization or an explicit
-conjugator.  A brute-force coset enumeration serves as an independent oracle,
-and the finite-field non-real constructions are built and checked exactly.
+conjugator.  Every real verdict passes check_witness, the same exact check
+`report --verify` runs on a saved report.  A brute-force coset enumeration
+serves as an independent oracle, and the finite-field non-real constructions
+are built and checked exactly.  Internal identities are checked with explicit
+raises, never `assert`, so they hold under python -O too.
 """
 
 import math
@@ -50,7 +53,7 @@ class RealityReport:
     obstruction: dict | None = None
     notes: list = field(default_factory=list)
 
-    def to_json(self, F=None):
+    def to_json(self):
         def plain(v):
             if isinstance(v, (bool, int, str)) or v is None:
                 return v
@@ -154,6 +157,67 @@ def _square_scalar(alg, x):
     if not alg.eq(sq, alg.scale(s, alg.one)):
         raise RealityError("fixed-line generator does not square to a scalar")
     return s
+
+
+# -- witness checks -----------------------------------------------------------
+
+def _require(ok, what):
+    """Raise AssertionError(what) unless ok: an internal identity that must
+    hold, checked explicitly so that it also runs under python -O."""
+    if not ok:
+        raise AssertionError(what)
+
+
+def _coset_sides(K, A, coset, H=None):
+    """(left, right) with coset = {B : left B = B right}: coset 0 conjugates A
+    to A^-1, coset 1 goes through the frame swap, {B : A B = B tA} on a split
+    frame (H None), {X : A^-1 X = X conj(A)} on a quadratic-field frame."""
+    if coset == 1 and H is None:
+        return A, linalg.transpose(A)
+    Ainv = linalg.inverse3(K, A)
+    return (Ainv, A) if coset == 0 else (Ainv, _sigma_mat(K, A))
+
+
+def check_witness(K, A, witness, H=None):
+    """Re-check a symmetric_pair, unitary_pair or conjugator_matrix witness
+    of A exactly; raises AssertionError naming the first identity that fails.
+    On a quadratic-field frame (H given) a conjugator must also lie in U(H)."""
+    kind = witness["type"]
+    if kind == "symmetric_pair":
+        S1, S2 = witness["S1"], witness["S2"]
+        for name, S in (("S1", S1), ("S2", S2)):
+            _require(linalg.mat_eq(K, S, linalg.transpose(S)), f"{name} symmetric")
+            _require(K.eq(linalg.det3(K, S), K.one), f"det {name} = 1")
+        _require(linalg.mat_eq(K, linalg.mat_mul(K, S1, S2), A), "S1 S2 = A")
+    elif kind == "unitary_pair":
+        A1, A2 = witness["A1"], witness["A2"]
+        I = linalg.identity(K, 3)
+        for name, Ai in (("A1", A1), ("A2", A2)):
+            _require(in_su(Ai, K, H), f"{name} in SU(H)")
+            prod = linalg.mat_mul(K, _sigma_mat(K, Ai), Ai)
+            _require(linalg.mat_eq(K, prod, I), f"conj({name}) {name} = 1")
+        _require(linalg.mat_eq(K, linalg.mat_mul(K, A1, A2), A), "A1 A2 = A")
+    elif kind == "conjugator_matrix":
+        B = witness["B"]
+        _require(witness["coset"] in (0, 1), "coset is 0 or 1")
+        left, right = _coset_sides(K, A, witness["coset"], H)
+        _require(
+            linalg.mat_eq(K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right)),
+            "B conjugates A to its inverse",
+        )
+        _require(K.eq(linalg.det3(K, B), K.one), "det B = 1")
+        if H is not None:
+            _require(in_unitary(B, K, H), "B in U(H)")
+    else:
+        raise RealityError(f"witness type {kind} has no matrix check")
+
+
+def _real(report, K, A, witness, H=None):
+    """Record the verdict real with its witness, once check_witness holds."""
+    check_witness(K, A, witness, H)
+    report.verdict = "real"
+    report.witness = witness
+    return report
 
 
 # -- shared matrix helpers ----------------------------------------------------
@@ -273,9 +337,12 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET, rng_seed=0):
     misses its grid, the record carries the reason under "unknown".
     """
     try:
-        return _symmetric_decomposition(F, A, _Search(budget), rng_seed)
+        dec = _symmetric_decomposition(F, A, _Search(budget), rng_seed)
     except _Undecided as exc:
         return {"ok": False, "obstruction": None, "unknown": str(exc)}
+    if dec["ok"]:
+        check_witness(F, A, {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]})
+    return dec
 
 
 def _symmetric_decomposition(F, A, search, rng_seed=0):
@@ -309,7 +376,7 @@ def _symmetric_decomposition(F, A, search, rng_seed=0):
         fA = search(F, _powers(F, A), _with_det(F, target))
         if fA is None:
             return {"ok": False, "obstruction": None}
-        return _finish_symmetric(F, A, linalg.mat_mul(F, T0, fA))
+        return _symmetric_pair(F, A, linalg.mat_mul(F, T0, fA))
     # min poly strictly divides the characteristic polynomial: scan the
     # symmetric solutions, a subspace of the 6-dimensional symmetric matrices
     idx = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -334,19 +401,12 @@ def _symmetric_decomposition(F, A, search, rng_seed=0):
     S = search(F, [symmetric(v) for v in basis], _with_det(F, F.one))
     if S is None:
         return {"ok": False, "obstruction": None}
-    return _finish_symmetric(F, A, S)
+    return _symmetric_pair(F, A, S)
 
 
-def _finish_symmetric(F, A, S):
-    At = linalg.transpose(A)
-    assert linalg.mat_eq(F, S, linalg.transpose(S))
-    assert F.eq(linalg.det3(F, S), F.one)
-    assert linalg.mat_eq(F, linalg.mat_mul(F, S, A), linalg.mat_mul(F, At, S))
-    S1 = linalg.inverse3(F, S)
-    S2 = linalg.mat_mul(F, S, A)
-    assert linalg.mat_eq(F, S2, linalg.transpose(S2))
-    assert linalg.mat_eq(F, linalg.mat_mul(F, S1, S2), A)
-    return {"ok": True, "S1": S1, "S2": S2}
+def _symmetric_pair(F, A, S):
+    """(S^-1, S A) for a symmetric determinant-1 S with S A = tA S."""
+    return {"ok": True, "S1": linalg.inverse3(F, S), "S2": linalg.mat_mul(F, S, A)}
 
 
 def reality_sl3(F, A, budget=DEFAULT_BUDGET):
@@ -365,10 +425,8 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     report = RealityReport(family="sl3", verdict="unknown", char_poly=poly_text(F, chi))
     I = linalg.identity(F, 3)
     if linalg.mat_eq(F, A, I):
-        report.verdict = "real"
-        report.witness = {"type": "symmetric_pair", "S1": I, "S2": I}
         report.notes.append("identity element")
-        return report
+        return _real(report, F, A, {"type": "symmetric_pair", "S1": I, "S2": I})
 
     regular = min_equals_char3(F, A)
     report.case["regular"] = regular
@@ -376,15 +434,12 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     try:
         dec = _symmetric_decomposition(F, A, search)
         if dec["ok"]:
-            report.verdict = "real"
-            report.witness = {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]}
-            return report
+            witness = {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]}
+            return _real(report, F, A, witness)
         if regular and F.kind == "prime":
             B = _identity_coset_conjugator(F, A, chi, search)
             if B is not None:
-                report.verdict = "real"
-                report.witness = {"type": "conjugator_matrix", "B": B, "coset": 0}
-                return report
+                return _real(report, F, A, {"type": "conjugator_matrix", "B": B, "coset": 0})
             if dec["obstruction"]:
                 report.verdict = "not_real"
                 report.obstruction = dec["obstruction"]
@@ -396,10 +451,8 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
         elif F.kind == "prime" and not _has_eigenvalue_one(F, chi):
             # the symmetric scan covers only involution products; for a
             # non-regular matrix a non-symmetric swap-coset conjugator may
-            # still exist, so decide by the full intertwiner spaces of both
-            # cosets: swap {B : A B = B tA}, identity {X : A^-1 X = X A}
-            cosets = ((1, A, linalg.transpose(A)), (0, linalg.inverse3(F, A), A))
-            return _full_coset_scan(F, cosets, _with_det(F, F.one), search, report)
+            # still exist, so decide by the full intertwiner spaces of both cosets
+            return _full_coset_scan(F, A, None, _with_det(F, F.one), search, report)
     except _Undecided as exc:
         report.notes.append(str(exc))
     if _has_eigenvalue_one(F, chi):
@@ -431,24 +484,19 @@ def _identity_coset_conjugator(F, A, chi, search):
     if not _in_power_class(F, target, det_image_exponent(F, chi)):
         return None
     fA = search(F, _powers(F, A), _with_det(F, target))
-    if fA is None:
-        return None
-    B = linalg.mat_mul(F, X0, fA)
-    assert linalg.mat_eq(F, linalg.mat_mul(F, B, A), linalg.mat_mul(F, Ainv, B))
-    return B
+    return None if fA is None else linalg.mat_mul(F, X0, fA)
 
 
-def _full_coset_scan(F, cosets, accept, search, report):
+def _full_coset_scan(K, A, H, accept, search, report):
     """Decide a (typically non-regular) matrix by searching the whole
-    intertwiner space {B : left B = B right} of each (coset, left, right) in
-    turn: real with the first accept(B) that is not None, else not real."""
-    for coset, left, right in cosets:
-        space = linalg.solve_sylvester_space(F, left, right)
-        B = search(F, space, accept) if space else None
+    intertwiner space {B : left B = B right} of coset 1, then coset 0: real
+    with the first accept(B) that is not None, else not real."""
+    for coset in (1, 0):
+        space = linalg.solve_sylvester_space(K, *_coset_sides(K, A, coset, H))
+        B = search(K, space, accept) if space else None
         if B is not None:
-            report.verdict = "real"
-            report.witness = {"type": "conjugator_matrix", "B": B, "coset": coset}
-            return report
+            witness = {"type": "conjugator_matrix", "B": B, "coset": coset}
+            return _real(report, K, A, witness, H)
     report.verdict = "not_real"
     report.notes.append("full intertwiner scan over both cosets found nothing")
     return report
@@ -490,14 +538,14 @@ def companion_factorization(L, chi):
     )
     A2 = ((z, z, mone), (z, mone, z), (mone, z, z))
     Ach = companion_matrix(L, chi)
-    assert linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), Ach)
-    for Ai in (A1, A2):
+    _require(linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), Ach), "A1 A2 = companion matrix")
+    for name, Ai in (("A1", A1), ("A2", A2)):
         prod = linalg.mat_mul(L, linalg.map_entries(L.sigma, Ai), Ai)
-        assert linalg.mat_eq(L, prod, linalg.identity(L, 3))
+        _require(linalg.mat_eq(L, prod, linalg.identity(L, 3)), f"conj({name}) {name} = 1")
     return A1, A2
 
 
-def krylov_similarity(L, A, chi):
+def krylov_similarity(L, A):
     """T with A = T A_chi T^-1, columns v, Av, A^2 v for a cyclic vector v."""
     candidates = [
         (L.one, L.zero, L.zero),
@@ -516,10 +564,6 @@ def krylov_similarity(L, A, chi):
         aav = linalg.mat_vec(L, A, av)
         T = linalg.transpose(linalg.mat((v, av, aav)))
         if not L.is_zero(linalg.det3(L, T)):
-            Ach = companion_matrix(L, chi)
-            assert linalg.mat_eq(
-                L, linalg.mat_mul(L, A, T), linalg.mat_mul(L, T, Ach)
-            )
             return T
     raise RealityError("no cyclic vector found (matrix is not regular)")
 
@@ -548,19 +592,19 @@ def unitary_base_conjugator(L, H, A, chi):
     """X0 in U(H) with X0 conj(A) X0^-1 = A^-1 and conj(X0) X0 = 1, built
     from the companion factorization (needs min poly = char poly)."""
     A1c, A2c = companion_factorization(L, chi)
-    T = krylov_similarity(L, A, chi)
+    T = krylov_similarity(L, A)
     Tbar = _sigma_mat(L, T)
     Tinv = linalg.inverse3(L, T)
     B2 = linalg.mat_mul(L, linalg.mat_mul(L, Tbar, A2c), Tinv)
     X0 = _sigma_mat(L, B2)
     Abar = _sigma_mat(L, A)
     Ainv = linalg.inverse3(L, A)
-    assert in_unitary(X0, L, H), "companion conjugator left U(H)"
+    _require(in_unitary(X0, L, H), "companion conjugator in U(H)")
     lhs = linalg.mat_mul(L, X0, Abar)
     rhs = linalg.mat_mul(L, Ainv, X0)
-    assert linalg.mat_eq(L, lhs, rhs)
+    _require(linalg.mat_eq(L, lhs, rhs), "X0 conj(A) X0^-1 = A^-1")
     w = linalg.mat_mul(L, _sigma_mat(L, X0), X0)
-    assert linalg.mat_eq(L, w, linalg.identity(L, 3))
+    _require(linalg.mat_eq(L, w, linalg.identity(L, 3)), "conj(X0) X0 = 1")
     return X0
 
 
@@ -598,10 +642,8 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET):
     )
     I = linalg.identity(L, 3)
     if linalg.mat_eq(L, A, I):
-        report.verdict = "real"
-        report.witness = {"type": "unitary_pair", "A1": I, "A2": I, "C": I}
         report.notes.append("identity element")
-        return report
+        return _real(report, L, A, {"type": "unitary_pair", "A1": I, "A2": I, "C": I}, H)
     regular = min_equals_char3(L, A)
     report.case["regular"] = regular
     search = _Search(budget)
@@ -620,7 +662,7 @@ def _reality_su_regular(L, A, H, chi, report, search):
     k = L.base
     X0 = unitary_base_conjugator(L, H, A, chi)
     d = linalg.det3(L, X0)
-    assert k.eq(L.norm(d), k.one)
+    _require(k.eq(L.norm(d), k.one), "det X0 has norm 1")
     sep = _cubic_separable(L, chi)
     report.case["separable"] = sep
     q = k.p if k.kind == "prime" else None
@@ -704,33 +746,21 @@ def _find_unitary_centralizer_with_det(L, H, A, target, search):
 
 
 def _finish_su(L, H, A, X0, z, report):
-    I = linalg.identity(L, 3)
+    """The pair (A C, C^-1), C = X0 z; checking A2 = C^-1 checks C."""
     C = linalg.mat_mul(L, X0, z)
-    assert in_su(C, L, H)
-    Cbar = _sigma_mat(L, C)
-    assert linalg.mat_eq(L, linalg.mat_mul(L, Cbar, C), I)
     A1 = linalg.mat_mul(L, A, C)
     A2 = linalg.inverse3(L, C)
-    for Ai in (A1, A2):
-        assert in_su(Ai, L, H)
-        prod = linalg.mat_mul(L, _sigma_mat(L, Ai), Ai)
-        assert linalg.mat_eq(L, prod, I)
-    assert linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), A)
-    report.verdict = "real"
-    report.witness = {"type": "unitary_pair", "A1": A1, "A2": A2, "C": C}
-    return report
+    return _real(report, L, A, {"type": "unitary_pair", "A1": A1, "A2": A2, "C": C}, H)
 
 
 def _reality_su_non_regular(L, A, H, report, search):
     """min poly strictly smaller than char poly: enumerate unitary conjugator
     candidates over the full intertwiner space of each coset."""
-    Ainv = linalg.inverse3(L, A)
 
     def accept(X):
         return X if L.eq(linalg.det3(L, X), L.one) and in_unitary(X, L, H) else None
 
-    cosets = ((1, Ainv, _sigma_mat(L, A)), (0, Ainv, A))
-    return _full_coset_scan(L, cosets, accept, search, report)
+    return _full_coset_scan(L, A, H, accept, search, report)
 
 
 # -- witnesses at the octonion level -------------------------------------------
@@ -931,7 +961,7 @@ def build_counterexample_sl3(q):
     fr = zorn_split_frame(alg)
     t = sl3_embed(B, fr)
     fixed = t.fixed_space()
-    assert len(fixed) == 2, "fixed subalgebra must be exactly L"
+    _require(len(fixed) == 2, "fixed subalgebra must be exactly L")
     return {
         "alg": alg,
         "frame": fr,
@@ -968,7 +998,7 @@ def build_counterexample_su(q):
             if L.eq(L.pow(x, 3), L.one):
                 omega = x
                 break
-    assert omega is not None  # 3 | q^2 - 1
+    _require(omega is not None, "L has a primitive cube root of unity")  # 3 | q^2 - 1
     # b in the norm-one circle with b^2 not a cube of L*
     cube_exp = (q * q - 1) // 3
     b = None
@@ -983,13 +1013,14 @@ def build_counterexample_su(q):
             break
     if b is None:
         raise RealityError("no norm-one b with X^3 - b^2 irreducible over L")
-    assert cubic_is_irreducible(L, (L.neg(L.mul(b, b)), L.zero, L.zero))
+    _require(cubic_is_irreducible(L, (L.neg(L.mul(b, b)), L.zero, L.zero)),
+             "X^3 - b^2 irreducible over L")
     alpha = None
     for x in L.elements():
         if k.eq(L.norm(x), k.neg(k.one)):
             alpha = x
             break
-    assert alpha is not None
+    _require(alpha is not None, "some alpha has norm -1")
 
     half = L.embed(k.inv(k.element(2)))
     quarter = L.embed(k.inv(k.element(4)))
@@ -1020,8 +1051,8 @@ def build_counterexample_su(q):
     N = linalg.mat_sub(L, A, wI)
     N2 = linalg.mat_mul(L, N, N)
     N3 = linalg.mat_mul(L, N2, N)
-    assert not all(L.is_zero(x) for row in N2 for x in row)
-    assert all(L.is_zero(x) for row in N3 for x in row)
+    _require(not all(L.is_zero(x) for row in N2 for x in row), "(A - omega)^2 != 0")
+    _require(all(L.is_zero(x) for row in N3 for x in row), "(A - omega)^3 = 0")
 
     # a cubic etale F over k whose unit-diagonal trace hermitian space hosts it
     chi = None
@@ -1044,10 +1075,10 @@ def build_counterexample_su(q):
     )
     Dinv = linalg.inverse3(L, D)
     B = linalg.mat_mul(L, linalg.mat_mul(L, D, A), Dinv)
-    assert in_su(B, L, frame.H)
+    _require(in_su(B, L, frame.H), "B in SU(H)")
     t = su_embed(B, frame)
     fixed = t.fixed_space()
-    assert len(fixed) == 2, "fixed subalgebra must be exactly L"
+    _require(len(fixed) == 2, "fixed subalgebra must be exactly L")
     return {
         "alg": alg,
         "frame": frame,

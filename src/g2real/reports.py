@@ -2,7 +2,8 @@
 
 Reports are deterministic for a fixed scenario, parameters and seed; the only
 non-reproducible data (timestamp, elapsed time) lives under "meta", which
-comparisons exclude.
+comparisons exclude.  verify_witnesses re-checks each matrix witness with
+reality.check_witness, the check every real verdict passed when it was made.
 """
 
 import json
@@ -131,7 +132,7 @@ def render(report):
     if unknowns:
         lines.append(
             f"note: {unknowns} verdict(s) unknown (budget exhausted); rerun with a "
-            "larger --budget or --exhaustive"
+            "larger --budget"
         )
     meta = report.get("meta", {})
     if meta:
@@ -141,10 +142,6 @@ def render(report):
 
 # -- witness re-verification -----------------------------------------------------
 
-def _field_of(spec):
-    return ground_field(spec)
-
-
 def _parse_mat(F, rows):
     return linalg.mat([[F.from_text(x) for x in row] for row in rows])
 
@@ -153,11 +150,22 @@ class VerificationError(Exception):
     """A report witness failed its exact re-check."""
 
 
+# the matrices each kind of matrix witness carries beside A
+_WITNESS_MATRICES = {
+    "symmetric_pair": ("S1", "S2"),
+    "unitary_pair": ("A1", "A2"),
+    "conjugator_matrix": ("B",),
+}
+
+
 def verify_witnesses(report):
     """Re-verify every witness in a report; returns the number verified.
     Raises VerificationError naming the index and kind of the first witness
-    that fails, and the identity it fails.  A not_real_instance on which the
+    that fails, and the identity it fails.  A matrix witness with "c" and "H"
+    lives on a quadratic-field frame.  A not_real_instance on which the
     oracle runs out of budget is left unverified and not counted."""
+    from .reality import check_witness
+
     checked = 0
     for i, w in enumerate(report.get("witnesses", [])):
         kind = w.get("kind")
@@ -166,54 +174,22 @@ def verify_witnesses(report):
             if not ok:
                 raise VerificationError(f"witness {i} ({kind}) fails: {what}")
 
-        if kind == "symmetric_pair":
-            F = _field_of(w["field"])
-            A = _parse_mat(F, w["A"])
-            S1 = _parse_mat(F, w["S1"])
-            S2 = _parse_mat(F, w["S2"])
-            require(linalg.mat_eq(F, S1, linalg.transpose(S1)), "S1 symmetric")
-            require(linalg.mat_eq(F, S2, linalg.transpose(S2)), "S2 symmetric")
-            require(F.eq(linalg.det3(F, S1), F.one), "det S1 = 1")
-            require(F.eq(linalg.det3(F, S2), F.one), "det S2 = 1")
-            require(linalg.mat_eq(F, linalg.mat_mul(F, S1, S2), A), "S1 S2 = A")
-            checked += 1
-        elif kind == "unitary_pair":
-            k = _field_of(w["field"])
-            L = QuadraticEtale(k, w["c"])
-            H = tuple(k.from_text(x) for x in w["H"])
-            A = _parse_mat(L, w["A"])
-            A1 = _parse_mat(L, w["A1"])
-            A2 = _parse_mat(L, w["A2"])
-            from .automorphisms import in_su
-
-            I = linalg.identity(L, 3)
-            for name, Ai in (("A1", A1), ("A2", A2)):
-                require(in_su(Ai, L, H), f"{name} in SU(H)")
-                prod = linalg.mat_mul(L, linalg.map_entries(L.sigma, Ai), Ai)
-                require(linalg.mat_eq(L, prod, I), f"conj({name}) {name} = 1")
-            require(linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), A), "A1 A2 = A")
-            checked += 1
-        elif kind == "conjugator_matrix":
-            F = _field_of(w["field"])
-            A = _parse_mat(F, w["A"])
-            B = _parse_mat(F, w["B"])
-            Ainv = linalg.inverse3(F, A)
-            if w["coset"] == 0:
-                lhs = linalg.mat_mul(F, B, A)
-                rhs = linalg.mat_mul(F, Ainv, B)
-            else:
-                lhs = linalg.mat_mul(F, B, linalg.transpose(A))
-                rhs = linalg.mat_mul(F, A, B)
-            require(linalg.mat_eq(F, lhs, rhs), "B conjugates A to its inverse")
-            require(F.eq(linalg.det3(F, B), F.one), "det B = 1")
-            checked += 1
-        elif kind == "not_real_instance":
-            try:
-                decided = _verify_not_real_instance(report["params"].get("kind"), w, require)
-            except ValueError as exc:  # unparsable entries, inadmissible q
-                require(False, exc)
-            if decided:
+        try:
+            if kind in _WITNESS_MATRICES:
+                K = k = ground_field(w["field"])
+                H = None
+                if "c" in w:
+                    K = QuadraticEtale(k, w["c"])
+                    H = tuple(k.from_text(x) for x in w["H"])
+                witness = {"type": kind, "coset": w.get("coset")}
+                witness.update((name, _parse_mat(K, w[name])) for name in _WITNESS_MATRICES[kind])
+                check_witness(K, _parse_mat(K, w["A"]), witness, H)
                 checked += 1
+            elif kind == "not_real_instance":
+                if _verify_not_real_instance(report["params"].get("kind"), w, require):
+                    checked += 1
+        except (AssertionError, LookupError, ValueError) as exc:  # failed or malformed
+            require(False, repr(exc) if isinstance(exc, LookupError) else exc)
     return checked
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from g2real import reports
+from g2real import linalg, reports
 from g2real.cli import main
 
 
@@ -135,6 +135,26 @@ def test_companion_cmd():
     assert run(["companion", "--q", "5", "--trials", "25", "--seed", "5"]) == 0
 
 
+def test_solver_bug_exits_1_not_usage(monkeypatch, capsys):
+    # a RealityError from a broken solver invariant is not a usage error
+    from g2real import reality
+
+    def broken(t, frame, report):
+        raise reality.RealityError("involution product does not reproduce t")
+
+    monkeypatch.setattr(reality, "two_involution_witness", broken)
+    assert run(["cdk", "--q", "5", "--trials", "2", "--seed", "0"]) == 1
+    assert "does not reproduce t" in capsys.readouterr().err
+
+
+def test_companion_counts_only_factorizations_that_check(monkeypatch):
+    # a factorization whose identity fails is a failed trial, with or without -O
+    from g2real import reality
+
+    monkeypatch.setattr(reality, "companion_matrix", lambda L, chi: linalg.identity(L, 3))
+    assert run(["companion", "--q", "5", "--trials", "5", "--seed", "2"]) == 1
+
+
 def test_norms_cmd():
     assert run(["norms", "--q", "5"]) == 0
 
@@ -199,6 +219,37 @@ def test_tampered_not_real_instance_fails_verify_without_asserts(tmp_path, kind,
     assert "witnesses re-verified" not in proc.stdout
 
 
+_MALFORMED = {
+    "unparsable S1 entry": ("symmetric_pair", lambda w: w["S1"][0].__setitem__(0, "x")),
+    "unparsable A1 entry": ("unitary_pair", lambda w: w["A1"][0].__setitem__(0, "x")),
+    "A1 missing a row": ("unitary_pair", lambda w: w["A1"].pop()),
+    "S2 missing": ("symmetric_pair", lambda w: w.pop("S2")),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_witness_fails_verify_without_asserts(tmp_path, case):
+    # a witness that does not parse is a failed witness, not a traceback
+    import g2real
+
+    kind, tamper = _MALFORMED[case]
+    out = tmp_path / "r.json"
+    assert run(["cdk", "--q", "5", "--trials", "20", "--seed", "3", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    index = next(i for i, w in enumerate(data["witnesses"]) if w["kind"] == kind)
+    tamper(data["witnesses"][index])
+    out.write_text(json.dumps(data))
+    src = str(Path(g2real.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "g2real.cli", "report", "--input", str(out), "--verify"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"witness {index} ({kind}) fails" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_not_real_instance_needs_the_oracle_verdict(tmp_path, monkeypatch):
     from g2real import reality
 
@@ -254,6 +305,16 @@ def test_different_seeds_differ(tmp_path):
     da = json.loads(a.read_text())
     db = json.loads(b.read_text())
     assert reports.comparable_body(da) != reports.comparable_body(db)
+
+
+def test_budget_note_advises_only_the_budget(capsys):
+    # --exhaustive is already set and the oracle shares the one budget
+    args = ["counterexample", "su", "--q", "17", "--exhaustive", "--budget", "10"]
+    assert run(args) == 3
+    note = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+    assert note == [
+        "note: 1 verdict(s) unknown (budget exhausted); rerun with a larger --budget"
+    ]
 
 
 def test_unknown_statuses_render_budget_note(capsys):

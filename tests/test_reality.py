@@ -954,3 +954,88 @@ def test_budget_one_short_gives_unknown(monkeypatch, route):
     if route.startswith("oracle"):
         assert sum(run(n - 1)["checked"].values()) == n - 1
         assert sum(default["checked"].values()) == n
+
+
+# ---------------------------------------------------------------------------
+# the exact witness check shared by the decisions and `report --verify`
+# ---------------------------------------------------------------------------
+
+def _tampered_witnesses():
+    """(identity, K, A, witness, H) where exactly the named identity fails:
+    U is unitriangular (det 1, not symmetric), D has det 2, P is a 3-cycle
+    (det 1, unitary for H = I, conj(P) = P, P^2 != 1, P^-1 != P), N = 1 + g E12
+    for the trace-zero g (det 1, conj(N) N = 1, not unitary)."""
+    L = QuadraticEtale(k5, 2)
+    H = (1, 1, 1)
+
+    def over(K, rows):
+        return linalg.mat([[K.embed(x) if K is L else x for x in row] for row in rows])
+
+    def mats(K):
+        I = linalg.identity(K, 3)
+        U = over(K, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        D = over(K, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        P = over(K, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+        return I, U, D, P
+
+    I, U, D, P = mats(k7)
+    Il, _, _, Pl = mats(L)
+    N = linalg.mat_add(L, Il, linalg.mat([[L.gen() if (i, j) == (0, 1) else L.zero
+                                           for j in range(3)] for i in range(3)]))
+    Ml = over(L, ((4, 0, 0), (0, 1, 0), (0, 0, 1)))  # diag(-1, 1, 1): unitary, det -1
+
+    def sym(S1, S2):
+        return {"type": "symmetric_pair", "S1": S1, "S2": S2}
+
+    def uni(A1, A2):
+        return {"type": "unitary_pair", "A1": A1, "A2": A2}
+
+    def conj(B, coset):
+        return {"type": "conjugator_matrix", "B": B, "coset": coset}
+
+    return {
+        "S1 symmetric": (k7, U, sym(U, I), None),
+        "S2 symmetric": (k7, U, sym(I, U), None),
+        "det S1 = 1": (k7, D, sym(D, I), None),
+        "det S2 = 1": (k7, D, sym(I, D), None),
+        "S1 S2 = A": (k7, P, sym(I, I), None),
+        "A1 in SU(H)": (L, N, uni(N, Il), H),
+        "A2 in SU(H)": (L, N, uni(Il, N), H),
+        "conj(A1) A1 = 1": (L, Pl, uni(Pl, Il), H),
+        "conj(A2) A2 = 1": (L, Pl, uni(Il, Pl), H),
+        "A1 A2 = A": (L, Pl, uni(Il, Il), H),
+        "B conjugates A to its inverse, split coset 0": (k7, P, conj(I, 0), None),
+        "B conjugates A to its inverse, split coset 1": (k7, P, conj(I, 1), None),
+        "B conjugates A to its inverse, field coset 0": (L, Pl, conj(Il, 0), H),
+        "B conjugates A to its inverse, field coset 1": (L, Pl, conj(Il, 1), H),
+        "det B = 1, split": (k7, I, conj(D, 0), None),
+        "det B = 1, field": (L, Il, conj(Ml, 1), H),
+        "B in U(H)": (L, Il, conj(N, 0), H),
+        "coset is 0 or 1": (k7, I, conj(I, 2), None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_tampered_witnesses()))
+def test_check_witness_names_the_failing_identity(case):
+    from g2real.reality import check_witness
+
+    K, A, witness, H = _tampered_witnesses()[case]
+    with pytest.raises(AssertionError) as exc:
+        check_witness(K, A, witness, H)
+    assert str(exc.value) == case.split(",")[0]
+
+
+def test_check_witness_accepts_the_decisions_witnesses(su5):
+    # every real verdict passed the same check before it was reported
+    from g2real.reality import check_witness
+
+    L, _, fr = su5
+    for s in range(10):
+        A = random_sl3(k7, random.Random(s), separable=True)
+        rep = reality_sl3(k7, A)
+        assert rep.verdict == "real"
+        check_witness(k7, A, rep.witness)
+        A = random_su(L, fr.H, random.Random(s), separable=True)
+        rep = reality_su(L, A, fr.H)
+        assert rep.verdict == "real"
+        check_witness(L, A, rep.witness, fr.H)
