@@ -13,7 +13,8 @@ import random
 from collections import namedtuple
 
 from . import linalg
-from .fields import FieldError, QuadraticEtale, _cubic_separable
+from .composition import orthogonal_complement
+from .fields import FieldError, QuadraticEtale, _cubic_separable, _has_eigenvalue_one
 
 _INT64_PRIME_CAP = 2**29
 
@@ -209,6 +210,24 @@ def frame_basis_matrix(frame):
     return linalg.transpose(linalg.mat(cols))
 
 
+def _conjugate_certified(alg, C, D, failure):
+    """The automorphism C D C^-1 of alg, certified; raises FieldError with the
+    text `failure` and the certification failure when it does not certify."""
+    F = alg.field
+    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), linalg.inverse(F, C))
+    out = certify_automorphism(M, alg)
+    if not out.certified:
+        raise FieldError(f"{failure}: {out.failure}")
+    return out
+
+
+def _in_frame_basis(t, frame):
+    """The 8x8 matrix of t in the frame basis: C^-1 t C."""
+    F = frame.alg.field
+    C = frame_basis_matrix(frame)
+    return linalg.mat_mul(F, linalg.mat_mul(F, linalg.inverse(F, C), t.matrix), C)
+
+
 def sl3_embed(A, frame):
     """The automorphism acting as the identity on L = span(e, f), as A on U
     and as transpose(A)^-1 on W, for A in SL(3, k)."""
@@ -225,12 +244,9 @@ def sl3_embed(A, frame):
         for j in range(3):
             B[1 + i][1 + j] = A[i][j]
             B[4 + i][4 + j] = At_inv[i][j]
-    C = frame_basis_matrix(frame)
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(B)), linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise FieldError(f"sl3_embed produced an uncertified map: {out.failure}")
-    return out
+    return _conjugate_certified(
+        alg, frame_basis_matrix(frame), B, "sl3_embed produced an uncertified map"
+    )
 
 
 def zorn_swap(alg):
@@ -256,17 +272,13 @@ def frame_swap(frame):
     frame it is frame.rho."""
     if not isinstance(frame, SplitFrame):
         return frame.rho
-    alg = frame.alg
-    F = alg.field
+    F = frame.alg.field
     P = [[F.zero] * 8 for _ in range(8)]
     for j, i in enumerate((7, 4, 5, 6, 1, 2, 3, 0)):
         P[i][j] = F.one
-    C = frame_basis_matrix(frame)
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(P)), linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise FieldError(f"the frame swap failed to certify: {out.failure}")
-    return out
+    return _conjugate_certified(
+        frame.alg, frame_basis_matrix(frame), P, "the frame swap failed to certify"
+    )
 
 
 def quadratic_subfield_frame(alg, g_vec):
@@ -276,13 +288,8 @@ def quadratic_subfield_frame(alg, g_vec):
     g must be trace zero with g^2 = c a nonsquare in k.
     """
     F = alg.field
-    gsq = alg.mul(g_vec, g_vec)
-    c = None
-    for i in range(alg.dim):
-        if not F.is_zero(alg.one[i]):
-            c = F.div(gsq[i], alg.one[i])
-            break
-    if not alg.eq(gsq, alg.scale(c, alg.one)) or F.is_square(c):
+    c = _square_scalar(alg, g_vec)
+    if c is None or F.is_square(c):
         raise FieldError("g must generate a quadratic field subalgebra")
     L = QuadraticEtale(F, c)
     one = alg.one
@@ -306,10 +313,18 @@ def quadratic_subfield_frame(alg, g_vec):
     return FieldFrame(alg, L, one, g_vec, fs, tuple(H), rho)
 
 
+def _square_scalar(alg, x):
+    """s with x^2 = s 1, or None when x^2 is not a scalar."""
+    F = alg.field
+    sq = alg.mul(x, x)
+    s = next(F.div(sq[i], alg.one[i]) for i in range(alg.dim) if not F.is_zero(alg.one[i]))
+    return s if alg.eq(sq, alg.scale(s, alg.one)) else None
+
+
 def _orthogonal_anisotropic(alg, span):
     """A vector orthogonal to `span` (norm form) with nonzero norm."""
     F = alg.field
-    comp = list(_complement_basis(alg, span))
+    comp = list(orthogonal_complement(alg, span))
     for v in comp:
         if not F.is_zero(alg.norm(v)):
             return v
@@ -319,12 +334,6 @@ def _orthogonal_anisotropic(alg, span):
             if not F.is_zero(alg.norm(s)):
                 return s
     raise FieldError("no anisotropic vector in the orthogonal complement")
-
-
-def _complement_basis(alg, span):
-    from .composition import orthogonal_complement
-
-    return orthogonal_complement(alg, span)
 
 
 def hermitian_form(frame, x, y):
@@ -342,15 +351,12 @@ def _frame_conjugation(alg, frame):
     """The order-2 automorphism acting as sigma on L and fixing a, b, ab:
     diagonal +,-,+,-,... in the doubling basis 1, g, a, ga, b, gb, ab, g(ab)."""
     F = alg.field
-    C = frame_basis_matrix(frame)
     D = [[F.zero] * 8 for _ in range(8)]
     for i in range(8):
         D[i][i] = F.one if i % 2 == 0 else F.neg(F.one)
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise FieldError(f"conjugation extension failed to certify: {out.failure}")
-    return out
+    return _conjugate_certified(
+        alg, frame_basis_matrix(frame), D, "conjugation extension failed to certify"
+    )
 
 
 def build_rho(alg, g_vec, a=None, b=None):
@@ -402,12 +408,9 @@ def su_embed(A, frame):
             B[3 + 2 * i][2 + 2 * j] = x1
             B[2 + 2 * i][3 + 2 * j] = F.mul(c, x1)
             B[3 + 2 * i][3 + 2 * j] = x0
-    C = frame_basis_matrix(frame)
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(B)), linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise FieldError(f"su_embed produced an uncertified map: {out.failure}")
-    return out
+    return _conjugate_certified(
+        alg, frame_basis_matrix(frame), B, "su_embed produced an uncertified map"
+    )
 
 
 def in_unitary(A, L, H):
@@ -425,27 +428,17 @@ def in_su(A, L, H):
 
 def extract_sl3_matrix(t, frame):
     """The 3x3 matrix of t on U in the frame basis (t must fix L pointwise)."""
-    alg = frame.alg
-    F = alg.field
-    C = frame_basis_matrix(frame)
-    Cinv = linalg.inverse(F, C)
-    B = linalg.mat_mul(F, linalg.mat_mul(F, Cinv, t.matrix), C)
-    A = tuple(tuple(B[1 + i][1 + j] for j in range(3)) for i in range(3))
-    return A
+    B = _in_frame_basis(t, frame)
+    return tuple(tuple(B[1 + i][1 + j] for j in range(3)) for i in range(3))
 
 
 def extract_su_matrix(t, frame):
     """The 3x3 matrix over L of t on the frame f_i (t must fix L pointwise)."""
-    alg = frame.alg
-    F = alg.field
-    C = frame_basis_matrix(frame)
-    Cinv = linalg.inverse(F, C)
-    B = linalg.mat_mul(F, linalg.mat_mul(F, Cinv, t.matrix), C)
-    A = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            A[i][j] = (B[2 + 2 * i][2 + 2 * j], B[3 + 2 * i][2 + 2 * j])
-    return linalg.mat(A)
+    B = _in_frame_basis(t, frame)
+    return tuple(
+        tuple((B[2 + 2 * i][2 + 2 * j], B[3 + 2 * i][2 + 2 * j]) for j in range(3))
+        for i in range(3)
+    )
 
 
 def semidirect_split(h, frame):
@@ -475,7 +468,7 @@ def involution_from_symmetric(S, frame):
 def involution_from_quaternion(alg, D_basis):
     """The involution fixing the quaternion subalgebra spanned by D_basis
     pointwise and acting as -1 on its orthogonal complement."""
-    from .composition import orthogonal_complement, subalgebra_closed
+    from .composition import subalgebra_closed
 
     F = alg.field
     if len(D_basis) != 4 or linalg.rank(F, linalg.mat(D_basis)) != 4:
@@ -489,11 +482,7 @@ def involution_from_quaternion(alg, D_basis):
     D = [[F.zero] * 8 for _ in range(8)]
     for i in range(8):
         D[i][i] = F.one if i < 4 else F.neg(F.one)
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise FieldError(f"quaternion involution failed to certify: {out.failure}")
-    return out
+    return _conjugate_certified(alg, C, D, "quaternion involution failed to certify")
 
 
 def sl1_action(alg, D_basis, a, p):
@@ -590,8 +579,6 @@ def _trace_zero_split_generator(alg):
 
 
 def _random_orthogonal_with_norm(alg, span, target, rng):
-    from .composition import orthogonal_complement
-
     F = alg.field
     comp = orthogonal_complement(alg, span)
     for _ in range(50):
@@ -622,14 +609,11 @@ def random_sl3(F, rng, avoid_eigenvalue_one=False, separable=None):
         # scale one row to make det 1 when possible: det(sA row) scales by s
         s = F.inv(d)
         A = (tuple(F.mul(s, x) for x in A[0]),) + A[1:]
-        c0, c1, c2 = linalg.charpoly3(F, A)
-        if avoid_eigenvalue_one:
-            if F.is_zero(F.add(F.add(F.one, c2), F.add(c1, c0))):
-                continue
-        if separable is not None:
-            sep = _cubic_separable(F, (c0, c1, c2))
-            if sep != separable:
-                continue
+        chi = linalg.charpoly3(F, A)
+        if avoid_eigenvalue_one and _has_eigenvalue_one(F, chi):
+            continue
+        if separable is not None and _cubic_separable(F, chi) != separable:
+            continue
         return A
 
 
@@ -650,13 +634,10 @@ def random_su(L, H, rng, separable=None, avoid_eigenvalue_one=False):
         U = (tuple(L.mul(dinv, x) for x in U[0]),) + U[1:]
         A = linalg.transpose(U)
         chi = linalg.charpoly3(L, A)
-        if avoid_eigenvalue_one:
-            val = L.add(L.add(L.one, chi[2]), L.add(chi[1], chi[0]))
-            if L.is_zero(val):
-                continue
-        if separable is not None:
-            if _cubic_separable(L, chi) != separable:
-                continue
+        if avoid_eigenvalue_one and _has_eigenvalue_one(L, chi):
+            continue
+        if separable is not None and _cubic_separable(L, chi) != separable:
+            continue
         return A
 
 

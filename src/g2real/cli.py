@@ -17,6 +17,7 @@ from .fields import (
     FieldError,
     PrimeField,
     QuadraticEtale,
+    _first_irreducible_cubic,
     cubic_is_irreducible,
     ground_field,
     norm_quotient_report,
@@ -329,7 +330,7 @@ def cmd_counterexample(args):
                 "field": str(args.q),
                 "omega": L.to_text(ce["omega"]),
                 "b": L.to_text(ce["b"]),
-                "B": [[L.to_text(x) for x in row] for row in ce["B"]],
+                "B": reports.mat_text(L, ce["B"]),
             }
         )
     reports.finalize(rep, time.perf_counter() - start)
@@ -418,9 +419,9 @@ def cmd_cdk(args):
                     "field": str(q),
                     "c": int(c),
                     "H": [k.to_text(h) for h in fru.H],
-                    "A": [[L.to_text(x) for x in row] for row in A],
-                    "A1": [[L.to_text(x) for x in row] for row in r.witness["A1"]],
-                    "A2": [[L.to_text(x) for x in row] for row in r.witness["A2"]],
+                    "A": reports.mat_text(L, A),
+                    "A1": reports.mat_text(L, r.witness["A1"]),
+                    "A2": reports.mat_text(L, r.witness["A2"]),
                 }
             )
     ok &= _add(
@@ -471,15 +472,7 @@ def cmd_norms(args):
     rep = reports.new_report("norms", {"q": q}, None)
     k = PrimeField(q)
     L = QuadraticEtale(k, k.nonsquare())
-    chi = None
-    for a1 in range(q):
-        for a0 in range(1, q):
-            if cubic_is_irreducible(k, (a0, a1, 0)):
-                chi = (a0, a1, 0)
-                break
-        if chi:
-            break
-    E = CubicAlgebra(L, chi)
+    E = CubicAlgebra(L, _first_irreducible_cubic(k))
     q1, q2 = norm_quotient_report(E)
     ok = _add(rep, "norm_one_quotient_trivial", q1 == 1, f"|L^1/N(E^1)| = {q1}")
     ok &= _add(rep, "base_norm_quotient_trivial", q2 == 1, f"|k*/N(F*)| = {q2}")

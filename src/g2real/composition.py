@@ -469,7 +469,7 @@ def octonion_from_hermitian(space, psi=None):
         return s
 
     def crossh(v, w):
-        cr = _crossL(L, v, w)
+        cr = _cross(L, v, w)
         return tuple(
             L.scalar_mul(lam_inv[i], L.mul(spsi, L.sigma(cr[i]))) for i in range(3)
         )
@@ -486,17 +486,6 @@ def octonion_from_hermitian(space, psi=None):
     # k-basis: 1, s, e1, s e1, e2, s e2, e3, s e3 with s the standard generator
     one_L = L.one
     s_L = L.gen()
-
-    def coords_of_L(x):
-        # x = u * 1 + w * s
-        if L.kind == "field":
-            return (x[0], x[1])
-        two_inv = k.inv(k.add(k.one, k.one))
-        return (
-            k.mul(two_inv, k.add(x[0], x[1])),
-            k.mul(two_inv, k.sub(x[0], x[1])),
-        )
-
     basis = []
     zero3 = (L.zero, L.zero, L.zero)
     basis.append((one_L, zero3))
@@ -506,25 +495,17 @@ def octonion_from_hermitian(space, psi=None):
             v = tuple(sc if t == i else L.zero for t in range(3))
             basis.append((L.zero, v))
 
-    def to_coords(a, v):
-        ca = coords_of_L(a)
-        out = [ca[0], ca[1]]
-        for i in range(3):
-            cv = coords_of_L(v[i])
-            out.extend(cv)
-        return tuple(out)
-
     dim = 8
     table = [[None] * dim for _ in range(dim)]
     for i, (ai, vi) in enumerate(basis):
         for j, (aj, vj) in enumerate(basis):
             s, vec = pmul(ai, vi, aj, vj)
-            coords = to_coords(s, vec)
+            coords = _hermitian_coords(L, s, vec)
             table[i][j] = tuple(
                 (m, c) for m, c in enumerate(coords) if not k.is_zero(c)
             )
 
-    one = to_coords(one_L, zero3)
+    one = _hermitian_coords(L, one_L, zero3)
     # N(a, v) = N_{L/k}(a) + h(v, v); with basis {1, s} of L the L-part
     # diagonalizes as <1, -s^2> (field: <1, -c>; split: <1, -1>).
     norm_diag_list = []
@@ -552,36 +533,20 @@ def octonion_from_hermitian(space, psi=None):
     )
 
 
-def _crossL(L, u, v):
-    return (
-        L.sub(L.mul(u[1], v[2]), L.mul(u[2], v[1])),
-        L.sub(L.mul(u[2], v[0]), L.mul(u[0], v[2])),
-        L.sub(L.mul(u[0], v[1]), L.mul(u[1], v[0])),
-    )
+def _hermitian_coords(L, a, v):
+    """k-coordinates of (a, v) in the basis 1, s, e1, s e1, e2, s e2, e3, s e3
+    of a hermitian-model algebra, each L-entry written x = u + w s with s the
+    standard generator (split: s = (1, -1), so u, w = (x0 +- x1) / 2)."""
+    if L.kind == "field":
+        return tuple(c for x in (a, *v) for c in x)
+    k = L.base
+    two_inv = k.inv(k.add(k.one, k.one))
+    return tuple(k.mul(two_inv, op(x[0], x[1])) for x in (a, *v) for op in (k.add, k.sub))
 
 
 def hermitian_element(alg, a, v):
     """Coordinates of (a, v) in a hermitian-model algebra."""
-    L = alg.meta["L"]
-    k = alg.field
-    if L.kind == "field":
-        ca = (a[0], a[1])
-        cvs = [(x[0], x[1]) for x in v]
-    else:
-        two_inv = k.inv(k.add(k.one, k.one))
-
-        def dec(x):
-            return (
-                k.mul(two_inv, k.add(x[0], x[1])),
-                k.mul(two_inv, k.sub(x[0], x[1])),
-            )
-
-        ca = dec(a)
-        cvs = [dec(x) for x in v]
-    out = [ca[0], ca[1]]
-    for cv in cvs:
-        out.extend(cv)
-    return tuple(out)
+    return _hermitian_coords(alg.meta["L"], a, v)
 
 
 # -- structural probes --------------------------------------------------------

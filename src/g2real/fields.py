@@ -13,6 +13,8 @@ floating point anywhere.
 
 from fractions import Fraction
 
+from . import linalg
+
 
 PRIME_CAP = 2**31
 
@@ -377,13 +379,7 @@ class QuadraticEtale:
     def pow(self, x, n):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        r, b = self.one, x
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+        return _power(self.mul, self.one, x, n)
 
     def in_base(self, x):
         """True when x is sigma-fixed, i.e. lies in the embedded copy of k."""
@@ -441,12 +437,8 @@ class CubicAlgebra:
         self.zero = (L.zero, L.zero, L.zero)
         self.one = (L.one, L.zero, L.zero)
         self.gen = (L.zero, L.one, L.zero)
-        # X^3 = -(a0 + a1 X + a2 X^2), X^4 = X * X^3, both reduced.
-        m = tuple(L.embed(k.neg(a)) for a in (a0, a1, a2))
-        self._x3 = m
-        x4 = self._shift_reduce(m)
-        self._x4 = x4
-        self.etale = self._separable()
+        self._reduction = _cubic_reduction(L, tuple(L.embed(a) for a in self.chi))
+        self.etale = _cubic_separable(k, self.chi)
         self.is_field_flag = None  # decided lazily; needs root finding
 
     def __repr__(self):
@@ -458,16 +450,6 @@ class CubicAlgebra:
     def order(self):
         n = self.L.order
         return None if n is None else n**3
-
-    def _shift_reduce(self, v):
-        # multiply by X and reduce: (c0,c1,c2) -> (0,c0,c1) + c2 * X^3
-        L = self.L
-        return tuple(
-            L.add(w, L.mul(v[2], m)) for w, m in zip((L.zero, v[0], v[1]), self._x3)
-        )
-
-    def _separable(self):
-        return _cubic_separable(self.L.base, self.chi)
 
     def embed(self, x):
         """Image of an L-element in E."""
@@ -488,30 +470,12 @@ class CubicAlgebra:
         return tuple(self.L.mul(a, c) for c in x)
 
     def mul(self, x, y):
-        L = self.L
-        # convolution
-        conv = [L.zero] * 5
-        for i in range(3):
-            if L.is_zero(x[i]):
-                continue
-            for j in range(3):
-                conv[i + j] = L.add(conv[i + j], L.mul(x[i], y[j]))
-        r = conv[:3]
-        for d, deg in ((conv[3], self._x3), (conv[4], self._x4)):
-            if not L.is_zero(d):
-                r = [L.add(a, L.mul(d, m)) for a, m in zip(r, deg)]
-        return tuple(r)
+        return _cubic_mul(self.L, self._reduction, x, y)
 
     def pow(self, x, n):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        r, b = self.one, x
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+        return _power(self.mul, self.one, x, n)
 
     def sigma(self, x):
         return tuple(self.L.sigma(c) for c in x)
@@ -529,7 +493,7 @@ class CubicAlgebra:
 
     def norm(self, x):
         """N_{E/L}(x): determinant of multiplication by x."""
-        return _det3(self.L, self.mult_matrix(x))
+        return linalg.det3(self.L, self.mult_matrix(x))
 
     def trace(self, x):
         L = self.L
@@ -583,15 +547,40 @@ class CubicAlgebra:
         return f"{t(x[0])} + ({t(x[1])})*t + ({t(x[2])})*t^2"
 
 
-def _det3(R, m):
-    """3x3 determinant by the Leibniz formula; valid over any commutative ring."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    t1 = R.mul(a, R.sub(R.mul(e, i), R.mul(f, h)))
-    t2 = R.mul(b, R.sub(R.mul(f, g), R.mul(d, i)))
-    t3 = R.mul(c, R.sub(R.mul(d, h), R.mul(e, g)))
-    return R.add(R.add(t1, t2), t3)
+def _power(mul, one, x, n):
+    """x^n for n >= 0 by square-and-multiply with the product mul."""
+    r = one
+    while n:
+        if n & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        n >>= 1
+    return r
+
+
+def _cubic_reduction(R, chi):
+    """(X^3, X^4) reduced mod the monic cubic chi = (a0, a1, a2) over the ring
+    R, as coefficient triples (c0, c1, c2) meaning c0 + c1 X + c2 X^2."""
+    x3 = tuple(R.neg(a) for a in chi)
+    # X^4 = X * X^3: shift up and reduce the X^3 term
+    x4 = tuple(R.add(w, R.mul(x3[2], m)) for w, m in zip((R.zero, x3[0], x3[1]), x3))
+    return x3, x4
+
+
+def _cubic_mul(R, reduction, x, y):
+    """The product of coefficient triples x, y mod the monic cubic whose
+    _cubic_reduction is `reduction`."""
+    conv = [R.zero] * 5
+    for i in range(3):
+        if R.is_zero(x[i]):
+            continue
+        for j in range(3):
+            conv[i + j] = R.add(conv[i + j], R.mul(x[i], y[j]))
+    r = conv[:3]
+    for d, deg in zip(conv[3:], reduction):
+        if not R.is_zero(d):
+            r = [R.add(a, R.mul(d, m)) for a, m in zip(r, deg)]
+    return tuple(r)
 
 
 def _poly_gcd_is_one(k, f, g):
@@ -627,10 +616,18 @@ def _cubic_separable(F, chi):
     return _poly_gcd_is_one(F, (c0, c1, c2, F.one), (c1, F.mul(two, c2), three))
 
 
+def _has_eigenvalue_one(F, chi):
+    """Whether chi(1) = 1 + c2 + c1 + c0 vanishes for chi = (c0, c1, c2)."""
+    c0, c1, c2 = chi
+    return F.is_zero(F.add(F.add(F.one, c2), F.add(c1, c0)))
+
+
 def cubic_is_irreducible(R, chi):
     """Whether the monic cubic chi (coefficients in R, low first, degree
     coefficients (a0, a1, a2)) has no root in R.  A cubic is irreducible over
-    a field exactly when it has no root there.
+    a field exactly when it has no root there.  Over a split R = k x k the
+    answer is for the two component cubics: whether both are irreducible
+    over k, so that R[X]/chi is a product of two cubic fields.
 
     For prime fields and quadratic extensions this computes gcd(X^|R| - X, chi)
     by modular exponentiation, so large fields stay cheap.  For the rationals
@@ -639,40 +636,20 @@ def cubic_is_irreducible(R, chi):
     a0, a1, a2 = chi
 
     if isinstance(R, QuadraticEtale) and R.kind == "split":
-        # roots exist iff either component cubic has a root
         k = R.base
         c1 = cubic_is_irreducible(k, (a0[0], a1[0], a2[0]))
         c2 = cubic_is_irreducible(k, (a0[1], a1[1], a2[1]))
         return c1 and c2
 
     if getattr(R, "order", None) is not None:
-        q = R.order
-        # x^q mod chi, with chi monic: repeated squaring on (c0,c1,c2)
-        x3 = (R.neg(a0), R.neg(a1), R.neg(a2))
-
-        def redmul(u, v):
-            conv = [R.zero] * 5
-            for i in range(3):
-                if R.is_zero(u[i]):
-                    continue
-                for j in range(3):
-                    conv[i + j] = R.add(conv[i + j], R.mul(u[i], v[j]))
-            x4 = (R.zero, x3[0], x3[1])
-            x4 = tuple(R.add(w, R.mul(x3[2], m)) for w, m in zip(x4, x3))
-            r = conv[:3]
-            for d, deg in ((conv[3], x3), (conv[4], x4)):
-                if not R.is_zero(d):
-                    r = [R.add(a, R.mul(d, m)) for a, m in zip(r, deg)]
-            return tuple(r)
-
-        result = (R.one, R.zero, R.zero)
-        base = (R.zero, R.one, R.zero)
-        n = q
-        while n:
-            if n & 1:
-                result = redmul(result, base)
-            base = redmul(base, base)
-            n >>= 1
+        # X^q mod chi by square-and-multiply on coefficient triples
+        reduction = _cubic_reduction(R, chi)
+        result = _power(
+            lambda u, v: _cubic_mul(R, reduction, u, v),
+            (R.one, R.zero, R.zero),
+            (R.zero, R.one, R.zero),
+            R.order,
+        )
         # chi has a root in R iff gcd(X^q - X, chi) != 1 iff X^q == X mod chi
         # is not needed in full: gcd != 1 iff the map X -> X^q - X mod chi is
         # singular on some root; simplest exact test: X^q - X shares a factor.
@@ -710,6 +687,15 @@ def cubic_is_irreducible(R, chi):
                 if ((c3 * r + c2) * r + c1) * r + c0 == 0:
                     return False
     return True
+
+
+def _first_irreducible_cubic(k):
+    """(a0, a1, 0) for the first irreducible X^3 + a1 X + a0 over the prime
+    field k, a1 running slowest and a0 over the units; None if there is none."""
+    for a1 in range(k.p):
+        for a0 in range(1, k.p):
+            if cubic_is_irreducible(k, (a0, a1, 0)):
+                return (a0, a1, 0)
 
 
 def norm_one_elements(A):

@@ -2,8 +2,11 @@
 
 Matrices are immutable tuples of tuples of raw field elements; the field
 handle supplies the arithmetic.  Gaussian elimination requires an honest
-field (division), so callers must not pass split quadratic algebras here;
-3x3 determinants and adjugates use ring-safe closed forms in fields.py.
+field (division), so callers must not pass split quadratic algebras to it.
+The 3x3 closed forms det3, adjugate3 and charpoly3 use ring operations
+only, so they hold over any commutative ring: the cubic algebras of fields.py
+take their norms with det3, and det3, which needs only add, sub and mul, also
+runs on the numpy arrays of the SU coset sweep.
 span_search is the one enumerator of matrix spans under a candidate budget.
 """
 

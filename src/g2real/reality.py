@@ -21,6 +21,8 @@ from . import linalg
 from .automorphisms import (
     AutMap,
     SplitFrame,
+    _orthogonal_anisotropic,
+    _square_scalar,
     certify_automorphism,
     extract_sl3_matrix,
     extract_su_matrix,
@@ -34,7 +36,15 @@ from .automorphisms import (
     zorn_split_frame,
 )
 from .composition import octonion_from_hermitian, zorn_algebra
-from .fields import FieldError, PrimeField, QuadraticEtale, _cubic_separable
+from .fields import (
+    FieldError,
+    PrimeField,
+    QuadraticEtale,
+    _cubic_separable,
+    _first_irreducible_cubic,
+    _has_eigenvalue_one,
+    cubic_is_irreducible,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -119,6 +129,8 @@ def classify(t):
         # with s a nonzero square
         x = _trace_zero_part(alg, V)
         s = _square_scalar(alg, x)
+        if s is None:
+            raise RealityError("fixed-line generator does not square to a scalar")
         out["etale_generator"] = x
         out["etale_split"] = F.is_square(s)
         out["fixed_is_pointwise"] = len(fixed) == len(V) and linalg.rank(
@@ -145,18 +157,6 @@ def _trace_zero_part(alg, V):
         if not alg.is_zero(w):
             return w
     raise RealityError("no trace-zero vector in the fixed algebra")
-
-
-def _square_scalar(alg, x):
-    F = alg.field
-    sq = alg.mul(x, x)
-    for i in range(alg.dim):
-        if not F.is_zero(alg.one[i]):
-            s = F.div(sq[i], alg.one[i])
-            break
-    if not alg.eq(sq, alg.scale(s, alg.one)):
-        raise RealityError("fixed-line generator does not square to a scalar")
-    return s
 
 
 # -- witness checks -----------------------------------------------------------
@@ -325,7 +325,7 @@ def det_image_exponent(F, chi):
 
 # -- SL(3) side ---------------------------------------------------------------
 
-def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET, rng_seed=0):
+def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
     """A = S1 S2 with S1, S2 symmetric of determinant 1, or a failure record.
 
     Looks for a symmetric determinant-1 solution S of S A = tA S and returns
@@ -337,7 +337,7 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET, rng_seed=0):
     misses its grid, the record carries the reason under "unknown".
     """
     try:
-        dec = _symmetric_decomposition(F, A, _Search(budget), rng_seed)
+        dec = _symmetric_decomposition(F, A, _Search(budget))
     except _Undecided as exc:
         return {"ok": False, "obstruction": None, "unknown": str(exc)}
     if dec["ok"]:
@@ -345,7 +345,7 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET, rng_seed=0):
     return dec
 
 
-def _symmetric_decomposition(F, A, search, rng_seed=0):
+def _symmetric_decomposition(F, A, search):
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
     At = linalg.transpose(A)
@@ -354,8 +354,7 @@ def _symmetric_decomposition(F, A, search, rng_seed=0):
         return {"ok": True, "S1": I, "S2": I}
     if min_equals_char3(F, A):
         space = linalg.solve_sylvester_space(F, At, A)
-        rng = random.Random(rng_seed)
-        T0 = linalg.first_invertible_combination(F, space, rng)
+        T0 = linalg.first_invertible_combination(F, space, random.Random(0))
         if T0 is None:
             raise RealityError("no invertible intertwiner found")
         if not linalg.mat_eq(F, T0, linalg.transpose(T0)):
@@ -500,12 +499,6 @@ def _full_coset_scan(K, A, H, accept, search, report):
     report.verdict = "not_real"
     report.notes.append("full intertwiner scan over both cosets found nothing")
     return report
-
-
-def _has_eigenvalue_one(F, chi):
-    c0, c1, c2 = chi
-    val = F.add(F.add(F.one, c2), F.add(c1, c0))
-    return F.is_zero(val)
 
 
 # -- SU(3) side ---------------------------------------------------------------
@@ -657,8 +650,6 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET):
 
 
 def _reality_su_regular(L, A, H, chi, report, search):
-    from .fields import cubic_is_irreducible
-
     k = L.base
     X0 = unitary_base_conjugator(L, H, A, chi)
     d = linalg.det3(L, X0)
@@ -979,7 +970,6 @@ def build_counterexample_su(q):
     """The quadratic-field non-real element over F_{q^2}/F_q, built inside the
     octonion algebra of the unit trace hermitian space of a cubic extension;
     needs 2 a square mod q and no primitive cube root of unity in F_q."""
-    from .fields import cubic_is_irreducible
     from .tori import unit_trace_hermitian_space
 
     k = PrimeField(q)
@@ -1055,14 +1045,7 @@ def build_counterexample_su(q):
     _require(all(L.is_zero(x) for row in N3 for x in row), "(A - omega)^3 = 0")
 
     # a cubic etale F over k whose unit-diagonal trace hermitian space hosts it
-    chi = None
-    for a1 in range(q):
-        for a0 in range(1, q):
-            if cubic_is_irreducible(k, (a0, a1, 0)):
-                chi = (a0, a1, 0)
-                break
-        if chi:
-            break
+    chi = _first_irreducible_cubic(k)
     _, space = unit_trace_hermitian_space(k, chi, L)
     alg = octonion_from_hermitian(space)
     gvec = alg.basis_vec(1)
@@ -1120,28 +1103,20 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
     # fixes_etale
     x = case["etale_generator"]
     if case["etale_split"]:
-        s = _square_scalar(alg, x)
-        root = F.sqrt(s)
+        root = F.sqrt(_square_scalar(alg, x))
         e = alg.scale(F.inv(F.add(F.one, F.one)), alg.add(alg.one, alg.scale(F.inv(root), x)))
         frame = split_frame_from_idempotent(alg, e)
-        A = extract_sl3_matrix(t, frame)
-        rep = reality_sl3(F, A, budget)
-        rep.case.update(case)
-        if rep.verdict == "real" and rep.witness["type"] == "symmetric_pair":
-            i1, i2 = two_involution_witness(t, frame, rep)
-            rep.witness = dict(rep.witness, iota1=i1, iota2=i2)
-        elif rep.verdict == "real":
-            rep.witness = dict(rep.witness, h=conjugator_witness(t, frame, rep))
-        return rep
-    frame = quadratic_subfield_frame(alg, x)
-    A = extract_su_matrix(t, frame)
-    rep = reality_su(frame.L, A, frame.H, budget)
+        rep = reality_sl3(F, extract_sl3_matrix(t, frame), budget)
+    else:
+        frame = quadratic_subfield_frame(alg, x)
+        rep = reality_su(frame.L, extract_su_matrix(t, frame), frame.H, budget)
     rep.case.update(case)
-    if rep.verdict == "real" and rep.witness["type"] == "unitary_pair":
+    # a symmetric or unitary pair lifts to two involutions, a conjugator to h
+    if rep.verdict == "real" and rep.witness["type"] == "conjugator_matrix":
+        rep.witness = dict(rep.witness, h=conjugator_witness(t, frame, rep))
+    elif rep.verdict == "real":
         i1, i2 = two_involution_witness(t, frame, rep)
         rep.witness = dict(rep.witness, iota1=i1, iota2=i2)
-    elif rep.verdict == "real" and rep.witness["type"] == "conjugator_matrix":
-        rep.witness = dict(rep.witness, h=conjugator_witness(t, frame, rep))
     return rep
 
 
@@ -1162,8 +1137,6 @@ def _reality_quaternion_case(t, case):
         i2 = AutMap(linalg.identity(F, alg.dim), alg, True)
         rep.witness = {"type": "two_involutions", "iota1": t, "iota2": i2}
         return rep
-    from .automorphisms import _orthogonal_anisotropic
-
     a = _orthogonal_anisotropic(alg, D)
     ta = t.apply(a)
     abar = alg.conj(a)

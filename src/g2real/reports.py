@@ -16,6 +16,9 @@ from .fields import QuadraticEtale, ground_field
 
 SCHEMA_VERSION = 1
 
+# witness matrices are rows of field elements in their text form
+_TEXT_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "string"}}}
+
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "g2real run report",
@@ -42,7 +45,17 @@ REPORT_SCHEMA = {
                 "additionalProperties": True,
             },
         },
-        "witnesses": {"type": "array"},
+        "witnesses": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    **{name: _TEXT_MATRIX for name in ("A", "S1", "S2", "A1", "A2", "B")},
+                    "H": {"type": "array", "items": {"type": "string"}},
+                    "c": {"type": "integer"},
+                },
+            },
+        },
         "obstruction": {"type": ["object", "null"]},
         "oracle_agreement": {"type": ["boolean", "null"]},
         "meta": {

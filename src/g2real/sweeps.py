@@ -7,7 +7,9 @@ which confirms the quadratic-field non-real element without trusting the
 norm-class shortcut.  The sweep reads every matrix entry off
 per-coefficient lookup tables, so a candidate costs int64 additions, table
 lookups and residues mod p; the full q = 17 coset of 24,137,569 candidates
-takes about 1 s on one core (acceptance criterion 06).
+takes about 1 s on one core (acceptance criterion 06).  No 3x3 formula is
+repeated here: _LArrays gives arrays of L-elements the add, sub and mul of a
+field handle, so the determinant test is linalg.det3 on those arrays.
 """
 
 import numpy as np
@@ -106,7 +108,8 @@ _CHUNK = 1 << 18
 
 
 class _LArrays:
-    """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b)."""
+    """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b);
+    enough of a field handle for linalg.det3."""
 
     def __init__(self, p, c):
         self.p = p
@@ -154,7 +157,7 @@ def su_coset_sweep(L, H, A, X0, start=0, stop=None):
     of a per-run head and the c2 table.  The diagonal entries of X* H X are
     the norm forms sum_r H_r N(X[r][j]), looked up in a table: (0, 0) filters
     every candidate, (1, 1) the about 1/p left, and the rest take the full
-    unitarity and determinant tests.
+    unitarity test and then linalg.det3 on the arrays.
     """
     if L.kind != "field" or L.base.kind != "prime":
         raise ValueError("sweep needs L = F_p(g)")
@@ -230,7 +233,7 @@ def su_coset_sweep(L, H, A, X0, start=0, stop=None):
             continue
         # determinant = 1 on the survivors
         Xs = [[(e[0][ok], e[1][ok]) for e in row] for row in X]
-        d = _det3_np(ar, Xs)
+        d = linalg.det3(ar, Xs)
         ok2 = (d[0] == 1) & (d[1] == 0)
         hits += int(ok2.sum())
         if example is None and ok2.any():
@@ -241,12 +244,3 @@ def su_coset_sweep(L, H, A, X0, start=0, stop=None):
             )
     return hits, example
 
-
-def _det3_np(ar, m):
-    def mul(x, y):
-        return ar.mul(x, y)
-
-    t1 = mul(m[0][0], ar.sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-    t2 = mul(m[0][1], ar.sub(mul(m[1][2], m[2][0]), mul(m[1][0], m[2][2])))
-    t3 = mul(m[0][2], ar.sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
-    return ar.add(ar.add(t1, t2), t3)

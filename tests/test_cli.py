@@ -250,6 +250,35 @@ def test_malformed_witness_fails_verify_without_asserts(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+_NON_STRING = {
+    "int A1 entry": (3, lambda w: w["A1"][0].__setitem__(0, 3)),
+    "null S1 row": (0, lambda w: w["S1"].__setitem__(0, None)),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_STRING))
+def test_non_string_witness_entry_is_a_schema_error(tmp_path, case):
+    # witness matrices are typed in the schema, so a non-string entry is
+    # rejected at validation instead of escaping the re-check as a traceback
+    import g2real
+
+    index, tamper = _NON_STRING[case]
+    out = tmp_path / "r.json"
+    assert run(["cdk", "--q", "5", "--trials", "3", "--seed", "3", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    tamper(data["witnesses"][index])
+    out.write_text(json.dumps(data))
+    src = str(Path(g2real.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "g2real.cli", "report", "--input", str(out), "--verify"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"schema error at /witnesses/{index}/" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_not_real_instance_needs_the_oracle_verdict(tmp_path, monkeypatch):
     from g2real import reality
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -203,6 +204,112 @@ def test_cubic_is_irreducible_large_prime():
     e = (p.p - 1) // 3
     a = next(x for x in range(2, 50) if pow(x, e, p.p) != 1)
     assert cubic_is_irreducible(p, (p.neg(a), 0, 0))
+
+
+def _has_root(R, chi):
+    """Whether chi = (a0, a1, a2) has a root in R, by trying every element."""
+    a0, a1, a2 = chi
+    return any(
+        R.is_zero(R.add(R.mul(R.add(R.mul(R.add(x, a2), x), a1), x), a0))
+        for x in R.elements()
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cubic_is_irreducible_matches_root_enumeration_on_every_cubic(p):
+    k = PrimeField(p)
+    for chi in itertools.product(range(p), repeat=3):
+        assert cubic_is_irreducible(k, chi) == (not _has_root(k, chi)), chi
+
+
+@pytest.mark.parametrize(
+    "L",
+    [QuadraticEtale(PrimeField(3), 2), QuadraticEtale(k5, 2), QuadraticEtale(k5)],
+    ids=["F9", "F25", "F5xF5"],
+)
+def test_cubic_is_irreducible_matches_root_enumeration_over_L(L):
+    # over k x k the answer is for the two component cubics over k: both
+    # irreducible, so that L[X]/chi is a product of two cubic fields
+    rng = random.Random(f"roots/{L!r}")
+    outcomes = set()
+    for _ in range(200):
+        chi = tuple(L.random(rng) for _ in range(3))
+        if L.kind == "split":
+            components = [tuple(a[i] for a in chi) for i in (0, 1)]
+            expected = not any(_has_root(L.base, c) for c in components)
+        else:
+            expected = not _has_root(L, chi)
+        irreducible = cubic_is_irreducible(L, chi)
+        assert irreducible == expected, chi
+        outcomes.add(irreducible)
+    assert outcomes == {True, False}
+
+
+def _schoolbook_mod(E, x, y):
+    """x y in E by the full polynomial product and long division by chi."""
+    L = E.L
+    prod = [L.zero] * 5
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] = L.add(prod[i + j], L.mul(xi, yj))
+    chi = [L.embed(a) for a in E.chi]
+    for d in (4, 3):
+        lead = prod[d]
+        for i in range(3):
+            prod[d - 3 + i] = L.sub(prod[d - 3 + i], L.mul(lead, chi[i]))
+        prod[d] = L.zero
+    return tuple(prod[:3])
+
+
+@pytest.mark.parametrize(
+    "L", [QuadraticEtale(k5, 2), QuadraticEtale(k7, 3), QuadraticEtale(k7)],
+    ids=["F25", "F49", "F7xF7"],
+)
+def test_cubic_mul_and_pow_match_schoolbook_arithmetic(L):
+    rng = random.Random(f"schoolbook/{L!r}")
+    for chi in ((1, 0, 0), (2, 1, 0), (3, 4, 1), (0, 1, 2), (-8, 12, -6)):
+        E = CubicAlgebra(L, chi)
+        for _ in range(30):
+            x, y = E.random(rng), E.random(rng)
+            assert E.mul(x, y) == _schoolbook_mod(E, x, y)
+            power = E.one
+            for n in range(13):
+                assert E.pow(x, n) == power
+                power = E.mul(power, x)
+            if E.is_unit(x):
+                assert E.mul(E.pow(x, -5), E.pow(x, 5)) == E.one
+
+
+def test_quadratic_pow_matches_repeated_mul():
+    rng = random.Random(11)
+    for L in (QuadraticEtale(k7, 3), QuadraticEtale(k7)):
+        for _ in range(30):
+            x = L.random(rng)
+            power = L.one
+            for n in range(13):
+                assert L.pow(x, n) == power
+                power = L.mul(power, x)
+            if L.is_unit(x):
+                assert L.mul(L.pow(x, -4), L.pow(x, 4)) == L.one
+
+
+def test_cubic_is_irreducible_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+
+    def sympy_irreducible(p, chi):
+        a0, a1, a2 = chi
+        return sympy.Poly(X**3 + a2 * X**2 + a1 * X + a0, X, modulus=p).is_irreducible
+
+    for p in (5, 7):
+        k = PrimeField(p)
+        for chi in itertools.product(range(p), repeat=3):
+            assert cubic_is_irreducible(k, chi) == sympy_irreducible(p, chi), (p, chi)
+    rng = random.Random(1000003)
+    big = PrimeField(1000003)
+    for _ in range(50):
+        chi = tuple(big.random(rng) for _ in range(3))
+        assert cubic_is_irreducible(big, chi) == sympy_irreducible(big.p, chi), chi
 
 
 def test_non_etale_cubic_accepted_with_flag():
