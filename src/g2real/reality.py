@@ -816,14 +816,15 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     cosets of the subgroup preserving L, independent of the norm-class logic.
 
     Each coset {B : left B = B right} is B0 k[right] for one invertible
-    intertwiner B0, the span of B0, B0 right, B0 right^2.  On a split frame
-    span_search looks for a candidate of determinant 1 that intertwines; on
-    a field frame over F_p the coset is one sweeps.su_coset_sweep call, and
-    its first SU(H) hit is rebuilt and re-checked exactly.  The coset
-    holding the first witness is enumerated in full, so `checked` counts
-    every candidate of every coset visited.  All cosets together visit at
-    most `budget` candidates; past it, or over the rationals, the verdict
-    is unknown.
+    intertwiner B0, the span of B0, B0 right, B0 right^2.  Over F_p each
+    coset is one sweeps.coset_sweep call over that basis (determinant 1 on
+    a split frame, SU(H) on a field frame), and its first hit is rebuilt and
+    re-checked exactly: det 1, left B = B right and, on a field frame, B in
+    U(H).  Over Q a split coset is a span_search on the rational grid and a
+    field coset is not searched.  The coset holding the first witness is
+    enumerated in full, so `checked` counts every candidate of every coset
+    visited.  All cosets together visit at most `budget` candidates; past
+    it, or when the rational grid misses, the verdict is unknown.
 
     Preconditions: t certified, its fixed subalgebra is exactly the frame's
     quadratic algebra, and the induced 3x3 matrix is regular.  At level
@@ -884,22 +885,19 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
 
         before = search.left
         try:
-            if split:
+            if K.order is None:
                 search(K, basis, accept)
-            elif K.base.kind != "prime":
-                raise _Undecided("coset sweep needs a prime base field")
             else:
                 search.charge(K.order**3)
-                from .sweeps import su_coset_sweep
+                from .sweeps import coset_sweep
 
-                # conj(sigma(right)) = right, so the sweep runs over B0 k[right]
-                _, example = su_coset_sweep(K, frame.H, _sigma_mat(K, right), B0)
+                _, example = coset_sweep(K, basis, None if split else frame.H)
                 if example is not None:
                     B = linalg.zeros(K, 3, 3)
                     for c, M in zip(example, basis):
                         B = linalg.mat_add(K, B, linalg.scalar_mat(K, c, M))
-                    if not (conjugates(B) and in_unitary(B, K, frame.H)):
-                        raise RealityError("coset sweep hit fails the exact SU(H) re-check")
+                    if not (conjugates(B) and (split or in_unitary(B, K, frame.H))):
+                        raise RealityError("coset sweep hit fails the exact re-check")
                     hits.append(B)
             undecided = False
         except _Undecided:

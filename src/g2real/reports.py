@@ -53,6 +53,7 @@ REPORT_SCHEMA = {
                     **{name: _TEXT_MATRIX for name in ("A", "S1", "S2", "A1", "A2", "B")},
                     "H": {"type": "array", "items": {"type": "string"}},
                     "c": {"type": "integer"},
+                    **{name: {"type": "string"} for name in ("field", "omega", "b")},
                 },
             },
         },

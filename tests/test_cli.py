@@ -250,21 +250,25 @@ def test_malformed_witness_fails_verify_without_asserts(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+_CDK = ["cdk", "--q", "5", "--trials", "3", "--seed", "3"]
 _NON_STRING = {
-    "int A1 entry": (3, lambda w: w["A1"][0].__setitem__(0, 3)),
-    "null S1 row": (0, lambda w: w["S1"].__setitem__(0, None)),
+    "int A1 entry": (_CDK, 3, lambda w: w["A1"][0].__setitem__(0, 3)),
+    "null S1 row": (_CDK, 0, lambda w: w["S1"].__setitem__(0, None)),
+    "null field": (_CDK, 0, lambda w: w.__setitem__("field", None)),
+    "int omega": (["counterexample", "su", "--q", "17"], 0, lambda w: w.__setitem__("omega", 3)),
 }
 
 
 @pytest.mark.parametrize("case", list(_NON_STRING))
 def test_non_string_witness_entry_is_a_schema_error(tmp_path, case):
-    # witness matrices are typed in the schema, so a non-string entry is
-    # rejected at validation instead of escaping the re-check as a traceback
+    # witness matrices and text fields are typed in the schema, so a
+    # non-string entry is rejected at validation instead of escaping the
+    # re-check as a traceback
     import g2real
 
-    index, tamper = _NON_STRING[case]
+    args, index, tamper = _NON_STRING[case]
     out = tmp_path / "r.json"
-    assert run(["cdk", "--q", "5", "--trials", "3", "--seed", "3", "--json", str(out)]) == 0
+    assert run(args + ["--json", str(out)]) == 0
     data = json.loads(out.read_text())
     tamper(data["witnesses"][index])
     out.write_text(json.dumps(data))

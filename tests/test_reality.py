@@ -561,9 +561,20 @@ def test_oracle_rechecks_the_sweep_hit(su5, monkeypatch):
     L, O, fr = su5
     t = su_embed(random_su(L, fr.H, random.Random(0), separable=True), fr)
     assert brute_force_reality_oracle(t, fr)["verdict"] == "real"
-    monkeypatch.setattr(sweeps, "su_coset_sweep", lambda *args: (1, (L.zero,) * 3))
+    monkeypatch.setattr(sweeps, "coset_sweep", lambda *args: (1, (L.zero,) * 3))
     with pytest.raises(RealityError, match="re-check"):
         brute_force_reality_oracle(t, fr)
+
+
+def test_oracle_rechecks_a_split_kernel_hit(monkeypatch):
+    # a split-frame coset over F_p is one kernel call too: a hit on the
+    # non-real element (B0 itself, which intertwines but has det != 1) is a
+    # kernel bug, not a witness
+    ce = build_counterexample_sl3(7)
+    assert brute_force_reality_oracle(ce["t"], ce["frame"])["verdict"] == "not_real"
+    monkeypatch.setattr(sweeps, "coset_sweep", lambda *args: (1, (1, 0, 0)))
+    with pytest.raises(RealityError, match="re-check"):
+        brute_force_reality_oracle(ce["t"], ce["frame"])
 
 
 @pytest.fixture(scope="module")
@@ -615,6 +626,106 @@ def test_sweep_matches_candidate_by_candidate_reference(su5, su5_sweep_reference
     # an empty window, also where a hit sits
     for i in (777, ref[0]):
         assert su_coset_sweep(L, fr.H, A, X0, start=i, stop=i) == (0, None)
+
+
+@pytest.fixture(scope="module", params=[(7, 475), (13, 164)], ids=["F7", "F13"])
+def split_sweep_reference(request):
+    """A basis M, M A, M A^2 over F_p from a seeded random M and A, and the
+    flattened indices of the determinant-1 candidates among all p^3, found
+    one by one with itertools.product and linalg.  The seeds give a first
+    hit whose c0 and c1 are nonzero and distinct, so a kernel that mixes up
+    the coefficient slots shows."""
+    p, seed = request.param
+    k = PrimeField(p)
+    rng = random.Random(seed)
+    M, A = (tuple(tuple(k.random(rng) for _ in range(3)) for _ in range(3)) for _ in "MA")
+    MA = linalg.mat_mul(k, M, A)
+    basis = (M, MA, linalg.mat_mul(k, MA, A))
+    hits = []
+    for i, cs in enumerate(itertools.product(list(k.elements()), repeat=3)):
+        X = linalg.zeros(k, 3, 3)
+        for c, P in zip(cs, basis):
+            X = linalg.mat_add(k, X, linalg.scalar_mat(k, c, P))
+        if k.eq(linalg.det3(k, X), k.one):
+            hits.append(i)
+    return k, basis, hits
+
+
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_split_sweep_matches_candidate_by_candidate_reference(
+    split_sweep_reference, monkeypatch, chunk
+):
+    # chunk 40 also puts window edges inside runs and across run heads
+    if chunk is not None:
+        monkeypatch.setattr(sweeps._PArrays, "chunk", chunk)
+    k, basis, ref = split_sweep_reference
+    Q = k.p
+    elements = list(k.elements())
+
+    def sweep(start=0, stop=None):
+        return sweeps.coset_sweep(k, basis, start=start, stop=stop)
+
+    def expected(start, stop):
+        inside = [i for i in ref if start <= i < stop]
+        if not inside:
+            return 0, None
+        i0, rem = divmod(inside[0], Q * Q)
+        return len(inside), tuple(elements[i] for i in (i0, *divmod(rem, Q)))
+
+    first = expected(0, Q**3)[1]
+    assert first[0] != 0 and first[1] != 0 and first[0] != first[1]
+    assert sweep() == expected(0, Q**3)
+    # a window from the middle of a c0 block, ending inside a later run, and
+    # its complement
+    cut = (Q * Q // 2 + 1, 2 * Q * Q + Q // 2)
+    parts = [(0, cut[0]), cut, (cut[1], Q**3)]
+    for start, stop in parts:
+        assert sweep(start, stop) == expected(start, stop)
+    assert sum(sweep(a, b)[0] for a, b in parts) == len(ref)
+    # one-candidate windows, on a hit, just before it and at the last index
+    for i in (ref[0], ref[0] - 1, ref[-1], Q**3 - 1):
+        assert sweep(i, i + 1) == expected(i, i + 1)
+    # an empty window, also where a hit sits
+    for i in (5, ref[0]):
+        assert sweep(i, i) == (0, None)
+
+
+def _regular_sl3_classes(q):
+    """One matrix per regular class of SL3(F_q) without eigenvalue 1, for
+    q = 1 mod 3: the companion of each chi with det 1 and chi(1) != 0, then
+    D C D^-1 for D = diag(b, 1, 1), b a non-cube and its square (the two
+    non-trivial classes of k*/(k*)^3), and C the companion of (X - m)^3 for
+    each cube root m != 1 of 1.  Returns the field and the list, twists last."""
+    k = PrimeField(q)
+    companions = [
+        companion_matrix(k, (q - 1, c1, c2)) for c1 in range(q) for c2 in range(q) if (c1 + c2) % q
+    ]
+    cubes = {pow(x, 3, q) for x in range(1, q)}
+    g = next(b for b in range(2, q) if b not in cubes)
+    twists = []
+    for m in (x for x in range(2, q) if pow(x, 3, q) == 1):
+        C = companion_matrix(k, (q - 1, 3 * m * m % q, -3 * m % q))
+        for b in (g, g * g % q):
+            D, Dinv = (_sl3(((d, 0, 0), (0, 1, 0), (0, 0, 1)), k) for d in (b, pow(b, -1, q)))
+            twists.append(linalg.mat_mul(k, linalg.mat_mul(k, D, C), Dinv))
+    return k, companions + twists
+
+
+@pytest.mark.parametrize("q", [7, 13, 19])
+def test_whole_sl3_class_list_agrees_with_the_oracle(q):
+    # every regular class without eigenvalue 1: the decision and the oracle
+    # agree on each, and exactly the four triple-root twists are not real
+    k, classes = _regular_sl3_classes(q)
+    assert len(classes) == q * q - q + 4
+    frame = zorn_split_frame(zorn_algebra(k))
+    not_real = []
+    for i, A in enumerate(classes):
+        verdict = reality_sl3(k, A).verdict
+        assert verdict != "unknown"
+        assert brute_force_reality_oracle(sl3_embed(A, frame), frame)["verdict"] == verdict, A
+        if verdict == "not_real":
+            not_real.append(i)
+    assert not_real == list(range(len(classes) - 4, len(classes)))
 
 
 def test_non_regular_semisimple_is_real(frame7):
@@ -847,16 +958,16 @@ def _visits(monkeypatch, run):
 
 
 def _sweep_calls(monkeypatch, run):
-    """Coset sweeps that run(DEFAULT_BUDGET) makes."""
+    """Coset kernel calls that run(DEFAULT_BUDGET) makes."""
     calls = []
-    sweep = sweeps.su_coset_sweep
+    sweep = sweeps.coset_sweep
 
     def counting(*args):
         calls.append(args)
         return sweep(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(sweeps, "su_coset_sweep", counting)
+        m.setattr(sweeps, "coset_sweep", counting)
         run(DEFAULT_BUDGET)
     return len(calls)
 
@@ -943,9 +1054,12 @@ def _budget_routes():
 def test_budget_one_short_gives_unknown(monkeypatch, route):
     run, view = _budget_routes()[route]
     n, default = _visits(monkeypatch, run)
-    if route == "oracle field":
-        # a field-frame coset is one sweep over all 25^3 candidates, not a span search
-        n = 25**3 * _sweep_calls(monkeypatch, run)
+    q = {"oracle split, real": 5, "oracle split, not real": 7, "oracle field": 25}.get(route)
+    if q is not None:
+        # an oracle coset over a finite field is one kernel call over all
+        # q^3 candidates, not a span search
+        assert n == 0
+        n = q**3 * _sweep_calls(monkeypatch, run)
     assert n > 0
     short, _ = view(run(n - 1))
     assert short == "unknown"
