@@ -3,12 +3,14 @@
 Certification checks M(1) = 1 and multiplicativity on all 64 basis pairs;
 bilinearity makes that a complete proof, and the exact Gram identity
 M^T B M = B (norm preservation, B the polar form of N) is kept as a
-redundant net.  On top sit the subgroup
+redundant net.  Both run in integers: on residues over F_p, and over Q on
+d*M, d the lcm of the denominators of M.  On top sit the subgroup
 embeddings: SL(3) acting through a split frame, SU(3) through a quadratic
 field frame, the norm-one action fixing a quaternion subalgebra, and the
 order-2 map extending the conjugation of a quadratic subalgebra.
 """
 
+import math
 import random
 from collections import namedtuple
 
@@ -74,16 +76,18 @@ class AutMap:
         return [[F.to_text(x) for x in row] for row in self.matrix]
 
 
-def _np_matrix(F, m, dtype):
+def _np_integral(F, a):
+    """(N, s) with N = s*a an integer numpy array.  Over F_p, s = 1 and N
+    holds the residues (int64 below the cap, Python ints past it); over Q,
+    s is the lcm of the entries' denominators and N holds Python ints."""
     import numpy as np
 
-    if dtype is object:
-        a = np.empty((len(m), len(m[0])), dtype=object)
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                a[i, j] = x
-        return a
-    return np.array(m, dtype=dtype)
+    if F.kind == "prime":
+        return np.asarray(a, dtype=np.int64 if F.p < _INT64_PRIME_CAP else object), 1
+    a = np.asarray(a, dtype=object)
+    s = math.lcm(*(x.denominator for x in a.flat))
+    N = np.array([x.numerator * (s // x.denominator) for x in a.flat], dtype=object)
+    return N.reshape(a.shape), s
 
 
 def certify_automorphism(matrix, alg):
@@ -96,6 +100,11 @@ def certify_automorphism(matrix, alg):
     M^T B M = B, with B the polar form of N, is checked as a redundant net
     (failure "norm").  On failure the AutMap is returned uncertified with
     the first failing basis pair recorded.
+
+    Both identities run in exact integers: over F_p on residues, and over Q
+    on N = d*M, with d the lcm of the denominators of M, as
+    d*N(e_i e_j) = N(e_i) N(e_j) and N^T B N = d^2 B (the structure constants
+    and B cleared of their own denominators).
     """
     import numpy as np
 
@@ -108,11 +117,12 @@ def certify_automorphism(matrix, alg):
     if not all(F.eq(a, b) for a, b in zip(one_img, alg.one)):
         return AutMap(matrix, alg, False, failure="one")
 
-    T = alg.numpy_table()
-    use_int = F.kind == "prime" and F.p < _INT64_PRIME_CAP
-    dtype = np.int64 if use_int else object
-    M = _np_matrix(F, matrix, dtype)
-    B = _np_matrix(F, alg.bil, dtype)
+    # T and B are scaled by their own lcms, which cancel: each identity is
+    # linear in T and in B.  With N = d*M the identities are those for M times
+    # nonzero constants, so the verdict and the first failing pair are the same.
+    M, d = _np_integral(F, matrix)
+    T, _ = _np_integral(F, alg.numpy_table())
+    B, _ = _np_integral(F, alg.bil)
     p = F.p if F.kind == "prime" else None
 
     def red(a):
@@ -120,14 +130,14 @@ def certify_automorphism(matrix, alg):
         # object path (primes past the int64 cap) compare residues
         return a if p is None else a % p
 
-    lhs = red(np.tensordot(T, M, axes=([2], [1])))  # (i, j, m): M(e_i e_j)
+    lhs = red(d * np.tensordot(T, M, axes=([2], [1])))  # (i, j, m): d*N(e_i e_j)
     tmp = red(np.tensordot(M, T, axes=([0], [0])))  # (i, b, m)
     rhs = red(np.tensordot(tmp, M, axes=([1], [0]))).transpose(0, 2, 1)
     bad = np.argwhere(lhs != rhs)
     if len(bad):
         i, j, _ = bad[0]
         return AutMap(matrix, alg, False, failure=(int(i), int(j)))
-    if (red(M.T @ red(B @ M)) != B).any():
+    if (red(M.T @ red(B @ M)) != d * d * B).any():
         return AutMap(matrix, alg, False, failure="norm")
     return AutMap(matrix, alg, True)
 

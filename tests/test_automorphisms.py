@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +36,7 @@ from g2real.composition import (
 )
 from g2real.automorphisms import build_rho_on_zorn_diagonal
 from g2real.fields import FieldError, PrimeField, QuadraticEtale, RationalField
+from g2real.reality import companion_matrix
 
 k5 = PrimeField(5)
 k7 = PrimeField(7)
@@ -169,6 +172,108 @@ def test_certify_norm_net_rejects_non_injective_endomorphism():
     out = certify_automorphism(M, alg)
     assert not out.certified
     assert out.failure == "norm"
+
+
+def test_certify_norm_net_with_rational_structure_constants():
+    # i^2 = 1/4 and B = diag(2, -1/2): the structure constants and the polar
+    # form both have denominators, and 1 -> 1, i -> 1/2 (denominator 2) is
+    # unital and multiplicative but not injective, so only the Gram net
+    # N^T B N = d^2 B rejects it
+    Q = RationalField()
+    alg = cayley_dickson_double(base_algebra(Q), Fraction(1, 4))
+    assert alg.eq(alg.mul(alg.basis_vec(1), alg.basis_vec(1)), alg.scalar(Fraction(1, 4)))
+    M = linalg.transpose(linalg.mat([alg.one, alg.scalar(Fraction(1, 2))]))
+    assert _first_bad_pair(alg, M) is None
+    out = certify_automorphism(M, alg)
+    assert not out.certified
+    assert out.failure == "norm"
+
+
+def test_certify_rational_identities_run_in_integers(monkeypatch):
+    # beyond the M(1) = 1 check, certification over Q does no Fraction
+    # arithmetic: M, the structure constants and B are cleared of their
+    # denominators before the contractions
+    Q = RationalField()
+    alg = cayley_dickson_double(cayley_dickson_double(base_algebra(Q), Fraction(1, 4)), -3)
+    half = Fraction(1, 2)
+    M = linalg.mat([
+        [Q.one, 0, 0, 0], [0, half, 0, 0], [0, 0, Q.one, 0], [0, 0, 0, half],
+    ])
+    counts = {"ops": 0}
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        op = getattr(Fraction, name)
+
+        def counted(a, b, op=op):
+            counts["ops"] += 1
+            return op(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    linalg.mat_vec(Q, M, alg.one)
+    one_check = counts["ops"]
+    out = certify_automorphism(M, alg)
+    assert (out.certified, out.failure) == (False, (1, 1))
+    assert counts["ops"] == 2 * one_check
+
+
+def _reference_certify(alg, M):
+    """(certified, failure) by plain algebra products and a linalg Gram
+    check, independent of the vectorized integer check."""
+    F = alg.field
+    if not alg.eq(linalg.mat_vec(F, M, alg.one), alg.one):
+        return (False, "one")
+    bad = _first_bad_pair(alg, M)
+    if bad is not None:
+        return (False, bad)
+    gram = linalg.mat_mul(F, linalg.transpose(M), linalg.mat_mul(F, alg.bil, M))
+    if not linalg.mat_eq(F, gram, alg.bil):
+        return (False, "norm")
+    return (True, None)
+
+
+def _denominator_lcm(M):
+    return math.lcm(*(x.denominator for row in M for x in row))
+
+
+def test_certify_rational_matches_reference_past_int64():
+    # twists D C D^-1, C a companion matrix of det 1 and D = diag(b, 1, 1),
+    # embedded on the standard frame and on one off it; b a ratio of Mersenne
+    # primes puts the lcm d of the image's denominators past 2^63 and 2^127,
+    # and a tamper adds 1/q (q a fresh prime) off the support of 1
+    Q = RationalField()
+    alg = zorn_algebra(Q)
+    frames = (
+        zorn_split_frame(alg),
+        split_frame_from_idempotent(alg, alg.add(alg.basis_vec(0), alg.basis_vec(4))),
+    )
+    rng = random.Random(31)
+    bs = (
+        Fraction(3),
+        Fraction(2**31 - 1, 2**61 - 1),
+        Fraction(2**89 - 1, 2**127 - 1),
+        Fraction(rng.randint(2, 99), rng.randint(2, 99)),
+    )
+    fresh_primes = iter((10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079))
+    off_one = [c for c in range(alg.dim) if Q.is_zero(alg.one[c])]
+    lcms = []
+    for k, b in enumerate(bs):
+        c1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        c2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        C = companion_matrix(Q, (Q.element(-1), c1, c2))  # det C = 1
+        D = ((b, 0, 0), (0, 1, 0), (0, 0, 1))
+        D_inv = ((1 / b, 0, 0), (0, 1, 0), (0, 0, 1))
+        A = linalg.mat_mul(Q, linalg.mat_mul(Q, D, C), D_inv)
+        t = sl3_embed(A, frames[k % 2])
+        col = rng.choice(off_one)
+        bad = [list(r) for r in t.matrix]
+        bad[col][col] += Fraction(1, next(fresh_primes))
+        bad = linalg.mat(bad)
+        for M in (t.matrix, bad):
+            out = certify_automorphism(M, alg)
+            assert (out.certified, out.failure) == _reference_certify(alg, M)
+            lcms.append(_denominator_lcm(M))
+        assert isinstance(out.failure, tuple)  # the tamper breaks multiplicativity
+    assert any(2**63 < d < 2**127 for d in lcms)
+    assert max(lcms) > 2**127
 
 
 def test_certify_does_not_depend_on_global_random_state(zorn7, frame7):
