@@ -10,6 +10,7 @@ field frame, the norm-one action fixing a quaternion subalgebra, and the
 order-2 map extending the conjugation of a quadratic subalgebra.
 """
 
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -331,19 +332,23 @@ def _square_scalar(alg, x):
     return s if alg.eq(sq, alg.scale(s, alg.one)) else None
 
 
+def first_anisotropic(alg, vectors):
+    """The first of v_i, then of v_i + v_j (i < j), with nonzero norm, or None.
+    In characteristic not 2, None means the norm vanishes on the whole span:
+    its polar form N(v + w) - N(v) - N(w) is then zero on the v_i."""
+    F = alg.field
+    sums = (alg.add(v, w) for i, v in enumerate(vectors) for w in vectors[i + 1 :])
+    return next(
+        (v for v in itertools.chain(vectors, sums) if not F.is_zero(alg.norm(v))), None
+    )
+
+
 def _orthogonal_anisotropic(alg, span):
     """A vector orthogonal to `span` (norm form) with nonzero norm."""
-    F = alg.field
-    comp = list(orthogonal_complement(alg, span))
-    for v in comp:
-        if not F.is_zero(alg.norm(v)):
-            return v
-    for i, v in enumerate(comp):
-        for w in comp[i + 1 :]:
-            s = alg.add(v, w)
-            if not F.is_zero(alg.norm(s)):
-                return s
-    raise FieldError("no anisotropic vector in the orthogonal complement")
+    v = first_anisotropic(alg, list(orthogonal_complement(alg, span)))
+    if v is None:
+        raise FieldError("no anisotropic vector in the orthogonal complement")
+    return v
 
 
 def hermitian_form(frame, x, y):

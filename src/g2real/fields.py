@@ -379,7 +379,7 @@ class QuadraticEtale:
     def pow(self, x, n):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        return _power(self.mul, self.one, x, n)
+        return linalg.power(self.mul, self.one, x, n)
 
     def in_base(self, x):
         """True when x is sigma-fixed, i.e. lies in the embedded copy of k."""
@@ -475,7 +475,7 @@ class CubicAlgebra:
     def pow(self, x, n):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        return _power(self.mul, self.one, x, n)
+        return linalg.power(self.mul, self.one, x, n)
 
     def sigma(self, x):
         return tuple(self.L.sigma(c) for c in x)
@@ -545,17 +545,6 @@ class CubicAlgebra:
     def to_text(self, x):
         t = self.L.to_text
         return f"{t(x[0])} + ({t(x[1])})*t + ({t(x[2])})*t^2"
-
-
-def _power(mul, one, x, n):
-    """x^n for n >= 0 by square-and-multiply with the product mul."""
-    r = one
-    while n:
-        if n & 1:
-            r = mul(r, x)
-        x = mul(x, x)
-        n >>= 1
-    return r
 
 
 def _cubic_reduction(R, chi):
@@ -644,7 +633,7 @@ def cubic_is_irreducible(R, chi):
     if getattr(R, "order", None) is not None:
         # X^q mod chi by square-and-multiply on coefficient triples
         reduction = _cubic_reduction(R, chi)
-        result = _power(
+        result = linalg.power(
             lambda u, v: _cubic_mul(R, reduction, u, v),
             (R.one, R.zero, R.zero),
             (R.zero, R.one, R.zero),

@@ -8,6 +8,9 @@ only, so they hold over any commutative ring: the cubic algebras of fields.py
 take their norms with det3, and det3, which needs only add, sub and mul, also
 runs on the numpy arrays of the SU coset sweep.
 span_search is the one enumerator of matrix spans under a candidate budget.
+Nothing here draws random numbers.  The decisions write the witnesses of
+non-regular matrices down and take invertible basis matrices as base points,
+visiting no candidate; only a span without one is searched, under the budget.
 """
 
 
@@ -64,15 +67,21 @@ def mat_vec(F, a, v):
     return tuple(out)
 
 
-def mat_pow(F, a, n):
-    r = identity(F, len(a))
-    b = a
+def power(mul, one, x, n):
+    """x^n for n >= 0 by square-and-multiply with the product mul, without a
+    product by `one` or a square past the top bit: x^8 takes three products."""
+    r = None
     while n:
         if n & 1:
-            r = mat_mul(F, r, b)
-        b = mat_mul(F, b, b)
+            r = x if r is None else mul(r, x)
         n >>= 1
-    return r
+        if n:
+            x = mul(x, x)
+    return one if r is None else r
+
+
+def mat_pow(F, a, n):
+    return power(lambda x, y: mat_mul(F, x, y), identity(F, len(a)), a, n)
 
 
 def mat_eq(F, a, b):
@@ -348,26 +357,3 @@ def span_search(F, basis, coeffs, accept, budget):
 
     hit = level(0, None) if basis else None
     return hit, visited
-
-
-def first_invertible_combination(F, basis, rng=None, tries=200):
-    """An invertible matrix in the span of `basis`, or None.
-
-    Scans the basis first, then seeded random combinations.  Over the fields
-    used here an invertible element exists whenever the span contains one
-    with substantial probability, so the bounded scan is reliable.
-    """
-    for b in basis:
-        if not F.is_zero(det(F, b)):
-            return b
-    if rng is None or not basis:
-        return None
-    n = len(basis[0])
-    for _ in range(tries):
-        combo = zeros(F, n, n)
-        for b in basis:
-            c = F.random(rng)
-            combo = mat_add(F, combo, scalar_mat(F, c, b))
-        if not F.is_zero(det(F, combo)):
-            return combo
-    return None

@@ -12,8 +12,8 @@ are built and checked exactly.  Internal identities are checked with explicit
 raises, never `assert`, so they hold under python -O too.
 """
 
+import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +23,7 @@ from .automorphisms import (
     SplitFrame,
     _orthogonal_anisotropic,
     _square_scalar,
+    first_anisotropic,
     certify_automorphism,
     extract_sl3_matrix,
     extract_su_matrix,
@@ -288,6 +289,34 @@ def _with_det(F, target):
     return lambda M: M if F.eq(linalg.det3(F, M), target) else None
 
 
+def _invertible_in_span(F, basis, search):
+    """The first invertible basis matrix, else the first invertible
+    combination that `search` visits (None: a finite span holds none).  det
+    of a combination is a cubic form, so if it is nonzero it vanishes
+    neither on the rational grid nor on all of F_q^3 (q > 3)."""
+    for b in basis:
+        if not F.is_zero(linalg.det3(F, b)):
+            return b
+    return search(F, basis, lambda M: None if F.is_zero(linalg.det3(F, M)) else M)
+
+
+def _cyclic_pair(F, A):
+    """(v, Av, m1, c) for a non-regular A, or None when A is scalar: A^2 v =
+    -m0 v - m1 Av for the minimal polynomial X^2 + m1 X + m0, c = tr A + m1
+    is the eigenvalue of the eigenplane, and v is the first of e_i, e_i + e_j
+    with v, Av independent (a plane holds at most three of these six
+    vectors and a line one, so only a scalar A has none)."""
+    e = linalg.identity(F, 3)
+    sums = (tuple(map(F.add, e[i], e[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
+    for v in itertools.chain(e, sums):
+        Av = linalg.mat_vec(F, A, v)
+        if linalg.rank(F, (v, Av)) == 2:
+            _, minus_m1 = linalg.solve(F, linalg.transpose((v, Av)), linalg.mat_vec(F, A, Av))
+            trace = F.neg(linalg.charpoly3(F, A)[2])
+            return v, Av, F.neg(minus_m1), F.sub(trace, minus_m1)
+    return None
+
+
 def triple_root(F, chi):
     """The triple root when chi = (X - m)^3, else None."""
     c0, c1, c2 = chi
@@ -331,10 +360,11 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
     Looks for a symmetric determinant-1 solution S of S A = tA S and returns
     (S^-1, S A).  For regular A every solution of the linear system is
     automatically symmetric and the solutions form T0 k[A], so the search is
-    a deterministic scan of det f(A) values; otherwise the symmetric solution
-    space is enumerated directly.  The scans visit at most `budget`
-    candidates; when that is not enough, or a search over the rationals
-    misses its grid, the record carries the reason under "unknown".
+    a deterministic scan of det f(A) values.  A non-regular A has S written
+    down, and T0 is a basis matrix unless none is invertible: neither visits
+    a candidate.  The scans visit at most `budget` candidates; when that is
+    not enough, or a search over the rationals misses its grid, the record
+    carries the reason under "unknown".
     """
     try:
         dec = _symmetric_decomposition(F, A, _Search(budget))
@@ -349,12 +379,9 @@ def _symmetric_decomposition(F, A, search):
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
     At = linalg.transpose(A)
-    I = linalg.identity(F, 3)
-    if linalg.mat_eq(F, A, I):
-        return {"ok": True, "S1": I, "S2": I}
     if min_equals_char3(F, A):
         space = linalg.solve_sylvester_space(F, At, A)
-        T0 = linalg.first_invertible_combination(F, space, random.Random(0))
+        T0 = _invertible_in_span(F, space, search)
         if T0 is None:
             raise RealityError("no invertible intertwiner found")
         if not linalg.mat_eq(F, T0, linalg.transpose(T0)):
@@ -376,31 +403,34 @@ def _symmetric_decomposition(F, A, search):
         if fA is None:
             return {"ok": False, "obstruction": None}
         return _symmetric_pair(F, A, linalg.mat_mul(F, T0, fA))
-    # min poly strictly divides the characteristic polynomial: scan the
-    # symmetric solutions, a subspace of the 6-dimensional symmetric matrices
-    idx = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    return _symmetric_pair(F, A, _non_regular_intertwiner(F, A))
 
-    def symmetric(v):
-        S = [[None] * 3 for _ in range(3)]
-        for val, (i, j) in zip(v, idx):
-            S[i][j] = val
-            S[j][i] = val
-        return linalg.mat(S)
 
-    units = [symmetric([F.one if s == t else F.zero for s in range(6)]) for t in range(6)]
-    cols = [
-        linalg.vectors_matrix_to_flat(
-            linalg.mat_sub(F, linalg.mat_mul(F, E, A), linalg.mat_mul(F, At, E))
-        )
-        for E in units
-    ]
-    basis = linalg.nullspace(F, linalg.transpose(cols))
-    if not basis:
-        return {"ok": False, "obstruction": None}
-    S = search(F, [symmetric(v) for v in basis], _with_det(F, F.one))
-    if S is None:
-        return {"ok": False, "obstruction": None}
-    return _symmetric_pair(F, A, S)
+def _non_regular_intertwiner(F, A):
+    """The symmetric S of determinant 1 with S A = tA S for a non-regular A.
+
+    Scalar A takes S = I.  Otherwise P = [v, Av, w], with w an eigenvector
+    for c outside span(v, Av), gives A = P (C_m + (c)) P^-1 for the
+    companion matrix C_m of X^2 + m1 X + m0.  S0 = [[0, 1], [1, -m1]] is
+    symmetric with S0 C_m = tC_m S0 (Taussky-Zassenhaus), so S = P^-T
+    (S0 + (-(det P)^2)) P^-1 is symmetric with S A = tA S and det S = 1."""
+    I = linalg.identity(F, 3)
+    cyclic = _cyclic_pair(F, A)
+    if cyclic is None:
+        return I
+    v, Av, m1, c = cyclic
+    eigen = linalg.nullspace(F, linalg.mat_sub(F, A, linalg.scalar_mat(F, c, I)))
+    for w in eigen:
+        P = linalg.transpose((v, Av, w))
+        d = linalg.det3(F, P)
+        if not F.is_zero(d):
+            break
+    else:
+        raise RealityError("no eigenvector outside span(v, Av)")
+    z = F.zero
+    S0 = ((z, F.one, z), (F.one, F.neg(m1), z), (z, z, F.neg(F.mul(d, d))))
+    Pinv = linalg.inverse3(F, P)
+    return linalg.mat_mul(F, linalg.transpose(Pinv), linalg.mat_mul(F, S0, Pinv))
 
 
 def _symmetric_pair(F, A, S):
@@ -416,7 +446,9 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     identity coset), which together exhaust the conjugators when the fixed
     subalgebra is exactly the split quadratic algebra L.  All searches
     together visit at most `budget` candidates; past it the verdict is
-    unknown.
+    unknown.  A non-regular A is real by a written-down symmetric pair, and
+    the base points of the regular cosets are basis matrices unless none is
+    invertible: neither visits a candidate.
     """
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
@@ -447,11 +479,6 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
                     "is ruled out or obstructed"
                 )
                 return report
-        elif F.kind == "prime" and not _has_eigenvalue_one(F, chi):
-            # the symmetric scan covers only involution products; for a
-            # non-regular matrix a non-symmetric swap-coset conjugator may
-            # still exist, so decide by the full intertwiner spaces of both cosets
-            return _full_coset_scan(F, A, None, _with_det(F, F.one), search, report)
     except _Undecided as exc:
         report.notes.append(str(exc))
     if _has_eigenvalue_one(F, chi):
@@ -476,7 +503,7 @@ def _identity_coset_conjugator(F, A, chi, search):
         return None
     Ainv = linalg.inverse3(F, A)
     space = linalg.solve_sylvester_space(F, Ainv, A)
-    X0 = linalg.first_invertible_combination(F, space, random.Random(0))
+    X0 = _invertible_in_span(F, space, search)
     if X0 is None:
         raise _Undecided("no invertible intertwiner found for the identity coset")
     target = F.inv(linalg.det(F, X0))
@@ -484,21 +511,6 @@ def _identity_coset_conjugator(F, A, chi, search):
         return None
     fA = search(F, _powers(F, A), _with_det(F, target))
     return None if fA is None else linalg.mat_mul(F, X0, fA)
-
-
-def _full_coset_scan(K, A, H, accept, search, report):
-    """Decide a (typically non-regular) matrix by searching the whole
-    intertwiner space {B : left B = B right} of coset 1, then coset 0: real
-    with the first accept(B) that is not None, else not real."""
-    for coset in (1, 0):
-        space = linalg.solve_sylvester_space(K, *_coset_sides(K, A, coset, H))
-        B = search(K, space, accept) if space else None
-        if B is not None:
-            witness = {"type": "conjugator_matrix", "B": B, "coset": coset}
-            return _real(report, K, A, witness, H)
-    report.verdict = "not_real"
-    report.notes.append("full intertwiner scan over both cosets found nothing")
-    return report
 
 
 # -- SU(3) side ---------------------------------------------------------------
@@ -622,9 +634,10 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET):
     """Reality of the automorphism acting as A in SU(H) on a quadratic-field
     frame.  In the swap coset, conjugacy of t and t^-1 is conjugacy of
     conj(A) and A^-1 inside SU(H); the determinant class of a unitary base
-    conjugator against the norms of the unitary centralizer decides it.  All
-    searches together visit at most `budget` candidates; past it the verdict
-    is unknown."""
+    conjugator against the norms of the unitary centralizer decides it.  A
+    non-regular A is real by a written-down base conjugator, visiting no
+    candidate.  All searches together visit at most `budget` candidates;
+    past it the verdict is unknown."""
     if not in_su(A, L, H):
         raise RealityError("A must lie in SU(H)")
     chi = linalg.charpoly3(L, A)
@@ -639,11 +652,10 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET):
         return _real(report, L, A, {"type": "unitary_pair", "A1": I, "A2": I, "C": I}, H)
     regular = min_equals_char3(L, A)
     report.case["regular"] = regular
-    search = _Search(budget)
+    if not regular:
+        return _finish_su(L, H, A, _non_regular_base_conjugator(L, H, A), I, report)
     try:
-        if not regular:
-            return _reality_su_non_regular(L, A, H, report, search)
-        return _reality_su_regular(L, A, H, chi, report, search)
+        return _reality_su_regular(L, A, H, chi, report, _Search(budget))
     except _Undecided as exc:
         report.notes.append(str(exc))
         return report
@@ -744,14 +756,41 @@ def _finish_su(L, H, A, X0, z, report):
     return _real(report, L, A, {"type": "unitary_pair", "A1": A1, "A2": A2, "C": C}, H)
 
 
-def _reality_su_non_regular(L, A, H, report, search):
-    """min poly strictly smaller than char poly: enumerate unitary conjugator
-    candidates over the full intertwiner space of each coset."""
+def _h_row(L, H, x):
+    """The row of h(., x) = sum H_i (.)_i sigma(x_i), the form U(H) keeps."""
+    return tuple(L.scalar_mul(h, L.sigma(b)) for h, b in zip(H, x))
 
-    def accept(X):
-        return X if L.eq(linalg.det3(L, X), L.one) and in_unitary(X, L, H) else None
 
-    return _full_coset_scan(L, A, H, accept, search, report)
+def _non_regular_base_conjugator(L, H, A):
+    """X in U(H) of determinant 1 with A^-1 X = X conj(A) and conj(X) X = 1
+    for a non-regular A in SU(H), so that (A X, X^-1) is a unitary pair.
+    X = P diag(1, 1, sigma(d)/d) sigma(P)^-1, d = det P, for P = [w1, w2, y]
+    with y an anisotropic eigenvector and (w1, w2) a basis of y^perp with a
+    k-valued Gram matrix; A acts on both blocks by J with conj(J) = J^-1.
+    A - c (c of the eigenplane) has rank 1 and image k z.  If z is
+    anisotropic, A is semisimple and y^perp = z^perp is the eigenplane;
+    else w1 = z.  w2 then makes h(w2, w1) 0 or 1.  Scalar A takes X = I."""
+    I = linalg.identity(L, 3)
+    cyclic = _cyclic_pair(L, A)
+    if cyclic is None:
+        return I
+    N = linalg.mat_sub(L, A, linalg.scalar_mat(L, cyclic[3], I))
+    z = next(col for col in linalg.transpose(N) if not all(map(L.is_zero, col)))
+    if L.is_zero(linalg.mat_vec(L, (z,), _h_row(L, H, z))[0]):
+        u, w = z, next(e for e, x in zip(I, z) if not L.is_zero(x))
+    else:
+        u, w = linalg.nullspace(L, N)
+    huu, hwu = linalg.mat_vec(L, (u, w), _h_row(L, H, u))
+    if L.is_zero(huu):
+        w2 = tuple(L.div(x, hwu) for x in w)
+    else:
+        w2 = tuple(L.sub(a, L.mul(L.div(hwu, huu), b)) for a, b in zip(w, u))
+    # y spans {u, w2}^perp: h(y, u) = h(y, w2) = 0 is linear in y
+    (y,) = linalg.nullspace(L, (_h_row(L, H, u), _h_row(L, H, w2)))
+    P = linalg.transpose((u, w2, y))
+    d = linalg.det3(L, P)
+    PD = linalg.transpose((u, w2, tuple(L.mul(L.div(L.sigma(d), d), x) for x in y)))
+    return linalg.mat_mul(L, PD, linalg.inverse3(L, _sigma_mat(L, P)))
 
 
 # -- witnesses at the octonion level -------------------------------------------
@@ -867,11 +906,6 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
         if not all(K.eq(x, y) for x, y in chis):
             continue
         space = linalg.solve_sylvester_space(K, left, right)
-        B0 = linalg.first_invertible_combination(K, space, random.Random(1 if split else 2))
-        if B0 is None:
-            continue
-        B0R = linalg.mat_mul(K, B0, right)
-        basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
         hits = []
 
         def conjugates(B):
@@ -885,6 +919,11 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
 
         before = search.left
         try:
+            B0 = _invertible_in_span(K, space, search)
+            if B0 is None:
+                raise RealityError("similar sides without an invertible intertwiner")
+            B0R = linalg.mat_mul(K, B0, right)
+            basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
             if K.order is None:
                 search(K, basis, accept)
             else:
@@ -1140,42 +1179,20 @@ def _reality_quaternion_case(t, case):
     abar = alg.conj(a)
     p = alg.scale(F.inv(alg.norm(a)), alg.mul(ta, abar))
     pbar = alg.conj(p)
-    # solve u p = pbar u inside D, preferring trace-zero invertible u
-    rows = []
-    for j in range(4):
-        dj = D[j]
-        diff = alg.sub(alg.mul(dj, p), alg.mul(pbar, dj))
-        rows.append(diff)
-    # coefficients: unknown u = sum c_j D[j]; equation sum c_j diff_j = 0
-    M = linalg.transpose(linalg.mat(rows))
-    null = linalg.nullspace(F, M)
-    best = None
-    for coefs in null:
+    # W = {u in D : u p = pbar u, tr u = 0}; u p = pbar u already forces
+    # tr u = 0 (p is not central, char != 2), so the trace row changes no basis
+    rows = [alg.sub(alg.mul(dj, p), alg.mul(pbar, dj)) for dj in D]
+    M = linalg.transpose(linalg.mat(rows)) + (tuple(alg.trace(dj) for dj in D),)
+    W = []
+    for coefs in linalg.nullspace(F, M):
         u = alg.zero_vec()
         for c, dj in zip(coefs, D):
             u = alg.add(u, alg.scale(c, dj))
-        if F.is_zero(alg.norm(u)):
-            continue
-        if F.is_zero(alg.trace(u)):
-            best = u
-            break
-        if best is None:
-            best = u
-    if best is None and len(null) >= 2:
-        rng = random.Random(3)
-        for _ in range(200):
-            u = alg.zero_vec()
-            for bv in null:
-                c = F.random(rng)
-                for idx, dj in enumerate(D):
-                    u = alg.add(u, alg.scale(F.mul(c, bv[idx]), dj))
-            if not F.is_zero(alg.norm(u)) and F.is_zero(alg.trace(u)):
-                best = u
-                break
-    if best is None:
+        W.append(u)
+    u = first_anisotropic(alg, W)
+    if u is None:
         rep.notes.append("no invertible conjugating element found in D")
         return rep
-    u = best
     cols = list(D) + [alg.mul(d, a) for d in D]
     C = linalg.transpose(linalg.mat(cols))
     uinv_scale = F.inv(alg.norm(u))
@@ -1194,7 +1211,7 @@ def _reality_quaternion_case(t, case):
         rep.notes.append("inner conjugation did not invert t")
         return rep
     rep.verdict = "real"
-    if F.is_zero(alg.trace(u)) and h.compose(h).is_identity():
+    if h.compose(h).is_identity():
         i1, i2 = involution_pair_from_involutive_conjugator(h, t)
         rep.witness = {"type": "two_involutions", "iota1": i1, "iota2": i2}
     else:

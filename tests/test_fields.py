@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from g2real import linalg
 from g2real.fields import (
     CubicAlgebra,
     EnumerationError,
@@ -291,6 +292,25 @@ def test_quadratic_pow_matches_repeated_mul():
                 power = L.mul(power, x)
             if L.is_unit(x):
                 assert L.mul(L.pow(x, -4), L.pow(x, 4)) == L.one
+
+
+def test_power_matches_repeated_products_and_stops_at_the_top_bit():
+    # the one square-and-multiply, on 8x8 matrices: x^n equals n products,
+    # and x^8 costs three squares, no product by the identity
+    rng = random.Random(12)
+    M = tuple(tuple(k7.random(rng) for _ in range(8)) for _ in range(8))
+    power = linalg.identity(k7, 8)
+    for n in range(10):
+        assert linalg.mat_pow(k7, M, n) == power
+        power = linalg.mat_mul(k7, power, M)
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return linalg.mat_mul(k7, a, b)
+
+    assert linalg.power(mul, linalg.identity(k7, 8), M, 8) == linalg.mat_pow(k7, M, 8)
+    assert len(products) == 3
 
 
 def test_cubic_is_irreducible_agrees_with_sympy():

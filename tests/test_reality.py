@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from g2real import linalg, sweeps
 from g2real.automorphisms import (
+    first_anisotropic,
     in_su,
     involution_from_quaternion,
     quadratic_subfield_frame,
@@ -18,7 +20,13 @@ from g2real.automorphisms import (
     _orthogonal_anisotropic,
 )
 from g2real.composition import hermitian_space, octonion_from_hermitian, zorn_algebra
-from g2real.fields import PrimeField, QuadraticEtale, RationalField, cubic_is_irreducible
+from g2real.fields import (
+    PrimeField,
+    QuadraticEtale,
+    RationalField,
+    _has_eigenvalue_one,
+    cubic_is_irreducible,
+)
 from g2real.reality import (
     DEFAULT_BUDGET,
     RealityError,
@@ -28,7 +36,6 @@ from g2real.reality import (
     classify,
     companion_factorization,
     companion_matrix,
-    conjugator_witness,
     min_equals_char3,
     reality_report_for,
     reality_sl3,
@@ -746,17 +753,18 @@ def test_non_regular_semisimple_is_real(frame7):
 
 def test_non_regular_jordan_block_gets_definitive_verdict(frame7):
     # Jordan type (2,1) with eigenvalue omega = 2 over F7: not regular, no
-    # eigenvalue 1; the full-coset scan must decide, not guess
+    # eigenvalue 1; the written-down symmetric intertwiner makes it real
     w = k7.element(2)
     A = ((w, k7.one, k7.zero), (k7.zero, w, k7.zero), (k7.zero, k7.zero, w))
     assert k7.eq(linalg.det3(k7, A), k7.one)
     assert not min_equals_char3(k7, A)
     rep = reality_sl3(k7, A)
-    assert rep.verdict in ("real", "not_real")
-    if rep.verdict == "real" and rep.witness["type"] == "conjugator_matrix":
-        h = conjugator_witness(sl3_embed(A, frame7), frame7, rep)
-        t = sl3_embed(A, frame7)
-        assert h.compose(t).compose(h.inverse()).eq(t.inverse())
+    assert rep.verdict == "real"
+    assert rep.witness["type"] == "symmetric_pair"
+    t = sl3_embed(A, frame7)
+    i1, i2 = two_involution_witness(t, frame7, rep)
+    assert i1.compose(i1).is_identity() and i2.compose(i2).is_identity()
+    assert i1.compose(i2).eq(t)
 
 
 def test_local_su_family_cube_class_is_real():
@@ -892,6 +900,161 @@ def test_pipeline_unipotent_type_reports_honestly(frame5):
 
 
 # ---------------------------------------------------------------------------
+# cd(k) <= 1: every non-regular class is real, with two involutions
+# ---------------------------------------------------------------------------
+
+def _diag(a, b, c, z):
+    return ((a, z, z), (z, b, z), (z, z, c))
+
+
+def _non_regular_sl3_types(k):
+    """aI and a(1 + E12) for a^3 = 1, and diag(a, a, a^-2) for a^3 != 1."""
+    z = k.zero
+    out = []
+    for a in (x for x in k.elements() if not k.is_zero(x)):
+        if k.eq(k.pow(a, 3), k.one):
+            out += [_diag(a, a, a, z), ((a, a, z), (z, a, z), (z, z, a))]
+        else:
+            out.append(_diag(a, a, k.inv(k.mul(a, a)), z))
+    return out
+
+
+def _unitary_transvection(L, H):
+    """1 + g z h(., z) for an isotropic z = (1, x, 0) and the trace-zero g:
+    unitary because g + sigma(g) = 0 and h(z, z) = 0."""
+    k = L.base
+    x = next(x for x in L.elements() if k.eq(k.mul(H[1], L.norm(x)), k.neg(H[0])))
+    z = (L.one, x, L.zero)
+    row = tuple(L.mul(L.embed(h), L.sigma(c)) for h, c in zip(H, z))
+    N = tuple(tuple(L.mul(L.gen(), L.mul(zi, r)) for r in row) for zi in z)
+    return linalg.mat_add(L, linalg.identity(L, 3), N)
+
+
+def _non_regular_su_types(L, H):
+    """aI and a T for a^3 = 1 of norm 1, T a unitary transvection, and
+    diag(a, a, a^-2) for a of norm 1 with a^3 != 1."""
+    k = L.base
+    T = _unitary_transvection(L, H)
+    out = []
+    for a in (x for x in L.elements() if k.eq(L.norm(x), k.one)):
+        if L.eq(L.pow(a, 3), L.one):
+            aI = linalg.scalar_mat(L, a, linalg.identity(L, 3))
+            out += [aI, linalg.mat_mul(L, aI, T)]
+        else:
+            out.append(_diag(a, a, L.inv(L.mul(a, a)), L.zero))
+    return out
+
+
+def _conjugates(K, A, draws):
+    return [linalg.mat_mul(K, linalg.mat_mul(K, g, A), linalg.inverse3(K, g)) for g in draws]
+
+
+def _assert_two_involutions(t, frame, rep, K, A, H):
+    from g2real.reality import check_witness
+
+    assert rep.verdict == "real"
+    assert rep.witness["type"] == ("symmetric_pair" if H is None else "unitary_pair")
+    check_witness(K, A, rep.witness, H)
+    i1, i2 = two_involution_witness(t, frame, rep)
+    assert i1.compose(i1).is_identity() and i2.compose(i2).is_identity()
+    assert i1.compose(i2).eq(t)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_non_regular_classes_are_real_by_construction(q):
+    # every non-regular type of SL3(F_q) and SU3(F_q^2), conjugated by two
+    # seeded elements of SL3 or SU(H), is real with a symmetric or unitary
+    # pair that lifts to two involutions; with no eigenvalue 1 the 8x8
+    # pipeline agrees on the second conjugate
+    k = PrimeField(q)
+    rng = random.Random(q)
+    frame = zorn_split_frame(zorn_algebra(k))
+    for A in _non_regular_sl3_types(k):
+        for B in _conjugates(k, A, [random_sl3(k, rng) for _ in range(2)]):
+            assert not min_equals_char3(k, B)
+            t = sl3_embed(B, frame)
+            _assert_two_involutions(t, frame, reality_sl3(k, B), k, B, None)
+        if not _has_eigenvalue_one(k, linalg.charpoly3(k, B)):
+            rep = reality_report_for(t)
+            assert rep.verdict == "real" and "iota1" in rep.witness
+    L = QuadraticEtale(k, k.nonsquare())
+    O = octonion_from_hermitian(hermitian_space(L, (1, 1, 1)))
+    fr = quadratic_subfield_frame(O, O.basis_vec(1))
+    for A in _non_regular_su_types(L, fr.H):
+        assert in_su(A, L, fr.H)
+        for B in _conjugates(L, A, [random_su(L, fr.H, rng) for _ in range(2)]):
+            assert not min_equals_char3(L, B)
+            t = su_embed(B, fr)
+            _assert_two_involutions(t, fr, reality_su(L, B, fr.H), L, B, fr.H)
+        if not _has_eigenvalue_one(L, linalg.charpoly3(L, B)):
+            rep = reality_report_for(t)
+            assert rep.verdict == "real" and "iota1" in rep.witness
+
+
+@pytest.mark.parametrize("kind", ["omega I", "omega transvection"])
+def test_su_non_regular_over_f25_is_immediate(monkeypatch, kind, su5):
+    # the two non-regular SU3(F_25) classes of eigenvalue omega: real with a
+    # unitary pair at the default budget, visiting no candidate
+    L, _, fr = su5
+    omega = next(x for x in L.elements() if not L.eq(x, L.one) and L.eq(L.pow(x, 3), L.one))
+    A = linalg.scalar_mat(L, omega, linalg.identity(L, 3))
+    if kind == "omega transvection":
+        A = linalg.mat_mul(L, A, _unitary_transvection(L, fr.H))
+    start = time.perf_counter()
+    n, rep = _visits(monkeypatch, lambda b: reality_su(L, A, fr.H, b))
+    assert time.perf_counter() - start < 1.0
+    assert n == 0
+    _assert_two_involutions(su_embed(A, fr), fr, rep, L, A, fr.H)
+
+
+def test_decisions_draw_no_random_numbers(monkeypatch, su5):
+    # draws of the criterion-07 and criterion-09 seeds whose intertwiner
+    # spaces have no invertible basis matrix: their base points come from
+    # the span search, so no decision, report or oracle run needs a random
+    # number generator
+    L, _, fr = su5
+    k7 = PrimeField(7)
+    split = [
+        (k5, _sl3(((4, 0, 4), (1, 3, 4), (4, 0, 2)), k5)),
+        (k7, _sl3(((6, 0, 0), (0, 0, 1), (0, 1, 5)), k7)),
+        (k7, _sl3(((5, 6, 1), (0, 4, 1), (3, 6, 3)), k7)),
+        (k7, _sl3(((4, 5, 0), (1, 0, 0), (0, 2, 4)), k7)),
+        (k7, _sl3(((5, 0, 1), (6, 4, 6), (4, 0, 4)), k7)),
+        (k7, _sl3(((2, 1, 0), (4, 4, 5), (0, 0, 2)), k7)),
+    ]
+    frames = {q: zorn_split_frame(zorn_algebra(PrimeField(q))) for q in (5, 7)}
+    elements = [(F, A, sl3_embed(A, frames[F.p])) for F, A in split]
+    su = [random_su(L, fr.H, random.Random(s), separable=True) for s in range(3)]
+    su_t = [su_embed(A, fr) for A in su]
+
+    class NoRandom:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("random.Random used by a decision")
+
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", NoRandom)
+        for F, A, t in elements:
+            frame = frames[F.p]
+            assert reality_sl3(F, A).verdict == reality_report_for(t).verdict
+            orc = brute_force_reality_oracle(t, frame)
+            assert orc["verdict"] == reality_sl3(F, A).verdict
+        for A, t in zip(su, su_t):
+            assert reality_su(L, A, fr.H).verdict == "real"
+            assert reality_report_for(t).verdict == "real"
+            assert brute_force_reality_oracle(t, fr)["verdict"] == "real"
+
+
+def test_first_anisotropic_tries_pairwise_sums(frame5):
+    # e and f are isotropic, e + f = 1 is not: the pick is the sum, and a
+    # totally isotropic span gives None
+    alg = frame5.alg
+    assert k5.is_zero(alg.norm(frame5.e)) and k5.is_zero(alg.norm(frame5.f))
+    assert alg.eq(first_anisotropic(alg, [frame5.e, frame5.f]), alg.add(frame5.e, frame5.f))
+    assert first_anisotropic(alg, [frame5.e]) is None
+    assert alg.eq(first_anisotropic(alg, [frame5.e, alg.one]), alg.one)
+
+
+# ---------------------------------------------------------------------------
 # the span enumerator and the budget rule
 # ---------------------------------------------------------------------------
 
@@ -997,17 +1160,10 @@ def _su_by_route(L, H, route):
 
 
 def _budget_routes():
-    k3 = PrimeField(3)
-    L3 = QuadraticEtale(k3, 2)
-    lam = next(x for x in L3.elements() if k3.eq(L3.norm(x), k3.one) and not L3.eq(x, L3.one))
-    z = L3.zero
-    diag3 = ((lam, z, z), (z, lam, z), (z, z, L3.inv(L3.mul(lam, lam))))
     L5 = QuadraticEtale(k5, 2)
     O5 = octonion_from_hermitian(hermitian_space(L5, (1, 1, 1)))
     fr5 = quadratic_subfield_frame(O5, O5.basis_vec(1))
-    H3 = (k3.one, k3.one, k3.one)
     sym_regular = _sl3(((2, 3, 0), (2, 0, 3), (3, 3, 3)), k5)
-    jordan = _sl3(((2, 1, 0), (0, 2, 0), (0, 0, 2)), k7)
     real5 = sl3_embed(sym_regular, zorn_split_frame(zorn_algebra(k5)))
     ce7 = build_counterexample_sl3(7)
     su = {r: _su_by_route(L5, fr5.H, r) for r in ("separable", "triple_root", "repeated_root")}
@@ -1021,15 +1177,10 @@ def _budget_routes():
 
     return {
         "sl3 regular, symmetric pair": (lambda b: reality_sl3(k5, sym_regular, b), _report_view),
-        "sl3 non-regular, symmetric pair": (
-            lambda b: reality_sl3(k5, _sl3(((3, 2, 3), (1, 2, 2), (0, 0, 4)), k5), b),
-            _report_view,
-        ),
         "sl3 identity coset": (
             lambda b: reality_sl3(k7, _sl3(((2, 4, 5), (3, 0, 3), (6, 2, 1)), k7), b),
             _report_view,
         ),
-        "sl3 full coset scan": (lambda b: reality_sl3(k7, jordan, b), _report_view),
         "symmetric_decomposition": (
             lambda b: symmetric_decomposition(k5, sym_regular, b), dec_view,
         ),
@@ -1038,7 +1189,6 @@ def _budget_routes():
         "su repeated root": (
             lambda b: reality_su(L5, su["repeated_root"], fr5.H, b), _report_view,
         ),
-        "su non-regular": (lambda b: reality_su(L3, diag3, H3, b), _report_view),
         "oracle split, real": (
             lambda b: brute_force_reality_oracle(real5, zorn_split_frame(real5.algebra), b),
             oracle_view,
@@ -1068,6 +1218,43 @@ def test_budget_one_short_gives_unknown(monkeypatch, route):
     if route.startswith("oracle"):
         assert sum(run(n - 1)["checked"].values()) == n - 1
         assert sum(default["checked"].values()) == n
+
+
+def _non_regular_routes():
+    """(K, A, H) for non-regular matrices, H None on a split frame."""
+    k3 = PrimeField(3)
+    L3 = QuadraticEtale(k3, 2)
+    lam = next(x for x in L3.elements() if k3.eq(L3.norm(x), k3.one) and not L3.eq(x, L3.one))
+    z = L3.zero
+    diag3 = ((lam, z, z), (z, lam, z), (z, z, L3.inv(L3.mul(lam, lam))))
+    return {
+        "sl3 non-regular, symmetric pair": (
+            k5, _sl3(((3, 2, 3), (1, 2, 2), (0, 0, 4)), k5), None,
+        ),
+        "sl3 jordan block": (k7, _sl3(((2, 1, 0), (0, 2, 0), (0, 0, 2)), k7), None),
+        "su non-regular": (L3, diag3, (k3.one, k3.one, k3.one)),
+    }
+
+
+@pytest.mark.parametrize("route", list(_non_regular_routes()))
+def test_non_regular_decides_real_at_budget_zero(monkeypatch, route):
+    # a non-regular matrix is decided by a written-down witness: no span
+    # search runs, so even budget 0 gives the default verdict and witness
+    from g2real.reality import check_witness
+
+    K, A, H = _non_regular_routes()[route]
+    assert not min_equals_char3(K, A)
+
+    def run(b):
+        return reality_sl3(K, A, b) if H is None else reality_su(K, A, H, b)
+
+    n, default = _visits(monkeypatch, run)
+    assert n == 0
+    rep = run(0)
+    assert rep.verdict == "real"
+    assert rep.witness["type"] == ("symmetric_pair" if H is None else "unitary_pair")
+    check_witness(K, A, rep.witness, H)
+    assert _report_view(rep) == _report_view(default)
 
 
 # ---------------------------------------------------------------------------
