@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 
 from . import linalg
-from .composition import orthogonal_complement
+from .composition import _dot, hermitian_row, orthogonal_complement
 from .fields import FieldError, QuadraticEtale, _cubic_separable, _has_eigenvalue_one
 
 _INT64_PRIME_CAP = 2**29
@@ -428,13 +428,20 @@ def su_embed(A, frame):
     )
 
 
+def sigma_h(L, H, X):
+    """The adjoint X -> H^-1 conj(X)^t H for the diagonal Gram H over k:
+    entry (i, j) is (H_j / H_i) sigma(X[j][i])."""
+    k = L.base
+    return tuple(
+        tuple(L.scalar_mul(k.div(H[j], H[i]), L.sigma(X[j][i])) for j in range(3))
+        for i in range(3)
+    )
+
+
 def in_unitary(A, L, H):
-    """Whether tA H conj(A) = H for the diagonal hermitian Gram H over k."""
-    Hm = [[L.embed(H[i]) if i == j else L.zero for j in range(3)] for i in range(3)]
-    At = linalg.transpose(A)
-    Ab = linalg.map_entries(L.sigma, A)
-    prod = linalg.mat_mul(L, linalg.mat_mul(L, At, linalg.mat(Hm)), Ab)
-    return linalg.mat_eq(L, prod, linalg.mat(Hm))
+    """Whether sigma_h(A) A = 1, i.e. tA H conj(A) = H for the diagonal
+    hermitian Gram H over k."""
+    return linalg.mat_eq(L, linalg.mat_mul(L, sigma_h(L, H, A), A), linalg.identity(L, 3))
 
 
 def in_su(A, L, H):
@@ -521,7 +528,7 @@ def sl1_action(alg, D_basis, a, p):
     return out
 
 
-def involution_conjugacy_classes(alg, seed=7):
+def involution_conjugacy_classes(alg):
     """Over a finite field all quaternion algebras are split, so involutions
     form a single conjugacy class.  Returns (1, witness) where the witness
     carries two independently built involutions and a certified conjugator.
@@ -529,7 +536,7 @@ def involution_conjugacy_classes(alg, seed=7):
     F = alg.field
     if F.kind != "prime":
         raise FieldError("involution class count is implemented for finite fields")
-    rng = random.Random(seed)
+    rng = random.Random(7)
     one = alg.one
     g = _trace_zero_split_generator(alg)
     spanL = (one, g)
@@ -662,29 +669,19 @@ def _unitary_from_columns(L, H, P):
     from .composition import _solve_norm
 
     k = L.base
-    cols = list(linalg.transpose(P))
-
-    def h(u, v):
-        s = L.zero
-        for d, a, b in zip(H, u, v):
-            s = L.add(s, L.scalar_mul(d, L.mul(a, L.sigma(b))))
-        return s
-
     out = []
-    for i in range(3):
-        v = cols[i]
+    for v in linalg.transpose(P):
         for w in out:
-            hw = h(w, w)
-            coef = L.div(h(v, w), hw)
+            row = hermitian_row(L, H, w)
+            coef = L.div(_dot(L, v, row), _dot(L, w, row))
             v = tuple(L.sub(x, L.mul(coef, y)) for x, y in zip(v, w))
-        hv = h(v, v)
-        if L.is_zero(hv):
+        if L.is_zero(_dot(L, v, hermitian_row(L, H, v))):
             return None
         out.append(v)
     # rescale: h(s v, s v) = N(s) h(v, v); need N(s) = H[i] / h(v, v)
     fixed = []
     for i, v in enumerate(out):
-        hv = h(v, v)  # sigma-fixed, so an element of k
+        hv = _dot(L, v, hermitian_row(L, H, v))  # sigma-fixed, so an element of k
         target = k.div(H[i], L.to_base(hv))
         s = _solve_norm(L, target)
         if s is None:

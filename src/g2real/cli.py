@@ -193,8 +193,13 @@ def cmd_axioms(args):
     )
     from .sweeps import batch_minimal_equation, batch_zorn_composition
 
-    if args.field not in ("Q",) and int(args.field) == 2:
-        raise UsageError("characteristic 2 is excluded")
+    if args.field != "Q":
+        try:
+            p = int(args.field)
+        except ValueError:
+            raise UsageError(f"--field must be an odd prime or Q, got {args.field!r}") from None
+        if p == 2:
+            raise UsageError("characteristic 2 is excluded")
     start = time.perf_counter()
     F = ground_field(args.field)
     rep = reports.new_report(
@@ -255,6 +260,8 @@ def cmd_counterexample(args):
         symmetric_decomposition,
     )
 
+    if args.budget < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
     start = time.perf_counter()
     rep = reports.new_report(
         "counterexample",
@@ -486,6 +493,8 @@ def cmd_report(args):
     try:
         with open(args.input) as fh:
             data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read report: {exc}") from exc
     except json.JSONDecodeError as exc:
         print(
             f"schema error at /: not valid JSON (line {exc.lineno}, col {exc.colno})",

@@ -187,16 +187,6 @@ def _dot(F, u, v):
     return s
 
 
-def octonion_text(alg, x):
-    t = alg.field.to_text
-    if alg.dim != 8:
-        return "[" + ",".join(t(c) for c in x) + "]"
-    return (
-        f"[{t(x[0])} | {t(x[1])},{t(x[2])},{t(x[3])} | "
-        f"{t(x[4])},{t(x[5])},{t(x[6])} | {t(x[7])}]"
-    )
-
-
 # -- Zorn vector matrices ---------------------------------------------------
 
 def _cross(F, u, v):
@@ -406,6 +396,12 @@ def hermitian_space(L, diag):
     return HermitianSpace3(L, d)
 
 
+def hermitian_row(L, H, x):
+    """The row of h(., x) = sum H_i (.)_i sigma(x_i) for the diagonal Gram H,
+    so that h(u, x) = _dot(L, u, hermitian_row(L, H, x))."""
+    return tuple(L.scalar_mul(h, L.sigma(b)) for h, b in zip(H, x))
+
+
 def _solve_norm(L, target):
     """An element of L with N_{L/k} equal to target, or None.
 
@@ -462,12 +458,6 @@ def octonion_from_hermitian(space, psi=None):
     lam_inv = tuple(k.inv(d) for d in lam)
     spsi = L.sigma(psi)
 
-    def h(v, w):
-        s = L.zero
-        for d, a, bb in zip(lam, v, w):
-            s = L.add(s, L.scalar_mul(d, L.mul(a, L.sigma(bb))))
-        return s
-
     def crossh(v, w):
         cr = _cross(L, v, w)
         return tuple(
@@ -475,7 +465,7 @@ def octonion_from_hermitian(space, psi=None):
         )
 
     def pmul(a, v, b, w):
-        s = L.sub(L.mul(a, b), h(v, w))
+        s = L.sub(L.mul(a, b), _dot(L, v, hermitian_row(L, lam, w)))
         ch = crossh(v, w)
         sb = L.sigma(b)
         vec = tuple(
@@ -525,7 +515,7 @@ def octonion_from_hermitian(space, psi=None):
             aj, vj = basis[j]
             # polarization: B = tr_L(a_i sigma(a_j)) + tr_L(h(v_i, v_j))
             val = L.trace(L.mul(ai, L.sigma(aj)))
-            val = k.add(val, L.trace(h(vi, vj)))
+            val = k.add(val, L.trace(_dot(L, vi, hermitian_row(L, lam, vj))))
             bil[i][j] = val
     meta = {"L": L, "diag": lam, "psi": psi}
     return Algebra(
@@ -665,7 +655,7 @@ def norm_is_isotropic(alg):
 PeirceFrame = namedtuple("PeirceFrame", ["e", "f", "U", "W"])
 
 
-def find_proper_idempotent(alg, rng=None, tries=500):
+def find_proper_idempotent(alg):
     """A proper idempotent, if one can be found.
 
     For the Zorn model the diagonal idempotent is returned directly; otherwise
@@ -679,10 +669,10 @@ def find_proper_idempotent(alg, rng=None, tries=500):
         e = [F.zero] * 8
         e[7] = F.one
         return tuple(e)
-    rng = rng or random.Random(20230917)
+    rng = random.Random(20230917)
     two = F.add(F.one, F.one)
     four = F.mul(two, two)
-    for _ in range(tries):
+    for _ in range(500):
         y = alg.random(rng)
         t = alg.trace(y)
         n = alg.norm(y)

@@ -241,11 +241,12 @@ def flat_to_matrix(v, n, m):
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(n))
 
 
-def solve_sylvester_space(F, left, right, n=3):
-    """Basis of {X : left X = X right} for n x n matrices over F.
+def solve_sylvester_space(F, left, right):
+    """Basis of {X : left X = X right} for n x n matrices over F, n = len(left).
 
     Returns a tuple of n x n matrices spanning the solution space.
     """
+    n = len(left)
     # unknowns X[i][j] flattened row-major; equations (left X - X right)[i][j] = 0
     rows = []
     for i in range(n):

@@ -31,12 +31,13 @@ from .automorphisms import (
     in_su,
     in_unitary,
     quadratic_subfield_frame,
+    sigma_h,
     sl3_embed,
     split_frame_from_idempotent,
     su_embed,
     zorn_split_frame,
 )
-from .composition import octonion_from_hermitian, zorn_algebra
+from .composition import hermitian_row, octonion_from_hermitian, zorn_algebra
 from .fields import (
     FieldError,
     PrimeField,
@@ -300,15 +301,26 @@ def _invertible_in_span(F, basis, search):
     return search(F, basis, lambda M: None if F.is_zero(linalg.det3(F, M)) else M)
 
 
+def _cyclic_candidates(F):
+    """The vectors tried as cyclic vectors, in order: e_1, e_2, e_3,
+    e_i + e_j, e_1 + e_2 + e_3, then (s, 1, 0), (1, s, 0), (1, 1, s) for
+    s = F.gen() (so only a quadratic L reaches the last three)."""
+    e = linalg.identity(F, 3)
+    yield from e
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        yield tuple(map(F.add, e[i], e[j]))
+    yield (F.one,) * 3
+    s = F.gen()
+    yield from ((s, F.one, F.zero), (F.one, s, F.zero), (F.one, F.one, s))
+
+
 def _cyclic_pair(F, A):
     """(v, Av, m1, c) for a non-regular A, or None when A is scalar: A^2 v =
     -m0 v - m1 Av for the minimal polynomial X^2 + m1 X + m0, c = tr A + m1
-    is the eigenvalue of the eigenplane, and v is the first of e_i, e_i + e_j
-    with v, Av independent (a plane holds at most three of these six
-    vectors and a line one, so only a scalar A has none)."""
-    e = linalg.identity(F, 3)
-    sums = (tuple(map(F.add, e[i], e[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
-    for v in itertools.chain(e, sums):
+    is the eigenvalue of the eigenplane, and v is the first of the six
+    cyclic candidates e_i, e_i + e_j with v, Av independent (a plane holds
+    at most three of them and a line one, so only a scalar A has none)."""
+    for v in itertools.islice(_cyclic_candidates(F), 6):
         Av = linalg.mat_vec(F, A, v)
         if linalg.rank(F, (v, Av)) == 2:
             _, minus_m1 = linalg.solve(F, linalg.transpose((v, Av)), linalg.mat_vec(F, A, Av))
@@ -552,19 +564,7 @@ def companion_factorization(L, chi):
 
 def krylov_similarity(L, A):
     """T with A = T A_chi T^-1, columns v, Av, A^2 v for a cyclic vector v."""
-    candidates = [
-        (L.one, L.zero, L.zero),
-        (L.zero, L.one, L.zero),
-        (L.zero, L.zero, L.one),
-        (L.one, L.one, L.zero),
-        (L.one, L.zero, L.one),
-        (L.zero, L.one, L.one),
-        (L.one, L.one, L.one),
-        (L.gen(), L.one, L.zero),
-        (L.one, L.gen(), L.zero),
-        (L.one, L.one, L.gen()),
-    ]
-    for v in candidates:
+    for v in _cyclic_candidates(L):
         av = linalg.mat_vec(L, A, v)
         aav = linalg.mat_vec(L, A, av)
         T = linalg.transpose(linalg.mat((v, av, aav)))
@@ -575,22 +575,6 @@ def krylov_similarity(L, A):
 
 def _sigma_mat(L, M):
     return linalg.map_entries(L.sigma, M)
-
-
-def sigma_h(L, H, M):
-    """The adjoint involution X -> H^-1 tX-bar H for the diagonal Gram H."""
-    Hm = linalg.mat(
-        [[L.embed(H[i]) if i == j else L.zero for j in range(3)] for i in range(3)]
-    )
-    Hinv = linalg.mat(
-        [
-            [L.embed(L.base.inv(H[i])) if i == j else L.zero for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    return linalg.mat_mul(
-        L, linalg.mat_mul(L, Hinv, linalg.transpose(_sigma_mat(L, M))), Hm
-    )
 
 
 def unitary_base_conjugator(L, H, A, chi):
@@ -756,11 +740,6 @@ def _finish_su(L, H, A, X0, z, report):
     return _real(report, L, A, {"type": "unitary_pair", "A1": A1, "A2": A2, "C": C}, H)
 
 
-def _h_row(L, H, x):
-    """The row of h(., x) = sum H_i (.)_i sigma(x_i), the form U(H) keeps."""
-    return tuple(L.scalar_mul(h, L.sigma(b)) for h, b in zip(H, x))
-
-
 def _non_regular_base_conjugator(L, H, A):
     """X in U(H) of determinant 1 with A^-1 X = X conj(A) and conj(X) X = 1
     for a non-regular A in SU(H), so that (A X, X^-1) is a unitary pair.
@@ -776,17 +755,17 @@ def _non_regular_base_conjugator(L, H, A):
         return I
     N = linalg.mat_sub(L, A, linalg.scalar_mat(L, cyclic[3], I))
     z = next(col for col in linalg.transpose(N) if not all(map(L.is_zero, col)))
-    if L.is_zero(linalg.mat_vec(L, (z,), _h_row(L, H, z))[0]):
+    if L.is_zero(linalg.mat_vec(L, (z,), hermitian_row(L, H, z))[0]):
         u, w = z, next(e for e, x in zip(I, z) if not L.is_zero(x))
     else:
         u, w = linalg.nullspace(L, N)
-    huu, hwu = linalg.mat_vec(L, (u, w), _h_row(L, H, u))
+    huu, hwu = linalg.mat_vec(L, (u, w), hermitian_row(L, H, u))
     if L.is_zero(huu):
         w2 = tuple(L.div(x, hwu) for x in w)
     else:
         w2 = tuple(L.sub(a, L.mul(L.div(hwu, huu), b)) for a, b in zip(w, u))
     # y spans {u, w2}^perp: h(y, u) = h(y, w2) = 0 is linear in y
-    (y,) = linalg.nullspace(L, (_h_row(L, H, u), _h_row(L, H, w2)))
+    (y,) = linalg.nullspace(L, (hermitian_row(L, H, u), hermitian_row(L, H, w2)))
     P = linalg.transpose((u, w2, y))
     d = linalg.det3(L, P)
     PD = linalg.transpose((u, w2, tuple(L.mul(L.div(L.sigma(d), d), x) for x in y)))

@@ -1,6 +1,8 @@
 """Run reports: a JSON schema, validation, rendering, and witness re-checks.
 
-Reports are deterministic for a fixed scenario, parameters and seed; the only
+REPORT_SCHEMA is the one source of the report format: no copy of it is kept
+on disk, and the README shows the command that prints it.  Reports are
+deterministic for a fixed scenario, parameters and seed; the only
 non-reproducible data (timestamp, elapsed time) lives under "meta", which
 comparisons exclude.  verify_witnesses re-checks each matrix witness with
 reality.check_witness, the check every real verdict passed when it was made.
@@ -232,17 +234,3 @@ def _verify_not_real_instance(family, w, require):
 
 def mat_text(F, m):
     return [[F.to_text(x) for x in row] for row in m]
-
-
-def mat3_text(F, m):
-    """The compact row encoding "r1;r2;r3" with comma-separated entries."""
-    return ";".join(",".join(F.to_text(x) for x in row) for row in m)
-
-
-def parse_mat3(F, s):
-    rows = []
-    for part in s.split(";"):
-        rows.append(tuple(F.from_text(x) for x in part.split(",")))
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("expected three rows of three entries")
-    return linalg.mat(rows)

@@ -10,7 +10,7 @@ form.
 from collections import namedtuple
 
 from . import linalg
-from .fields import EnumerationError, FieldError, cubic_is_irreducible
+from .fields import FieldError, cubic_is_irreducible, norm_one_elements
 
 TorusSpec = namedtuple("TorusSpec", ["E", "u"])
 
@@ -65,24 +65,15 @@ def left_homothety(E, a):
     return E.mult_matrix(a)
 
 
-def full_torus_elements(E):
-    """Enumerate T = {x in E* : x sigma(x) = 1} (finite base field only)."""
-    if E.order is None:
-        raise EnumerationError("torus enumeration needs a finite base field")
-    for x in E.elements():
-        if E.eq(E.mul(x, E.sigma(x)), E.one):
-            yield x
-
-
 def torus_one_elements(spec):
     """Enumerate T^1 = {x in E* : x sigma(x) = 1, N_{E/L}(x) = 1}."""
     E = spec.E
-    for x in full_torus_elements(E):
+    for x in norm_one_elements(E):
         if E.L.eq(E.norm(x), E.L.one):
             yield x
 
 
-def element_order(E, a, cap=10**7):
+def element_order(E, a):
     if not E.is_unit(a):
         raise FieldError("order of a non-unit")
     x = a
@@ -90,7 +81,7 @@ def element_order(E, a, cap=10**7):
     while not E.eq(x, E.one):
         x = E.mul(x, a)
         n += 1
-        if n > cap:
+        if n > 10**7:
             raise FieldError("order computation exceeded the cap")
     return n
 

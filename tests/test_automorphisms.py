@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from g2real.automorphisms import (
     frame_swap,
     hermitian_form,
     in_su,
+    in_unitary,
     involution_conjugacy_classes,
     involution_from_quaternion,
     involution_from_symmetric,
@@ -19,6 +21,7 @@ from g2real.automorphisms import (
     random_sl3,
     random_su,
     semidirect_split,
+    sigma_h,
     sl1_action,
     sl3_embed,
     split_frame_from_idempotent,
@@ -27,8 +30,10 @@ from g2real.automorphisms import (
     zorn_swap,
 )
 from g2real.composition import (
+    _dot,
     base_algebra,
     cayley_dickson_double,
+    hermitian_row,
     hermitian_space,
     octonion_from_hermitian,
     orthogonal_complement,
@@ -690,6 +695,82 @@ def test_su_random_sampler_members(su_setup):
     for _ in range(20):
         A = random_su(L, fr.H, rng)
         assert in_su(A, L, fr.H)
+
+
+# the definitions, with H as a full diagonal matrix: tA H conj(A) = H,
+# H^-1 conj(X)^t H and h(u, v) = sum H_i u_i sigma(v_i)
+
+def _gram(L, H):
+    return tuple(
+        tuple(L.embed(H[i]) if i == j else L.zero for j in range(3)) for i in range(3)
+    )
+
+
+def _unitary_by_definition(L, H, A):
+    Hm = _gram(L, H)
+    prod = linalg.mat_mul(
+        L, linalg.mat_mul(L, linalg.transpose(A), Hm), linalg.map_entries(L.sigma, A)
+    )
+    return linalg.mat_eq(L, prod, Hm)
+
+
+def _adjoint_by_definition(L, H, X):
+    Hinv = _gram(L, tuple(L.base.inv(h) for h in H))
+    Xt = linalg.transpose(linalg.map_entries(L.sigma, X))
+    return linalg.mat_mul(L, linalg.mat_mul(L, Hinv, Xt), _gram(L, H))
+
+
+_PREDICATE_CASES = [
+    pytest.param(5, 2, (1, 1, 1), id="F25 unit Gram"),
+    pytest.param(5, 2, (1, 2, 3), id="F25 Gram 1,2,3"),
+    pytest.param(7, 3, (1, 1, 1), id="F49 unit Gram"),
+    pytest.param(7, 3, (2, 1, 5), id="F49 Gram 2,1,5"),
+    pytest.param(5, None, (1, 1, 1), id="F5xF5 unit Gram"),
+    pytest.param(5, None, (1, 2, 3), id="F5xF5 Gram 1,2,3"),
+]
+
+
+@pytest.mark.parametrize("p, c, gram", _PREDICATE_CASES)
+def test_unitary_predicates_match_the_definition(p, c, gram):
+    # seeded members of SU(H), their single-entry perturbations and their
+    # multiples by a norm-one scalar (unitary, not always of det 1)
+    k = PrimeField(p)
+    L = QuadraticEtale(k, c)
+    H = tuple(k.element(h) for h in gram)
+    rng = random.Random(p * 100 + sum(gram))
+    norm_one = [x for x in L.elements() if k.eq(L.norm(x), k.one)]
+    seen = {True: 0, False: 0}
+    for _ in range(12):
+        A = random_su(L, H, rng)
+        lam = rng.choice(norm_one)
+        inputs = [A, tuple(tuple(L.mul(lam, x) for x in row) for row in A)]
+        for i, j in itertools.product(range(3), repeat=2):
+            B = [list(row) for row in A]
+            B[i][j] = L.add(B[i][j], L.random(rng))
+            inputs.append(linalg.mat(B))
+        for B in inputs:
+            unitary = _unitary_by_definition(L, H, B)
+            det_one = L.eq(linalg.det3(L, B), L.one)
+            assert in_unitary(B, L, H) == unitary
+            assert in_su(B, L, H) == (unitary and det_one)
+            seen[unitary] += 1
+    assert seen[True] >= 24 and seen[False] > 0
+
+
+@pytest.mark.parametrize("p, c, gram", _PREDICATE_CASES)
+def test_adjoint_and_hermitian_row_match_the_definition(p, c, gram):
+    k = PrimeField(p)
+    L = QuadraticEtale(k, c)
+    H = tuple(k.element(h) for h in gram)
+    rng = random.Random(p * 1000 + sum(gram))
+    for _ in range(30):
+        X = tuple(tuple(L.random(rng) for _ in range(3)) for _ in range(3))
+        assert linalg.mat_eq(L, sigma_h(L, H, X), _adjoint_by_definition(L, H, X))
+        u, v = X[0], X[1]
+        schoolbook = L.zero
+        for h, a, b in zip(H, u, v):
+            schoolbook = L.add(schoolbook, L.mul(L.embed(h), L.mul(a, L.sigma(b))))
+        assert L.eq(_dot(L, u, hermitian_row(L, H, v)), schoolbook)
 
 
 # ---------------------------------------------------------------------------

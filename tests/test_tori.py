@@ -11,12 +11,12 @@ from g2real.fields import (
     PrimeField,
     QuadraticEtale,
     RationalField,
+    norm_one_elements,
 )
 from g2real.tori import (
     TOTALLY_REAL_CUBIC,
     centralizer_matches_torus_algebra,
     element_order,
-    full_torus_elements,
     is_indecomposable,
     is_regular,
     left_homothety,
@@ -79,7 +79,7 @@ def test_form_invariance_under_full_torus_exhaustive(field_E):
     spec = torus_spec(E, E.one)
     rng = random.Random(2)
     vectors = [E.random(rng) for _ in range(4)]
-    for a in full_torus_elements(E):
+    for a in norm_one_elements(E):
         for x in vectors:
             for y in vectors:
                 lhs = torus_invariant_form(spec, E.mul(a, x), E.mul(a, y))
@@ -250,7 +250,7 @@ def test_split_E_has_invariant_nondegenerate_line(split_E):
     assert eps is not None
     h = torus_invariant_form(spec, eps, eps)
     assert E.L.is_unit(h)
-    for a in list(full_torus_elements(E))[:20]:
+    for a in list(norm_one_elements(E))[:20]:
         prod = E.mul(a, eps)
         # the orbit stays in the L-line through eps: prod = (prod component) eps
         assert E.eq(E.mul(prod, eps), prod)
