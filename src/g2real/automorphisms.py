@@ -10,16 +10,14 @@ field frame, the norm-one action fixing a quaternion subalgebra, and the
 order-2 map extending the conjugation of a quadratic subalgebra.
 """
 
+import functools
 import itertools
-import math
 import random
 from collections import namedtuple
 
 from . import linalg
 from .composition import _dot, hermitian_row, orthogonal_complement
 from .fields import FieldError, QuadraticEtale, _cubic_separable, _has_eigenvalue_one
-
-_INT64_PRIME_CAP = 2**29
 
 
 class AutMap:
@@ -77,20 +75,6 @@ class AutMap:
         return [[F.to_text(x) for x in row] for row in self.matrix]
 
 
-def _np_integral(F, a):
-    """(N, s) with N = s*a an integer numpy array.  Over F_p, s = 1 and N
-    holds the residues (int64 below the cap, Python ints past it); over Q,
-    s is the lcm of the entries' denominators and N holds Python ints."""
-    import numpy as np
-
-    if F.kind == "prime":
-        return np.asarray(a, dtype=np.int64 if F.p < _INT64_PRIME_CAP else object), 1
-    a = np.asarray(a, dtype=object)
-    s = math.lcm(*(x.denominator for x in a.flat))
-    N = np.array([x.numerator * (s // x.denominator) for x in a.flat], dtype=object)
-    return N.reshape(a.shape), s
-
-
 def certify_automorphism(matrix, alg):
     """Certify that `matrix` is a k-algebra automorphism of alg.
 
@@ -121,14 +105,13 @@ def certify_automorphism(matrix, alg):
     # T and B are scaled by their own lcms, which cancel: each identity is
     # linear in T and in B.  With N = d*M the identities are those for M times
     # nonzero constants, so the verdict and the first failing pair are the same.
-    M, d = _np_integral(F, matrix)
-    T, _ = _np_integral(F, alg.numpy_table())
-    B, _ = _np_integral(F, alg.bil)
+    M, d = linalg.lattice(F, matrix)
+    T, B = alg.lattice_forms()
     p = F.p if F.kind == "prime" else None
 
     def red(a):
         # reduce after every product: keeps int64 in range, and makes the
-        # object path (primes past the int64 cap) compare residues
+        # object path (primes too large for int64 sums) compare residues
         return a if p is None else a % p
 
     lhs = red(d * np.tensordot(T, M, axes=([2], [1])))  # (i, j, m): d*N(e_i e_j)
@@ -221,11 +204,20 @@ def frame_basis_matrix(frame):
     return linalg.transpose(linalg.mat(cols))
 
 
-def _conjugate_certified(alg, C, D, failure):
-    """The automorphism C D C^-1 of alg, certified; raises FieldError with the
-    text `failure` and the certification failure when it does not certify."""
+@functools.lru_cache(maxsize=64)
+def _frame_matrices(frame):
+    """(C, C^-1) for C = frame_basis_matrix(frame), built once per frame."""
+    C = frame_basis_matrix(frame)
+    return C, linalg.inverse(frame.alg.field, C)
+
+
+def _conjugate_certified(alg, C_Cinv, D, failure):
+    """The automorphism C D C^-1 of alg, certified, given (C, C^-1); raises
+    FieldError with the text `failure` and the certification failure when it
+    does not certify."""
     F = alg.field
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), linalg.inverse(F, C))
+    C, Cinv = C_Cinv
+    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), Cinv)
     out = certify_automorphism(M, alg)
     if not out.certified:
         raise FieldError(f"{failure}: {out.failure}")
@@ -235,8 +227,8 @@ def _conjugate_certified(alg, C, D, failure):
 def _in_frame_basis(t, frame):
     """The 8x8 matrix of t in the frame basis: C^-1 t C."""
     F = frame.alg.field
-    C = frame_basis_matrix(frame)
-    return linalg.mat_mul(F, linalg.mat_mul(F, linalg.inverse(F, C), t.matrix), C)
+    C, Cinv = _frame_matrices(frame)
+    return linalg.mat_mul(F, linalg.mat_mul(F, Cinv, t.matrix), C)
 
 
 def sl3_embed(A, frame):
@@ -256,7 +248,7 @@ def sl3_embed(A, frame):
             B[1 + i][1 + j] = A[i][j]
             B[4 + i][4 + j] = At_inv[i][j]
     return _conjugate_certified(
-        alg, frame_basis_matrix(frame), B, "sl3_embed produced an uncertified map"
+        alg, _frame_matrices(frame), B, "sl3_embed produced an uncertified map"
     )
 
 
@@ -288,7 +280,7 @@ def frame_swap(frame):
     for j, i in enumerate((7, 4, 5, 6, 1, 2, 3, 0)):
         P[i][j] = F.one
     return _conjugate_certified(
-        frame.alg, frame_basis_matrix(frame), P, "the frame swap failed to certify"
+        frame.alg, _frame_matrices(frame), P, "the frame swap failed to certify"
     )
 
 
@@ -370,7 +362,7 @@ def _frame_conjugation(alg, frame):
     for i in range(8):
         D[i][i] = F.one if i % 2 == 0 else F.neg(F.one)
     return _conjugate_certified(
-        alg, frame_basis_matrix(frame), D, "conjugation extension failed to certify"
+        alg, _frame_matrices(frame), D, "conjugation extension failed to certify"
     )
 
 
@@ -424,7 +416,7 @@ def su_embed(A, frame):
             B[2 + 2 * i][3 + 2 * j] = F.mul(c, x1)
             B[3 + 2 * i][3 + 2 * j] = x0
     return _conjugate_certified(
-        alg, frame_basis_matrix(frame), B, "su_embed produced an uncertified map"
+        alg, _frame_matrices(frame), B, "su_embed produced an uncertified map"
     )
 
 
@@ -504,7 +496,9 @@ def involution_from_quaternion(alg, D_basis):
     D = [[F.zero] * 8 for _ in range(8)]
     for i in range(8):
         D[i][i] = F.one if i < 4 else F.neg(F.one)
-    return _conjugate_certified(alg, C, D, "quaternion involution failed to certify")
+    return _conjugate_certified(
+        alg, (C, linalg.inverse(F, C)), D, "quaternion involution failed to certify"
+    )
 
 
 def sl1_action(alg, D_basis, a, p):

@@ -29,6 +29,12 @@ class UsageError(Exception):
     pass
 
 
+def _require_count(flag, value):
+    """A negative count is a bad flag, not a failed check."""
+    if value < 0:
+        raise UsageError(f"--{flag} must be at least 0, got {value}")
+
+
 _CONFIG_KEYS = {
     "axioms": {"field", "samples", "seed", "json"},
     "counterexample": {"kind", "q", "budget", "exhaustive", "json"},
@@ -193,6 +199,7 @@ def cmd_axioms(args):
     )
     from .sweeps import batch_minimal_equation, batch_zorn_composition
 
+    _require_count("samples", args.samples)
     if args.field != "Q":
         try:
             p = int(args.field)
@@ -260,8 +267,7 @@ def cmd_counterexample(args):
         symmetric_decomposition,
     )
 
-    if args.budget < 0:
-        raise UsageError(f"--budget must be at least 0, got {args.budget}")
+    _require_count("budget", args.budget)
     start = time.perf_counter()
     rep = reports.new_report(
         "counterexample",
@@ -361,6 +367,7 @@ def cmd_cdk(args):
     from .automorphisms import zorn_split_frame
     from .reality import reality_sl3, reality_su, two_involution_witness
 
+    _require_count("trials", args.trials)
     start = time.perf_counter()
     q = args.q
     rep = reports.new_report("cdk", {"q": q, "trials": args.trials}, args.seed)
@@ -444,6 +451,7 @@ def cmd_cdk(args):
 def cmd_companion(args):
     from .reality import companion_factorization
 
+    _require_count("trials", args.trials)
     start = time.perf_counter()
     q = args.q
     rep = reports.new_report("companion", {"q": q, "trials": args.trials}, args.seed)

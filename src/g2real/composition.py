@@ -35,6 +35,7 @@ class Algebra:
             _dot(F, self.bil[i], self.one) for i in range(self.dim)
         )
         self._np_table = None
+        self._lattice_forms = None
 
     def __repr__(self):
         return f"Algebra({self.model}, dim={self.dim}, k={self.field!r})"
@@ -158,6 +159,17 @@ class Algebra:
                         T[i, j, m] = c
             self._np_table = T
         return self._np_table
+
+    def lattice_forms(self):
+        """(T, B): the structure tensor and the polar form on the integer
+        lattice of linalg.lattice, each cleared of its own denominators;
+        built once, for certification."""
+        if self._lattice_forms is None:
+            F = self.field
+            self._lattice_forms = (
+                linalg.lattice(F, self.numpy_table())[0], linalg.lattice(F, self.bil)[0]
+            )
+        return self._lattice_forms
 
     def to_json(self):
         F = self.field

@@ -428,6 +428,8 @@ class CubicAlgebra:
     Elements are triples (c0, c1, c2) of L-elements, meaning c0 + c1*t + c2*t^2.
     """
 
+    kind = "cubic"
+
     def __init__(self, L, chi):
         # chi given as (a0, a1, a2) in k: chi = X^3 + a2 X^2 + a1 X + a0.
         self.L = L

@@ -1,8 +1,15 @@
 """Exact linear algebra over a field handle.
 
-Matrices are immutable tuples of tuples of raw field elements; the field
-handle supplies the arithmetic.  Gaussian elimination requires an honest
-field (division), so callers must not pass split quadratic algebras to it.
+Matrices are immutable tuples of tuples of raw field elements.  Over F_p and
+Q the products and the eliminations run on the integer lattice: mat_mul on
+numpy integer arrays (int64 residues when no sum can overflow, Python ints
+otherwise; over Q the common-denominator numerators, divided back once), and
+_echelon (inverse, rank, nullspace, solve) on plain residues or Fractions
+with the operators inlined.  For the other handles (L = k(g), k x k and the
+cubic algebras) the field handle supplies the arithmetic.  Either way the
+entries returned are plain ints, Fractions or tuples of those.  Gaussian
+elimination requires an honest field (division), so callers must not pass
+split quadratic algebras to it.
 The 3x3 closed forms det3, adjugate3 and charpoly3 use ring operations
 only, so they hold over any commutative ring: the cubic algebras of fields.py
 take their norms with det3, and det3, which needs only add, sub and mul, also
@@ -12,6 +19,9 @@ Nothing here draws random numbers.  The decisions write the witnesses of
 non-regular matrices down and take invertible basis matrices as base points,
 visiting no candidate; only a span without one is searched, under the budget.
 """
+
+import math
+from fractions import Fraction
 
 
 def mat(rows):
@@ -43,7 +53,29 @@ def scalar_mat(F, c, a):
     return tuple(tuple(F.mul(c, x) for x in r) for r in a)
 
 
+def lattice(F, a):
+    """(N, s) with N = s*a an integer numpy array, for a matrix or tensor a
+    over F_p or Q.  Over F_p, s = 1 and N holds the residues: int64 when
+    n*(p - 1)**2 < 2**63 for n the longer of the first two sides, so that
+    sums of n products stay in range, and Python ints otherwise.  Over Q, s
+    is the lcm of the entries' denominators and N holds Python ints."""
+    import numpy as np
+
+    if F.kind == "prime":
+        small = max(len(a), len(a[0])) * (F.p - 1) ** 2 < 2**63
+        return np.array(a, dtype=np.int64 if small else object) % F.p, 1
+    a = np.asarray(a, dtype=object)
+    s = math.lcm(*(x.denominator for x in a.flat))
+    N = np.array([x.numerator * (s // x.denominator) for x in a.flat], dtype=object)
+    return N.reshape(a.shape), s
+
+
 def mat_mul(F, a, b):
+    if F.kind in ("prime", "rationals") and a and b:
+        (A, s), (B, t) = lattice(F, a), lattice(F, b)
+        if F.kind == "prime":
+            return tuple(map(tuple, ((A @ B) % F.p).tolist()))
+        return tuple(tuple(Fraction(x, s * t) for x in r) for r in (A @ B).tolist())
     bt = transpose(b)
     out = []
     for row in a:
@@ -93,27 +125,38 @@ def map_entries(f, a):
 
 
 def _echelon(F, a):
-    """Row-reduce; returns (reduced rows as lists, pivot column list)."""
-    rows = [list(r) for r in a]
+    """Row-reduce; returns (reduced rows as lists, pivot column list).  Over
+    F_p the rows hold plain residues and over Q Fractions, updated with the
+    operators inlined: the same pivots and rows as through the handle."""
+    if F.kind == "prime":
+        p = F.p
+        rows = [[x % p for x in r] for r in a]
+        scale = lambda c, u: [c * x % p for x in u]
+        axpy = lambda f, u, v: [(x - f * y) % p for x, y in zip(u, v)]
+        nonzero = bool
+    elif F.kind == "rationals":
+        rows = [list(r) for r in a]
+        scale = lambda c, u: [c * x for x in u]
+        axpy = lambda f, u, v: [x - f * y for x, y in zip(u, v)]
+        nonzero = bool
+    else:
+        rows = [list(r) for r in a]
+        scale = lambda c, u: [F.mul(c, x) for x in u]
+        axpy = lambda f, u, v: [F.sub(x, F.mul(f, y)) for x, y in zip(u, v)]
+        nonzero = lambda x: not F.is_zero(x)
     n = len(rows)
     m = len(rows[0]) if n else 0
     pivots = []
     r = 0
     for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, n) if nonzero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rows[r] = scale(F.inv(rows[r][c]), rows[r])
         for i in range(n):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            if i != r and nonzero(rows[i][c]):
+                rows[i] = axpy(rows[i][c], rows[i], rows[r])
         pivots.append(c)
         r += 1
         if r == n:

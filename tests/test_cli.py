@@ -88,6 +88,18 @@ def test_counterexample_negative_budget_is_a_usage_error(capsys):
     assert err.startswith("error: --budget")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["cdk", "--q", "7", "--trials", "-1"], "--trials"),
+    (["companion", "--q", "5", "--trials", "-1"], "--trials"),
+    (["axioms", "--field", "7", "--samples", "-5"], "--samples"),
+])
+def test_negative_counts_are_usage_errors(argv, flag, capsys):
+    # not exit 1 with "0/-1" or a numpy traceback: the flag is bad
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be at least 0")
+
+
 def test_counterexample_su_q17_default(tmp_path):
     out = tmp_path / "su.json"
     assert run(["counterexample", "su", "--q", "17", "--json", str(out)]) == 0
