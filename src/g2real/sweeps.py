@@ -1,4 +1,4 @@
-"""Vectorized exact verifications (int64 residue arithmetic, no floats).
+"""Vectorized exact verifications (int64 and int32 residue arithmetic, no floats).
 
 Two jobs live here: the bulk composition/minimal-equation property suites,
 and the coset sweep, the one enumerator of conjugator cosets over finite
@@ -6,13 +6,19 @@ fields.  The brute-force oracle runs each of its cosets over F_p through
 it: determinant 1 over F_p on a split frame, SU(H) over L = F_p(g) on a
 field frame.  That confirms both non-real constructions without trusting
 the norm-class shortcut.  The sweep reads every matrix entry off
-per-coefficient lookup tables, so a candidate costs int64 additions, table
-lookups and residues mod p; the full q = 17 SU coset of 24,137,569
-candidates takes about 1 s on one core (acceptance criterion 06).  No 3x3
-formula is repeated here: _PArrays and _LArrays give arrays of residues and
-of L-elements the add, sub and mul of a field handle, so the determinant
-test is linalg.det3 on those arrays.
+per-coefficient lookup tables, built once per coset and shared by the
+calls on it, so a candidate costs integer additions, table lookups and
+residues mod p.  Over L the (0, 0) norm form of X* H X is split into a
+part fixed per run of Q candidates and two table rows picked per run, so
+a candidate costs one sum of two rows and two comparisons; the full
+q = 17 SU coset of 24,137,569 candidates takes about 0.4 s on one core
+(acceptance criterion 06).  The determinant formula is not repeated here:
+_PArrays and _LArrays give arrays of residues and of L-elements the add,
+sub and mul of a field handle, so the determinant test is linalg.det3 on
+those arrays.
 """
+
+import functools
 
 import numpy as np
 
@@ -105,6 +111,11 @@ def batch_minimal_equation(alg, n, seed):
 
 # -- exhaustive coset sweep -----------------------------------------------------
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 class _PArrays:
     """Arrays of residues mod p, each its own code: a field handle for linalg.det3."""
 
@@ -113,7 +124,7 @@ class _PArrays:
 
     def __init__(self, p):
         self.p = p
-        self.coefficients = np.arange(p, dtype=np.int64)
+        self.coefficients = _frozen(np.arange(p, dtype=np.int64))
 
     def mul(self, x, y):
         return x * y % self.p
@@ -123,6 +134,10 @@ class _PArrays:
 
     def sub(self, x, y):
         return (x - y) % self.p
+
+    def entries(self, basis):
+        # the basis matrices' entries, indexed [t, r, s, 1] to broadcast over the coefficients
+        return np.array(basis, dtype=np.int64)[..., None]
 
     def code(self, x):
         return x
@@ -141,13 +156,13 @@ class _LArrays:
     """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b),
     coded as 3p a + b; enough of a field handle for linalg.det3."""
 
-    # candidates per vectorized slice; each builds only column 0
+    # candidates per vectorized slice; each costs one sum of two int32 table rows
     chunk = 1 << 18
 
     def __init__(self, p, c):
         self.p = p
         self.c = c
-        self.coefficients = np.divmod(np.arange(p * p, dtype=np.int64), p)
+        self.coefficients = tuple(map(_frozen, np.divmod(np.arange(p * p, dtype=np.int64), p)))
 
     def mul(self, x, y):
         a, b = x
@@ -163,12 +178,9 @@ class _LArrays:
         p = self.p
         return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
-    def sigma(self, x):
-        return (x[0], (-x[1]) % self.p)
-
-    def scale_int(self, x, m):
-        p = self.p
-        return (x[0] * m % p, x[1] * m % p)
+    def entries(self, basis):
+        e = np.array(basis, dtype=np.int64)
+        return (e[..., :1], e[..., 1:])
 
     def code(self, x):
         return 3 * self.p * x[0] + x[1]
@@ -183,23 +195,21 @@ class _LArrays:
         return (int(i // self.p), int(i % self.p))
 
 
-def coset_sweep(K, basis, H=None, start=0, stop=None):
-    """Count the members of determinant 1, and given H of U(H), of the span
-    c0 M0 + c1 M1 + c2 M2 of basis = (M0, M1, M2), (c0, c1, c2) over K^3 in
-    span_search's order (c0 slowest).  K is F_p without H, or L = F_p(g)
-    with H.  Returns (hits, example): the count and the first hit's
-    coefficient triple, or None.  start/stop restrict the flattened
-    candidate index range; the counts of disjoint partitions add up.
+@functools.lru_cache(maxsize=4)
+def _tables(K, basis, H):
+    """(ar, T, norm_tables): the lookup tables of coset_sweep for one coset,
+    built once per (K, basis, H), so that the windows of a coset share them.
+    Every array is read-only.
 
-    Each entry of X is a sum of three lookups in per-coefficient tables of
-    c M_t[r][s] over the Q = |K| elements c, built once per call (residues
-    over F_p; codes 3p re + im over L, so that a sum of three decodes
-    exactly).  A run of Q consecutive candidates shares (c0, c1), so a
-    column is one broadcast sum of a per-run head and the c2 table.  Over
-    F_p every candidate takes linalg.det3 on the arrays.  Given H, the norm
-    forms sum_r H_r N(X[r][j]) on the diagonal of X* H X are table lookups:
-    (0, 0) filters every candidate, (1, 1) the about 1/p left, and the rest
-    take the full unitarity test, then linalg.det3.
+    T[t, r, s, j] is the code of c_j M_t[r][s] for the j-th element c_j of
+    K.  Given H, norm_tables = (hnorm, w, XU, YV) serve the norm forms on
+    the diagonal of X* H X, with hnorm[r, e] = H_r N(x) for the sum x coded
+    e.  Column 0 is h_r + c2 m_r with m_r = M_2[r][0], so its form is
+    delta + alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r
+    N(h_r), gamma = sum_r h_r w_r with w_r = H_r sigma(m_r), and alpha =
+    sum_r H_r N(m_r).  For c2 = c_j = x + y g and gamma = u + v g the trace
+    is 2 (x u - c y v), so the rows XU[u, j] = alpha N(c_j) + 2 x u and
+    YV[v, j] = -2 c y v, mod p, give the form up to delta.
     """
     if K.kind == "prime" and H is None:
         ar = _PArrays(K.p)
@@ -207,65 +217,112 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
         ar = _LArrays(K.base.p, int(K.c))
     else:
         raise ValueError("sweep needs F_p without H, or L = F_p(g) with H")
+    entries = ar.entries(basis)
+    T = _frozen(ar.code(ar.mul(ar.coefficients, entries)))
+    if H is None:
+        return ar, T, None
+    p, c = ar.p, ar.c
+    Hcol = np.array([int(h) for h in H], dtype=np.int64)[:, None]
+    re3, im3 = np.divmod(np.arange(9 * K.order, dtype=np.int64), 3 * p)
+    hnorm = _frozen(Hcol * ((re3 * re3 % p - c * (im3 * im3 % p) % p) % p) % p)
+    ma, mb = (e[2, :, 0] for e in entries)
+    w = (_frozen(Hcol * ma % p), _frozen(-Hcol * mb % p))
+    alpha = int((Hcol * (ma * ma - c * (mb * mb % p))).sum()) % p
+    x, y = ar.coefficients
+    steps = np.arange(p, dtype=np.int64)[:, None]
+    # int32 rows: the sum of two stays below 2p
+    XU = alpha * ((x * x - c * (y * y % p)) % p) + steps * (2 * x)
+    XU = _frozen((XU % p).astype(np.int32))
+    YV = _frozen((steps * (-2 * c * y % p) % p).astype(np.int32))
+    return ar, T, (hnorm, w, XU, YV)
+
+
+def coset_sweep(K, basis, H=None, start=0, stop=None):
+    """Count the members of determinant 1, and given H of U(H), of the span
+    c0 M0 + c1 M1 + c2 M2 of basis = (M0, M1, M2), (c0, c1, c2) over K^3 in
+    span_search's order (c0 slowest).  K is F_p without H, or L = F_p(g)
+    with H.  Returns (hits, example): the count and the first hit's
+    coefficient triple, or None.  start/stop restrict the flattened
+    candidate index range, 0 <= start <= stop <= |K|^3 (ValueError
+    otherwise); the counts of disjoint partitions add up.
+
+    Each entry of X is a sum of three lookups in per-coefficient tables of
+    c M_t[r][s] over the Q = |K| elements c (residues over F_p; codes
+    3p re + im over L, so that a sum of three decodes exactly).  The tables
+    are built once per coset, and the calls on one coset share them
+    (_tables).  A run of Q consecutive candidates shares (c0, c1), so a
+    column is one broadcast sum of a per-run head and the c2 table.  Over
+    F_p every candidate takes linalg.det3 on the arrays.  Given H, the norm
+    forms sum_r H_r N(X[r][j]) on the diagonal of X* H X filter first.  The
+    (0, 0) form splits into delta + alpha N(c2) + Tr(sigma(c2) gamma) with
+    delta and gamma fixed within a run and alpha within the coset, so a run
+    is one comparison of two per-coset table rows, picked by gamma, against
+    H_0 - delta.  The (1, 1) form, by lookups per candidate, filters the
+    about 1/p left, and the rest take the full unitarity test, all nine
+    entries at once, then linalg.det3.
+    """
+    basis = tuple(linalg.mat(M) for M in basis)
+    ar, (T0, T1, T2), norm_tables = _tables(K, basis, None if H is None else tuple(H))
     p = ar.p
     Q = K.order
-    T0, T1, T2 = ([[ar.code(ar.mul(ar.coefficients, m)) for m in row] for row in M] for M in basis)
+    total = Q**3
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"sweep window [{start}, {stop}) is not within [0, {total}]")
     if H is not None:
-        Hints = [int(h) for h in H]
-        # hnorm[r][e] = H_r N(re + im g) mod p for the sum coded e
-        re3, im3 = np.divmod(np.arange(9 * Q, dtype=np.int64), 3 * p)
-        norm = (re3 * re3 % p - ar.c * (im3 * im3 % p) % p) % p
-        hnorm = [h * norm % p for h in Hints]
+        hnorm, w, XU, YV = norm_tables
+        Hints = [int(h) % p for h in H]
+        Hdiag = np.diag(Hints)[:, :, None]
 
-    def entry(r, s, j0, j1, j2):
-        return T0[r][s][j0] + T1[r][s][j1] + T2[r][s][j2]
-
-    total = Q**3 if stop is None else stop
     hits = 0
     example = None
 
-    for lo in range(start, total, ar.chunk):
-        hi = min(lo + ar.chunk, total)
+    for lo in range(start, stop, ar.chunk):
+        hi = min(lo + ar.chunk, stop)
         first = lo // Q
         off = lo - first * Q
         i0, i1 = np.divmod(np.arange(first, (hi - 1) // Q + 1, dtype=np.int64), Q)
 
-        def column(r, s):
-            # entry (r, s) of every candidate in the window, built run by run
-            col = (T0[r][s][i0] + T1[r][s][i1])[:, None] + T2[r][s][None, :]
-            return col.ravel()[off:off + hi - lo]
-
         if H is None:
+            def column(r, s):
+                # entry (r, s) of every candidate in the window, built run by run
+                col = (T0[r, s, i0] + T1[r, s, i1])[:, None] + T2[r, s][None, :]
+                return col.ravel()[off:off + hi - lo]
+
             idx = np.arange(lo, hi, dtype=np.int64)
             X = [[ar.decode(column(r, s)) for s in range(3)] for r in range(3)]
         else:
-            # the (0, 0) norm form
-            p00 = sum(hnorm[r][column(r, 0)] for r in range(3))
-            idx = lo + np.flatnonzero(p00 % p == Hints[0] % p)
+            # the (0, 0) norm form, from the run heads h_r
+            heads = T0[:, 0, i0] + T1[:, 0, i1]
+            delta = sum(hnorm[r][heads[r]] for r in range(3))
+            u, v = (g.sum(axis=0) % p for g in ar.mul(ar.decode(heads), w))
+            # XU[u] + YV[v] is in [0, 2p), so the form is H_0 there, or H_0 + p
+            s00 = XU[u] + YV[v]
+            s00 -= ((Hints[0] - delta) % p).astype(np.int32)[:, None]
+            p00 = s00 == 0
+            p00 |= s00 == p
+            idx = lo + np.flatnonzero(p00.ravel()[off:off + hi - lo])
             j0, rem = np.divmod(idx, Q * Q)
             j1, j2 = np.divmod(rem, Q)
             # the (1, 1) norm form on the survivors
-            p11 = sum(hnorm[r][entry(r, 1, j0, j1, j2)] for r in range(3))
-            keep = p11 % p == Hints[1] % p
+            p11 = sum(hnorm[r][T0[r, 1, j0] + T1[r, 1, j1] + T2[r, 1, j2]] for r in range(3))
+            keep = p11 % p == Hints[1]
             if not keep.any():
                 continue
             idx, j0, j1, j2 = idx[keep], j0[keep], j1[keep], j2[keep]
-            X = [[ar.decode(entry(r, s, j0, j1, j2)) for s in range(3)] for r in range(3)]
-            ok = np.ones(len(idx), dtype=bool)
-            # full unitarity: sum_r X[r][i] H[r] sigma(X[r][j]) = H[i][j]
-            for i in range(3):
-                for j in range(3):
-                    acc = None
-                    for r in range(3):
-                        term = ar.mul(X[r][i], ar.sigma(X[r][j]))
-                        term = ar.scale_int(term, Hints[r])
-                        acc = term if acc is None else ar.add(acc, term)
-                    want = Hints[i] % p if i == j else 0
-                    ok &= (acc[0] == want) & (acc[1] == 0)
+            Xa, Xb = ar.decode(T0[:, :, j0] + T1[:, :, j1] + T2[:, :, j2])
+            # full unitarity: sum_r H_r X[r][i] sigma(X[r][j]) = H[i][j] for all nine
+            # (i, j) at once, on the integer lattice with one residue per entry (the
+            # sums stay below 6 p^4, inside int64 for any p whose hnorm table fits)
+            re = im = 0
+            for h, a, b in zip(Hints, Xa, Xb):
+                re = re + h * (a[:, None] * a - ar.c * b[:, None] * b)
+                im = im + h * (b[:, None] * a - a[:, None] * b)
+            ok = ((re % p == Hdiag) & (im % p == 0)).all(axis=(0, 1))
             if not ok.any():
                 continue
             idx = idx[ok]
-            X = [[(e[0][ok], e[1][ok]) for e in row] for row in X]
+            X = [[(Xa[r, s, ok], Xb[r, s, ok]) for s in range(3)] for r in range(3)]
         # determinant = 1
         good = np.flatnonzero(ar.is_one(linalg.det3(ar, X)))
         hits += len(good)

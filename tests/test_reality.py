@@ -2,12 +2,14 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from g2real import linalg, sweeps
 from g2real.automorphisms import (
     first_anisotropic,
     in_su,
+    in_unitary,
     involution_from_quaternion,
     quadratic_subfield_frame,
     random_sl3,
@@ -605,9 +607,15 @@ def su5_sweep_reference(su5):
     return A, X0, hits
 
 
-def test_sweep_matches_candidate_by_candidate_reference(su5, su5_sweep_reference):
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_sweep_matches_candidate_by_candidate_reference(
+    su5, su5_sweep_reference, monkeypatch, chunk
+):
     from g2real.sweeps import su_coset_sweep
 
+    # chunk 40 puts window and chunk edges inside runs and across run heads
+    if chunk is not None:
+        monkeypatch.setattr(sweeps._LArrays, "chunk", chunk)
     L, O, fr = su5
     A, X0, ref = su5_sweep_reference
     Q = 25
@@ -633,6 +641,111 @@ def test_sweep_matches_candidate_by_candidate_reference(su5, su5_sweep_reference
     # an empty window, also where a hit sits
     for i in (777, ref[0]):
         assert su_coset_sweep(L, fr.H, A, X0, start=i, stop=i) == (0, None)
+
+
+def _hermitian_norm(L, H, v):
+    return sum(h * L.norm(x) for h, x in zip(H, v)) % L.base.p
+
+
+def _nonunitary_basis(L, H, rng, isotropic):
+    """(M0, M1, M2) with M0 = U - c1 M1 - c2 M2 for a random U in SU(H) and
+    random M1, M2, c1, c2, so that (1, c1, c2) is a hit; no M_t is in U(H).
+    The first column of M2 is H-isotropic or not, as asked."""
+    U = random_su(L, H, rng)
+    while True:
+        M1, M2 = (tuple(tuple(L.random(rng) for _ in range(3)) for _ in range(3)) for _ in "12")
+        column = [row[0] for row in M2]
+        nonzero = any(not L.is_zero(x) for x in column)
+        if nonzero and (_hermitian_norm(L, H, column) == 0) == isotropic:
+            break
+    c1, c2 = L.random(rng), L.random(rng)
+    M0 = linalg.mat_sub(
+        L, U, linalg.mat_add(L, linalg.scalar_mat(L, c1, M1), linalg.scalar_mat(L, c2, M2))
+    )
+    basis = (M0, M1, M2)
+    assert not any(in_unitary(M, L, H) for M in basis)
+    return basis
+
+
+def _span_hits(L, H, basis):
+    """Flattened indices of the SU(H) members of the span, one by one."""
+    hits = []
+    for i, cs in enumerate(itertools.product(list(L.elements()), repeat=3)):
+        X = linalg.zeros(L, 3, 3)
+        for c, M in zip(cs, basis):
+            X = linalg.mat_add(L, X, linalg.scalar_mat(L, c, M))
+        if in_su(X, L, H):
+            hits.append(i)
+    return hits
+
+
+def test_sweep_on_nonunitary_bases_and_its_table_cache(su5):
+    # the (0, 0) split on bases no unitary B0 gives: alpha = sum_r H_r
+    # N(M2[r][0]) is 0 for one coset (an H-isotropic first column) and not
+    # for the other; calls on the two cosets alternate through the cache
+    L, O, fr = su5
+    H = fr.H
+    Q = 25
+    elements = list(L.elements())
+    # seed 59: a check of the real parts alone finds 6 members in the first coset
+    rng = random.Random(59)
+    cosets = [_nonunitary_basis(L, H, rng, isotropic) for isotropic in (True, False)]
+    refs = [_span_hits(L, H, basis) for basis in cosets]
+    assert all(refs)
+
+    def expected(ref, start, stop):
+        inside = [i for i in ref if start <= i < stop]
+        if not inside:
+            return 0, None
+        i0, rem = divmod(inside[0], Q * Q)
+        return len(inside), tuple(elements[i] for i in (i0, *divmod(rem, Q)))
+
+    sweeps._tables.cache_clear()
+    for start, stop in ((0, Q**3), (0, 7000), (7000, Q**3), (3130, 3131)):
+        for basis, ref in zip(cosets, refs):
+            got = sweeps.coset_sweep(L, basis, H, start=start, stop=stop)
+            assert got == expected(ref, start, stop)
+    info = sweeps._tables.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for x in obj:
+                yield from arrays(x)
+        elif isinstance(obj, sweeps._LArrays):
+            yield from arrays(obj.coefficients)
+
+    for basis in cosets:
+        cached = list(arrays(sweeps._tables(L, basis, tuple(H))))
+        assert len(cached) == 8
+        for a in cached:
+            assert np.issubdtype(a.dtype, np.integer)
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
+
+def test_sweep_rejects_windows_outside_the_coset(su5):
+    # a negative start used to wrap around numpy's indices (3 hits and an
+    # example outside L here), and a stop past Q^3 to raise IndexError
+    L, O, fr = su5
+    A = random_su(L, fr.H, random.Random(20), separable=True)
+    X0 = unitary_base_conjugator(L, fr.H, A, linalg.charpoly3(L, A))
+    k = PrimeField(7)
+    rng = random.Random(475)
+    basis = tuple(tuple(tuple(k.random(rng) for _ in range(3)) for _ in range(3)) for _ in "012")
+    paths = [
+        (25**3, lambda start, stop: sweeps.su_coset_sweep(L, fr.H, A, X0, start, stop)),
+        (7**3, lambda start, stop: sweeps.coset_sweep(k, basis, start=start, stop=stop)),
+    ]
+    for n, sweep in paths:
+        for start, stop in ((-n // 25, 0), (-1, None), (0, n + 1), (n + 1, None), (10, 9)):
+            with pytest.raises(ValueError, match="window"):
+                sweep(start, stop)
+        # the coset's own edges are windows
+        assert sweep(n, n) == sweep(n, None) == (0, None)
+        assert sweep(0, n) == sweep(0, None)
 
 
 @pytest.fixture(scope="module", params=[(7, 475), (13, 164)], ids=["F7", "F13"])
@@ -798,7 +911,8 @@ def test_centralizer_norm_order_enumeration_cross_check(su5):
     from g2real.reality import _norm_one_subgroup_order, sigma_h
 
     L, O, fr = su5
-    rng = random.Random(31)
+    # seed 59: a check of the real parts alone finds 6 members in the first coset
+    rng = random.Random(59)
     seen = {True: False, False: False}
     tries = 0
     while not all(seen.values()) and tries < 60:
