@@ -441,7 +441,6 @@ class CubicAlgebra:
         self.gen = (L.zero, L.one, L.zero)
         self._reduction = _cubic_reduction(L, tuple(L.embed(a) for a in self.chi))
         self.etale = _cubic_separable(k, self.chi)
-        self.is_field_flag = None  # decided lazily; needs root finding
 
     def __repr__(self):
         k = self.L.base
@@ -536,13 +535,6 @@ class CubicAlgebra:
 
     def random(self, rng):
         return (self.L.random(rng), self.L.random(rng), self.L.random(rng))
-
-    def is_field(self):
-        if self.is_field_flag is None:
-            self.is_field_flag = self.L.kind == "field" and cubic_is_irreducible(
-                self.L, tuple(self.L.embed(a) for a in self.chi)
-            )
-        return self.is_field_flag
 
     def to_text(self, x):
         t = self.L.to_text

@@ -204,30 +204,6 @@ def solve(F, a, b):
     return tuple(x)
 
 
-def det(F, a):
-    n = len(a)
-    rows = [list(r) for r in a]
-    d = F.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return F.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = F.neg(d)
-        d = F.mul(d, rows[c][c])
-        inv = F.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if not F.is_zero(rows[i][c]):
-                f = F.mul(inv, rows[i][c])
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[c])]
-    return d
-
-
 def inverse(F, a):
     n = len(a)
     aug = [list(r) + [F.one if i == j else F.zero for j in range(n)] for i, r in enumerate(a)]
