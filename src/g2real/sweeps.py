@@ -9,13 +9,15 @@ the norm-class shortcut.  The sweep reads every matrix entry off
 per-coefficient lookup tables, built once per coset and shared by the
 calls on it, so a candidate costs integer additions, table lookups and
 residues mod p.  Over L the (0, 0) norm form of X* H X is split into a
-part fixed per run of Q candidates and two table rows picked per run, so
-a candidate costs one sum of two rows and two comparisons; the full
-q = 17 SU coset of 24,137,569 candidates takes about 0.4 s on one core
-(acceptance criterion 06).  The determinant formula is not repeated here:
-_PArrays and _LArrays give arrays of residues and of L-elements the add,
-sub and mul of a field handle, so the determinant test is linalg.det3 on
-those arrays.
+part fixed per run of Q = p^2 candidates and a part in c2 alone, and an
+inverted table of p^4 entries lists, for each value of the fixed part, the
+c2 that solve it.  So each run costs a few lookups and only its about
+p + 1 solutions are visited; the (1, 1) form filters those by two row
+lookups each.  The full q = 17 SU coset of 24,137,569 candidates takes
+about 0.1 s on one core (acceptance criterion 06).  The determinant
+formula is not repeated here: _PArrays and _LArrays give arrays of
+residues and of L-elements the add, sub and mul of a field handle, so the
+determinant test is linalg.det3 on those arrays.
 """
 
 import functools
@@ -156,13 +158,16 @@ class _LArrays:
     """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b),
     coded as 3p a + b; enough of a field handle for linalg.det3."""
 
-    # candidates per vectorized slice; each costs one sum of two int32 table rows
+    # candidates per vectorized slice; the filters work per run of p^2 and
+    # per listed candidate, about p + 1 of each run
     chunk = 1 << 18
 
     def __init__(self, p, c):
         self.p = p
         self.c = c
         self.coefficients = tuple(map(_frozen, np.divmod(np.arange(p * p, dtype=np.int64), p)))
+        # (a, b) of every sum of up to three codes, so that decoding is a lookup
+        self.parts = tuple(_frozen(x % p) for x in np.divmod(np.arange(9 * p * p), 3 * p))
 
     def mul(self, x, y):
         a, b = x
@@ -186,7 +191,7 @@ class _LArrays:
         return 3 * self.p * x[0] + x[1]
 
     def decode(self, e):
-        return tuple(x % self.p for x in np.divmod(e, 3 * self.p))
+        return self.parts[0][e], self.parts[1][e]
 
     def is_one(self, x):
         return (x[0] == 1) & (x[1] == 0)
@@ -202,14 +207,22 @@ def _tables(K, basis, H):
     Every array is read-only.
 
     T[t, r, s, j] is the code of c_j M_t[r][s] for the j-th element c_j of
-    K.  Given H, norm_tables = (hnorm, w, XU, YV) serve the norm forms on
-    the diagonal of X* H X, with hnorm[r, e] = H_r N(x) for the sum x coded
-    e.  Column 0 is h_r + c2 m_r with m_r = M_2[r][0], so its form is
-    delta + alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r
-    N(h_r), gamma = sum_r h_r w_r with w_r = H_r sigma(m_r), and alpha =
-    sum_r H_r N(m_r).  For c2 = c_j = x + y g and gamma = u + v g the trace
-    is 2 (x u - c y v), so the rows XU[u, j] = alpha N(c_j) + 2 x u and
-    YV[v, j] = -2 c y v, mod p, give the form up to delta.
+    K.  Given H, norm_tables = (hnorm, G, XU, YV, J, starts) serve the norm
+    forms on the diagonal of X* H X, with hnorm[r, e] = H_r N(x) for the sum
+    x coded e.  Column s < 2 is h_r + c2 m_r with the run head h_r = c0
+    M_0[r][s] + c1 M_1[r][s] and m_r = M_2[r][s], so its form is delta +
+    alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r N(h_r),
+    alpha = sum_r H_r N(m_r) and gamma = sum_r H_r h_r sigma(m_r).  gamma
+    is c0 g_0 + c1 g_1 with g_t = sum_r H_r M_t[r][s] sigma(m_r), so G[t, s,
+    j] is the code of c_j g_t.  For c2 = c_j = x + y g and gamma = u + v g
+    the trace is 2 (x u - c y v), so the rows XU[s, u, j] = alpha N(c_j) +
+    2 x u and YV[v, j] = -2 c y v, mod p, give the form up to delta; only
+    alpha depends on the column.  The inverted table J, starts lists the
+    solutions of column 0: J[starts[k]:starts[k + 1]] holds, in ascending
+    order, every j with XU[0, u, j] + YV[v, j] = f mod p, for the key k =
+    (u p + v) p + f.  Each (u, v) splits the Q = p^2 values of j among the
+    p values of f, so J has p^4 entries (83,521 at p = 17); the oracle asks
+    for it only on a coset its budget admits whole.
     """
     if K.kind == "prime" and H is None:
         ar = _PArrays(K.p)
@@ -221,20 +234,33 @@ def _tables(K, basis, H):
     T = _frozen(ar.code(ar.mul(ar.coefficients, entries)))
     if H is None:
         return ar, T, None
-    p, c = ar.p, ar.c
+    p, c, Q = ar.p, ar.c, K.order
     Hcol = np.array([int(h) for h in H], dtype=np.int64)[:, None]
-    re3, im3 = np.divmod(np.arange(9 * K.order, dtype=np.int64), 3 * p)
-    hnorm = _frozen(Hcol * ((re3 * re3 % p - c * (im3 * im3 % p) % p) % p) % p)
-    ma, mb = (e[2, :, 0] for e in entries)
-    w = (_frozen(Hcol * ma % p), _frozen(-Hcol * mb % p))
-    alpha = int((Hcol * (ma * ma - c * (mb * mb % p))).sum()) % p
+    a, b = ar.parts
+    hnorm = _frozen(Hcol * ((a * a - c * (b * b % p)) % p) % p)
+    # m_r of columns 0 and 1, indexed [r, s, 1]
+    ma, mb = (e[2, :, :2] for e in entries)
+    Hr = Hcol[..., None]
+    g = ar.mul(tuple(e[:2, :, :2] for e in entries), (Hr * ma % p, -Hr * mb % p))
+    G = _frozen(ar.code(ar.mul(ar.coefficients, tuple(x.sum(axis=1) % p for x in g))))
+    alpha = (Hr * (ma * ma - c * (mb * mb % p))).sum(axis=0) % p
     x, y = ar.coefficients
     steps = np.arange(p, dtype=np.int64)[:, None]
     # int32 rows: the sum of two stays below 2p
-    XU = alpha * ((x * x - c * (y * y % p)) % p) + steps * (2 * x)
+    XU = alpha[:, None] * ((x * x - c * (y * y % p)) % p) + steps * (2 * x)
     XU = _frozen((XU % p).astype(np.int32))
     YV = _frozen((steps * (-2 * c * y % p) % p).astype(np.int32))
-    return ar, T, (hnorm, w, XU, YV)
+    # one u at a time, so that the int64 argsort output stays p^3 long
+    J = np.empty((p, p * Q), dtype=np.min_scalar_type(Q - 1))
+    counts = np.empty((p, p * p), dtype=np.int64)
+    vp = np.arange(0, p * p, p, dtype=np.int32)[:, None]
+    for u in range(p):
+        f = (XU[0, u] + YV) % p
+        J[u] = np.argsort(f, axis=1, kind="stable").ravel()
+        counts[u] = np.bincount((vp + f).ravel(), minlength=p * p)
+    starts = np.zeros(p**3 + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return ar, T, (hnorm, G, XU, YV, _frozen(J.ravel()), _frozen(starts))
 
 
 def coset_sweep(K, basis, H=None, start=0, stop=None):
@@ -253,13 +279,15 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     (_tables).  A run of Q consecutive candidates shares (c0, c1), so a
     column is one broadcast sum of a per-run head and the c2 table.  Over
     F_p every candidate takes linalg.det3 on the arrays.  Given H, the norm
-    forms sum_r H_r N(X[r][j]) on the diagonal of X* H X filter first.  The
-    (0, 0) form splits into delta + alpha N(c2) + Tr(sigma(c2) gamma) with
-    delta and gamma fixed within a run and alpha within the coset, so a run
-    is one comparison of two per-coset table rows, picked by gamma, against
-    H_0 - delta.  The (1, 1) form, by lookups per candidate, filters the
-    about 1/p left, and the rest take the full unitarity test, all nine
-    entries at once, then linalg.det3.
+    forms sum_r H_r N(X[r][s]) of columns 0 and 1 on the diagonal of X* H X
+    filter first.  Each splits into delta + alpha N(c2) + Tr(sigma(c2)
+    gamma) with delta and gamma fixed within a run and alpha within the
+    coset.  So the (0, 0) form equals H_0 exactly for the c2 that the
+    inverted table lists at the run's key (gamma, H_0 - delta), about p + 1
+    of the Q, and no other candidate is visited.  The (1, 1) form takes two
+    row lookups per listed candidate and leaves about 1/p of them; those
+    take the full unitarity test, all nine entries of X* H X as batched
+    integer 3x3 products, then linalg.det3.
     """
     basis = tuple(linalg.mat(M) for M in basis)
     ar, (T0, T1, T2), norm_tables = _tables(K, basis, None if H is None else tuple(H))
@@ -270,9 +298,9 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     if not 0 <= start <= stop <= total:
         raise ValueError(f"sweep window [{start}, {stop}) is not within [0, {total}]")
     if H is not None:
-        hnorm, w, XU, YV = norm_tables
-        Hints = [int(h) % p for h in H]
-        Hdiag = np.diag(Hints)[:, :, None]
+        hnorm, G, XU, YV, J, starts = norm_tables
+        Hints = np.array([int(h) % p for h in H], dtype=np.int64)
+        Hdiag = np.diag(Hints)
 
     hits = 0
     example = None
@@ -281,7 +309,8 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
         hi = min(lo + ar.chunk, stop)
         first = lo // Q
         off = lo - first * Q
-        i0, i1 = np.divmod(np.arange(first, (hi - 1) // Q + 1, dtype=np.int64), Q)
+        runs = np.arange(first, (hi - 1) // Q + 1, dtype=np.int64)
+        i0, i1 = np.divmod(runs, Q)
 
         if H is None:
             def column(r, s):
@@ -292,37 +321,42 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
             idx = np.arange(lo, hi, dtype=np.int64)
             X = [[ar.decode(column(r, s)) for s in range(3)] for r in range(3)]
         else:
-            # the (0, 0) norm form, from the run heads h_r
-            heads = T0[:, 0, i0] + T1[:, 0, i1]
-            delta = sum(hnorm[r][heads[r]] for r in range(3))
-            u, v = (g.sum(axis=0) % p for g in ar.mul(ar.decode(heads), w))
-            # XU[u] + YV[v] is in [0, 2p), so the form is H_0 there, or H_0 + p
-            s00 = XU[u] + YV[v]
-            s00 -= ((Hints[0] - delta) % p).astype(np.int32)[:, None]
-            p00 = s00 == 0
-            p00 |= s00 == p
-            idx = lo + np.flatnonzero(p00.ravel()[off:off + hi - lo])
-            j0, rem = np.divmod(idx, Q * Q)
-            j1, j2 = np.divmod(rem, Q)
-            # the (1, 1) norm form on the survivors
-            p11 = sum(hnorm[r][T0[r, 1, j0] + T1[r, 1, j1] + T2[r, 1, j2]] for r in range(3))
-            keep = p11 % p == Hints[1]
+            # per run and column s < 2: gamma = u + v g, and f = H_s - delta
+            # from the run heads h_r
+            u, v = ar.decode(G[0][:, i0] + G[1][:, i1])
+            heads = T0[:, :2, i0] + T1[:, :2, i1]
+            f = (Hints[:2, None] - sum(hnorm[r][heads[r]] for r in range(3))) % p
+            # (0, 0): each run's slice of the inverted table, flattened in order
+            key = (u[0] * p + v[0]) * p + f[0]
+            begin = starts[key]
+            count = starts[key + 1] - begin
+            j2 = J[np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count, count)]
+            idx = np.repeat(runs * Q, count) + j2
+            # only the first and last runs can stick out of [lo, hi)
+            cut = slice(*np.searchsorted(idx, (lo, hi)))
+            j2, idx = j2[cut], idx[cut]
+            # (1, 1): XU + YV is in [0, 2p), so the form is H_1 there, or H_1 + p
+            u1, v1, f1 = (np.repeat(a, count)[cut] for a in (u[1] * Q, v[1] * Q, f[1]))
+            s11 = XU[1].ravel()[u1 + j2] + YV.ravel()[v1 + j2] - f1
+            keep = (s11 == 0) | (s11 == p)
             if not keep.any():
                 continue
-            idx, j0, j1, j2 = idx[keep], j0[keep], j1[keep], j2[keep]
-            Xa, Xb = ar.decode(T0[:, :, j0] + T1[:, :, j1] + T2[:, :, j2])
-            # full unitarity: sum_r H_r X[r][i] sigma(X[r][j]) = H[i][j] for all nine
-            # (i, j) at once, on the integer lattice with one residue per entry (the
-            # sums stay below 6 p^4, inside int64 for any p whose hnorm table fits)
-            re = im = 0
-            for h, a, b in zip(Hints, Xa, Xb):
-                re = re + h * (a[:, None] * a - ar.c * b[:, None] * b)
-                im = im + h * (b[:, None] * a - a[:, None] * b)
-            ok = ((re % p == Hdiag) & (im % p == 0)).all(axis=(0, 1))
+            idx, j2 = idx[keep], j2[keep]
+            j0, j1 = np.divmod(idx // Q, Q)
+            A, B = ar.decode((T0[:, :, j0] + T1[:, :, j1] + T2[:, :, j2]).transpose(2, 0, 1))
+            # full unitarity: X^T H conj(X) = H in all nine entries, from A^T H A,
+            # B^T H B and M = B^T H A (the g part is M - M^T), on the integer
+            # lattice with one residue per entry (the sums stay below 6 p^4, inside
+            # int64 for any p whose hnorm table fits)
+            At, Bt = A.transpose(0, 2, 1), B.transpose(0, 2, 1)
+            HA = Hints[:, None] * A
+            M = Bt @ HA % p
+            re = (At @ HA - ar.c * (Bt @ (Hints[:, None] * B))) % p
+            ok = ((re == Hdiag) & (M == M.transpose(0, 2, 1))).all(axis=(1, 2))
             if not ok.any():
                 continue
-            idx = idx[ok]
-            X = [[(Xa[r, s, ok], Xb[r, s, ok]) for s in range(3)] for r in range(3)]
+            idx, A, B = idx[ok], A[ok], B[ok]
+            X = [[(A[:, r, s], B[:, r, s]) for s in range(3)] for r in range(3)]
         # determinant = 1
         good = np.flatnonzero(ar.is_one(linalg.det3(ar, X)))
         hits += len(good)
@@ -332,13 +366,20 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     return hits, example
 
 
+@functools.lru_cache(maxsize=4)
+def _su_basis(L, A, X0):
+    """X0, X0 conj(A), X0 conj(A)^2, formed once per coset."""
+    Abar = linalg.map_entries(L.sigma, A)
+    M1 = linalg.mat_mul(L, X0, Abar)
+    return X0, M1, linalg.mat_mul(L, M1, Abar)
+
+
 def su_coset_sweep(L, H, A, X0, start=0, stop=None):
     """coset_sweep over the basis X0, X0 conj(A), X0 conj(A)^2: the SU(H)
     members X = X0 (c0 + c1 conj(A) + c2 conj(A)^2), (c0, c1, c2) in L^3.
     For X0 an invertible intertwiner, left X0 = X0 conj(A), and conj(A)
     regular, this is a whole conjugator coset {X : left X = X conj(A)} (the
-    swap coset for X0 a unitary base conjugator of conj(A) to A^-1).
+    swap coset for X0 a unitary base conjugator of conj(A) to A^-1).  The
+    calls on one coset share its basis.
     """
-    Abar = linalg.map_entries(L.sigma, A)
-    M1 = linalg.mat_mul(L, X0, Abar)
-    return coset_sweep(L, (X0, M1, linalg.mat_mul(L, M1, Abar)), H, start, stop)
+    return coset_sweep(L, _su_basis(L, linalg.mat(A), linalg.mat(X0)), H, start, stop)

@@ -715,15 +715,106 @@ def test_sweep_on_nonunitary_bases_and_its_table_cache(su5):
             for x in obj:
                 yield from arrays(x)
         elif isinstance(obj, sweeps._LArrays):
-            yield from arrays(obj.coefficients)
+            yield from arrays(obj.coefficients + obj.parts)
 
+    p = L.base.p
+    isotropic = []
     for basis in cosets:
         cached = list(arrays(sweeps._tables(L, basis, tuple(H))))
-        assert len(cached) == 8
+        assert len(cached) == 11
         for a in cached:
             assert np.issubdtype(a.dtype, np.integer)
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
+        # the inverted table lists, for every key (u, v, f), the ascending c2
+        # indices j with XU[0, u, j] + YV[v, j] = f mod p
+        _, _, (_, _, XU, YV, J, starts) = sweeps._tables(L, basis, tuple(H))
+        assert len(J) == p**4 and len(starts) == p**3 + 1
+        for k, (u, v, f) in enumerate(itertools.product(range(p), repeat=3)):
+            want = np.flatnonzero((XU[0, u] + YV[v]) % p == f)
+            assert np.array_equal(J[starts[k]:starts[k + 1]], want)
+        # XU[0, 0] = alpha N(c2) is 0 for all c2 on the isotropic coset only
+        isotropic.append(not XU[0, 0].any())
+    assert isotropic == [True, False]
+
+
+def _numpy_span_hits(L, H, basis):
+    """Flattened indices of the SU(H) members of the span, every candidate
+    built straight from the basis on integer arrays, without the sweep's
+    tables: X* H X = H entry by entry and det X = 1 by cofactors over L."""
+    p, c = L.base.p, int(L.c)
+    Q = p * p
+    e = np.array(basis, dtype=np.int64)
+    i = np.arange(Q**3, dtype=np.int64)
+    coeffs = [np.divmod(j, p) for j in (i // (Q * Q), i // Q % Q, i % Q)]
+
+    def mul(x, y):
+        return ((x[0] * y[0] + c * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def add(x, y, sign=1):
+        return ((x[0] + sign * y[0]) % p, (x[1] + sign * y[1]) % p)
+
+    X = [[(0, 0)] * 3 for _ in range(3)]
+    for r, s, t in itertools.product(range(3), repeat=3):
+        X[r][s] = add(X[r][s], mul(coeffs[t], e[t, r, s]))
+    ok = np.ones(Q**3, dtype=bool)
+    for a, b in itertools.product(range(3), repeat=2):
+        form = (0, 0)
+        for r in range(3):
+            conj = (X[r][a][0], -X[r][a][1])
+            form = add(form, mul((int(H[r]), 0), mul(conj, X[r][b])))
+        ok &= (form[0] == (int(H[a]) % p if a == b else 0)) & (form[1] == 0)
+    det = (0, 0)
+    for s in range(3):
+        t, u = (s + 1) % 3, (s + 2) % 3
+        det = add(det, mul(X[0][s], add(mul(X[1][t], X[2][u]), mul(X[1][u], X[2][t]), -1)))
+    ok &= (det[0] == 1) & (det[1] == 0)
+    return list(np.flatnonzero(ok))
+
+
+@pytest.mark.parametrize("kind", ["alpha0", "alpha", "coset"])
+def test_sweep_matches_a_numpy_reference_over_f49(kind, monkeypatch):
+    # a second prime: all 49^3 candidates of a seeded non-unitary basis, one
+    # with one planted hit (alpha = 0 in column 0 or not), and one that mixes
+    # the basis X0 conj(A)^t of a conjugator coset (48 hits) so that no M_t
+    # is unitary
+    L = QuadraticEtale(PrimeField(7), 3)
+    H = (1, 2, 4)
+    rng = random.Random(71)
+    if kind == "coset":
+        A = random_su(L, H, rng, separable=True)
+        Abar = linalg.map_entries(L.sigma, A)
+        B = [unitary_base_conjugator(L, H, A, linalg.charpoly3(L, A))]
+        for _ in "12":
+            B.append(linalg.mat_mul(L, B[-1], Abar))
+        basis = tuple(linalg.mat_add(L, B[t], B[(t + 1) % 3]) for t in range(3))
+        assert not any(in_unitary(M, L, H) for M in basis)
+    else:
+        basis = _nonunitary_basis(L, H, rng, kind == "alpha0")
+    ref = _numpy_span_hits(L, H, basis)
+    Q = 49
+    elements = list(L.elements())
+
+    def expected(start, stop):
+        inside = [i for i in ref if start <= i < stop]
+        if not inside:
+            return 0, None
+        i0, rem = divmod(inside[0], Q * Q)
+        return len(inside), tuple(elements[i] for i in (i0, *divmod(rem, Q)))
+
+    def sweep(start=0, stop=None):
+        return sweeps.coset_sweep(L, basis, H, start=start, stop=stop)
+
+    assert len(ref) == (48 if kind == "coset" else 1)
+    assert sweep() == expected(0, Q**3)
+    for i in (ref[0], ref[0] - 1, ref[-1]):
+        assert sweep(i, i + 1) == expected(i, i + 1)
+    # chunk 40 cuts the runs of 49 candidates, and the windows cut them again
+    monkeypatch.setattr(sweeps._LArrays, "chunk", 40)
+    parts = [(0, ref[0]), (ref[0], ref[0] + 1000), (ref[0] + 1000, Q**3)]
+    for start, stop in parts:
+        assert sweep(start, stop) == expected(start, stop)
+    assert sweep() == expected(0, Q**3)
 
 
 def test_sweep_rejects_windows_outside_the_coset(su5):
