@@ -510,8 +510,7 @@ def _identity_coset_conjugator(F, A, chi, search):
     field, or None when the identity coset holds none: A and A^-1 must share
     their characteristic polynomial (c2 = -c1 here), and the intertwiners
     X0 k[A] reach determinant 1 exactly when det X0^-1 lies in (k*)^g."""
-    c0, c1, c2 = chi
-    if not F.eq(c2, F.neg(c1)):
+    if not _identity_coset_possible(F, chi):
         return None
     Ainv = linalg.inverse3(F, A)
     space = linalg.solve_sylvester_space(F, Ainv, A)
@@ -687,7 +686,7 @@ def _reality_su_regular(L, A, H, chi, report, search):
                 "excluded_class": "cubes of L*",
                 "class_group_order": _cube_class_order(q),
             }
-            if _su_identity_coset_possible(L, chi):
+            if _identity_coset_possible(L, chi):
                 report.notes.append("identity coset needs a separate scan")
                 report.verdict = "unknown"
             else:
@@ -705,16 +704,17 @@ def _reality_su_regular(L, A, H, chi, report, search):
     # product of local pieces; decide by the same scan of the centralizer
     z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
     if z is None:
-        report.verdict = "not_real" if not _su_identity_coset_possible(L, chi) else "unknown"
+        report.verdict = "not_real" if not _identity_coset_possible(L, chi) else "unknown"
         if report.verdict == "not_real":
             report.notes.append("full swap-coset scan found nothing")
         return report
     return _finish_su(L, H, A, X0, z, report)
 
 
-def _su_identity_coset_possible(L, chi):
+def _identity_coset_possible(F, chi):
+    """A and A^-1 (det 1) share the characteristic polynomial chi: c2 = -c1."""
     c0, c1, c2 = chi
-    return L.eq(c2, L.neg(c1))
+    return F.eq(c2, F.neg(c1))
 
 
 def _find_unitary_centralizer_with_det(L, H, A, target, search):
@@ -1086,6 +1086,31 @@ def build_counterexample_su(q):
         "field": k,
         "chi": chi,
     }
+
+
+def construction_obstructed(ce):
+    """Whether a rebuilt counterexample ce (of build_counterexample_sl3 or
+    build_counterexample_su) is not real by its determinant class, derived
+    exactly and without enumerating a coset.  The identity coset is empty
+    when A and A^-1 have different characteristic polynomials.  The swap
+    coset is the base point times the centralizer, whose determinants form
+    (K*)^g (g = det_image_exponent), so it holds no conjugator of det 1 when
+    the base point's determinant misses that class: the symmetric
+    intertwiner T0 with target 1/det T0 on a split frame, the unitary base
+    conjugator X0 with det X0 on a field frame."""
+    split = isinstance(ce["frame"], SplitFrame)
+    K = ce["field"] if split else ce["L"]
+    A = ce["B"]
+    chi = linalg.charpoly3(K, A)
+    if _identity_coset_possible(K, chi):
+        return False
+    if split:
+        space = linalg.solve_sylvester_space(K, linalg.transpose(A), A)
+        T0 = _invertible_in_span(K, space, _Search(DEFAULT_BUDGET))
+        target = K.inv(linalg.det3(K, T0))
+    else:
+        target = linalg.det3(K, unitary_base_conjugator(K, ce["frame"].H, A, chi))
+    return not _in_power_class(K, target, det_image_exponent(K, chi))
 
 
 # -- end-to-end pipeline --------------------------------------------------------

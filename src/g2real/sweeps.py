@@ -5,10 +5,12 @@ and the coset sweep, the one enumerator of conjugator cosets over finite
 fields.  The brute-force oracle runs each of its cosets over F_p through
 it: determinant 1 over F_p on a split frame, SU(H) over L = F_p(g) on a
 field frame.  That confirms both non-real constructions without trusting
-the norm-class shortcut.  The sweep reads every matrix entry off
-per-coefficient lookup tables, built once per coset and shared by the
-calls on it, so a candidate costs integer additions, table lookups and
-residues mod p.  Over L the (0, 0) norm form of X* H X is split into a
+the norm-class shortcut.  Over F_p the determinant of c0 M0 + c1 M1 +
+c2 M2 is a cubic form whose 10 coefficients each call builds first, and
+each candidate is one Horner evaluation in c2; the q = 97 coset of 912,673
+candidates takes about 0.04 s on one core.  Over L the sweep reads every
+matrix entry off per-coefficient lookup tables, built once per coset and
+shared by the calls on it.  The (0, 0) norm form of X* H X is split into a
 part fixed per run of Q = p^2 candidates and a part in c2 alone, and an
 inverted table of p^4 entries lists, for each value of the fixed part, the
 c2 that solve it.  So each run costs a few lookups and only its about
@@ -17,10 +19,12 @@ lookups each.  The full q = 17 SU coset of 24,137,569 candidates takes
 about 0.1 s on one core (acceptance criterion 06).  The determinant
 formula is not repeated here: _PArrays and _LArrays give arrays of
 residues and of L-elements the add, sub and mul of a field handle, so the
-determinant test is linalg.det3 on those arrays.
+determinants are linalg.det3 on those arrays: of the column mixes over
+F_p, of the candidates that pass the unitarity test over L.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -119,14 +123,13 @@ def _frozen(a):
 
 
 class _PArrays:
-    """Arrays of residues mod p, each its own code: a field handle for linalg.det3."""
+    """Arrays of residues mod p: a field handle for linalg.det3."""
 
-    # candidates per vectorized slice; each decodes all nine entries (2^18: +40 MB at q = 97)
+    # candidates per vectorized slice; each takes one Horner step per power of c2
     chunk = 1 << 14
 
     def __init__(self, p):
         self.p = p
-        self.coefficients = _frozen(np.arange(p, dtype=np.int64))
 
     def mul(self, x, y):
         return x * y % self.p
@@ -136,16 +139,6 @@ class _PArrays:
 
     def sub(self, x, y):
         return (x - y) % self.p
-
-    def entries(self, basis):
-        # the basis matrices' entries, indexed [t, r, s, 1] to broadcast over the coefficients
-        return np.array(basis, dtype=np.int64)[..., None]
-
-    def code(self, x):
-        return x
-
-    def decode(self, e):
-        return e % self.p
 
     def is_one(self, x):
         return x == 1
@@ -200,15 +193,46 @@ class _LArrays:
         return (int(i // self.p), int(i % self.p))
 
 
+# the ten monomials c0^e0 c1^e1 c2^e2 of a cubic form, rows (e0, e1, e2),
+# ordered by the degree e2 of c2 (e2 = 0 from row 0, 1 from row 4, 2 from
+# row 7, 3 in row 9)
+_MONOMIALS = np.array(sorted(
+    (e for e in itertools.product(range(4), repeat=3) if sum(e) == 3), key=lambda e: e[::-1]
+))
+_BY_C2 = (0, 4, 7)
+# the 27 column mixes, rows (t0, t1, t2): column s of a mix is column s of
+# M_{t_s}, so its determinant adds to the coefficient of c_t0 c_t1 c_t2
+_MIXES = np.array(list(itertools.product(range(3), repeat=3)))
+_MIX_MONOMIAL = np.array([
+    _MONOMIALS.tolist().index([list(t).count(i) for i in range(3)]) for t in _MIXES
+])
+
+
+def _cubic_form(ar, basis):
+    """The cubic form det(c0 M0 + c1 M1 + c2 M2) of basis over F_p, for the
+    _PArrays handle ar: entry m is the coefficient of the monomial
+    _MONOMIALS[m].  Column s of the candidate is sum_t c_t M_t[:, s], so by
+    multilinearity the determinant is the sum over the 27 column mixes
+    (t0, t1, t2) of c_t0 c_t1 c_t2 det(M_t0[:, 0], M_t1[:, 1], M_t2[:, 2]);
+    one linalg.det3 call on the arrays gives the 27 determinants, and each
+    adds to the coefficient of its monomial."""
+    # entry (r, s) of every mix, indexed [r, s, mix]
+    rs = np.arange(3)
+    mixed = np.array(basis, dtype=np.int64)[_MIXES.T, rs[:, None, None], rs[:, None]]
+    form = np.zeros(10, dtype=np.int64)
+    np.add.at(form, _MIX_MONOMIAL, linalg.det3(ar, mixed))
+    return form % ar.p
+
+
 @functools.lru_cache(maxsize=4)
 def _tables(K, basis, H):
-    """(ar, T, norm_tables): the lookup tables of coset_sweep for one coset,
-    built once per (K, basis, H), so that the windows of a coset share them.
-    Every array is read-only.
+    """(ar, T, norm_tables): the lookup tables of coset_sweep over L for one
+    coset, built once per (K, basis, H), so that the windows of a coset
+    share them.  Every array is read-only.
 
     T[t, r, s, j] is the code of c_j M_t[r][s] for the j-th element c_j of
-    K.  Given H, norm_tables = (hnorm, G, XU, YV, J, starts) serve the norm
-    forms on the diagonal of X* H X, with hnorm[r, e] = H_r N(x) for the sum
+    K, and norm_tables = (hnorm, G, XU, YV, J, starts) serve the norm forms
+    on the diagonal of X* H X, with hnorm[r, e] = H_r N(x) for the sum
     x coded e.  Column s < 2 is h_r + c2 m_r with the run head h_r = c0
     M_0[r][s] + c1 M_1[r][s] and m_r = M_2[r][s], so its form is delta +
     alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r N(h_r),
@@ -224,16 +248,11 @@ def _tables(K, basis, H):
     p values of f, so J has p^4 entries (83,521 at p = 17); the oracle asks
     for it only on a coset its budget admits whole.
     """
-    if K.kind == "prime" and H is None:
-        ar = _PArrays(K.p)
-    elif K.kind == "field" and K.base.kind == "prime" and H is not None:
-        ar = _LArrays(K.base.p, int(K.c))
-    else:
+    if not (K.kind == "field" and K.base.kind == "prime" and H is not None):
         raise ValueError("sweep needs F_p without H, or L = F_p(g) with H")
+    ar = _LArrays(K.base.p, int(K.c))
     entries = ar.entries(basis)
     T = _frozen(ar.code(ar.mul(ar.coefficients, entries)))
-    if H is None:
-        return ar, T, None
     p, c, Q = ar.p, ar.c, K.order
     Hcol = np.array([int(h) for h in H], dtype=np.int64)[:, None]
     a, b = ar.parts
@@ -272,35 +291,42 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     candidate index range, 0 <= start <= stop <= |K|^3 (ValueError
     otherwise); the counts of disjoint partitions add up.
 
-    Each entry of X is a sum of three lookups in per-coefficient tables of
-    c M_t[r][s] over the Q = |K| elements c (residues over F_p; codes
-    3p re + im over L, so that a sum of three decodes exactly).  The tables
-    are built once per coset, and the calls on one coset share them
-    (_tables).  A run of Q consecutive candidates shares (c0, c1), so a
-    column is one broadcast sum of a per-run head and the c2 table.  Over
-    F_p every candidate takes linalg.det3 on the arrays.  Given H, the norm
-    forms sum_r H_r N(X[r][s]) of columns 0 and 1 on the diagonal of X* H X
-    filter first.  Each splits into delta + alpha N(c2) + Tr(sigma(c2)
-    gamma) with delta and gamma fixed within a run and alpha within the
-    coset.  So the (0, 0) form equals H_0 exactly for the c2 that the
-    inverted table lists at the run's key (gamma, H_0 - delta), about p + 1
-    of the Q, and no other candidate is visited.  The (1, 1) form takes two
-    row lookups per listed candidate and leaves about 1/p of them; those
-    take the full unitarity test, all nine entries of X* H X as batched
-    integer 3x3 products, then linalg.det3.
+    A run of Q = |K| consecutive candidates shares (c0, c1).  Over F_p the
+    determinant is the cubic form of the basis (_cubic_form).  Each chunk
+    computes, for each of its runs, the coefficients a_0, a_1, a_2 of c2^0,
+    c2^1, c2^2 from c0 and c1 (a_3 is the form's c2^3 coefficient), and
+    each candidate is one Horner evaluation ((a_3 c2 + a_2) c2 + a_1) c2 +
+    a_0, reduced mod p after every product, so no value passes 4 p^2.  Over L
+    each entry of X is a sum of three lookups in per-coefficient tables of
+    c M_t[r][s] over the elements c (codes 3p re + im, so that a sum of
+    three decodes exactly), built once per coset.  The norm forms sum_r H_r
+    N(X[r][s]) of columns 0 and 1 on the diagonal of X* H X filter first.
+    Each splits into delta + alpha N(c2) + Tr(sigma(c2) gamma) with delta
+    and gamma fixed within a run and alpha within the coset.  So the (0, 0)
+    form equals H_0 exactly for the c2 that the inverted table lists at the
+    run's key (gamma, H_0 - delta), about p + 1 of the Q, and no other
+    candidate is visited.  The (1, 1) form takes two row lookups per listed
+    candidate and leaves about 1/p of them; those take the full unitarity
+    test, all nine entries of X* H X as batched integer 3x3 products, then
+    linalg.det3.
     """
     basis = tuple(linalg.mat(M) for M in basis)
-    ar, (T0, T1, T2), norm_tables = _tables(K, basis, None if H is None else tuple(H))
+    if K.kind == "prime" and H is None:
+        ar = _PArrays(K.p)
+        form = _cubic_form(ar, basis)
+        e0, e1 = _MONOMIALS[:9, 0], _MONOMIALS[:9, 1]
+    else:
+        ar, (T0, T1, T2), (hnorm, G, XU, YV, J, starts) = _tables(
+            K, basis, None if H is None else tuple(H)
+        )
+        Hints = np.array([int(h) % ar.p for h in H], dtype=np.int64)
+        Hdiag = np.diag(Hints)
     p = ar.p
     Q = K.order
     total = Q**3
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ValueError(f"sweep window [{start}, {stop}) is not within [0, {total}]")
-    if H is not None:
-        hnorm, G, XU, YV, J, starts = norm_tables
-        Hints = np.array([int(h) % p for h in H], dtype=np.int64)
-        Hdiag = np.diag(Hints)
 
     hits = 0
     example = None
@@ -313,13 +339,19 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
         i0, i1 = np.divmod(runs, Q)
 
         if H is None:
-            def column(r, s):
-                # entry (r, s) of every candidate in the window, built run by run
-                col = (T0[r, s, i0] + T1[r, s, i1])[:, None] + T2[r, s][None, :]
-                return col.ravel()[off:off + hi - lo]
-
-            idx = np.arange(lo, hi, dtype=np.int64)
-            X = [[ar.decode(column(r, s)) for s in range(3)] for r in range(3)]
+            # per run: c0^e and c1^e for e <= 3, then the coefficients a_0, a_1,
+            # a_2 of c2^0, c2^1, c2^2, each a sum of up to four terms below p^2
+            c = np.stack((i0, i1))
+            pw = [np.ones_like(c), c, c * c % p]
+            pw = np.stack(pw + [pw[2] * c % p], axis=1)
+            terms = form[:9, None] * (pw[0, e0] * pw[1, e1] % p)
+            a = np.add.reduceat(terms, _BY_C2) % p
+            # per candidate: ((a_3 c2 + a_2) c2 + a_1) c2 + a_0, a_3 = form[9]
+            j, c2 = np.divmod(np.arange(off, off + hi - lo, dtype=np.int64), Q)
+            d = form[9]
+            for k in (2, 1, 0):
+                d = (d * c2 + a[k, j]) % p
+            found = lo + np.flatnonzero(ar.is_one(d))
         else:
             # per run and column s < 2: gamma = u + v g, and f = H_s - delta
             # from the run heads h_r
@@ -357,11 +389,11 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
                 continue
             idx, A, B = idx[ok], A[ok], B[ok]
             X = [[(A[:, r, s], B[:, r, s]) for s in range(3)] for r in range(3)]
-        # determinant = 1
-        good = np.flatnonzero(ar.is_one(linalg.det3(ar, X)))
-        hits += len(good)
-        if example is None and len(good):
-            i = int(idx[good[0]])
+            # determinant = 1
+            found = idx[ar.is_one(linalg.det3(ar, X))]
+        hits += len(found)
+        if example is None and len(found):
+            i = int(found[0])
             example = tuple(ar.element(c) for c in (i // (Q * Q), i // Q % Q, i % Q))
     return hits, example
 

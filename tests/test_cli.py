@@ -319,8 +319,9 @@ def test_not_real_instance_needs_the_oracle_verdict(tmp_path, monkeypatch):
         reports.verify_witnesses(data)
 
 
-def test_not_real_instance_left_unverified_when_the_oracle_runs_out(tmp_path, monkeypatch):
-    # an oracle out of budget says nothing about the instance: not a failure
+def test_not_real_instance_re_derived_when_the_oracle_runs_out(tmp_path, monkeypatch):
+    # an oracle out of budget leaves the exact determinant-class obstruction
+    # of the rebuilt construction, which verifies the instance or fails it
     from g2real import reality
 
     out = tmp_path / "ce.json"
@@ -329,8 +330,43 @@ def test_not_real_instance_left_unverified_when_the_oracle_runs_out(tmp_path, mo
     monkeypatch.setattr(
         reality, "brute_force_reality_oracle", lambda t, frame: {"verdict": "unknown"}
     )
-    assert reports.verify_witnesses(data) == 0
-    assert run(["report", "--input", str(out), "--verify"]) == 3
+    assert reports.verify_witnesses(data) == 1
+    assert run(["report", "--input", str(out), "--verify"]) == 0
+    monkeypatch.setattr(reality, "construction_obstructed", lambda ce: False)
+    with pytest.raises(reports.VerificationError, match="determinant class obstructs"):
+        reports.verify_witnesses(data)
+
+
+def test_su_q23_report_verifies_past_the_oracle_budget(tmp_path):
+    # the q = 23 swap coset has 529^3 candidates, past the oracle's default
+    # budget: `report --verify` re-derives the obstruction and exits 0, and a
+    # tampered b still exits 1, with assertions stripped
+    import g2real
+
+    out = tmp_path / "u.json"
+    src = str(Path(g2real.__file__).resolve().parents[1])
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "g2real.cli", *args],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    proc = cli("counterexample", "su", "--q", "23", "--json", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = cli("report", "--input", str(out), "--verify")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "witnesses re-verified: 1" in proc.stdout
+    assert "left unverified" not in proc.stdout
+    data = json.loads(out.read_text())
+    w = data["witnesses"][0]
+    assert w["kind"] == "not_real_instance"
+    w["b"] = "1" if w["b"] != "1" else "0"
+    out.write_text(json.dumps(data))
+    proc = cli("report", "--input", str(out), "--verify")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "witness 0 (not_real_instance) fails: b is the construction's" in proc.stderr
 
 
 def test_report_schema_error(tmp_path, capsys):

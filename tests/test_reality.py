@@ -38,6 +38,7 @@ from g2real.reality import (
     classify,
     companion_factorization,
     companion_matrix,
+    construction_obstructed,
     min_equals_char3,
     reality_report_for,
     reality_sl3,
@@ -327,6 +328,26 @@ def test_counterexample_su_q17():
     # b^2 is not a cube of L*
     b2 = L.mul(ce["b"], ce["b"])
     assert not L.eq(L.pow(b2, (17 * 17 - 1) // 3), L.one)
+
+
+@pytest.mark.parametrize(
+    "build, q",
+    [(build_counterexample_sl3, q) for q in (7, 13, 97, 487)]
+    + [(build_counterexample_su, q) for q in (17, 23)],
+)
+def test_construction_obstruction_is_re_derived_without_the_oracle(build, q):
+    # the oracle's budget covers neither sl3 at q = 487 (487^3 candidates)
+    # nor su at q = 23 (529^3); the determinant class decides them exactly,
+    # as the decision does, also on the untwisted matrix A (real at q = 17,
+    # not real at q = 23)
+    ce = build(q)
+    assert construction_obstructed(ce)
+    for M in (ce["A"], ce["B"]):
+        if build is build_counterexample_sl3:
+            verdict = reality_sl3(ce["field"], M).verdict
+        else:
+            verdict = reality_su(ce["L"], M, ce["frame"].H).verdict
+        assert construction_obstructed(dict(ce, B=M)) == (verdict == "not_real")
 
 
 def test_counterexample_su_q5_rejected():
@@ -839,26 +860,62 @@ def test_sweep_rejects_windows_outside_the_coset(su5):
         assert sweep(0, n) == sweep(0, None)
 
 
-@pytest.fixture(scope="module", params=[(7, 475), (13, 164)], ids=["F7", "F13"])
-def split_sweep_reference(request):
-    """A basis M, M A, M A^2 over F_p from a seeded random M and A, and the
-    flattened indices of the determinant-1 candidates among all p^3, found
-    one by one with itertools.product and linalg.  The seeds give a first
-    hit whose c0 and c1 are nonzero and distinct, so a kernel that mixes up
-    the coefficient slots shows."""
-    p, seed = request.param
+def _random_matrix(k, rng):
+    return tuple(tuple(k.random(rng) for _ in range(3)) for _ in range(3))
+
+
+def _split_basis(p, seed, kind):
+    """A basis (M0, M1, M2) over F_p: "powers" is M, M A, M A^2 for seeded
+    random M and A, "random" three seeded random matrices, "m2zero" two
+    with M2 = 0 (the cubic form has no c2 term), and "nodet1" the basis D,
+    D A, D A^2 of the split counterexample at p, whose determinants
+    b f(omega)^3 miss 1 (b is not a cube)."""
     k = PrimeField(p)
     rng = random.Random(seed)
-    M, A = (tuple(tuple(k.random(rng) for _ in range(3)) for _ in range(3)) for _ in "MA")
+    if kind == "random":
+        return k, tuple(_random_matrix(k, rng) for _ in "012")
+    if kind == "m2zero":
+        return k, (_random_matrix(k, rng), _random_matrix(k, rng), linalg.zeros(k, 3, 3))
+    if kind == "nodet1":
+        ce = build_counterexample_sl3(p)
+        M, A = ce["D"], ce["A"]
+    else:
+        M, A = _random_matrix(k, rng), _random_matrix(k, rng)
     MA = linalg.mat_mul(k, M, A)
-    basis = (M, MA, linalg.mat_mul(k, MA, A))
+    return k, (M, MA, linalg.mat_mul(k, MA, A))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (7, 475, "powers"),
+        (13, 164, "powers"),
+        (3, 483, "random"),
+        (5, 58, "powers"),
+        (7, 1, "m2zero"),
+        (13, 0, "nodet1"),
+    ],
+    ids=["F7", "F13", "F3", "F5", "F7-M2zero", "F13-nodet1"],
+)
+def split_sweep_reference(request):
+    """A basis over F_p (_split_basis) and the flattened indices of the
+    determinant-1 candidates among all p^3, found one by one with
+    itertools.product and linalg.  At p = 3 and 5, c^3 = c as functions on
+    F_p.  The seeds give a first hit whose c0 and c1 are nonzero and
+    distinct, so a kernel that mixes up the coefficient slots shows; the
+    "nodet1" span has none, though its determinants are not all 0."""
+    k, basis = _split_basis(*request.param)
     hits = []
+    dets = set()
     for i, cs in enumerate(itertools.product(list(k.elements()), repeat=3)):
         X = linalg.zeros(k, 3, 3)
         for c, P in zip(cs, basis):
             X = linalg.mat_add(k, X, linalg.scalar_mat(k, c, P))
-        if k.eq(linalg.det3(k, X), k.one):
+        d = linalg.det3(k, X)
+        dets.add(d)
+        if k.eq(d, k.one):
             hits.append(i)
+    assert len(dets) > 1 and (not hits) == (request.param[2] == "nodet1")
     return k, basis, hits
 
 
@@ -883,8 +940,9 @@ def test_split_sweep_matches_candidate_by_candidate_reference(
         i0, rem = divmod(inside[0], Q * Q)
         return len(inside), tuple(elements[i] for i in (i0, *divmod(rem, Q)))
 
-    first = expected(0, Q**3)[1]
-    assert first[0] != 0 and first[1] != 0 and first[0] != first[1]
+    if ref:
+        first = expected(0, Q**3)[1]
+        assert first[0] != 0 and first[1] != 0 and first[0] != first[1]
     assert sweep() == expected(0, Q**3)
     # a window from the middle of a c0 block, ending inside a later run, and
     # its complement
@@ -894,11 +952,92 @@ def test_split_sweep_matches_candidate_by_candidate_reference(
         assert sweep(start, stop) == expected(start, stop)
     assert sum(sweep(a, b)[0] for a, b in parts) == len(ref)
     # one-candidate windows, on a hit, just before it and at the last index
-    for i in (ref[0], ref[0] - 1, ref[-1], Q**3 - 1):
+    ones = (ref[0], ref[0] - 1, ref[-1]) if ref else (0, Q * Q + 1)
+    for i in ones + (Q**3 - 1,):
         assert sweep(i, i + 1) == expected(i, i + 1)
     # an empty window, also where a hit sits
-    for i in (5, ref[0]):
+    for i in (5, ref[0] if ref else 0):
         assert sweep(i, i) == (0, None)
+
+
+def test_split_sweep_at_the_largest_prime_with_p_cubed_in_int64():
+    # p = 2,097,143 is the largest prime with p^3 < 2^63, so an unreduced
+    # product of three residues still fits in int64 but a sum of two may
+    # not.  Two hits are planted: in the second-to-last run, and in a deep
+    # run whose c0, c1 and their squares and cubes are all residues above
+    # 7p/8, so that the terms of each c2-coefficient are large.  The windows
+    # cover the end of the coset, the last run boundary and the deep run,
+    # each checked candidate by candidate with linalg.det3 over F_p.
+    p = 2_097_143
+
+    def prime(n):
+        return all(n % d for d in range(2, 1449))
+
+    assert prime(p) and not any(map(prime, range(p + 1, 2**21))) and p**3 < 2**63 == 8**21
+    k = PrimeField(p)
+    rng = random.Random(9)
+    large = (x for x in range(7 * p // 8, p) if all(pow(x, e, p) > 7 * p // 8 for e in (1, 2, 3)))
+    deep = (next(large), next(large), p // 2)
+    late = (p - 1, p - 2, p - 5)
+
+    def det_one(rng):
+        M = _random_matrix(k, rng)
+        d = linalg.det3(k, M)
+        if k.is_zero(d):
+            return det_one(rng)
+        return (tuple(k.div(x, d) for x in M[0]),) + M[1:]
+
+    # plant the hits: c0 M0 + c1 M1 = Y - c2 M2 at both triples, Y of det 1
+    M2 = _random_matrix(k, rng)
+    R = [linalg.mat_sub(k, det_one(rng), linalg.scalar_mat(k, c[2], M2)) for c in (deep, late)]
+    (a0, a1, _), (b0, b1, _) = deep, late
+    inv = pow(a0 * b1 - a1 * b0, -1, p)
+
+    def solve(x, y):
+        x, y = (linalg.scalar_mat(k, z * inv % p, r) for z, r in zip((x, y), R))
+        return linalg.mat_add(k, x, y)
+
+    basis = (solve(b1, -a1), solve(-b0, a0), M2)
+    Q = p
+
+    # the seed makes the c0^2 c1 and c0 c1^2 terms of a_0 at the deep run,
+    # each a coefficient times a product of residues below p^2, sum past
+    # 2^63: they fit in int64 only if each product is reduced first
+    def coefficient(ts):
+        mixes = set(itertools.permutations(ts))
+        mix = [[[basis[t[s]][r][s] for s in range(3)] for r in range(3)] for t in mixes]
+        return sum(linalg.det3(k, M) for M in mix) % p
+
+    terms = (
+        coefficient((0, 0, 1)) * (a0 * a0 % p) * a1,
+        coefficient((0, 1, 1)) * a0 * (a1 * a1 % p),
+    )
+    assert max(terms) < 2**63 <= sum(terms)
+
+    def index(c):
+        return (c[0] * Q + c[1]) * Q + c[2]
+
+    def expected(start, stop):
+        hits = []
+        for i in range(start, stop):
+            cs = (i // (Q * Q), i // Q % Q, i % Q)
+            X = linalg.zeros(k, 3, 3)
+            for c, P in zip(cs, basis):
+                X = linalg.mat_add(k, X, linalg.scalar_mat(k, c, P))
+            if k.eq(linalg.det3(k, X), k.one):
+                hits.append(cs)
+        return len(hits), (hits[0] if hits else None)
+
+    n = Q**3
+    windows = [
+        (n - 64, n), (n - 1, n), (n - Q - 8, n - Q + 8),
+        (index(late) - 3, index(late) + 30), (index(late), index(late) + 1),
+        (index(deep) - 40, index(deep) + 9), (index(deep), index(deep) + 1),
+    ]
+    for c in (deep, late):
+        assert expected(index(c), index(c) + 1) == (1, c)
+    for start, stop in windows:
+        assert sweeps.coset_sweep(k, basis, start=start, stop=stop) == expected(start, stop)
 
 
 def _regular_sl3_classes(q):
@@ -922,7 +1061,7 @@ def _regular_sl3_classes(q):
     return k, companions + twists
 
 
-@pytest.mark.parametrize("q", [7, 13, 19])
+@pytest.mark.parametrize("q", [7, 13, 19, 31])
 def test_whole_sl3_class_list_agrees_with_the_oracle(q):
     # every regular class without eigenvalue 1: the decision and the oracle
     # agree on each, and exactly the four triple-root twists are not real
