@@ -360,21 +360,6 @@ def _frame_conjugation(alg, frame):
     )
 
 
-def build_rho_on_zorn_diagonal(alg):
-    """The order-2 automorphism with rho|_L = sigma on the diagonal subalgebra
-    L of the Zorn model, built by doubling L with a and then L + La with b;
-    rho(x + yb) = rho1(x) + rho1(y) b where rho1(x + ya) = sigma(x) + sigma(y) a.
-    The canonical choices g = diag(1, -1), a = v1 + w1, b = v2 + w2 are
-    anisotropic, and it reproduces the swap."""
-    if alg.model != "zorn":
-        raise FieldError("needs the Zorn model")
-    g = alg.sub(alg.basis_vec(0), alg.basis_vec(7))
-    a = alg.add(alg.basis_vec(1), alg.basis_vec(4))
-    b = alg.add(alg.basis_vec(2), alg.basis_vec(5))
-    fs = (a, b, alg.mul(a, b))
-    return _frame_conjugation(alg, FieldFrame(alg, None, alg.one, g, fs, None, None))
-
-
 def su_embed(A, frame):
     """The automorphism fixing L pointwise whose restriction to the
     orthogonal complement, as an L-space in the frame basis, is A in SU(H)."""
@@ -435,30 +420,6 @@ def extract_su_matrix(t, frame):
         tuple((B[2 + 2 * i][2 + 2 * j], B[3 + 2 * i][2 + 2 * j]) for j in range(3))
         for i in range(3)
     )
-
-
-def semidirect_split(h, frame):
-    """Factor h with h(L) = L as (g, eps) with g fixing L pointwise and
-    h = g rho^eps; eps is read off from the action on L."""
-    alg = frame.alg
-    basis = (frame.e, frame.f) if isinstance(frame, SplitFrame) else (frame.one, frame.g)
-    if all(alg.eq(h.apply(v), v) for v in basis):
-        return h, 0
-    g = h.compose(frame_swap(frame))
-    if all(alg.eq(g.apply(v), v) for v in basis):
-        return g, 1
-    raise FieldError("h does not leave L invariant")
-
-
-def involution_from_symmetric(S, frame):
-    """sl3_embed(S) composed with the swap; an involution exactly when S is
-    symmetric (and det S = 1)."""
-    F = frame.alg.field
-    if not linalg.mat_eq(F, S, linalg.transpose(S)):
-        raise FieldError("S must be symmetric")
-    if not F.eq(linalg.det3(F, S), F.one):
-        raise FieldError("S must have determinant 1")
-    return sl3_embed(S, frame).compose(frame_swap(frame))
 
 
 def involution_from_quaternion(alg, D_basis):

@@ -546,11 +546,6 @@ def _hermitian_coords(L, a, v):
     return tuple(k.mul(two_inv, op(x[0], x[1])) for x in (a, *v) for op in (k.add, k.sub))
 
 
-def hermitian_element(alg, a, v):
-    """Coordinates of (a, v) in a hermitian-model algebra."""
-    return _hermitian_coords(alg.meta["L"], a, v)
-
-
 # -- structural probes --------------------------------------------------------
 
 def composition_law_sample(alg, n, seed):

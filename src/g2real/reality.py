@@ -42,7 +42,6 @@ from .fields import (
     FieldError,
     PrimeField,
     QuadraticEtale,
-    _cubic_separable,
     _first_irreducible_cubic,
     _has_eigenvalue_one,
     cubic_is_irreducible,
@@ -391,31 +390,36 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
 def _symmetric_decomposition(F, A, search):
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
-    At = linalg.transpose(A)
-    if min_equals_char3(F, A):
-        space = linalg.solve_sylvester_space(F, At, A)
-        T0 = _invertible_in_span(F, space, search)
-        if T0 is None:
-            raise RealityError("no invertible intertwiner found")
-        if not linalg.mat_eq(F, T0, linalg.transpose(T0)):
-            raise RealityError("intertwiner is not symmetric; solver invariant broken")
-        target = F.inv(linalg.det3(F, T0))
-        if F.kind == "prime":
-            g = det_image_exponent(F, linalg.charpoly3(F, A))
-            if not _in_power_class(F, target, g):
-                return {
-                    "ok": False,
-                    "obstruction": {
-                        "value": F.to_text(target),
-                        "excluded_class": f"(k*)^{g}",
-                        "class_group_order": g,
-                    },
-                }
-        fA = search(F, _powers(F, A), _with_det(F, target))
-        if fA is None:
-            return {"ok": False, "obstruction": None}
-        return _symmetric_pair(F, A, linalg.mat_mul(F, T0, fA))
-    return _symmetric_pair(F, A, _non_regular_intertwiner(F, A))
+    if not min_equals_char3(F, A):
+        return _symmetric_pair(F, A, _non_regular_intertwiner(F, A))
+    S, obstruction = _regular_coset_conjugator(F, linalg.transpose(A), A, search)
+    if S is None:
+        return {"ok": False, "obstruction": obstruction}
+    if not linalg.mat_eq(F, S, linalg.transpose(S)):
+        raise RealityError("intertwiner is not symmetric; solver invariant broken")
+    return _symmetric_pair(F, A, S)
+
+
+def _regular_coset_conjugator(F, left, A, search):
+    """(B, None) with B of determinant 1 in the coset {B : left B = B A} of a
+    regular A, or (None, obstruction) when the determinant class rules it
+    out.  The coset is X0 k[A] for its first invertible intertwiner X0, and
+    over a finite field det f(A) runs over (k*)^g, g = det_image_exponent,
+    so the coset holds determinant 1 exactly when 1/det X0 lies in (k*)^g;
+    past that test the scan of f(A) cannot miss."""
+    X0 = _invertible_in_span(F, linalg.solve_sylvester_space(F, left, A), search)
+    if X0 is None:
+        raise RealityError("no invertible intertwiner in the coset; solver invariant broke")
+    target = F.inv(linalg.det3(F, X0))
+    if F.order is not None:
+        g = det_image_exponent(F, linalg.charpoly3(F, A))
+        if not _in_power_class(F, target, g):
+            value = F.to_text(target)
+            return None, {"value": value, "excluded_class": f"(k*)^{g}", "class_group_order": g}
+    fA = search(F, _powers(F, A), _with_det(F, target))
+    if fA is None:
+        raise RealityError("no f(A) of the admitted determinant; solver invariant broke")
+    return linalg.mat_mul(F, X0, fA), None
 
 
 def _non_regular_intertwiner(F, A):
@@ -456,11 +460,15 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     Decides whether A is conjugate to tA in SL(3) (the swap coset; equivalent
     to a symmetric determinant-1 factorization) or A to A^-1 in SL(3) (the
     identity coset), which together exhaust the conjugators when the fixed
-    subalgebra is exactly the split quadratic algebra L.  All searches
-    together visit at most `budget` candidates; past it the verdict is
-    unknown.  A non-regular A is real by a written-down symmetric pair, and
-    the base points of the regular cosets are basis matrices unless none is
-    invertible: neither visits a candidate.
+    subalgebra is exactly the split quadratic algebra L.  Over a finite
+    field both cosets of a regular A are decided by the determinant class
+    of their base point (_regular_coset_conjugator); the identity coset is
+    tried only when the swap coset is obstructed and A, A^-1 share their
+    characteristic polynomial.  All searches together visit at most
+    `budget` candidates; past it the verdict is unknown.  A non-regular A is
+    real by a written-down symmetric pair, and the base points of the
+    regular cosets are basis matrices unless none is invertible: neither
+    visits a candidate.
     """
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
@@ -471,26 +479,25 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
         report.notes.append("identity element")
         return _real(report, F, A, {"type": "symmetric_pair", "S1": I, "S2": I})
 
-    regular = min_equals_char3(F, A)
-    report.case["regular"] = regular
+    report.case["regular"] = min_equals_char3(F, A)
     search = _Search(budget)
     try:
         dec = _symmetric_decomposition(F, A, search)
         if dec["ok"]:
             witness = {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]}
             return _real(report, F, A, witness)
-        if regular and F.kind == "prime":
-            B = _identity_coset_conjugator(F, A, chi, search)
+        # the swap coset is obstructed, so A is regular over a finite field
+        if _identity_coset_possible(F, chi):
+            B, _ = _regular_coset_conjugator(F, linalg.inverse3(F, A), A, search)
             if B is not None:
                 return _real(report, F, A, {"type": "conjugator_matrix", "B": B, "coset": 0})
-            if dec["obstruction"]:
-                report.verdict = "not_real"
-                report.obstruction = dec["obstruction"]
-                report.notes.append(
-                    "no symmetric determinant-1 intertwiner, and the identity coset "
-                    "is ruled out or obstructed"
-                )
-                return report
+        report.verdict = "not_real"
+        report.obstruction = dec["obstruction"]
+        report.notes.append(
+            "no symmetric determinant-1 intertwiner, and the identity coset "
+            "is ruled out or obstructed"
+        )
+        return report
     except _Undecided as exc:
         report.notes.append(str(exc))
     if _has_eigenvalue_one(F, chi):
@@ -503,25 +510,6 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
             "norm-class membership over the rationals is not decided here"
         )
     return report
-
-
-def _identity_coset_conjugator(F, A, chi, search):
-    """B of determinant 1 with B A B^-1 = A^-1 for regular A over a finite
-    field, or None when the identity coset holds none: A and A^-1 must share
-    their characteristic polynomial (c2 = -c1 here), and the intertwiners
-    X0 k[A] reach determinant 1 exactly when det X0^-1 lies in (k*)^g."""
-    if not _identity_coset_possible(F, chi):
-        return None
-    Ainv = linalg.inverse3(F, A)
-    space = linalg.solve_sylvester_space(F, Ainv, A)
-    X0 = _invertible_in_span(F, space, search)
-    if X0 is None:
-        raise _Undecided("no invertible intertwiner found for the identity coset")
-    target = F.inv(linalg.det3(F, X0))
-    if not _in_power_class(F, target, det_image_exponent(F, chi)):
-        return None
-    fA = search(F, _powers(F, A), _with_det(F, target))
-    return None if fA is None else linalg.mat_mul(F, X0, fA)
 
 
 # -- SU(3) side ---------------------------------------------------------------
@@ -596,31 +584,16 @@ def unitary_base_conjugator(L, H, A, chi):
     return X0
 
 
-def _norm_one_subgroup_order(q, chi_irreducible):
-    """|{det z : z unitary in the centralizer}| for a separable characteristic
-    polynomial over L = F_{q^2}: the norms of the tau-unitary elements of the
-    etale algebra E.  For irreducible chi, E = F_{q^6} and cyclic-group
-    arithmetic gives the order; for separable reducible chi the component
-    norms are onto, so the group is all of L^1 (order q + 1)."""
-    if chi_irreducible:
-        n = q**6 - 1
-        e = (q**3 - 1) * (1 + q**2 + q**4)
-        return n // math.gcd(n, e)
-    return q + 1
-
-
-def _cube_class_order(q):
-    return math.gcd(3, q * q - 1)
-
-
 def reality_su(L, A, H, budget=DEFAULT_BUDGET):
     """Reality of the automorphism acting as A in SU(H) on a quadratic-field
     frame.  In the swap coset, conjugacy of t and t^-1 is conjugacy of
-    conj(A) and A^-1 inside SU(H); the determinant class of a unitary base
-    conjugator against the norms of the unitary centralizer decides it.  A
-    non-regular A is real by a written-down base conjugator, visiting no
-    candidate.  All searches together visit at most `budget` candidates;
-    past it the verdict is unknown."""
+    conj(A) and A^-1 inside SU(H).  For a regular A over a finite field one
+    class test decides it: det X0 of the unitary base conjugator against
+    (L*)^g, g = det_image_exponent, followed by one centralizer scan that
+    cannot miss (_reality_su_regular).  A non-regular A is real by a
+    written-down base conjugator, visiting no candidate.  All searches
+    together visit at most `budget` candidates; past it the verdict is
+    unknown."""
     if not in_su(A, L, H):
         raise RealityError("A must lie in SU(H)")
     chi = linalg.charpoly3(L, A)
@@ -645,69 +618,39 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET):
 
 
 def _reality_su_regular(L, A, H, chi, report, search):
-    k = L.base
+    """The swap coset of a regular A is X0 times the unitary centralizer,
+    whose determinants det y / sigma(det y), y in L[conj(A)], form L^1 meet
+    (L*)^g over a finite field, g = det_image_exponent (Hilbert 90).  As
+    N(det X0) = 1, the coset holds a conjugator of determinant 1 exactly
+    when det X0 lies in (L*)^g, and past that test the centralizer scan
+    cannot miss.  Only a triple root (g = 3) can fail the test; the identity
+    coset is not searched, so that verdict is not_real only when the
+    identity coset is empty."""
     X0 = unitary_base_conjugator(L, H, A, chi)
     d = linalg.det3(L, X0)
-    _require(k.eq(L.norm(d), k.one), "det X0 has norm 1")
-    sep = _cubic_separable(L, chi)
-    report.case["separable"] = sep
-    q = k.p if k.kind == "prime" else None
-    if q is None:
+    _require(L.base.eq(L.norm(d), L.base.one), "det X0 has norm 1")
+    if L.order is None:
         report.notes.append("rational base: centralizer norm classes not decided")
         return report
-
-    if sep:
-        irr = cubic_is_irreducible(L, chi)
-        report.case["indecomposable_torus"] = irr
-        order = _norm_one_subgroup_order(q, irr)
-        if not L.eq(L.pow(d, order), L.one):
-            report.verdict = "not_real"
-            report.obstruction = {
-                "value": L.to_text(d),
-                "excluded_class": f"norms of the unitary centralizer (order {order})",
-                "class_group_order": (q + 1) // order,
-            }
-            return report
-        z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
-        if z is None:
-            report.notes.append("no unitary centralizer element has the needed determinant")
-            return report
-        return _finish_su(L, H, A, X0, z, report)
-
-    mu = triple_root(L, chi)
-    if mu is not None:
-        # determinants of centralizer units are cubes, so a non-cube class of
-        # det X0 obstructs reality
-        report.case["triple_root"] = True
-        if not _in_power_class(L, d, 3):
-            report.verdict = "not_real"
-            report.obstruction = {
-                "value": L.to_text(d),
-                "excluded_class": "cubes of L*",
-                "class_group_order": _cube_class_order(q),
-            }
-            if _identity_coset_possible(L, chi):
-                report.notes.append("identity coset needs a separate scan")
-                report.verdict = "unknown"
-            else:
-                report.notes.append(
-                    "identity coset ruled out: characteristic polynomials of A "
-                    "and A^-1 differ"
-                )
-            return report
-        z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
-        if z is not None:
-            return _finish_su(L, H, A, X0, z, report)
-        report.notes.append("cube class admits candidates; the centralizer scan found none")
+    if not _in_power_class(L, d, det_image_exponent(L, chi)):
+        report.verdict = "not_real"
+        report.obstruction = {
+            "value": L.to_text(d),
+            "excluded_class": "cubes of L*",
+            "class_group_order": math.gcd(3, L.order - 1),
+        }
+        if _identity_coset_possible(L, chi):
+            report.notes.append("identity coset needs a separate scan")
+            report.verdict = "unknown"
+        else:
+            report.notes.append(
+                "identity coset ruled out: characteristic polynomials of A "
+                "and A^-1 differ"
+            )
         return report
-    # min = char with a repeated (but not triple) root: the centralizer is a
-    # product of local pieces; decide by the same scan of the centralizer
     z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
     if z is None:
-        report.verdict = "not_real" if not _identity_coset_possible(L, chi) else "unknown"
-        if report.verdict == "not_real":
-            report.notes.append("full swap-coset scan found nothing")
-        return report
+        raise RealityError("no centralizer element of the admitted det; solver invariant broke")
     return _finish_su(L, H, A, X0, z, report)
 
 
@@ -1086,31 +1029,6 @@ def build_counterexample_su(q):
         "field": k,
         "chi": chi,
     }
-
-
-def construction_obstructed(ce):
-    """Whether a rebuilt counterexample ce (of build_counterexample_sl3 or
-    build_counterexample_su) is not real by its determinant class, derived
-    exactly and without enumerating a coset.  The identity coset is empty
-    when A and A^-1 have different characteristic polynomials.  The swap
-    coset is the base point times the centralizer, whose determinants form
-    (K*)^g (g = det_image_exponent), so it holds no conjugator of det 1 when
-    the base point's determinant misses that class: the symmetric
-    intertwiner T0 with target 1/det T0 on a split frame, the unitary base
-    conjugator X0 with det X0 on a field frame."""
-    split = isinstance(ce["frame"], SplitFrame)
-    K = ce["field"] if split else ce["L"]
-    A = ce["B"]
-    chi = linalg.charpoly3(K, A)
-    if _identity_coset_possible(K, chi):
-        return False
-    if split:
-        space = linalg.solve_sylvester_space(K, linalg.transpose(A), A)
-        T0 = _invertible_in_span(K, space, _Search(DEFAULT_BUDGET))
-        target = K.inv(linalg.det3(K, T0))
-    else:
-        target = linalg.det3(K, unitary_base_conjugator(K, ce["frame"].H, A, chi))
-    return not _in_power_class(K, target, det_image_exponent(K, chi))
 
 
 # -- end-to-end pipeline --------------------------------------------------------

@@ -213,27 +213,26 @@ def _verify_not_real_instance(family, w, require):
     """Rebuild the construction of the report's kind, match the instance's
     omega, b and B against it, and let the brute-force oracle rule out every
     conjugator.  Where the oracle runs out of budget (su from q = 23 on,
-    whose coset has (q^2)^3 candidates, and sl3 past q = 464), the
-    obstruction is re-derived exactly from the construction instead
-    (reality.construction_obstructed)."""
-    from .reality import (
-        brute_force_reality_oracle,
-        build_counterexample_sl3,
-        build_counterexample_su,
-        construction_obstructed,
-    )
+    whose coset has (q^2)^3 candidates, and sl3 past q = 464), the decision
+    (reality_sl3 or reality_su) re-runs on the rebuilt B and must give
+    not_real: its determinant-class test is exact and enumerates no coset."""
+    from . import reality
 
-    build = {"sl3": build_counterexample_sl3, "su": build_counterexample_su}
+    build = {"sl3": reality.build_counterexample_sl3, "su": reality.build_counterexample_su}
     require(family in build, f"counterexample kind {family!r} is sl3 or su")
     ce = build[family](int(w["field"]))
     K = ce["field"] if family == "sl3" else ce["L"]
     for key in ("omega", "b"):
         require(K.eq(K.from_text(w[key]), ce[key]), f"{key} is the construction's")
     require(linalg.mat_eq(K, _parse_mat(K, w["B"]), ce["B"]), "B is the construction's")
-    verdict = brute_force_reality_oracle(ce["t"], ce["frame"])["verdict"]
+    verdict = reality.brute_force_reality_oracle(ce["t"], ce["frame"])["verdict"]
     require(verdict != "real", "oracle verdict not_real, got real")
     if verdict == "unknown":
-        require(construction_obstructed(ce), "determinant class obstructs both cosets")
+        if family == "sl3":
+            decided = reality.reality_sl3(K, ce["B"])
+        else:
+            decided = reality.reality_su(K, ce["B"], ce["frame"].H)
+        require(decided.verdict == "not_real", "determinant class obstructs both cosets")
 
 
 def mat_text(F, m):

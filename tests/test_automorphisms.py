@@ -16,11 +16,9 @@ from g2real.automorphisms import (
     in_unitary,
     involution_conjugacy_classes,
     involution_from_quaternion,
-    involution_from_symmetric,
     quadratic_subfield_frame,
     random_sl3,
     random_su,
-    semidirect_split,
     sigma_h,
     sl1_action,
     sl3_embed,
@@ -39,7 +37,6 @@ from g2real.composition import (
     orthogonal_complement,
     zorn_algebra,
 )
-from g2real.automorphisms import build_rho_on_zorn_diagonal
 from g2real.fields import FieldError, PrimeField, QuadraticEtale, RationalField
 from g2real.reality import companion_matrix
 
@@ -383,11 +380,6 @@ def test_swap_conjugation_identity(zorn7, frame7):
         assert lhs.eq(sl3_embed(At_inv, frame7))
 
 
-def test_general_rho_construction_matches_swap_on_standard_frame(zorn7):
-    rho = build_rho_on_zorn_diagonal(zorn7)
-    assert rho.eq(zorn_swap(zorn7))
-
-
 def test_rho_restricted_to_diagonal_swaps(zorn7):
     rho = zorn_swap(zorn7)
     e0 = zorn7.basis_vec(0)
@@ -405,47 +397,6 @@ def test_rho_normalizes_the_pointwise_stabilizer(zorn7, frame7):
         # conjugate still fixes the diagonal pointwise
         assert zorn7.eq(g.apply(zorn7.basis_vec(0)), zorn7.basis_vec(0))
         assert zorn7.eq(g.apply(zorn7.basis_vec(7)), zorn7.basis_vec(7))
-
-
-def test_semidirect_split_roundtrip(zorn7, frame7):
-    rho = zorn_swap(zorn7)
-    rng = random.Random(10)
-    g0, e0 = semidirect_split(rho, frame7)
-    assert e0 == 1 and g0.is_identity()
-    for _ in range(25):
-        A = random_sl3(k7, rng)
-        h = sl3_embed(A, frame7)
-        g, eps = semidirect_split(h, frame7)
-        assert eps == 0 and g.eq(h)
-        h2 = h.compose(rho)
-        g2, eps2 = semidirect_split(h2, frame7)
-        assert eps2 == 1
-        recomposed = g2.compose(rho) if eps2 else g2
-        assert recomposed.eq(h2)
-
-
-def test_semidirect_split_rejects_non_stabilizing(zorn7, frame7):
-    # an automorphism fixing a different split etale algebra pointwise moves
-    # the diagonal
-    e2 = zorn7.add(zorn7.basis_vec(0), zorn7.basis_vec(1))  # (1, e1; 0, 0)
-    assert zorn7.eq(zorn7.mul(e2, e2), e2)
-    fr2 = split_frame_from_idempotent(zorn7, e2)
-    rng = random.Random(99)
-    h = None
-    for _ in range(20):
-        A = random_sl3(k7, rng, avoid_eigenvalue_one=True)
-        cand = sl3_embed(A, fr2)
-        img0 = cand.apply(zorn7.basis_vec(0))
-        img7 = cand.apply(zorn7.basis_vec(7))
-        diag_ok = all(k7.is_zero(img0[i]) for i in range(1, 7)) and all(
-            k7.is_zero(img7[i]) for i in range(1, 7)
-        )
-        if not diag_ok:
-            h = cand
-            break
-    assert h is not None
-    with pytest.raises(FieldError):
-        semidirect_split(h, frame7)
 
 
 # ---------------------------------------------------------------------------
@@ -470,31 +421,6 @@ def test_involution_from_quaternion_rejects_degenerate(zorn7):
         involution_from_quaternion(zorn7, bad)
 
 
-def test_involution_from_symmetric(frame7):
-    S = linalg.identity(k7, 3)
-    iota = involution_from_symmetric(S, frame7)
-    assert iota.eq(zorn_swap(frame7.alg))
-    rng = random.Random(11)
-    count = 0
-    while count < 25:
-        A = random_sl3(k7, rng)
-        # build a symmetric determinant-1 matrix as T A with T the first
-        # symmetric intertwiner; easier: S = A tA scaled to det 1 when possible
-        S = linalg.mat_mul(k7, A, linalg.transpose(A))
-        d = linalg.det3(k7, S)
-        # d is a square; rescale to det 1 if d is a cube
-        fixed = None
-        for c in range(1, 7):
-            if k7.eq(k7.mul(d, pow(c, 3, 7)), k7.one):
-                fixed = linalg.scalar_mat(k7, c, S)
-                break
-        if fixed is None:
-            continue
-        iota = involution_from_symmetric(fixed, frame7)
-        assert iota.compose(iota).is_identity()
-        count += 1
-
-
 @pytest.fixture(scope="module")
 def other_frame7(zorn7):
     # a split frame whose idempotent is not the standard one
@@ -514,24 +440,6 @@ def test_frame_swap_on_nonstandard_frame(other_frame7):
     assert rho.compose(rho).is_identity()
     alg = fr.alg
     assert alg.eq(rho.apply(fr.e), fr.f) and alg.eq(rho.apply(fr.f), fr.e)
-    g, eps = semidirect_split(rho, fr)
-    assert eps == 1 and g.is_identity()
-    A = random_sl3(k7, random.Random(13))
-    g, eps = semidirect_split(sl3_embed(A, fr).compose(rho), fr)
-    assert eps == 1 and g.eq(sl3_embed(A, fr))
-
-
-def test_involution_from_symmetric_on_nonstandard_frame(other_frame7):
-    S = ((k7.element(2), 0, 0), (0, k7.element(4), 0), (0, 0, k7.one))
-    iota = involution_from_symmetric(S, other_frame7)
-    assert iota.compose(iota).is_identity()
-    assert not iota.eq(involution_from_symmetric(linalg.identity(k7, 3), other_frame7))
-
-
-def test_involution_from_symmetric_rejects_asymmetric(frame7):
-    A = ((k7.one, k7.one, k7.zero), (k7.zero, k7.one, k7.zero), (k7.zero, k7.zero, k7.one))
-    with pytest.raises(FieldError):
-        involution_from_symmetric(A, frame7)
 
 
 def test_nonsymmetric_composition_is_not_an_involution(frame7):

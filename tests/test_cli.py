@@ -320,8 +320,8 @@ def test_not_real_instance_needs_the_oracle_verdict(tmp_path, monkeypatch):
 
 
 def test_not_real_instance_re_derived_when_the_oracle_runs_out(tmp_path, monkeypatch):
-    # an oracle out of budget leaves the exact determinant-class obstruction
-    # of the rebuilt construction, which verifies the instance or fails it
+    # an oracle out of budget leaves the decision on the rebuilt construction,
+    # whose exact determinant-class test verifies the instance or fails it
     from g2real import reality
 
     out = tmp_path / "ce.json"
@@ -332,15 +332,23 @@ def test_not_real_instance_re_derived_when_the_oracle_runs_out(tmp_path, monkeyp
     )
     assert reports.verify_witnesses(data) == 1
     assert run(["report", "--input", str(out), "--verify"]) == 0
-    monkeypatch.setattr(reality, "construction_obstructed", lambda ce: False)
-    with pytest.raises(reports.VerificationError, match="determinant class obstructs"):
-        reports.verify_witnesses(data)
+    for verdict in ("real", "unknown"):
+        monkeypatch.setattr(
+            reality, "reality_sl3", lambda F, A, v=verdict: reality.RealityReport("sl3", v)
+        )
+        with pytest.raises(reports.VerificationError, match="determinant class obstructs"):
+            reports.verify_witnesses(data)
 
 
-def test_su_q23_report_verifies_past_the_oracle_budget(tmp_path):
-    # the q = 23 swap coset has 529^3 candidates, past the oracle's default
-    # budget: `report --verify` re-derives the obstruction and exits 0, and a
-    # tampered b still exits 1, with assertions stripped
+@pytest.mark.parametrize(
+    "kind, q, exit_code", [("su", 23, 0), ("sl3", 487, 3)], ids=["su-23", "sl3-487"]
+)
+def test_report_verifies_past_the_oracle_budget(tmp_path, kind, q, exit_code):
+    # the su q = 23 swap coset has 529^3 candidates and the sl3 q = 487 one
+    # 487^3, past the oracle's default budget: `report --verify` re-runs the
+    # decision on the rebuilt construction and exits 0, and a tampered b
+    # still exits 1, with assertions stripped.  The sl3 counterexample run
+    # itself runs the oracle, which runs out, so it exits 3
     import g2real
 
     out = tmp_path / "u.json"
@@ -353,8 +361,8 @@ def test_su_q23_report_verifies_past_the_oracle_budget(tmp_path):
             env=dict(os.environ, PYTHONPATH=src),
         )
 
-    proc = cli("counterexample", "su", "--q", "23", "--json", str(out))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = cli("counterexample", kind, "--q", str(q), "--json", str(out))
+    assert proc.returncode == exit_code, proc.stdout + proc.stderr
     proc = cli("report", "--input", str(out), "--verify")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "witnesses re-verified: 1" in proc.stdout

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -26,6 +27,7 @@ from g2real.fields import (
     PrimeField,
     QuadraticEtale,
     RationalField,
+    _cubic_separable,
     _has_eigenvalue_one,
     cubic_is_irreducible,
 )
@@ -38,12 +40,12 @@ from g2real.reality import (
     classify,
     companion_factorization,
     companion_matrix,
-    construction_obstructed,
     min_equals_char3,
     reality_report_for,
     reality_sl3,
     reality_su,
     symmetric_decomposition,
+    triple_root,
     two_involution_witness,
     unitary_base_conjugator,
 )
@@ -317,6 +319,33 @@ def test_su_oracle_agreement(su5):
         assert linalg.rank(O.field, span + (img,)) == 2
 
 
+@pytest.mark.parametrize("route", ["separable", "repeated_root", "triple_root"])
+@pytest.mark.parametrize("q", [5, 11])
+def test_su_decision_agrees_with_the_oracle_on_every_route(q, route):
+    # 15 seeded regular draws of one route; triple roots are real or not by
+    # the cube class of det X0, and the seed q gives both verdicts
+    k = PrimeField(q)
+    L = QuadraticEtale(k, k.nonsquare())
+    O = octonion_from_hermitian(hermitian_space(L, (1, 1, 1)))
+    fr = quadratic_subfield_frame(O, O.basis_vec(1))
+    rng = random.Random(q)
+    verdicts = []
+    for _ in range(400):
+        A = random_su(
+            L, fr.H, rng, separable=route == "separable", avoid_eigenvalue_one=True
+        )
+        if _su_route(L, A) != route:
+            continue
+        verdict = reality_su(L, A, fr.H).verdict
+        assert brute_force_reality_oracle(su_embed(A, fr), fr)["verdict"] == verdict, A
+        verdicts.append(verdict)
+        if len(verdicts) == 15:
+            break
+    assert len(verdicts) == 15
+    expected = {"real", "not_real"} if route == "triple_root" else {"real"}
+    assert set(verdicts) == expected
+
+
 def test_counterexample_su_q17():
     ce = build_counterexample_su(17)
     L = ce["L"]
@@ -337,17 +366,18 @@ def test_counterexample_su_q17():
 )
 def test_construction_obstruction_is_re_derived_without_the_oracle(build, q):
     # the oracle's budget covers neither sl3 at q = 487 (487^3 candidates)
-    # nor su at q = 23 (529^3); the determinant class decides them exactly,
-    # as the decision does, also on the untwisted matrix A (real at q = 17,
-    # not real at q = 23)
+    # nor su at q = 23 (529^3); the decision's determinant-class test settles
+    # the twisted B exactly, visiting no candidate, and decides the untwisted
+    # A too (real, except su at q = 23)
     ce = build(q)
-    assert construction_obstructed(ce)
-    for M in (ce["A"], ce["B"]):
+    a_verdict = "not_real" if (build, q) == (build_counterexample_su, 23) else "real"
+    for M, budget, verdict in ((ce["A"], DEFAULT_BUDGET, a_verdict), (ce["B"], 0, "not_real")):
         if build is build_counterexample_sl3:
-            verdict = reality_sl3(ce["field"], M).verdict
+            rep = reality_sl3(ce["field"], M, budget)
         else:
-            verdict = reality_su(ce["L"], M, ce["frame"].H).verdict
-        assert construction_obstructed(dict(ce, B=M)) == (verdict == "not_real")
+            rep = reality_su(ce["L"], M, ce["frame"].H, budget)
+        assert rep.verdict == verdict
+        assert (rep.obstruction is not None) == (verdict == "not_real")
 
 
 def test_counterexample_su_q5_rejected():
@@ -1135,12 +1165,36 @@ def test_local_su_family_cube_class_is_real():
     assert rep.witness["type"] == "unitary_pair"
 
 
-def test_centralizer_norm_order_enumeration_cross_check(su5):
-    # the norm-class orders used by the decision procedure, re-derived by
-    # exhaustive enumeration of the unitary centralizer in L[conj(A)]
-    from g2real.reality import _norm_one_subgroup_order, sigma_h
+def _unitary_centralizer(L, H, A):
+    """The determinants and the number of the unitary z in L[conj(A)], by
+    exhaustive enumeration."""
+    from g2real.reality import sigma_h
 
+    Abar = linalg.map_entries(L.sigma, A)
+    I = linalg.identity(L, 3)
+    Ab2 = linalg.mat_mul(L, Abar, Abar)
+    dets = set()
+    count = 0
+    for a0 in L.elements():
+        m0 = linalg.scalar_mat(L, a0, I)
+        for a1 in L.elements():
+            m1 = linalg.mat_add(L, m0, linalg.scalar_mat(L, a1, Abar))
+            for a2 in L.elements():
+                z = linalg.mat_add(L, m1, linalg.scalar_mat(L, a2, Ab2))
+                zs = sigma_h(L, H, z)
+                if linalg.mat_eq(L, linalg.mat_mul(L, z, zs), I):
+                    dets.add(linalg.det3(L, z))
+                    count += 1
+    return dets, count
+
+
+def test_centralizer_norm_order_enumeration_cross_check(su5):
+    # the determinant classes the decision procedure relies on, re-derived by
+    # exhaustive enumeration of the unitary centralizer in L[conj(A)]: all of
+    # the norm-one circle L^1 (order q + 1) for a separable chi, and its
+    # cubes, (q + 1)/gcd(3, q + 1) of them, for a triple root
     L, O, fr = su5
+    q = 5
     # seed 59: a check of the real parts alone finds 6 members in the first coset
     rng = random.Random(59)
     seen = {True: False, False: False}
@@ -1153,26 +1207,14 @@ def test_centralizer_norm_order_enumeration_cross_check(su5):
         if seen[irr]:
             continue
         seen[irr] = True
-        Abar = linalg.map_entries(L.sigma, A)
-        I = linalg.identity(L, 3)
-        Ab2 = linalg.mat_mul(L, Abar, Abar)
-        dets = set()
-        count = 0
-        for a0 in L.elements():
-            m0 = linalg.scalar_mat(L, a0, I)
-            for a1 in L.elements():
-                m1 = linalg.mat_add(L, m0, linalg.scalar_mat(L, a1, Abar))
-                for a2 in L.elements():
-                    z = linalg.mat_add(L, m1, linalg.scalar_mat(L, a2, Ab2))
-                    zs = sigma_h(L, fr.H, z)
-                    if linalg.mat_eq(L, linalg.mat_mul(L, z, zs), I):
-                        dets.add(linalg.det3(L, z))
-                        count += 1
-        assert len(dets) == _norm_one_subgroup_order(5, irr)
+        dets, count = _unitary_centralizer(L, fr.H, A)
+        assert len(dets) == q + 1
         if irr:
             # field case: the unitary group is the norm-one circle of F_{5^6}
-            assert count == 5**3 + 1
+            assert count == q**3 + 1
     assert all(seen.values())
+    dets, _ = _unitary_centralizer(L, fr.H, _su_by_route(L, fr.H, "triple_root"))
+    assert len(dets) == (q + 1) // math.gcd(3, q + 1) == 2
 
 
 def test_counterexample_su_obstruction_carries_b_squared_class():
@@ -1487,18 +1529,22 @@ def _report_view(rep):
     return rep.verdict, rep.to_json()
 
 
+def _su_route(L, A):
+    """separable, triple_root or repeated_root for a regular A, from its
+    characteristic polynomial, else non_regular."""
+    chi = linalg.charpoly3(L, A)
+    if not min_equals_char3(L, A):
+        return "non_regular"
+    if _cubic_separable(L, chi):
+        return "separable"
+    return "repeated_root" if triple_root(L, chi) is None else "triple_root"
+
+
 def _su_by_route(L, H, route):
     rng = random.Random(2)
     for _ in range(200):
         A = random_su(L, H, rng)
-        case = reality_su(L, A, H).case
-        got = (
-            "separable" if case.get("separable")
-            else "triple_root" if case.get("triple_root")
-            else "repeated_root" if case.get("regular")
-            else "non_regular"
-        )
-        if got == route:
+        if _su_route(L, A) == route:
             return A
     raise AssertionError(f"no {route} element drawn")
 
