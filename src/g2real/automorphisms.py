@@ -108,12 +108,14 @@ def certify_automorphism(matrix, alg):
         # object path (primes too large for int64 sums) compare residues
         return a if p is None else a % p
 
-    lhs = red(d * np.tensordot(T, M, axes=([2], [1])))  # (i, j, m): d*N(e_i e_j)
-    tmp = red(np.tensordot(M, T, axes=([0], [0])))  # (i, b, m)
-    rhs = red(np.tensordot(tmp, M, axes=([1], [0]))).transpose(0, 2, 1)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        i, j, _ = bad[0]
+    # three integer products: (i, j, m) -> d*N(e_i e_j) from T as n^2 x n,
+    # and N(e_i) N(e_j) from M^T (T as n x n^2), then M^T on each (b, m) slice
+    lhs = red(d * (T.reshape(n * n, n) @ M.T)).reshape(n, n, n)
+    tmp = red(M.T @ T.reshape(n, n * n)).reshape(n, n, n)  # (i, b, m)
+    rhs = red(M.T @ tmp)  # (i, j, m)
+    diff = lhs != rhs
+    if diff.any():
+        i, j, _ = np.argwhere(diff)[0]
         return AutMap(matrix, alg, False, failure=(int(i), int(j)))
     if (red(M.T @ red(B @ M)) != d * d * B).any():
         return AutMap(matrix, alg, False, failure="norm")

@@ -214,22 +214,27 @@ def zorn_mul_coords(F, x, y):
 
     [a v; w b][a' v'; w' b'] = [aa' - <v,w'>, av' + b'v + w^w';
                                 bw' + a'w + v^v', bb' - <w,v'>].
+
+    F is F_p or Q (the only fields zorn_algebra is built over): the formula
+    runs on the native operators, on residues reduced once per coordinate
+    over F_p and on Fractions over Q.
     """
-    xv = x[1:4]
-    xw = x[4:7]
-    yv = y[1:4]
-    yw = y[4:7]
-    a = F.sub(F.mul(x[0], y[0]), _dot(F, xv, yw))
-    b = F.sub(F.mul(x[7], y[7]), _dot(F, xw, yv))
-    cw = _cross(F, xw, yw)
-    v = tuple(
-        F.add(F.add(F.mul(x[0], yv[i]), F.mul(y[7], xv[i])), cw[i]) for i in range(3)
+    a, v1, v2, v3, w1, w2, w3, b = x
+    c, s1, s2, s3, t1, t2, t3, d = y
+    out = (
+        a * c - (v1 * t1 + v2 * t2 + v3 * t3),
+        a * s1 + d * v1 + (w2 * t3 - w3 * t2),
+        a * s2 + d * v2 + (w3 * t1 - w1 * t3),
+        a * s3 + d * v3 + (w1 * t2 - w2 * t1),
+        b * t1 + c * w1 + (v2 * s3 - v3 * s2),
+        b * t2 + c * w2 + (v3 * s1 - v1 * s3),
+        b * t3 + c * w3 + (v1 * s2 - v2 * s1),
+        b * d - (w1 * s1 + w2 * s2 + w3 * s3),
     )
-    cv = _cross(F, xv, yv)
-    w = tuple(
-        F.add(F.add(F.mul(x[7], yw[i]), F.mul(y[0], xw[i])), cv[i]) for i in range(3)
-    )
-    return (a,) + v + w + (b,)
+    if F.kind == "prime":
+        p = F.p
+        return tuple(e % p for e in out)
+    return out
 
 
 def zorn_algebra(k):

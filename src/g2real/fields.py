@@ -272,6 +272,7 @@ class QuadraticEtale:
 
     def __init__(self, base, c=None):
         self.base = base
+        self._p = base.p if base.kind == "prime" else None
         if c is None:
             self.kind = "split"
             self.c = None
@@ -315,23 +316,30 @@ class QuadraticEtale:
             return (self.base.one, self.base.neg(self.base.one))
         return (self.base.zero, self.base.one)
 
+    # add, sub, neg, mul, sigma and eq run on the coordinates with the native
+    # operators: Fractions over Q, residues over F_p reduced once per
+    # coordinate (self._p is None over Q).
     def add(self, x, y):
-        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
+        a, b, p = x[0] + y[0], x[1] + y[1], self._p
+        return (a, b) if p is None else (a % p, b % p)
 
     def sub(self, x, y):
-        return (self.base.sub(x[0], y[0]), self.base.sub(x[1], y[1]))
+        a, b, p = x[0] - y[0], x[1] - y[1], self._p
+        return (a, b) if p is None else (a % p, b % p)
 
     def neg(self, x):
-        return (self.base.neg(x[0]), self.base.neg(x[1]))
+        a, b, p = -x[0], -x[1], self._p
+        return (a, b) if p is None else (a % p, b % p)
 
     def mul(self, x, y):
-        k = self.base
+        x0, x1 = x
+        y0, y1 = y
         if self.kind == "split":
-            return (k.mul(x[0], y[0]), k.mul(x[1], y[1]))
-        return (
-            k.add(k.mul(x[0], y[0]), k.mul(self.c, k.mul(x[1], y[1]))),
-            k.add(k.mul(x[0], y[1]), k.mul(x[1], y[0])),
-        )
+            a, b = x0 * y0, x1 * y1
+        else:
+            a, b = x0 * y0 + self.c * x1 * y1, x0 * y1 + x1 * y0
+        p = self._p
+        return (a, b) if p is None else (a % p, b % p)
 
     def scalar_mul(self, a, x):
         return (self.base.mul(a, x[0]), self.base.mul(a, x[1]))
@@ -339,7 +347,8 @@ class QuadraticEtale:
     def sigma(self, x):
         if self.kind == "split":
             return (x[1], x[0])
-        return (x[0], self.base.neg(x[1]))
+        p = self._p
+        return (x[0], -x[1] if p is None else -x[1] % p)
 
     def norm(self, x):
         """N_{L/k}(x) = x * sigma(x), as an element of k."""
@@ -358,7 +367,8 @@ class QuadraticEtale:
         return self.base.is_zero(x[0]) and self.base.is_zero(x[1])
 
     def eq(self, x, y):
-        return self.base.eq(x[0], y[0]) and self.base.eq(x[1], y[1])
+        a, b, p = x[0] - y[0], x[1] - y[1], self._p
+        return (a == 0 and b == 0) if p is None else (a % p == 0 and b % p == 0)
 
     def is_unit(self, x):
         return not self.base.is_zero(self.norm(x))

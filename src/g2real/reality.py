@@ -378,8 +378,10 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
     not enough, or a search over the rationals misses its grid, the record
     carries the reason under "unknown".
     """
+    if not F.eq(linalg.det3(F, A), F.one):
+        raise RealityError("need det A = 1")
     try:
-        dec = _symmetric_decomposition(F, A, _Search(budget))
+        dec = _symmetric_decomposition(F, A, min_equals_char3(F, A), _Search(budget))
     except _Undecided as exc:
         return {"ok": False, "obstruction": None, "unknown": str(exc)}
     if dec["ok"]:
@@ -387,10 +389,10 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
     return dec
 
 
-def _symmetric_decomposition(F, A, search):
-    if not F.eq(linalg.det3(F, A), F.one):
-        raise RealityError("need det A = 1")
-    if not min_equals_char3(F, A):
+def _symmetric_decomposition(F, A, regular, search):
+    """symmetric_decomposition for an A already known to have det 1, with
+    regular = min_equals_char3(F, A)."""
+    if not regular:
         return _symmetric_pair(F, A, _non_regular_intertwiner(F, A))
     S, obstruction = _regular_coset_conjugator(F, linalg.transpose(A), A, search)
     if S is None:
@@ -479,10 +481,10 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
         report.notes.append("identity element")
         return _real(report, F, A, {"type": "symmetric_pair", "S1": I, "S2": I})
 
-    report.case["regular"] = min_equals_char3(F, A)
+    regular = report.case["regular"] = min_equals_char3(F, A)
     search = _Search(budget)
     try:
-        dec = _symmetric_decomposition(F, A, search)
+        dec = _symmetric_decomposition(F, A, regular, search)
         if dec["ok"]:
             witness = {"type": "symmetric_pair", "S1": dec["S1"], "S2": dec["S2"]}
             return _real(report, F, A, witness)

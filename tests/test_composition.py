@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,37 @@ def test_zorn_fast_path_matches_table_path():
         slow = generic(Z, x, y)
         Z.model = "zorn"
         assert Z.eq(fast, slow)
+
+
+@pytest.mark.parametrize("spec", [5, 31, 2**31 - 1, "Q"])
+def test_zorn_mul_coords_matches_the_vectorized_product(spec):
+    # sweeps._zorn_product_np is an independent formula on whole arrays: int64
+    # residues at p = 5, 31, Python ints at 2^31 - 1 (int64 would overflow),
+    # integer and Fraction vectors over Q
+    import numpy as np
+
+    from g2real.sweeps import _zorn_product_np
+
+    rng = random.Random(f"zorn-np/{spec}")
+    if spec == "Q":
+        F, p = Q, None
+        ints = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(400)]
+        fracs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+                 for _ in range(400)]
+        batches = [(np.array(ints[:200], dtype=np.int64), np.array(ints[200:], dtype=np.int64)),
+                   (np.array(fracs[:200], dtype=object), np.array(fracs[200:], dtype=object))]
+    else:
+        F, p = PrimeField(spec), spec
+        rows = [[rng.randrange(p) for _ in range(8)] for _ in range(400)]
+        rows[0], rows[200] = [p - 1] * 8, [p - 1] * 8
+        dtype = np.int64 if p < 2**20 else object
+        batches = [(np.array(rows[:200], dtype=dtype), np.array(rows[200:], dtype=dtype))]
+    for x, y in batches:
+        want = _zorn_product_np(x, y, reduce_mod=p).tolist()
+        xs = [tuple(F.element(c) for c in r) for r in x.tolist()]
+        ys = [tuple(F.element(c) for c in r) for r in y.tolist()]
+        for a, b, w in zip(xs, ys, want):
+            assert zorn_mul_coords(F, a, b) == tuple(w)
 
 
 def test_f3_exhaustive_composition_in_diagonal_subalgebra():

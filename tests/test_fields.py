@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -291,6 +292,72 @@ def test_quadratic_pow_matches_repeated_mul():
                 power = L.mul(power, x)
             if L.is_unit(x):
                 assert L.mul(L.pow(x, -4), L.pow(x, 4)) == L.one
+
+
+def _handle_ops(L):
+    """The ring operations of L written through the base handle, one k-op per
+    step: the reference for the native coordinate arithmetic of L."""
+    k = L.base
+
+    def mul(x, y):
+        if L.kind == "split":
+            return (k.mul(x[0], y[0]), k.mul(x[1], y[1]))
+        return (
+            k.add(k.mul(x[0], y[0]), k.mul(L.c, k.mul(x[1], y[1]))),
+            k.add(k.mul(x[0], y[1]), k.mul(x[1], y[0])),
+        )
+
+    def sigma(x):
+        return (x[1], x[0]) if L.kind == "split" else (x[0], k.neg(x[1]))
+
+    return {
+        "add": lambda x, y: (k.add(x[0], y[0]), k.add(x[1], y[1])),
+        "sub": lambda x, y: (k.sub(x[0], y[0]), k.sub(x[1], y[1])),
+        "mul": mul,
+        "eq": lambda x, y: k.eq(x[0], y[0]) and k.eq(x[1], y[1]),
+        "neg": lambda x, y: (k.neg(x[0]), k.neg(x[1])),
+        "sigma": lambda x, y: sigma(x),
+    }
+
+
+def _assert_native_ops_match_handle(L, pairs):
+    ref = _handle_ops(L)
+    for x, y in pairs:
+        for name, op in ref.items():
+            want = op(x, y)
+            got = getattr(L, name)(x) if name in ("neg", "sigma") else getattr(L, name)(x, y)
+            assert got == want and type(got) is type(want), (L, name, x, y)
+            if isinstance(want, tuple):
+                assert tuple(map(type, got)) == tuple(map(type, want)), (L, name, x, y)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("split", [False, True], ids=["field", "split"])
+def test_quadratic_native_ops_match_handle_on_every_pair(p, split):
+    k = PrimeField(p)
+    L = QuadraticEtale(k) if split else QuadraticEtale(k, k.nonsquare())
+    elems = list(L.elements())
+    _assert_native_ops_match_handle(L, itertools.product(elems, elems))
+
+
+def test_quadratic_native_ops_match_handle_at_the_prime_cap():
+    k = PrimeField(2**31 - 1)
+    rng = random.Random("native/2^31-1")
+    for L in (QuadraticEtale(k, k.nonsquare()), QuadraticEtale(k)):
+        pairs = [(L.random(rng), L.random(rng)) for _ in range(500)]
+        pairs += [(x, x) for x, _ in pairs[:20]]
+        pairs += [((k.p - 1, k.p - 1), (k.p - 1, k.p - 1))]
+        _assert_native_ops_match_handle(L, pairs)
+
+
+def test_quadratic_native_ops_match_handle_over_Q():
+    Q = RationalField()
+    rng = random.Random("native/Q")
+    for L in (QuadraticEtale(Q, 2), QuadraticEtale(Q, -3), QuadraticEtale(Q, Fraction(5, 3)),
+              QuadraticEtale(Q)):
+        pairs = [(L.random(rng), L.random(rng)) for _ in range(300)]
+        pairs += [(x, x) for x, _ in pairs[:20]] + [(L.zero, L.one), (L.one, L.gen())]
+        _assert_native_ops_match_handle(L, pairs)
 
 
 def test_power_matches_repeated_products_and_stops_at_the_top_bit():
