@@ -1,26 +1,36 @@
 """Exact linear algebra over a field handle.
 
 Matrices are immutable tuples of tuples of raw field elements.  Over F_p and
-Q the products and the eliminations run on the integer lattice: mat_mul on
-numpy integer arrays (int64 residues when no sum can overflow, Python ints
-otherwise; over Q the common-denominator numerators, divided back once), and
-_echelon (inverse, rank, nullspace, solve) on plain residues or Fractions
-with the operators inlined.  For the other handles (L = k(g), k x k and the
-cubic algebras) the field handle supplies the arithmetic.  Either way the
-entries returned are plain ints, Fractions or tuples of those.  Gaussian
-elimination requires an honest field (division), so callers must not pass
-split quadratic algebras to it.
-The 3x3 closed forms det3, adjugate3 and charpoly3 use ring operations
-only, so they hold over any commutative ring: the cubic algebras of fields.py
-take their norms with det3, and det3, which needs only add, sub and mul, also
-runs on the numpy arrays of the SU coset sweep.
-span_search is the one enumerator of matrix spans under a candidate budget.
+Q the 3x3 closed forms (det3, adjugate3, inverse3, charpoly3, the 3x3
+mat_mul, mat_vec, combination) and the entrywise mat_add, mat_sub and
+mat_eq run on Python's operators, reduced mod p once per entry over F_p;
+larger products run on numpy integer arrays (int64 residues when no sum can
+overflow, Python ints otherwise; over Q the common-denominator numerators,
+divided back once), and _echelon (inverse, rank, nullspace, solve) on plain
+residues or Fractions with the operators inlined.  For the other handles
+(L = k(g), k x k and the cubic algebras) the field handle supplies the
+arithmetic.  Either way the entries returned are plain ints, Fractions or
+tuples of those.  Gaussian elimination requires an honest field (division),
+so callers must not pass split quadratic algebras to it.
+The 3x3 closed forms and norm_form3 use ring operations only, so they hold
+over any commutative ring: the cubic algebras of fields.py take their norms
+with det3, and det3, which needs only add, sub and mul, also runs on the
+numpy arrays of the SU coset sweep.
+solve_sylvester_space builds the intertwiner space of two similar regular
+3x3 matrices from their Krylov matrices (krylov_similarity), whose cyclic
+vector search always ends for a regular matrix.
+span_search is the one enumerator of spans under a candidate budget; it
+runs the coefficient vectors lazily (lex_vectors) and hands each to the
+caller, which tests it on a closed form (such as the norm form of k[A]) and
+forms a matrix only when it needs one (combination).
 Nothing here draws random numbers.  The decisions write the witnesses of
 non-regular matrices down and take invertible basis matrices as base points,
 visiting no candidate; only a span without one is searched, under the budget.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -29,9 +39,8 @@ def mat(rows):
 
 
 def identity(F, n):
-    return tuple(
-        tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)
-    )
+    z = F.zero
+    return tuple([(z,) * i + (F.one,) + (z,) * (n - 1 - i) for i in range(n)])
 
 
 def zeros(F, n, m):
@@ -42,10 +51,25 @@ def transpose(a):
     return tuple(zip(*a))
 
 
+def _modulus(F):
+    """p over F_p, 0 over Q and None for every other handle (and for the
+    sweep's array handles, which have no kind): over F_p and Q the closed
+    forms run on Python's operators, reduced mod p once per entry over F_p."""
+    kind = getattr(F, "kind", None)
+    return F.p if kind == "prime" else 0 if kind == "rationals" else None
+
+
 def mat_add(F, a, b):
+    p = _modulus(F)
+    if p:
+        return tuple([tuple([(x + y) % p for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
     return tuple(tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
+
 def mat_sub(F, a, b):
+    p = _modulus(F)
+    if p:
+        return tuple([tuple([(x - y) % p for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
     return tuple(tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -71,7 +95,22 @@ def lattice(F, a):
 
 
 def mat_mul(F, a, b):
-    if F.kind in ("prime", "rationals") and a and b:
+    p = _modulus(F)
+    if p is not None and len(a) == 3 and len(b) == 3 and len(b[0]) == 3:
+        (i, j, k), (l, m, n), (o, q, g) = a
+        (x, y, z), (u, v, w), (r, s, t) = b
+        if p:
+            return (
+                ((i * x + j * u + k * r) % p, (i * y + j * v + k * s) % p, (i * z + j * w + k * t) % p),
+                ((l * x + m * u + n * r) % p, (l * y + m * v + n * s) % p, (l * z + m * w + n * t) % p),
+                ((o * x + q * u + g * r) % p, (o * y + q * v + g * s) % p, (o * z + q * w + g * t) % p),
+            )
+        return (
+            (i * x + j * u + k * r, i * y + j * v + k * s, i * z + j * w + k * t),
+            (l * x + m * u + n * r, l * y + m * v + n * s, l * z + m * w + n * t),
+            (o * x + q * u + g * r, o * y + q * v + g * s, o * z + q * w + g * t),
+        )
+    if p is not None and a and b:
         (A, s), (B, t) = lattice(F, a), lattice(F, b)
         if F.kind == "prime":
             return tuple(map(tuple, ((A @ B) % F.p).tolist()))
@@ -90,6 +129,12 @@ def mat_mul(F, a, b):
 
 
 def mat_vec(F, a, v):
+    p = _modulus(F)
+    if p is not None and len(v) == 3:
+        x, y, z = v
+        if p:
+            return tuple([(i * x + j * y + k * z) % p for i, j, k in a])
+        return tuple([i * x + j * y + k * z for i, j, k in a])
     out = []
     for row in a:
         s = F.zero
@@ -117,6 +162,11 @@ def mat_pow(F, a, n):
 
 
 def mat_eq(F, a, b):
+    p = _modulus(F)
+    if p is not None and a == b:
+        return True
+    if p:
+        return all((x - y) % p == 0 for ra, rb in zip(a, b) for x, y in zip(ra, rb))
     return all(F.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
@@ -216,6 +266,14 @@ def inverse(F, a):
 def charpoly3(F, a):
     """Characteristic polynomial X^3 - tr X^2 + s2 X - det of a 3x3 matrix,
     returned low-first as (c0, c1, c2) with X^3 + c2 X^2 + c1 X + c0."""
+    p = _modulus(F)
+    if p is not None:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        m00 = a11 * a22 - a12 * a21
+        d = a00 * m00 + a01 * (a12 * a20 - a10 * a22) + a02 * (a10 * a21 - a11 * a20)
+        s2 = m00 + a00 * a22 - a02 * a20 + a00 * a11 - a01 * a10
+        tr = a00 + a11 + a22
+        return ((-d) % p, s2 % p, (-tr) % p) if p else (-d, s2, -tr)
     tr = F.add(F.add(a[0][0], a[1][1]), a[2][2])
     m00 = F.sub(F.mul(a[1][1], a[2][2]), F.mul(a[1][2], a[2][1]))
     m11 = F.sub(F.mul(a[0][0], a[2][2]), F.mul(a[0][2], a[2][0]))
@@ -226,6 +284,11 @@ def charpoly3(F, a):
 
 
 def det3(F, a):
+    p = _modulus(F)
+    if p is not None:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        d = a00 * (a11 * a22 - a12 * a21) + a01 * (a12 * a20 - a10 * a22) + a02 * (a10 * a21 - a11 * a20)
+        return d % p if p else d
     t1 = F.mul(a[0][0], F.sub(F.mul(a[1][1], a[2][2]), F.mul(a[1][2], a[2][1])))
     t2 = F.mul(a[0][1], F.sub(F.mul(a[1][2], a[2][0]), F.mul(a[1][0], a[2][2])))
     t3 = F.mul(a[0][2], F.sub(F.mul(a[1][0], a[2][1]), F.mul(a[1][1], a[2][0])))
@@ -233,6 +296,15 @@ def det3(F, a):
 
 
 def adjugate3(F, a):
+    p = _modulus(F)
+    if p is not None:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        adj = (
+            (a11 * a22 - a12 * a21, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+            (a12 * a20 - a10 * a22, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+            (a10 * a21 - a11 * a20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10),
+        )
+        return tuple((x % p, y % p, z % p) for x, y, z in adj) if p else adj
     c = [[None] * 3 for _ in range(3)]
     idx = ((1, 2), (0, 2), (0, 1))
     for i in range(3):
@@ -245,11 +317,71 @@ def adjugate3(F, a):
 
 
 def inverse3(F, a):
-    d = det3(F, a)
+    """adj(a) / det a, with det a expanded along the first row against the
+    first column of the adjugate."""
+    adj = adjugate3(F, a)
+    p = _modulus(F)
+    if p is not None:
+        d = a[0][0] * adj[0][0] + a[0][1] * adj[1][0] + a[0][2] * adj[2][0]
+        d = d % p if p else d
+    else:
+        d = F.add(F.add(F.mul(a[0][0], adj[0][0]), F.mul(a[0][1], adj[1][0])), F.mul(a[0][2], adj[2][0]))
     if F.is_zero(d):
         raise ZeroDivisionError("matrix is singular")
     dinv = F.inv(d)
-    return scalar_mat(F, dinv, adjugate3(F, a))
+    if p:
+        return tuple((dinv * x % p, dinv * y % p, dinv * z % p) for x, y, z in adj)
+    return scalar_mat(F, dinv, adj)
+
+
+def norm_form3(F, chi):
+    """The cubic form N(c) = det(c0 I + c1 A + c2 A^2) for every 3x3 A with
+    characteristic polynomial chi = charpoly3(F, A): the norm from k[A] of
+    c0 + c1 theta + c2 theta^2.  In the elementary symmetric functions e1,
+    e2, e3 of the roots theta_i (chi = X^3 - e1 X^2 + e2 X - e3),
+        N = c0^3 + e1 c0^2 c1 + (e1^2 - 2 e2) c0^2 c2 + e2 c0 c1^2
+            + (e1 e2 - 3 e3) c0 c1 c2 + (e2^2 - 2 e1 e3) c0 c2^2
+            + e3 c1^3 + e1 e3 c1^2 c2 + e2 e3 c1 c2^2 + e3^2 c2^3,
+    an identity of polynomials in the entries of A, so it holds over any
+    commutative ring.  Returns N as a function of the coefficient vector c."""
+    e3, e2, e1 = F.neg(chi[0]), chi[1], F.neg(chi[2])
+    two, three = F.element(2), F.element(3)
+    add, mul = F.add, F.mul
+    k002 = F.sub(mul(e1, e1), mul(two, e2))
+    k111 = F.sub(mul(e1, e2), mul(three, e3))
+    k102 = F.sub(mul(e2, e2), mul(two, mul(e1, e3)))
+    k021, k012, k003 = mul(e1, e3), mul(e2, e3), mul(e3, e3)
+    p = _modulus(F)
+    if p is not None:  # reduced once, at the end
+        add, mul = operator.add, operator.mul
+
+    def N(c):
+        x, y, z = c
+        zz = mul(z, z)
+        d = add(add(mul(x, add(add(x, mul(e1, y)), mul(k002, z))), mul(y, add(mul(e2, y), mul(k111, z)))),
+                mul(k102, zz))
+        d = add(mul(x, d), mul(y, add(mul(y, add(mul(e3, y), mul(k021, z))), mul(k012, zz))))
+        d = add(d, mul(k003, mul(zz, z)))
+        return d % p if p else d
+
+    return N
+
+
+def combination(F, c, basis):
+    """sum c_i basis[i] for coefficients c and matrices basis of one shape;
+    three terms over F_p and Q run on Python's operators."""
+    p = _modulus(F)
+    if p is not None and len(c) == 3:
+        x, y, z = c
+        rows = zip(*basis)
+        if p:
+            return tuple([tuple([(x * a + y * b + z * d) % p for a, b, d in zip(*r)]) for r in rows])
+        return tuple([tuple([x * a + y * b + z * d for a, b, d in zip(*r)]) for r in rows])
+    out = None
+    for ci, b in zip(c, basis):
+        term = scalar_mat(F, ci, b)
+        out = term if out is None else mat_add(F, out, term)
+    return out
 
 
 def vectors_matrix_to_flat(a):
@@ -257,26 +389,85 @@ def vectors_matrix_to_flat(a):
 
 
 def flat_to_matrix(v, n, m):
-    return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(n))
+    return tuple([tuple(v[i:i + m]) for i in range(0, n * m, m)])
+
+
+def min_equals_char3(F, A):
+    """A 3x3 A is regular (minimal polynomial = characteristic polynomial)
+    exactly when I, A, A^2 are independent."""
+    flat = vectors_matrix_to_flat
+    return rank(F, (flat(identity(F, 3)), flat(A), flat(mat_mul(F, A, A)))) == 3
+
+
+def _cyclic_candidates(F):
+    """The vectors tried first as cyclic vectors, in order: e_1, e_2, e_3,
+    e_i + e_j, e_1 + e_2 + e_3, then (s, 1, 0), (1, s, 0), (1, 1, s) for
+    s = F.gen() on a quadratic L."""
+    z, o = F.zero, F.one
+    e = ((o, z, z), (z, o, z), (z, z, o))
+    yield from e
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        yield tuple(map(F.add, e[i], e[j]))
+    yield (o, o, o)
+    if hasattr(F, "gen"):
+        s = F.gen()
+        yield from ((s, o, z), (o, s, z), (o, o, s))
+
+
+def _first_cyclic(F, A, vectors):
+    """(v, Av, A^2 v), the transpose of the Krylov matrix, for the first
+    cyclic vector v of A among vectors, or None."""
+    for v in vectors:
+        Av = mat_vec(F, A, v)
+        rows = (v, Av, mat_vec(F, A, Av))
+        if not F.is_zero(det3(F, rows)):
+            return rows
+    return None
+
+
+def krylov_similarity(F, A):
+    """K = [v, Av, A^2 v] for the first cyclic vector v of a regular 3x3 A,
+    so that A = K C K^-1 for the companion matrix C of A.  The candidates of
+    _cyclic_candidates come first; when all of them miss, a regular A is
+    checked and then the curve (1, s, s^2) is scanned, for s over F.elements()
+    on a finite field and s = 1, 2, ... over Q.  The vectors that are not
+    cyclic lie in the maximal proper invariant subspaces of a regular A (at
+    most three planes or lines), and each meets the curve at most twice, so
+    the scan ends within seven points; only a field of fewer elements goes
+    on to scan F^3 in lexicographic order.  Raises ValueError for an A that
+    is not regular."""
+    rows = _first_cyclic(F, A, _cyclic_candidates(F))
+    if rows is None:
+        if not min_equals_char3(F, A):
+            raise ValueError("no cyclic vector: the matrix is not regular")
+        finite = F.order is not None
+        s_values = F.elements() if finite else map(F.element, itertools.count(1))
+        scan = ((F.one, s, F.mul(s, s)) for s in s_values)
+        if finite:
+            scan = itertools.chain(scan, lex_vectors(3, F.elements))
+        rows = _first_cyclic(F, A, scan)
+    return transpose(rows)
 
 
 def solve_sylvester_space(F, left, right):
-    """Basis of {X : left X = X right} for n x n matrices over F, n = len(left).
+    """Basis of {X : left X = X right} for similar regular 3x3 sides over F:
+    the basis that nullspace gives for the 9x9 linear system in the entries
+    of X, row-major, without forming that system.
 
-    Returns a tuple of n x n matrices spanning the solution space.
-    """
-    n = len(left)
-    # unknowns X[i][j] flattened row-major; equations (left X - X right)[i][j] = 0
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            coeff = [F.zero] * (n * n)
-            for k in range(n):
-                coeff[k * n + j] = F.add(coeff[k * n + j], left[i][k])
-                coeff[i * n + k] = F.sub(coeff[i * n + k], right[k][j])
-            rows.append(tuple(coeff))
-    basis = nullspace(F, tuple(rows))
-    return tuple(flat_to_matrix(v, n, n) for v in basis)
+    With Krylov matrices K_left, K_right (krylov_similarity) both sides are
+    conjugate to one companion matrix, so X0 = K_left K_right^-1 is an
+    intertwiner and the space is X0 k[right], spanned by X0, X0 right and
+    X0 right^2.  The free columns of the 9x9 system are the last coordinates
+    on which the space projects one-to-one, so nullspace's basis is the
+    reduced echelon form of that span over the reversed coordinates.  Raises
+    ValueError when the sides are not similar and regular."""
+    if not all(map(F.eq, charpoly3(F, left), charpoly3(F, right))):
+        raise ValueError("the sides are not similar")
+    X0 = mat_mul(F, krylov_similarity(F, left), inverse3(F, krylov_similarity(F, right)))
+    X1 = mat_mul(F, X0, right)
+    span = (X0, X1, mat_mul(F, X1, right))
+    rows, _ = _echelon(F, [vectors_matrix_to_flat(X)[::-1] for X in span])
+    return tuple(flat_to_matrix(r[::-1], 3, 3) for r in reversed(rows))
 
 
 def bilinear_eval(F, gram, u, w):
@@ -342,38 +533,42 @@ def diagonalize_form(F, gram):
     return tuple(basis), tuple(diag)
 
 
+def lex_vectors(n, coeffs, head=()):
+    """The vectors head + c for c of length n >= 1 in lexicographic order,
+    c_0 slowest, each c_i over coeffs() (a callable returning the
+    coefficient set in order, such as F.elements).  coeffs() is called anew
+    each time a level is entered and read lazily, so a large field costs
+    nothing until its elements are reached."""
+    if n == 1:
+        for x in coeffs():
+            yield head + (x,)
+    else:
+        for x in coeffs():
+            yield from lex_vectors(n - 1, coeffs, head + (x,))
+
+
 class BudgetExhausted(Exception):
     """A span search needed more candidates than its budget allowed."""
 
 
-def span_search(F, basis, coeffs, accept, budget):
-    """The first non-None accept(M) over M = sum c_i basis[i], and the number
-    of candidates visited: (hit or None, visited).
+def span_search(n, coeffs, accept, budget):
+    """The first non-None accept(c) over the coefficient vectors c of length
+    n, and the number of candidates visited: (hit or None, visited).
 
-    Coefficient vectors run in lexicographic order, c_0 slowest, each c_i
-    over coeffs() (a callable returning the coefficient set in order, such
-    as F.elements).  Running partial sums make each candidate cost one
-    scalar_mat and one mat_add, and scalar multiples are formed only when
-    needed, so nothing is tabulated before the first candidate.  The budget
-    is checked before each visit: BudgetExhausted is raised instead of
-    visiting candidate budget + 1.  An empty basis spans no candidates.
+    The vectors run as lex_vectors(n, coeffs) gives them, so nothing is
+    tabulated before the first candidate.  accept sees the coefficients only;
+    a caller that needs the matrix sum c_i basis[i] forms it with
+    combination.  The budget is checked before each visit: BudgetExhausted
+    is raised instead of visiting candidate budget + 1.  n = 0 spans no
+    candidates.
     """
-    last = len(basis) - 1
     visited = 0
-
-    def level(i, partial):
-        nonlocal visited
-        for c in coeffs():
-            if i == last:
-                if visited == budget:
-                    raise BudgetExhausted(f"span search budget {budget} exhausted")
-                visited += 1
-            term = scalar_mat(F, c, basis[i])
-            M = term if partial is None else mat_add(F, partial, term)
-            got = accept(M) if i == last else level(i + 1, M)
+    if n:
+        for c in lex_vectors(n, coeffs):
+            if visited == budget:
+                raise BudgetExhausted(f"span search budget {budget} exhausted")
+            visited += 1
+            got = accept(c)
             if got is not None:
-                return got
-        return None
-
-    hit = level(0, None) if basis else None
-    return hit, visited
+                return got, visited
+    return None, visited

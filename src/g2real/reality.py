@@ -46,6 +46,7 @@ from .fields import (
     _has_eigenvalue_one,
     cubic_is_irreducible,
 )
+from .linalg import min_equals_char3
 
 DEFAULT_BUDGET = 10**8
 
@@ -223,15 +224,6 @@ def _real(report, K, A, witness, H=None):
 
 # -- shared matrix helpers ----------------------------------------------------
 
-def min_equals_char3(F, A):
-    I = linalg.identity(F, 3)
-    A2 = linalg.mat_mul(F, A, A)
-    rows = tuple(
-        linalg.vectors_matrix_to_flat(m) for m in (I, A, A2)
-    )
-    return linalg.rank(F, rows) == 3
-
-
 _RATIONAL_GRID = tuple(Fraction(x) for x in (0, 1, -1, 2, -2, 3, -3))
 
 
@@ -260,10 +252,12 @@ class _Search:
     def __init__(self, budget):
         self.left = budget
 
-    def __call__(self, F, basis, accept):
+    def __call__(self, F, n, accept):
+        """The first non-None accept(c) over the coefficient vectors c of a
+        span of n matrices (linalg.span_search)."""
         coeffs = _coefficients(F)
         try:
-            hit, visited = linalg.span_search(F, basis, coeffs, accept, self.left)
+            hit, visited = linalg.span_search(n, coeffs, accept, self.left)
         except linalg.BudgetExhausted:
             self.left = 0
             raise _Undecided("budget exhausted") from None
@@ -281,12 +275,8 @@ class _Search:
 
 
 def _powers(F, A):
-    """The basis I, A, A^2 of k[A]; a span search over it visits the f(A)."""
+    """The basis I, A, A^2 of k[A]: c is the f(A) = combination(F, c, _powers(F, A))."""
     return (linalg.identity(F, 3), A, linalg.mat_mul(F, A, A))
-
-
-def _with_det(F, target):
-    return lambda M: M if F.eq(linalg.det3(F, M), target) else None
 
 
 def _invertible_in_span(F, basis, search):
@@ -297,20 +287,12 @@ def _invertible_in_span(F, basis, search):
     for b in basis:
         if not F.is_zero(linalg.det3(F, b)):
             return b
-    return search(F, basis, lambda M: None if F.is_zero(linalg.det3(F, M)) else M)
 
+    def accept(c):
+        M = linalg.combination(F, c, basis)
+        return None if F.is_zero(linalg.det3(F, M)) else M
 
-def _cyclic_candidates(F):
-    """The vectors tried as cyclic vectors, in order: e_1, e_2, e_3,
-    e_i + e_j, e_1 + e_2 + e_3, then (s, 1, 0), (1, s, 0), (1, 1, s) for
-    s = F.gen() (so only a quadratic L reaches the last three)."""
-    e = linalg.identity(F, 3)
-    yield from e
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        yield tuple(map(F.add, e[i], e[j]))
-    yield (F.one,) * 3
-    s = F.gen()
-    yield from ((s, F.one, F.zero), (F.one, s, F.zero), (F.one, F.one, s))
+    return search(F, len(basis), accept)
 
 
 def _cyclic_pair(F, A):
@@ -319,7 +301,7 @@ def _cyclic_pair(F, A):
     is the eigenvalue of the eigenplane, and v is the first of the six
     cyclic candidates e_i, e_i + e_j with v, Av independent (a plane holds
     at most three of them and a line one, so only a scalar A has none)."""
-    for v in itertools.islice(_cyclic_candidates(F), 6):
+    for v in itertools.islice(linalg._cyclic_candidates(F), 6):
         Av = linalg.mat_vec(F, A, v)
         if linalg.rank(F, (v, Av)) == 2:
             _, minus_m1 = linalg.solve(F, linalg.transpose((v, Av)), linalg.mat_vec(F, A, Av))
@@ -413,15 +395,18 @@ def _regular_coset_conjugator(F, left, A, search):
     if X0 is None:
         raise RealityError("no invertible intertwiner in the coset; solver invariant broke")
     target = F.inv(linalg.det3(F, X0))
+    chi = linalg.charpoly3(F, A)
     if F.order is not None:
-        g = det_image_exponent(F, linalg.charpoly3(F, A))
+        g = det_image_exponent(F, chi)
         if not _in_power_class(F, target, g):
             value = F.to_text(target)
             return None, {"value": value, "excluded_class": f"(k*)^{g}", "class_group_order": g}
-    fA = search(F, _powers(F, A), _with_det(F, target))
-    if fA is None:
+    # det f(A) is the norm form of k[A] on f's coefficients
+    N = linalg.norm_form3(F, chi)
+    c = search(F, 3, lambda c: c if F.eq(N(c), target) else None)
+    if c is None:
         raise RealityError("no f(A) of the admitted determinant; solver invariant broke")
-    return linalg.mat_mul(F, X0, fA), None
+    return linalg.mat_mul(F, X0, linalg.combination(F, c, _powers(F, A))), None
 
 
 def _non_regular_intertwiner(F, A):
@@ -551,17 +536,6 @@ def companion_factorization(L, chi):
     return A1, A2
 
 
-def krylov_similarity(L, A):
-    """T with A = T A_chi T^-1, columns v, Av, A^2 v for a cyclic vector v."""
-    for v in _cyclic_candidates(L):
-        av = linalg.mat_vec(L, A, v)
-        aav = linalg.mat_vec(L, A, av)
-        T = linalg.transpose(linalg.mat((v, av, aav)))
-        if not L.is_zero(linalg.det3(L, T)):
-            return T
-    raise RealityError("no cyclic vector found (matrix is not regular)")
-
-
 def _sigma_mat(L, M):
     return linalg.map_entries(L.sigma, M)
 
@@ -570,7 +544,7 @@ def unitary_base_conjugator(L, H, A, chi):
     """X0 in U(H) with X0 conj(A) X0^-1 = A^-1 and conj(X0) X0 = 1, built
     from the companion factorization (needs min poly = char poly)."""
     A1c, A2c = companion_factorization(L, chi)
-    T = krylov_similarity(L, A)
+    T = linalg.krylov_similarity(L, A)
     Tbar = _sigma_mat(L, T)
     Tinv = linalg.inverse3(L, T)
     B2 = linalg.mat_mul(L, linalg.mat_mul(L, Tbar, A2c), Tinv)
@@ -664,15 +638,20 @@ def _identity_coset_possible(F, chi):
 
 def _find_unitary_centralizer_with_det(L, H, A, target, search):
     """z = y sigma_h(y)^-1 for y in L[conj(A)], unitary by construction, with
-    det z = target; the first such y in lexicographic coefficient order."""
+    det z = target; the first such y in lexicographic coefficient order.
+    det y is the norm form of L[conj(A)] on y's coefficients."""
+    Abar = _sigma_mat(L, A)
+    N = linalg.norm_form3(L, linalg.charpoly3(L, Abar))
 
-    def accept(y):
-        dy = linalg.det3(L, y)
-        if L.is_unit(dy) and L.eq(L.div(dy, L.sigma(dy)), target):
-            return linalg.mat_mul(L, y, linalg.inverse3(L, sigma_h(L, H, y)))
+    def accept(c):
+        dy = N(c)
+        return c if L.is_unit(dy) and L.eq(L.div(dy, L.sigma(dy)), target) else None
+
+    c = search(L, 3, accept)
+    if c is None:
         return None
-
-    return search(L, _powers(L, _sigma_mat(L, A)), accept)
+    y = linalg.combination(L, c, _powers(L, Abar))
+    return linalg.mat_mul(L, y, linalg.inverse3(L, sigma_h(L, H, y)))
 
 
 def _finish_su(L, H, A, X0, z, report):
@@ -835,9 +814,11 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
                 K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right)
             )
 
-        def accept(B):
-            if not hits and conjugates(B):
-                hits.append(B)
+        def accept(c):
+            if not hits:
+                B = linalg.combination(K, c, basis)
+                if conjugates(B):
+                    hits.append(B)
 
         before = search.left
         try:
@@ -847,16 +828,14 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
             B0R = linalg.mat_mul(K, B0, right)
             basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
             if K.order is None:
-                search(K, basis, accept)
+                search(K, 3, accept)
             else:
                 search.charge(K.order**3)
                 from .sweeps import coset_sweep
 
                 _, example = coset_sweep(K, basis, None if split else frame.H)
                 if example is not None:
-                    B = linalg.zeros(K, 3, 3)
-                    for c, M in zip(example, basis):
-                        B = linalg.mat_add(K, B, linalg.scalar_mat(K, c, M))
+                    B = linalg.combination(K, example, basis)
                     if not (conjugates(B) and (split or in_unitary(B, K, frame.H))):
                         raise RealityError("coset sweep hit fails the exact re-check")
                     hits.append(B)

@@ -1462,6 +1462,8 @@ def _reference_span_search(F, basis, accept, budget):
 
 @pytest.mark.parametrize("over", ["F5", "F25"])
 def test_span_search_matches_product_reference(over):
+    # span_search hands accept the coefficient vector; the reference forms
+    # each matrix by partial sums and hands accept the matrix
     F = k5 if over == "F5" else QuadraticEtale(k5, 2)
     rng = random.Random(40)
     A = tuple(tuple(F.random(rng) for _ in range(3)) for _ in range(3))
@@ -1470,23 +1472,27 @@ def test_span_search_matches_product_reference(over):
     if over == "F25":
         targets.append(F.gen())
     for basis in ((I, A, A2), (A, A2), (A2,)):
+        n = len(basis)
         for target in targets:
             def accept(M):
                 return M if F.eq(linalg.det3(F, M), target) else None
 
+            def accept_c(c):
+                return accept(linalg.combination(F, c, basis))
+
             want = _reference_span_search(F, basis, accept, 10**9)
-            assert linalg.span_search(F, basis, F.elements, accept, 10**9) == want
-            hit, n = want
+            assert linalg.span_search(n, F.elements, accept_c, 10**9) == want
+            hit, visited = want
             if hit is not None:
                 # the budget is checked before each visit, never overrun
-                assert linalg.span_search(F, basis, F.elements, accept, n) == want
+                assert linalg.span_search(n, F.elements, accept_c, visited) == want
                 with pytest.raises(linalg.BudgetExhausted):
-                    linalg.span_search(F, basis, F.elements, accept, n - 1)
-        size = F.order ** len(basis)
-        assert linalg.span_search(F, basis, F.elements, lambda M: None, size) == (None, size)
+                    linalg.span_search(n, F.elements, accept_c, visited - 1)
+        size = F.order ** n
+        assert linalg.span_search(n, F.elements, lambda c: None, size) == (None, size)
         with pytest.raises(linalg.BudgetExhausted):
-            linalg.span_search(F, basis, F.elements, lambda M: None, size - 1)
-    assert linalg.span_search(F, (), F.elements, lambda M: M, 0) == (None, 0)
+            linalg.span_search(n, F.elements, lambda c: None, size - 1)
+    assert linalg.span_search(0, F.elements, lambda c: c, 0) == (None, 0)
 
 
 def _visits(monkeypatch, run):
