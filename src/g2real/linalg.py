@@ -2,23 +2,25 @@
 
 Matrices are immutable tuples of tuples of raw field elements.  Over F_p and
 Q the 3x3 closed forms (det3, adjugate3, inverse3, charpoly3, the 3x3
-mat_mul, mat_vec, combination) and the entrywise mat_add, mat_sub and
-mat_eq run on Python's operators, reduced mod p once per entry over F_p;
-larger products run on numpy integer arrays (int64 residues when no sum can
-overflow, Python ints otherwise; over Q the common-denominator numerators,
-divided back once), and _echelon (inverse, rank, nullspace, solve) on plain
-residues or Fractions with the operators inlined.  For the other handles
-(L = k(g), k x k and the cubic algebras) the field handle supplies the
-arithmetic.  Either way the entries returned are plain ints, Fractions or
-tuples of those.  Gaussian elimination requires an honest field (division),
-so callers must not pass split quadratic algebras to it.
+mat_mul, combination), mat_vec at every length and the entrywise mat_add,
+mat_sub and mat_eq run on Python's operators, reduced mod p once per entry
+over F_p; larger products run on numpy integer arrays (int64 residues when
+no sum can overflow, Python ints otherwise; over Q the common-denominator
+numerators, divided back once), and _echelon (inverse, rank, nullspace,
+solve) on plain residues or Fractions with the operators inlined.  For the
+other handles (L = k(g), k x k and the cubic algebras) the field handle
+supplies the arithmetic.  Either way the entries returned are plain ints,
+Fractions or tuples of those.  Gaussian elimination requires an honest field
+(division), so callers must not pass split quadratic algebras to it.
 The 3x3 closed forms and norm_form3 use ring operations only, so they hold
 over any commutative ring: the cubic algebras of fields.py take their norms
 with det3, and det3, which needs only add, sub and mul, also runs on the
 numpy arrays of the SU coset sweep.
 solve_sylvester_space builds the intertwiner space of two similar regular
 3x3 matrices from their Krylov matrices (krylov_similarity), whose cyclic
-vector search always ends for a regular matrix.
+vector search always ends for a regular matrix.  min_equals_char3 decides
+regularity by the same fixed candidates for a cyclic vector first, and by
+the rank of I, A, A^2 only when they all miss.
 span_search is the one enumerator of spans under a candidate budget; it
 runs the coefficient vectors lazily (lex_vectors) and hands each to the
 caller, which tests it on a closed form (such as the norm form of k[A]) and
@@ -135,6 +137,10 @@ def mat_vec(F, a, v):
         if p:
             return tuple([(i * x + j * y + k * z) % p for i, j, k in a])
         return tuple([i * x + j * y + k * z for i, j, k in a])
+    if p:
+        return tuple([sum(map(operator.mul, row, v)) % p for row in a])
+    if p is not None:
+        return tuple([sum(map(operator.mul, row, v), F.zero) for row in a])
     out = []
     for row in a:
         s = F.zero
@@ -394,7 +400,13 @@ def flat_to_matrix(v, n, m):
 
 def min_equals_char3(F, A):
     """A 3x3 A is regular (minimal polynomial = characteristic polynomial)
-    exactly when I, A, A^2 are independent."""
+    exactly when it has a cyclic vector: a candidate of _cyclic_candidates
+    settles most matrices, and _powers_independent the rest."""
+    return _first_cyclic(F, A, _cyclic_candidates(F)) is not None or _powers_independent(F, A)
+
+
+def _powers_independent(F, A):
+    """Whether I, A, A^2 are independent, the definition of a regular 3x3 A."""
     flat = vectors_matrix_to_flat
     return rank(F, (flat(identity(F, 3)), flat(A), flat(mat_mul(F, A, A)))) == 3
 
@@ -428,8 +440,9 @@ def _first_cyclic(F, A, vectors):
 def krylov_similarity(F, A):
     """K = [v, Av, A^2 v] for the first cyclic vector v of a regular 3x3 A,
     so that A = K C K^-1 for the companion matrix C of A.  The candidates of
-    _cyclic_candidates come first; when all of them miss, a regular A is
-    checked and then the curve (1, s, s^2) is scanned, for s over F.elements()
+    _cyclic_candidates come first; when all of them miss, A is checked to be
+    regular by rank (_powers_independent, not by the same candidates again)
+    and then the curve (1, s, s^2) is scanned, for s over F.elements()
     on a finite field and s = 1, 2, ... over Q.  The vectors that are not
     cyclic lie in the maximal proper invariant subspaces of a regular A (at
     most three planes or lines), and each meets the curve at most twice, so
@@ -438,7 +451,7 @@ def krylov_similarity(F, A):
     is not regular."""
     rows = _first_cyclic(F, A, _cyclic_candidates(F))
     if rows is None:
-        if not min_equals_char3(F, A):
+        if not _powers_independent(F, A):
             raise ValueError("no cyclic vector: the matrix is not regular")
         finite = F.order is not None
         s_values = F.elements() if finite else map(F.element, itertools.count(1))

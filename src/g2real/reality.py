@@ -784,7 +784,9 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
         raise RealityError("fixed subalgebra of t is not 2-dimensional")
     split = isinstance(frame, SplitFrame)
     Lbasis = (alg.one, alg.sub(frame.e, frame.f)) if split else (frame.one, frame.g)
-    if linalg.rank(F, linalg.mat(tuple(fixed) + Lbasis)) != 2:
+    # the fixed space is a plane, so it is the frame's algebra when t fixes
+    # that algebra's basis
+    if not all(all(map(F.eq, t.apply(v), v)) for v in Lbasis):
         raise RealityError("fixed subalgebra of t is not the frame algebra")
 
     K = F if split else frame.L

@@ -7,13 +7,14 @@ it: determinant 1 over F_p on a split frame, SU(H) over L = F_p(g) on a
 field frame.  That confirms both non-real constructions without trusting
 the norm-class shortcut.  Over F_p the determinant of c0 M0 + c1 M1 +
 c2 M2 is a cubic form whose 10 coefficients each call builds first, and
-each candidate is one Horner evaluation in c2; the q = 97 coset of 912,673
-candidates takes about 0.04 s on one core.  Over L the sweep reads every
-matrix entry off per-coefficient lookup tables, built once per coset and
-shared by the calls on it.  The (0, 0) norm form of X* H X is split into a
-part fixed per run of Q = p^2 candidates and a part in c2 alone, and an
-inverted table of p^4 entries lists, for each value of the fixed part, the
-c2 that solve it.  So each run costs a few lookups and only its about
+each chunk of candidates is two small integer products with tables of
+powers mod p, shared by every call at p while they are small; the q = 97
+coset of 912,673 candidates takes about 0.01 s on one core.  Over L the
+sweep reads every matrix entry off per-coefficient lookup tables, built
+once per coset and shared by the calls on it.  The (0, 0) norm form of
+X* H X is split into a part fixed per run of Q = p^2 candidates and a part
+in c2 alone, and an inverted table of p^4 entries lists, for each value of
+the fixed part, the c2 that solve it.  So each run costs a few lookups and only its about
 p + 1 solutions are visited; the (1, 1) form filters those by two row
 lookups each.  The full q = 17 SU coset of 24,137,569 candidates takes
 about 0.1 s on one core (acceptance criterion 06).  The determinant
@@ -125,7 +126,8 @@ def _frozen(a):
 class _PArrays:
     """Arrays of residues mod p: a field handle for linalg.det3."""
 
-    # candidates per vectorized slice; each takes one Horner step per power of c2
+    # candidates per vectorized slice; it also bounds the power tables that
+    # coset_sweep keeps per p (p^2 <= chunk)
     chunk = 1 << 14
 
     def __init__(self, p):
@@ -194,18 +196,21 @@ class _LArrays:
 
 
 # the ten monomials c0^e0 c1^e1 c2^e2 of a cubic form, rows (e0, e1, e2),
-# ordered by the degree e2 of c2 (e2 = 0 from row 0, 1 from row 4, 2 from
-# row 7, 3 in row 9)
+# ordered by the degree e2 of c2
 _MONOMIALS = np.array(sorted(
     (e for e in itertools.product(range(4), repeat=3) if sum(e) == 3), key=lambda e: e[::-1]
 ))
-_BY_C2 = (0, 4, 7)
+# _BY_C2[m, e] = 1 when monomial m has c2^e: form-weighted, it groups the
+# cubic form by the power of c2
+_BY_C2 = np.equal.outer(_MONOMIALS[:, 2], np.arange(4)).astype(np.int64)
 # the 27 column mixes, rows (t0, t1, t2): column s of a mix is column s of
-# M_{t_s}, so its determinant adds to the coefficient of c_t0 c_t1 c_t2
+# M_{t_s}, so its determinant adds to the coefficient of c_t0 c_t1 c_t2,
+# the monomial whose exponents count the 0s, 1s and 2s of the mix;
+# _MIX_SUM[m, mix] = 1 when that is monomial m
 _MIXES = np.array(list(itertools.product(range(3), repeat=3)))
-_MIX_MONOMIAL = np.array([
-    _MONOMIALS.tolist().index([list(t).count(i) for i in range(3)]) for t in _MIXES
-])
+_MIX_SUM = np.array([
+    [[t.count(i) for i in range(3)] == e for t in _MIXES.tolist()] for e in _MONOMIALS.tolist()
+], dtype=np.int64)
 
 
 def _cubic_form(ar, basis):
@@ -214,14 +219,36 @@ def _cubic_form(ar, basis):
     _MONOMIALS[m].  Column s of the candidate is sum_t c_t M_t[:, s], so by
     multilinearity the determinant is the sum over the 27 column mixes
     (t0, t1, t2) of c_t0 c_t1 c_t2 det(M_t0[:, 0], M_t1[:, 1], M_t2[:, 2]);
-    one linalg.det3 call on the arrays gives the 27 determinants, and each
-    adds to the coefficient of its monomial."""
+    one linalg.det3 call on the arrays gives the 27 determinants, and the
+    indicator product _MIX_SUM adds each to the coefficient of its
+    monomial."""
     # entry (r, s) of every mix, indexed [r, s, mix]
     rs = np.arange(3)
     mixed = np.array(basis, dtype=np.int64)[_MIXES.T, rs[:, None, None], rs[:, None]]
-    form = np.zeros(10, dtype=np.int64)
-    np.add.at(form, _MIX_MONOMIAL, linalg.det3(ar, mixed))
-    return form % ar.p
+    return _MIX_SUM @ linalg.det3(ar, mixed) % ar.p
+
+
+def _powers(c, p):
+    """The (4, len(c)) table of c^e mod p, e = 0..3, for residues c."""
+    c2 = c * c % p
+    return np.stack((np.ones_like(c), c, c2, c2 * c % p))
+
+
+def _run_monomials(runs, p):
+    """The (len(runs), 10) table of c0^e0 c1^e1 mod p, e0, e1 the first two
+    exponents of each monomial, for the runs c0 p + c1 over F_p."""
+    w0, w1 = (_powers(c, p).T for c in np.divmod(runs, p))
+    return w0[:, _MONOMIALS[:, 0]] * w1[:, _MONOMIALS[:, 1]] % p
+
+
+@functools.lru_cache(maxsize=8)
+def _power_tables(p):
+    """(R, V) over F_p: R = _run_monomials of all p^2 runs and V = _powers
+    of all p residues, read-only, shared by every coset_sweep call at p
+    while _PArrays.chunk bounds their size (p^2 <= chunk).  Pure numpy, so
+    that a cache hit skips no counted linalg call."""
+    c = np.arange(p, dtype=np.int64)
+    return _frozen(_run_monomials(np.arange(p * p, dtype=np.int64), p)), _frozen(_powers(c, p))
 
 
 @functools.lru_cache(maxsize=4)
@@ -282,6 +309,19 @@ def _tables(K, basis, H):
     return ar, T, (hnorm, G, XU, YV, _frozen(J.ravel()), _frozen(starts))
 
 
+def _windows(start, stop, chunk, run):
+    """The [lo, hi) slices of [start, stop), in order, of at most chunk
+    candidates; when a run is longer than chunk, no slice crosses a run
+    head."""
+    lo = start
+    while lo < stop:
+        hi = min(lo + chunk, stop)
+        if run > chunk:
+            hi = min(hi, (lo // run + 1) * run)
+        yield lo, hi
+        lo = hi
+
+
 def coset_sweep(K, basis, H=None, start=0, stop=None):
     """Count the members of determinant 1, and given H of U(H), of the span
     c0 M0 + c1 M1 + c2 M2 of basis = (M0, M1, M2), (c0, c1, c2) over K^3 in
@@ -292,11 +332,15 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     otherwise); the counts of disjoint partitions add up.
 
     A run of Q = |K| consecutive candidates shares (c0, c1).  Over F_p the
-    determinant is the cubic form of the basis (_cubic_form).  Each chunk
-    computes, for each of its runs, the coefficients a_0, a_1, a_2 of c2^0,
-    c2^1, c2^2 from c0 and c1 (a_3 is the form's c2^3 coefficient), and
-    each candidate is one Horner evaluation ((a_3 c2 + a_2) c2 + a_1) c2 +
-    a_0, reduced mod p after every product, so no value passes 4 p^2.  Over L
+    determinant is the cubic form of the basis (_cubic_form), grouped by the
+    power of c2 into a (10, 4) matrix.  The (runs, 10) rows of run monomials
+    c0^e0 c1^e1 times that matrix give the coefficients a_e of c2^e per run,
+    and those times the (4, columns) table of c2^e give every candidate's
+    determinant, each product reduced mod p, so no sum passes 4 p^2.  The
+    rows and the table come from _run_monomials and _powers: memoized per p
+    while p^2 <= _PArrays.chunk (_power_tables), built for the chunk's runs
+    and c2 columns otherwise.  A run longer than the chunk is cut into
+    windows of that one run, which take only their own c2 columns.  Over L
     each entry of X is a sum of three lookups in per-coefficient tables of
     c M_t[r][s] over the elements c (codes 3p re + im, so that a sum of
     three decodes exactly), built once per coset.  The norm forms sum_r H_r
@@ -313,8 +357,7 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     basis = tuple(linalg.mat(M) for M in basis)
     if K.kind == "prime" and H is None:
         ar = _PArrays(K.p)
-        form = _cubic_form(ar, basis)
-        e0, e1 = _MONOMIALS[:9, 0], _MONOMIALS[:9, 1]
+        by_c2 = _BY_C2 * _cubic_form(ar, basis)[:, None]
     else:
         ar, (T0, T1, T2), (hnorm, G, XU, YV, J, starts) = _tables(
             K, basis, None if H is None else tuple(H)
@@ -327,34 +370,30 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ValueError(f"sweep window [{start}, {stop}) is not within [0, {total}]")
+    memo = H is None and Q * Q <= ar.chunk
+    if memo:
+        R, V = _power_tables(p)
 
     hits = 0
     example = None
 
-    for lo in range(start, stop, ar.chunk):
-        hi = min(lo + ar.chunk, stop)
-        first = lo // Q
+    for lo, hi in _windows(start, stop, ar.chunk, Q):
+        first, last = lo // Q, (hi - 1) // Q
         off = lo - first * Q
-        runs = np.arange(first, (hi - 1) // Q + 1, dtype=np.int64)
-        i0, i1 = np.divmod(runs, Q)
+        runs = np.arange(first, last + 1, dtype=np.int64)
 
         if H is None:
-            # per run: c0^e and c1^e for e <= 3, then the coefficients a_0, a_1,
-            # a_2 of c2^0, c2^1, c2^2, each a sum of up to four terms below p^2
-            c = np.stack((i0, i1))
-            pw = [np.ones_like(c), c, c * c % p]
-            pw = np.stack(pw + [pw[2] * c % p], axis=1)
-            terms = form[:9, None] * (pw[0, e0] * pw[1, e1] % p)
-            a = np.add.reduceat(terms, _BY_C2) % p
-            # per candidate: ((a_3 c2 + a_2) c2 + a_1) c2 + a_0, a_3 = form[9]
-            j, c2 = np.divmod(np.arange(off, off + hi - lo, dtype=np.int64), Q)
-            d = form[9]
-            for k in (2, 1, 0):
-                d = (d * c2 + a[k, j]) % p
+            # per run: the coefficients a_e of c2^e; then every candidate of
+            # the runs, or, in a window of one run, the window's c2 columns
+            a = (R[first:last + 1] if memo else _run_monomials(runs, p)) @ by_c2 % p
+            c2 = slice(0, Q) if last > first else slice(off, off + hi - lo)
+            Vc = V[:, c2] if memo else _powers(np.arange(c2.start, c2.stop, dtype=np.int64), p)
+            d = (a @ Vc % p).ravel()[off - c2.start:][: hi - lo]
             found = lo + np.flatnonzero(ar.is_one(d))
         else:
             # per run and column s < 2: gamma = u + v g, and f = H_s - delta
             # from the run heads h_r
+            i0, i1 = np.divmod(runs, Q)
             u, v = ar.decode(G[0][:, i0] + G[1][:, i1])
             heads = T0[:, :2, i0] + T1[:, :2, i1]
             f = (Hints[:2, None] - sum(hnorm[r][heads[r]] for r in range(3))) % p

@@ -128,6 +128,22 @@ def test_closed_forms_match_the_generic_loop(F):
             assert linalg.mat_eq(F, a, shifted) and linalg.mat_eq(G, a, shifted)
 
 
+@pytest.mark.parametrize("F", [PrimeField(31), PrimeField(MERSENNE_31), Q], ids=["F31", "F_2^31-1", "Q"])
+def test_mat_vec_at_every_length_matches_the_generic_loop(F):
+    G = Generic(F)
+    rng = random.Random(f"mat_vec/{F!r}")
+    plain = int if F.kind == "prime" else Fraction
+    for n, m in ((1, 1), (2, 5), (4, 4), (8, 8), (8, 3), (3, 8), (6, 2)):
+        for _ in range(10):
+            a = linalg.mat([[_big_entry(F, rng) for _ in range(m)] for _ in range(n)])
+            v = tuple(_big_entry(F, rng) for _ in range(m))
+            got = linalg.mat_vec(F, a, v)
+            assert got == linalg.mat_vec(G, a, v) and len(got) == n
+            assert all(type(x) is plain for x in got)
+    if F.kind == "rationals":  # integer entries still give Fractions
+        assert all(type(x) is Fraction for x in linalg.mat_vec(F, ((1, 2), (3, 4)), (5, 6)))
+
+
 # ---------------------------------------------------------------------------
 # cyclic vectors
 # ---------------------------------------------------------------------------
@@ -213,6 +229,75 @@ def test_krylov_similarity_rejects_non_regular(F):
         assert not linalg.min_equals_char3(F, A)
         with pytest.raises(ValueError):
             linalg.krylov_similarity(F, A)
+
+
+# ---------------------------------------------------------------------------
+# the regularity test
+# ---------------------------------------------------------------------------
+
+def _regular_by_rank(F, A):
+    """The definition: I, A, A^2 independent."""
+    flat = linalg.vectors_matrix_to_flat
+    return linalg.rank(F, (flat(linalg.identity(F, 3)), flat(A), flat(linalg.mat_mul(F, A, A)))) == 3
+
+
+def _shaped(F, rng):
+    """P S P^-1 for an invertible P and S scalar, diag(a, a, b), a Jordan
+    block of a beside b, diag(a, a, a) plus a nilpotent of rank 1 or 2, or a
+    matrix of seeded entries: regular and non-regular matrices alike."""
+    a, b = _entry(F, rng), _entry(F, rng)
+    o, z = F.one, F.zero
+    S = rng.choice([
+        ((a, z, z), (z, a, z), (z, z, a)),
+        ((a, z, z), (z, a, z), (z, z, b)),
+        ((a, o, z), (z, a, z), (z, z, b)),
+        ((a, o, z), (z, a, z), (z, z, a)),
+        ((a, o, z), (z, a, o), (z, z, a)),
+        _matrix(F, rng),
+    ])
+    P = _invertible(F, rng)
+    return linalg.mat_mul(F, linalg.mat_mul(F, P, S), linalg.inverse3(F, P))
+
+
+def test_regularity_matches_the_rank_definition_on_every_matrix_over_F3(f3_misses):
+    regular = 0
+    for e in itertools.product(range(3), repeat=9):
+        A = linalg.flat_to_matrix(e, 3, 3)
+        want = _regular_by_rank(F3, A)
+        assert linalg.min_equals_char3(F3, A) == want, A
+        regular += want
+    # the others: 3 scalars, the 3 * 2 * 117 conjugates of diag(a, a, b)
+    # with a != b, and the 3 * 104 matrices a + N, N^2 = 0 of rank 1
+    assert 3**9 - regular == 3 + 3 * 2 * 117 + 3 * 104
+    assert all(linalg.min_equals_char3(F3, A) for A in f3_misses)
+
+
+@pytest.mark.parametrize("F, count", [(L25, 1500), (Q, 600)], ids=["F25", "Q"])
+def test_regularity_matches_the_rank_definition_on_seeded_samples(F, count):
+    rng = random.Random(f"regular/{F!r}")
+    seen = set()
+    for _ in range(count):
+        A = _shaped(F, rng)
+        want = _regular_by_rank(F, A)
+        assert linalg.min_equals_char3(F, A) == want, A
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_krylov_similarity_scans_the_candidates_once(f3_misses, monkeypatch):
+    # past a miss it checks regularity by rank, not by the candidates again
+    calls = []
+    candidates = linalg._cyclic_candidates
+
+    def counted(F):
+        calls.append(F)
+        return candidates(F)
+
+    monkeypatch.setattr(linalg, "_cyclic_candidates", counted)
+    for A in f3_misses[:3]:
+        calls.clear()
+        _check_similarity(F3, A)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -476,6 +476,24 @@ def test_oracle_rejects_wider_fixed_algebra(zorn5, frame5):
         brute_force_reality_oracle(iota, frame5)
 
 
+def test_oracle_rejects_a_fixed_plane_other_than_the_frame_algebra(zorn5, frame5):
+    # x = e + u1 is a proper idempotent outside span(1, e), so t from the
+    # split frame of x fixes the plane span(1, x) and not the frame's algebra
+    from g2real.automorphisms import split_frame_from_idempotent
+
+    x = zorn5.add(zorn5.basis_vec(0), zorn5.basis_vec(1))
+    assert zorn5.mul(x, x) == x and x != frame5.e
+    A = random_sl3(k5, random.Random(9), avoid_eigenvalue_one=True, separable=True)
+    t = sl3_embed(A, split_frame_from_idempotent(zorn5, x))
+    fixed = t.fixed_space()
+    assert len(fixed) == 2
+    assert linalg.rank(k5, linalg.mat(tuple(fixed) + (zorn5.one, frame5.e))) == 3
+    with pytest.raises(RealityError, match="^fixed subalgebra of t is not the frame algebra$"):
+        brute_force_reality_oracle(t, frame5)
+    # on its own frame the same t passes the check
+    assert brute_force_reality_oracle(t, split_frame_from_idempotent(zorn5, x))["verdict"] == "real"
+
+
 def test_oracle_real_semisimple_with_octonion_verification(frame5):
     rng = random.Random(9)
     A = random_sl3(k5, rng, avoid_eigenvalue_one=True, separable=True)
@@ -990,6 +1008,36 @@ def test_split_sweep_matches_candidate_by_candidate_reference(
         assert sweep(i, i) == (0, None)
 
 
+def test_split_sweep_with_runs_longer_than_the_chunk(split_sweep_reference, monkeypatch):
+    # a chunk of 2 is shorter than every run, so each window is cut at the
+    # run heads and evaluates its own c2 columns
+    monkeypatch.setattr(sweeps._PArrays, "chunk", 2)
+    k, basis, ref = split_sweep_reference
+    Q = k.p
+    elements = list(k.elements())
+
+    def expected(start, stop):
+        inside = [i for i in ref if start <= i < stop]
+        if not inside:
+            return 0, None
+        i0, rem = divmod(inside[0], Q * Q)
+        return len(inside), tuple(elements[i] for i in (i0, *divmod(rem, Q)))
+
+    for start, stop in ((0, Q**3), (Q + 1, 3 * Q - 1), (Q * Q - 1, Q * Q + 2), (Q**3 - 3, Q**3)):
+        assert sweeps.coset_sweep(k, basis, start=start, stop=stop) == expected(start, stop)
+
+
+def _traced_peak(run):
+    """run()'s result and the peak bytes tracemalloc saw while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_split_sweep_at_the_largest_prime_with_p_cubed_in_int64():
     # p = 2,097,143 is the largest prime with p^3 < 2^63, so an unreduced
     # product of three residues still fits in int64 but a sum of two may
@@ -1066,8 +1114,11 @@ def test_split_sweep_at_the_largest_prime_with_p_cubed_in_int64():
     ]
     for c in (deep, late):
         assert expected(index(c), index(c) + 1) == (1, c)
+    # no table of p^2, or even p, entries: one of p int64 would take 16 MiB
     for start, stop in windows:
-        assert sweeps.coset_sweep(k, basis, start=start, stop=stop) == expected(start, stop)
+        got, peak = _traced_peak(lambda: sweeps.coset_sweep(k, basis, start=start, stop=stop))
+        assert got == expected(start, stop)
+        assert peak < 256 * 1024, peak
 
 
 def _regular_sl3_classes(q):
