@@ -100,7 +100,7 @@ def certify_automorphism(matrix, alg):
     # linear in T and in B.  With N = d*M the identities are those for M times
     # nonzero constants, so the verdict and the first failing pair are the same.
     M, d = linalg.lattice(F, matrix)
-    T, B = alg.lattice_forms()
+    (T, _), (B, _) = alg.lattice_forms()
     p = F.p if F.kind == "prime" else None
 
     def red(a):

@@ -191,42 +191,29 @@ def _add(report, name, passed, detail=None):
 
 
 def cmd_axioms(args):
-    from .composition import (
-        alternative_law_sample,
-        peirce_frame,
-        zorn_algebra,
-    )
-    from .sweeps import batch_minimal_equation, batch_zorn_composition
+    from .composition import law_failures, peirce_frame, zorn_algebra
 
     _require_count("samples", args.samples)
-    if args.field != "Q":
-        try:
-            p = int(args.field)
-        except ValueError:
-            raise UsageError(f"--field must be an odd prime or Q, got {args.field!r}") from None
-        if p == 2:
-            raise UsageError("characteristic 2 is excluded")
+    try:
+        spec = args.field if args.field == "Q" else int(args.field)
+    except ValueError:
+        raise UsageError(f"--field must be an odd prime or Q, got {args.field!r}") from None
     start = time.perf_counter()
-    F = ground_field(args.field)
+    F = ground_field(spec)
     rep = reports.new_report(
         "axioms", {"field": args.field, "samples": args.samples}, args.seed
     )
     ok = True
-    fails = batch_zorn_composition(
-        args.field if args.field == "Q" else int(args.field), args.samples, args.seed
-    )
-    ok &= _add(rep, "composition_law", fails == 0, f"{fails} failures / {args.samples}")
-
     alg = zorn_algebra(F)
-    if F.kind == "prime":
-        mfails = batch_minimal_equation(alg, min(args.samples, 10000), args.seed + 1)
-    else:
-        rng = random.Random(args.seed + 1)
-        mfails = sum(
-            0 if alg.minimal_equation_holds(alg.random(rng)) else 1
-            for _ in range(min(args.samples, 1000))
-        )
-    ok &= _add(rep, "minimal_equation", mfails == 0, f"{mfails} failures")
+    fails = {}
+    for law, n, seed in (("composition_law", args.samples, args.seed),
+                         ("minimal_equation", min(args.samples, 10000), args.seed + 1),
+                         ("alternative_laws", 200, args.seed + 3)):
+        fails.update(law_failures(alg, n, seed, (law,)))
+    ok &= _add(rep, "composition_law", fails["composition_law"] == 0,
+               f"{fails['composition_law']} failures / {args.samples}")
+    ok &= _add(rep, "minimal_equation", fails["minimal_equation"] == 0,
+               f"{fails['minimal_equation']} failures")
 
     rng = random.Random(args.seed + 2)
     conj_ok = True
@@ -239,8 +226,8 @@ def cmd_axioms(args):
             conj_ok = False
     ok &= _add(rep, "conjugation", conj_ok)
 
-    alt = alternative_law_sample(alg, 200, args.seed + 3)
-    ok &= _add(rep, "alternative_laws", alt == 0, f"{alt} failures")
+    ok &= _add(rep, "alternative_laws", fails["alternative_laws"] == 0,
+               f"{fails['alternative_laws']} failures")
 
     e = alg.basis_vec(7)
     pf = peirce_frame(alg, e)

@@ -5,7 +5,11 @@ the split octonions, Cayley-Dickson doubling, quaternion algebras from rank-3
 quadratic spaces, and octonion algebras from rank-3 hermitian spaces over a
 quadratic etale algebra.  An Algebra carries a dense-indexed sparse
 multiplication table, the norm data, and the identity, so automorphism
-checking downstream is construction-agnostic.
+checking downstream is construction-agnostic.  Its integer structure tensor
+and polar form (Algebra.lattice_forms) serve both certification and one
+batch of the octonion laws (law_failures): the composition law, the minimal
+equation and the two alternative laws, for every model and dimension, exact
+over Q and over F_p for every accepted prime.
 """
 
 from collections import namedtuple
@@ -34,7 +38,6 @@ class Algebra:
         self._trace_vec = tuple(
             _dot(F, self.bil[i], self.one) for i in range(self.dim)
         )
-        self._np_table = None
         self._lattice_forms = None
 
     def __repr__(self):
@@ -143,32 +146,18 @@ class Algebra:
         lhs = self.add(self.sub(sq, self.scale(t, x)), self.scale(n, self.one))
         return self.is_zero(lhs)
 
-    def numpy_table(self):
-        """Dense structure tensor T with T[i, j, m] the coefficient of e_m in
-        e_i e_j, as int64 for prime fields (object dtype otherwise)."""
-        if self._np_table is None:
-            import numpy as np
-
-            dtype = np.int64 if self.field.kind == "prime" else object
-            T = np.zeros((self.dim, self.dim, self.dim), dtype=dtype)
-            if dtype is object:
-                T[...] = self.field.zero
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    for m, c in self.table[i][j]:
-                        T[i, j, m] = c
-            self._np_table = T
-        return self._np_table
-
     def lattice_forms(self):
-        """(T, B): the structure tensor and the polar form on the integer
-        lattice of linalg.lattice, each cleared of its own denominators;
-        built once, for certification."""
+        """((T, s_T), (B, s_B)): the structure tensor (T[i, j, m] is the
+        coefficient of e_m in e_i e_j) and the polar form on the integer
+        lattice of linalg.lattice, with their scales; built once."""
         if self._lattice_forms is None:
-            F = self.field
-            self._lattice_forms = (
-                linalg.lattice(F, self.numpy_table())[0], linalg.lattice(F, self.bil)[0]
-            )
+            F, n = self.field, self.dim
+            T = [[[F.zero] * n for _ in range(n)] for _ in range(n)]
+            for i, row in enumerate(self.table):
+                for j, entries in enumerate(row):
+                    for m, c in entries:
+                        T[i][j][m] = c
+            self._lattice_forms = (linalg.lattice(F, T), linalg.lattice(F, self.bil))
         return self._lattice_forms
 
     def to_json(self):
@@ -551,37 +540,85 @@ def _hermitian_coords(L, a, v):
     return tuple(k.mul(two_inv, op(x[0], x[1])) for x in (a, *v) for op in (k.add, k.sub))
 
 
-# -- structural probes --------------------------------------------------------
+# -- the octonion laws, batched on the structure tensor -----------------------
 
-def composition_law_sample(alg, n, seed):
-    """Count of N(xy) != N(x) N(y) failures over n seeded random pairs."""
-    import random
+LAWS = ("composition_law", "minimal_equation", "alternative_laws")
 
-    rng = random.Random(seed)
+
+def law_failures(alg, n, seed, laws=LAWS):
+    """{law: how many of n seeded sample pairs (x, y) break it}, for the laws
+    of law_verdicts.  Coordinates are residues over F_p and integers in
+    [-9, 9] over Q: every law is homogeneous, so integer vectors decide it."""
+    import numpy as np
+
     F = alg.field
-    fails = 0
-    for _ in range(n):
-        x = alg.random(rng)
-        y = alg.random(rng)
-        if not F.eq(alg.norm(alg.mul(x, y)), F.mul(alg.norm(x), alg.norm(y))):
-            fails += 1
-    return fails
+    lo, hi = (0, F.p) if F.kind == "prime" else (-9, 10)
+    X, Y = np.random.default_rng(seed).integers(lo, hi, size=(2, n, alg.dim))
+    return {law: int(bad.sum()) for law, bad in law_verdicts(alg, X, Y, laws).items()}
 
 
-def alternative_law_sample(alg, n, seed):
-    """Count of x(xy) != (xx)y or (yx)x != y(xx) failures on a seeded sample."""
-    import random
+def law_verdicts(alg, X, Y, laws=LAWS):
+    """{law: boolean array, True on each row (x, y) of the integer arrays X
+    and Y that breaks it}: N(xy) = N(x) N(y) (composition_law), x^2 - T(x) x
+    + N(x) 1 = 0 (minimal_equation) and x(xy) = (xx)y, (yx)x = y(xx)
+    (alternative_laws).  Products run term by term through the T and B of
+    Algebra.lattice_forms, reduced mod p after each one over F_p.  Over Q,
+    z = T(x, y) = s_T xy and b(x) = B(x, x) = 2 s_B N(x), so the laws read
+    2 s_B b(z) = s_T^2 b(x) b(y) and, for u = s_1 1, 2 s_B s_1 T(x, x)
+    - 2 s_T B(x, u) x + s_T b(x) u = 0; the alternative laws are linear in T.
+    """
+    import numpy as np
 
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(n):
-        x = alg.random(rng)
-        y = alg.random(rng)
-        if not alg.eq(alg.mul(x, alg.mul(x, y)), alg.mul(alg.mul(x, x), y)):
-            fails += 1
-        if not alg.eq(alg.mul(alg.mul(y, x), x), alg.mul(y, alg.mul(x, x))):
-            fails += 1
-    return fails
+    F = alg.field
+    (T, sT), (B, sB) = alg.lattice_forms()
+    (u,), s1 = linalg.lattice(F, [alg.one])
+    if F.kind == "prime":
+        p, dtype = F.p, T.dtype  # int64 where the lattice keeps sums in range
+    else:
+        # every intermediate is at most (c a)^6 in absolute value, for a the
+        # largest |coordinate| and c the largest of 2, the scales, |u|, the
+        # sum of |B| and the largest sum of |T| into one output coordinate
+        a = max(1, int(np.abs(X).max(initial=0)), int(np.abs(Y).max(initial=0)))
+        c = max(2, sT, sB, s1, *map(abs, u), int(np.abs(B).sum()),
+                int(np.abs(T).sum(axis=(0, 1)).max()))
+        p, dtype = None, np.int64 if (c * a) ** 6 < 2**63 else object
+    x, y, u = X.T.astype(dtype), Y.T.astype(dtype), u.astype(dtype)[:, None]
+
+    def red(v):
+        return v if p is None else v % p
+
+    def bilinear(tensor):
+        # (x, y) -> the columns sum_ij tensor[i, j, m] x_i y_j; a residue c
+        # past p/2 is taken as c - p, so that +-1 costs no product
+        terms = [(m, i, j, int(c) - p if p and c > p // 2 else int(c))
+                 for (i, j, m), c in np.ndenumerate(tensor) if c]
+
+        def apply(v, w):
+            out = np.zeros((tensor.shape[2], v.shape[1]), dtype=dtype)
+            for m, i, j, c in terms:
+                t = red(v[i] * w[j])
+                out[m] += t if c == 1 else -t if c == -1 else red(c * t)
+            return red(out)
+
+        return apply
+
+    mul, polar = bilinear(T), bilinear(B[:, :, None])
+
+    def b(v):
+        return polar(v, v)[0]
+
+    out = {}
+    if "composition_law" in laws:
+        out["composition_law"] = red(2 * sB * b(mul(x, y))) != red(red(sT * sT * b(x)) * b(y))
+    if "minimal_equation" in laws:
+        lhs = (red(2 * sB * s1 * mul(x, x)) - red(red(2 * sT * polar(x, u)[0]) * x)
+               + red(red(sT * b(x)) * u))
+        out["minimal_equation"] = (red(lhs) != 0).any(axis=0)
+    if "alternative_laws" in laws:
+        xx = mul(x, x)
+        out["alternative_laws"] = ((mul(x, mul(x, y)) != mul(xx, y)).any(axis=0)
+                                   | (mul(mul(y, x), x) != mul(y, xx)).any(axis=0))
+    return out
 
 
 def diagonal_form_isotropy(F, diag_q):

@@ -1,9 +1,8 @@
-"""Vectorized exact verifications (int64 and int32 residue arithmetic, no floats).
+"""The exhaustive coset sweep (int64 and int32 residue arithmetic, no floats).
 
-Two jobs live here: the bulk composition/minimal-equation property suites,
-and the coset sweep, the one enumerator of conjugator cosets over finite
-fields.  The brute-force oracle runs each of its cosets over F_p through
-it: determinant 1 over F_p on a split frame, SU(H) over L = F_p(g) on a
+The sweep is the one enumerator of conjugator cosets over finite fields.
+The brute-force oracle runs each of its cosets over F_p through it:
+determinant 1 over F_p on a split frame, SU(H) over L = F_p(g) on a
 field frame.  That confirms both non-real constructions without trusting
 the norm-class shortcut.  Over F_p the determinant of c0 M0 + c1 M1 +
 c2 M2 is a cubic form whose 10 coefficients each call builds first, and
@@ -31,92 +30,6 @@ import numpy as np
 
 from . import linalg
 
-
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
-# -- Zorn batch ----------------------------------------------------------------
-
-def _zorn_product_np(x, y, reduce_mod=None):
-    """Vectorized Zorn product of (n, 8) coordinate arrays."""
-    a, v, w, b = x[:, 0], x[:, 1:4], x[:, 4:7], x[:, 7]
-    a2, v2, w2, b2 = y[:, 0], y[:, 1:4], y[:, 4:7], y[:, 7]
-
-    def cross(u, t):
-        return np.stack(
-            [
-                u[:, 1] * t[:, 2] - u[:, 2] * t[:, 1],
-                u[:, 2] * t[:, 0] - u[:, 0] * t[:, 2],
-                u[:, 0] * t[:, 1] - u[:, 1] * t[:, 0],
-            ],
-            axis=1,
-        )
-
-    ra = a * a2 - (v * w2).sum(axis=1)
-    rb = b * b2 - (w * v2).sum(axis=1)
-    rv = a[:, None] * v2 + b2[:, None] * v + cross(w, w2)
-    rw = b[:, None] * w2 + a2[:, None] * w + cross(v, v2)
-    out = np.concatenate([ra[:, None], rv, rw, rb[:, None]], axis=1)
-    if reduce_mod is not None:
-        out %= reduce_mod
-    return out
-
-
-def _zorn_norm_np(x, reduce_mod=None):
-    n = x[:, 0] * x[:, 7] + (x[:, 1:4] * x[:, 4:7]).sum(axis=1)
-    if reduce_mod is not None:
-        n %= reduce_mod
-    return n
-
-
-def batch_zorn_composition(field_spec, n, seed):
-    """Number of failures of N(xy) = N(x) N(y) over n seeded random pairs of
-    Zorn octonions.  field_spec is a prime p (residue arithmetic mod p) or
-    "Q" (integer coordinates in [-9, 9]; the identity over the rationals is
-    scale-invariant, so integer vectors decide it exactly)."""
-    rng = _rng(seed)
-    if field_spec == "Q":
-        x = rng.integers(-9, 10, size=(n, 8)).astype(np.int64)
-        y = rng.integers(-9, 10, size=(n, 8)).astype(np.int64)
-        p = None
-    else:
-        p = int(field_spec)
-        x = rng.integers(0, p, size=(n, 8)).astype(np.int64)
-        y = rng.integers(0, p, size=(n, 8)).astype(np.int64)
-    xy = _zorn_product_np(x, y, reduce_mod=p)
-    lhs = _zorn_norm_np(xy, reduce_mod=p)
-    rhs = _zorn_norm_np(x, reduce_mod=p) * _zorn_norm_np(y, reduce_mod=p)
-    if p is not None:
-        rhs %= p
-    return int((lhs != rhs).sum())
-
-
-def batch_minimal_equation(alg, n, seed):
-    """Number of failures of x^2 - N(x,1) x + N(x) 1 = 0 over n seeded random
-    elements of a prime-field algebra (vectorized through the structure
-    tensor)."""
-    F = alg.field
-    if F.kind != "prime":
-        raise ValueError("vectorized minimal-equation check needs a prime field")
-    p = F.p
-    rng = _rng(seed)
-    T = alg.numpy_table().astype(np.int64)
-    X = rng.integers(0, p, size=(n, alg.dim)).astype(np.int64)
-    # x^2 coordinates
-    tmp = np.tensordot(X, T, axes=([1], [0])) % p  # (n, j, m)
-    sq = np.einsum("njm,nj->nm", tmp, X) % p
-    tvec = np.array(alg._trace_vec, dtype=np.int64)
-    B = np.array([[int(c) for c in row] for row in alg.bil], dtype=np.int64)
-    inv2 = F.inv(F.element(2))
-    tr = X @ tvec % p
-    nrm = ((X @ B % p) * X).sum(axis=1) % p * inv2 % p
-    one = np.array([int(c) for c in alg.one], dtype=np.int64)
-    lhs = (sq - tr[:, None] * X + nrm[:, None] * one[None, :]) % p
-    return int((lhs != 0).any(axis=1).sum())
-
-
-# -- exhaustive coset sweep -----------------------------------------------------
 
 def _frozen(a):
     a.flags.writeable = False

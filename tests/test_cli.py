@@ -27,6 +27,17 @@ def test_axioms_prime_field(tmp_path, capsys):
     assert all(v["status"] == "pass" for v in data["verdicts"])
 
 
+@pytest.mark.parametrize("p", ["2147483647", "2000000011"])
+def test_axioms_exact_past_the_int64_cap(p, tmp_path):
+    # primes whose residue products overflow int64 sums: every law still
+    # runs exactly (on Python ints) and passes
+    out = tmp_path / "ax.json"
+    assert run(["axioms", "--field", p, "--samples", "2000", "--seed", "1",
+                "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [v["status"] for v in data["verdicts"]] == ["pass"] * 5
+
+
 def test_axioms_rationals():
     assert run(["axioms", "--field", "Q", "--samples", "2000", "--seed", "2"]) == 0
 

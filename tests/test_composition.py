@@ -5,13 +5,15 @@ import pytest
 
 from g2real import linalg
 from g2real.composition import (
+    LAWS,
+    Algebra,
     base_algebra,
     cayley_dickson_double,
-    composition_law_sample,
-    alternative_law_sample,
     diagonal_form_isotropy,
     find_proper_idempotent,
     hermitian_space,
+    law_failures,
+    law_verdicts,
     norm_is_isotropic,
     octonion_from_hermitian,
     peirce_frame,
@@ -64,7 +66,7 @@ def test_zorn_identity_element():
 
 def test_zorn_composition_sampled():
     Z = zorn_algebra(k7)
-    assert composition_law_sample(Z, 3000, 11) == 0
+    assert law_failures(Z, 3000, 11, ("composition_law",)) == {"composition_law": 0}
 
 
 def test_zorn_fast_path_matches_table_path():
@@ -83,12 +85,11 @@ def test_zorn_fast_path_matches_table_path():
 
 @pytest.mark.parametrize("spec", [5, 31, 2**31 - 1, "Q"])
 def test_zorn_mul_coords_matches_the_vectorized_product(spec):
-    # sweeps._zorn_product_np is an independent formula on whole arrays: int64
-    # residues at p = 5, 31, Python ints at 2^31 - 1 (int64 would overflow),
-    # integer and Fraction vectors over Q
+    # the integer structure tensor of lattice_forms, which certification and
+    # the law batch read, contracted on whole arrays: int64 residues at
+    # p = 5, 31, Python ints at 2^31 - 1 (int64 would overflow), integer and
+    # Fraction vectors over Q
     import numpy as np
-
-    from g2real.sweeps import _zorn_product_np
 
     rng = random.Random(f"zorn-np/{spec}")
     if spec == "Q":
@@ -104,12 +105,69 @@ def test_zorn_mul_coords_matches_the_vectorized_product(spec):
         rows[0], rows[200] = [p - 1] * 8, [p - 1] * 8
         dtype = np.int64 if p < 2**20 else object
         batches = [(np.array(rows[:200], dtype=dtype), np.array(rows[200:], dtype=dtype))]
+    (T, s), _ = zorn_algebra(F).lattice_forms()
+    assert s == 1 and T.dtype == (np.int64 if spec in (5, 31) else object)
     for x, y in batches:
-        want = _zorn_product_np(x, y, reduce_mod=p).tolist()
+        xy = (np.tensordot(x, T, axes=(1, 0)) * y[:, :, None]).sum(axis=1)
+        want = (xy % p if p else xy).tolist()
         xs = [tuple(F.element(c) for c in r) for r in x.tolist()]
         ys = [tuple(F.element(c) for c in r) for r in y.tolist()]
         for a, b, w in zip(xs, ys, want):
             assert zorn_mul_coords(F, a, b) == tuple(w)
+
+
+def _flip_one_constant(alg):
+    # the same table with the sign of the first coefficient of e_1 e_4 flipped
+    table = [list(row) for row in alg.table]
+    (m, c), *rest = table[1][4]
+    table[1][4] = ((m, alg.field.neg(c)), *rest)
+    return Algebra("flipped", alg.field, tuple(map(tuple, table)), alg.one,
+                   alg.norm_diag, alg.bil)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zorn_algebra(k7),
+    lambda: octonion_from_hermitian(hermitian_space(QuadraticEtale(k5, 2), (1, 2, 2))),
+    # split L over Q: the structure tensor has denominators (s_T = 4)
+    lambda: octonion_from_hermitian(hermitian_space(QuadraticEtale(Q), (1, 2, 2))),
+    # doubling by 1/4, 2/3, -1/5: s_T = 60 and s_B = 30
+    lambda: cayley_dickson_double(cayley_dickson_double(cayley_dickson_double(
+        base_algebra(Q), Fraction(1, 4)), Fraction(2, 3)), Fraction(-1, 5)),
+], ids=["zorn-F7", "hermitian-F25", "hermitian-split-Q", "doubled-Q"])
+def test_law_batch_detects_a_flipped_structure_constant(build):
+    import numpy as np
+
+    good = build()
+    bad = _flip_one_constant(good)
+    assert law_failures(good, 2000, 1) == {law: 0 for law in LAWS}
+    counts = law_failures(bad, 2000, 1)
+    assert counts["composition_law"] > 0 and counts["minimal_equation"] > 0
+    # per-row verdicts against the one-element references on the same rows
+    F = bad.field
+    lo, hi = (0, F.p) if F.kind == "prime" else (-9, 10)
+    X, Y = np.random.default_rng(2).integers(lo, hi, size=(2, 200, bad.dim))
+    verdicts = law_verdicts(bad, X, Y)
+    for r, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
+        x, y = tuple(map(F.element, x)), tuple(map(F.element, y))
+        assert verdicts["minimal_equation"][r] == (not bad.minimal_equation_holds(x))
+        composes = F.eq(bad.norm(bad.mul(x, y)), F.mul(bad.norm(x), bad.norm(y)))
+        assert verdicts["composition_law"][r] == (not composes)
+    assert verdicts["minimal_equation"].any() and not verdicts["minimal_equation"].all()
+    if F.kind != "prime":
+        # the laws are homogeneous: the same rows times 2^16, past the int64
+        # bound, must run on Python ints and give the same verdicts (int64
+        # would wrap mod 2^64 and lose every composition-law failure)
+        big = law_verdicts(bad, X.astype(object) << 16, Y.astype(object) << 16)
+        assert all((big[law] == verdicts[law]).all() for law in LAWS)
+
+
+def test_law_batch_on_every_dimension():
+    # dimensions 1, 2, 4 and 8, over F_p and Q, with denominators in T and B
+    for alg in (base_algebra(k7), base_algebra(Q), cayley_dickson_double(base_algebra(k7), 3),
+                cayley_dickson_double(base_algebra(Q), Fraction(1, 4)),
+                quaternion_from_quadratic(k5, (1, 2, 2)),
+                quaternion_from_quadratic(Q, (1, 2, 2)), pfister_octonion(Q, (1, 2, 3))):
+        assert law_failures(alg, 1000, 3) == {law: 0 for law in LAWS}
 
 
 def test_f3_exhaustive_composition_in_diagonal_subalgebra():
@@ -148,7 +206,7 @@ def test_minimal_equation_on_basis_and_sample():
 
 def test_alternative_laws():
     for alg in (zorn_algebra(k5), pfister_octonion(k7, (1, 1, 1))):
-        assert alternative_law_sample(alg, 300, 4) == 0
+        assert law_failures(alg, 300, 4, ("alternative_laws",)) == {"alternative_laws": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +228,7 @@ def test_double_base_matches_quadratic_algebra():
 def test_double_twice_gives_split_quaternions_over_f7():
     D = cayley_dickson_double(cayley_dickson_double(base_algebra(k7), 1), 1)
     assert D.dim == 4
-    assert composition_law_sample(D, 2000, 6) == 0
+    assert law_failures(D, 2000, 6, ("composition_law",)) == {"composition_law": 0}
     verdict, w = norm_is_isotropic(D)
     assert verdict == "isotropic"
     # independent exhaustive confirmation over F7^4
@@ -189,7 +247,7 @@ def test_double_twice_gives_split_quaternions_over_f7():
 def test_three_doublings_give_a_composition_octonion():
     O = pfister_octonion(k5, (1, 2, 3))
     assert O.dim == 8
-    assert composition_law_sample(O, 10000, 7) == 0
+    assert law_failures(O, 10000, 7, ("composition_law",)) == {"composition_law": 0}
 
 
 def test_doubling_norm_is_pfister_form():
@@ -221,7 +279,7 @@ def test_quaternion_from_trace_form_diag():
     # B = <1, 2, 2> (the trace form of a cyclic cubic): N_Q = <1, 1, 2, 2>
     Qa = quaternion_from_quadratic(Q, (1, 2, 2))
     assert [str(d) for d in Qa.norm_diag] == ["1", "1", "2", "2"]
-    assert composition_law_sample(Qa, 500, 8) == 0
+    assert law_failures(Qa, 500, 8, ("composition_law",)) == {"composition_law": 0}
 
 
 def test_quaternion_identity_idempotent():
@@ -254,7 +312,7 @@ def test_hermitian_identity():
     L = QuadraticEtale(k5, 2)
     O = octonion_from_hermitian(hermitian_space(L, (1, 1, 1)))
     assert O.eq(O.mul(O.one, O.one), O.one)
-    assert composition_law_sample(O, 5000, 10) == 0
+    assert law_failures(O, 5000, 10, ("composition_law",)) == {"composition_law": 0}
 
 
 def test_hermitian_norm_diagonal_over_Q():
@@ -265,7 +323,7 @@ def test_hermitian_norm_diagonal_over_Q():
     got = sorted(str(d) for d in O.norm_diag)
     expect = sorted(map(str, [1, -c, 1, 2, 2, -c, -2 * c, -2 * c]))
     assert got == expect
-    assert composition_law_sample(O, 300, 11) == 0
+    assert law_failures(O, 300, 11, ("composition_law",)) == {"composition_law": 0}
 
 
 def test_hermitian_psi_independence_structural():
@@ -281,7 +339,7 @@ def test_hermitian_psi_independence_structural():
             break
     algs = [octonion_from_hermitian(s1, psi) for psi in psis]
     for O in algs:
-        assert composition_law_sample(O, 3000, 12) == 0
+        assert law_failures(O, 3000, 12, ("composition_law",)) == {"composition_law": 0}
         assert norm_is_isotropic(O)[0] == "isotropic"
     assert sorted(algs[0].norm_diag) == sorted(algs[1].norm_diag)
 
@@ -304,7 +362,7 @@ def test_hermitian_L_embeds_as_composition_subalgebra():
 def test_hermitian_split_L():
     L = QuadraticEtale(k5)
     O = octonion_from_hermitian(hermitian_space(L, (1, 1, 1)))
-    assert composition_law_sample(O, 3000, 14) == 0
+    assert law_failures(O, 3000, 14, ("composition_law",)) == {"composition_law": 0}
 
 
 def test_hermitian_rejects_bad_psi():
