@@ -30,7 +30,7 @@ class UsageError(Exception):
 
 
 def _require_count(flag, value):
-    """A negative count is a bad flag, not a failed check."""
+    """A negative count or seed is a bad flag, not a failed check."""
     if value < 0:
         raise UsageError(f"--{flag} must be at least 0, got {value}")
 
@@ -194,6 +194,7 @@ def cmd_axioms(args):
     from .composition import law_failures, peirce_frame, zorn_algebra
 
     _require_count("samples", args.samples)
+    _require_count("seed", args.seed)  # numpy's generator takes seeds >= 0
     try:
         spec = args.field if args.field == "Q" else int(args.field)
     except ValueError:

@@ -573,7 +573,9 @@ def law_verdicts(alg, X, Y, laws=LAWS):
     (T, sT), (B, sB) = alg.lattice_forms()
     (u,), s1 = linalg.lattice(F, [alg.one])
     if F.kind == "prime":
-        p, dtype = F.p, T.dtype  # int64 where the lattice keeps sums in range
+        # int64 for every p < 2^31: reduced products are below p^2 < 2^62,
+        # constants lie in (-p/2, p/2], and at most 64 reduced terms are summed
+        p, dtype = F.p, np.int64
     else:
         # every intermediate is at most (c a)^6 in absolute value, for a the
         # largest |coordinate| and c the largest of 2, the scales, |u|, the

@@ -53,6 +53,12 @@ def test_axioms_non_numeric_field_is_a_usage_error(capsys):
     assert err.startswith("error: ") and "'abc'" in err
 
 
+def test_axioms_negative_seed_is_a_usage_error(capsys):
+    assert run(["axioms", "--field", "7", "--samples", "10", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+
+
 # ---------------------------------------------------------------------------
 # counterexamples
 # ---------------------------------------------------------------------------

@@ -83,12 +83,33 @@ def test_zorn_fast_path_matches_table_path():
         assert Z.eq(fast, slow)
 
 
+def _zorn_product_reference(x, y):
+    # [a v; w b][a' v'; w' b'] = [aa' - <v,w'>, av' + b'v + w^w';
+    #                             bw' + a'w + v^v', bb' - <w,v'>]
+    # on whole (n, 8) arrays, written out independently of zorn_mul_coords
+    import numpy as np
+
+    a, v, w, b = x[:, 0], x[:, 1:4], x[:, 4:7], x[:, 7]
+    a2, v2, w2, b2 = y[:, 0], y[:, 1:4], y[:, 4:7], y[:, 7]
+
+    def cross(u, t):
+        return np.stack([u[:, 1] * t[:, 2] - u[:, 2] * t[:, 1],
+                         u[:, 2] * t[:, 0] - u[:, 0] * t[:, 2],
+                         u[:, 0] * t[:, 1] - u[:, 1] * t[:, 0]], axis=1)
+
+    ra = a * a2 - (v * w2).sum(axis=1)
+    rb = b * b2 - (w * v2).sum(axis=1)
+    rv = a[:, None] * v2 + b2[:, None] * v + cross(w, w2)
+    rw = b[:, None] * w2 + a2[:, None] * w + cross(v, v2)
+    return np.concatenate([ra[:, None], rv, rw, rb[:, None]], axis=1)
+
+
 @pytest.mark.parametrize("spec", [5, 31, 2**31 - 1, "Q"])
 def test_zorn_mul_coords_matches_the_vectorized_product(spec):
-    # the integer structure tensor of lattice_forms, which certification and
-    # the law batch read, contracted on whole arrays: int64 residues at
-    # p = 5, 31, Python ints at 2^31 - 1 (int64 would overflow), integer and
-    # Fraction vectors over Q
+    # an explicit whole-array Zorn formula: int64 residues at p = 5, 31,
+    # Python ints at 2^31 - 1 (int64 would overflow), integer and Fraction
+    # vectors over Q; the integer structure tensor of lattice_forms, which
+    # certification and the law batch read, must contract to the same products
     import numpy as np
 
     rng = random.Random(f"zorn-np/{spec}")
@@ -108,11 +129,14 @@ def test_zorn_mul_coords_matches_the_vectorized_product(spec):
     (T, s), _ = zorn_algebra(F).lattice_forms()
     assert s == 1 and T.dtype == (np.int64 if spec in (5, 31) else object)
     for x, y in batches:
-        xy = (np.tensordot(x, T, axes=(1, 0)) * y[:, :, None]).sum(axis=1)
-        want = (xy % p if p else xy).tolist()
+        want = _zorn_product_reference(x, y)
+        via_T = (np.tensordot(x, T, axes=(1, 0)) * y[:, :, None]).sum(axis=1)
+        if p:
+            want, via_T = want % p, via_T % p
+        assert (via_T == want).all()
         xs = [tuple(F.element(c) for c in r) for r in x.tolist()]
         ys = [tuple(F.element(c) for c in r) for r in y.tolist()]
-        for a, b, w in zip(xs, ys, want):
+        for a, b, w in zip(xs, ys, want.tolist()):
             assert zorn_mul_coords(F, a, b) == tuple(w)
 
 
