@@ -57,12 +57,24 @@ class AutMap:
         I = linalg.identity(F, self.algebra.dim)
         return linalg.nullspace(F, linalg.mat_sub(F, self.matrix, I))
 
-    def generalized_fixed_space(self):
-        """Basis of ker((M - 1)^dim)."""
+    def fixed_spaces(self):
+        """(ker N, ker N^dim) for N = M - 1: the pointwise-fixed space and the
+        generalized one, by the chain ker N, ker N^2, ker N^4, ... that stops
+        at the first kernel that does not grow (ker N^2j = ker N^j means the
+        chain is stable from j on).  The null space basis depends only on the
+        subspace, so it is the basis of nullspace(N^dim)."""
         F = self.algebra.field
-        I = linalg.identity(F, self.algebra.dim)
-        d = linalg.mat_sub(F, self.matrix, I)
-        return linalg.nullspace(F, linalg.mat_pow(F, d, self.algebra.dim))
+        n = self.algebra.dim
+        N = linalg.mat_sub(F, self.matrix, linalg.identity(F, n))
+        fixed = V = linalg.nullspace(F, N)
+        j = 1
+        while j < n and len(V) < n:
+            N, j = linalg.mat_mul(F, N, N), 2 * j
+            grown = linalg.nullspace(F, N)
+            if len(grown) == len(V):
+                break
+            V = grown
+        return fixed, V
 
     def to_json(self):
         F = self.algebra.field
@@ -125,9 +137,7 @@ def certify_automorphism(matrix, alg):
 # -- frames -------------------------------------------------------------------
 
 SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W"])
-FieldFrame = namedtuple(
-    "FieldFrame", ["alg", "L", "one", "g", "fs", "H", "rho"]
-)
+FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H"])
 
 
 def zorn_split_frame(alg):
@@ -227,24 +237,70 @@ def _in_frame_basis(t, frame):
     return linalg.mat_mul(F, linalg.mat_mul(F, Cinv, t.matrix), C)
 
 
+def _frame_block(A, frame):
+    """The 8x8 matrix in the frame basis of the map that sl3_embed (split
+    frame) or su_embed (field frame) makes of A, without their checks on A."""
+    F = frame.alg.field
+    B = [[F.zero] * 8 for _ in range(8)]
+    if isinstance(frame, SplitFrame):
+        At_inv = linalg.transpose(linalg.inverse3(F, A))
+        B[0][0] = B[7][7] = F.one
+        for i in range(3):
+            for j in range(3):
+                B[1 + i][1 + j] = A[i][j]
+                B[4 + i][4 + j] = At_inv[i][j]
+        return B
+    c = frame.L.c
+    B[0][0] = B[1][1] = F.one
+    for j in range(3):
+        for i in range(3):
+            x0, x1 = A[i][j]
+            # column of f_j gets (x0, x1) in the (f_i, g f_i) slots,
+            # column of g f_j gets (c x1, x0).
+            B[2 + 2 * i][2 + 2 * j] = x0
+            B[3 + 2 * i][2 + 2 * j] = x1
+            B[2 + 2 * i][3 + 2 * j] = F.mul(c, x1)
+            B[3 + 2 * i][3 + 2 * j] = x0
+    return B
+
+
+# the frame swap on the split frame basis f, U, W, e: column j of B P is
+# column _SPLIT_SWAP[j] of B
+_SPLIT_SWAP = (7, 4, 5, 6, 1, 2, 3, 0)
+
+
+def _swapped(B, frame):
+    """B P for the frame's swap P in the frame basis, as an operation on the
+    columns of B: the permutation exchanging f with e and U with W on a
+    split frame, the signs +,-,+,-,... on the doubling basis 1, g, a, ga,
+    b, gb, ab, g(ab) of a field frame (sigma on L, fixing a, b and ab)."""
+    if isinstance(frame, SplitFrame):
+        return [[row[i] for i in _SPLIT_SWAP] for row in B]
+    neg = frame.alg.field.neg
+    return [[neg(x) if j % 2 else x for j, x in enumerate(row)] for row in B]
+
+
 def sl3_embed(A, frame):
     """The automorphism acting as the identity on L = span(e, f), as A on U
     and as transpose(A)^-1 on W, for A in SL(3, k)."""
-    alg = frame.alg
-    F = alg.field
+    F = frame.alg.field
     if not F.eq(linalg.det3(F, A), F.one):
         raise FieldError("sl3_embed needs det A = 1")
-    At_inv = linalg.transpose(linalg.inverse3(F, A))
-    n = alg.dim
-    B = [[F.zero] * n for _ in range(n)]
-    B[0][0] = F.one
-    B[7][7] = F.one
-    for i in range(3):
-        for j in range(3):
-            B[1 + i][1 + j] = A[i][j]
-            B[4 + i][4 + j] = At_inv[i][j]
     return _conjugate_certified(
-        alg, _frame_matrices(frame), B, "sl3_embed produced an uncertified map"
+        frame.alg, _frame_matrices(frame), _frame_block(A, frame),
+        "sl3_embed produced an uncertified map",
+    )
+
+
+def swapped_embed(A, frame):
+    """embed(A, frame).compose(frame_swap(frame)), embed = sl3_embed on a
+    split frame and su_embed on a field frame, as the one conjugation
+    C (B P) C^-1 of the frame block B of A and the frame's swap P, certified
+    once.  A is not checked to lie in SL(3) or SU(H): certification decides
+    whether the map is an automorphism."""
+    return _conjugate_certified(
+        frame.alg, _frame_matrices(frame), _swapped(_frame_block(A, frame), frame),
+        "the swapped embedding failed to certify",
     )
 
 
@@ -266,15 +322,11 @@ def zorn_swap(alg):
 
 def frame_swap(frame):
     """The order-2 automorphism of a frame that leaves L invariant and acts
-    on it by its nontrivial involution: on a split frame it exchanges e with
-    f and U with W (the Zorn swap on the standard Zorn frame), on a field
-    frame it is frame.rho."""
-    if not isinstance(frame, SplitFrame):
-        return frame.rho
-    F = frame.alg.field
-    P = [[F.zero] * 8 for _ in range(8)]
-    for j, i in enumerate((7, 4, 5, 6, 1, 2, 3, 0)):
-        P[i][j] = F.one
+    on it by its nontrivial involution, C P C^-1 for the swap P of _swapped:
+    on a split frame it exchanges e with f and U with W (the Zorn swap on
+    the standard Zorn frame), on a field frame it acts as sigma on L and
+    fixes a, b and ab."""
+    P = _swapped(linalg.identity(frame.alg.field, 8), frame)
     return _conjugate_certified(
         frame.alg, _frame_matrices(frame), P, "the frame swap failed to certify"
     )
@@ -297,7 +349,7 @@ def quadratic_subfield_frame(alg, g_vec):
     ga = alg.mul(g_vec, a)
     b = _orthogonal_anisotropic(alg, span_L + (a, ga))
     fs = (a, b, alg.mul(a, b))
-    frame = FieldFrame(alg, L, one, g_vec, fs, None, None)
+    frame = FieldFrame(alg, L, one, g_vec, fs, None)
     H = []
     for i, fv in enumerate(fs):
         for j in range(i + 1, 3):
@@ -308,8 +360,7 @@ def quadratic_subfield_frame(alg, g_vec):
         if not L.in_base(hii):
             raise FieldError("hermitian diagonal is not in k")
         H.append(L.to_base(hii))
-    rho = _frame_conjugation(alg, frame)
-    return FieldFrame(alg, L, one, g_vec, fs, tuple(H), rho)
+    return frame._replace(H=tuple(H))
 
 
 def _square_scalar(alg, x):
@@ -350,42 +401,14 @@ def hermitian_form(frame, x, y):
     return (n1, F.div(n2, L.c))
 
 
-def _frame_conjugation(alg, frame):
-    """The order-2 automorphism acting as sigma on L and fixing a, b, ab:
-    diagonal +,-,+,-,... in the doubling basis 1, g, a, ga, b, gb, ab, g(ab)."""
-    F = alg.field
-    D = [[F.zero] * 8 for _ in range(8)]
-    for i in range(8):
-        D[i][i] = F.one if i % 2 == 0 else F.neg(F.one)
-    return _conjugate_certified(
-        alg, _frame_matrices(frame), D, "conjugation extension failed to certify"
-    )
-
-
 def su_embed(A, frame):
     """The automorphism fixing L pointwise whose restriction to the
     orthogonal complement, as an L-space in the frame basis, is A in SU(H)."""
-    alg = frame.alg
-    F = alg.field
-    L = frame.L
-    if not in_su(A, L, frame.H):
+    if not in_su(A, frame.L, frame.H):
         raise FieldError("su_embed needs A in SU(H)")
-    c = L.c
-    n = alg.dim
-    B = [[F.zero] * n for _ in range(n)]
-    B[0][0] = F.one
-    B[1][1] = F.one
-    for j in range(3):
-        for i in range(3):
-            x0, x1 = A[i][j]
-            # column of f_j gets (x0, x1) in the (f_i, g f_i) slots,
-            # column of g f_j gets (c x1, x0).
-            B[2 + 2 * i][2 + 2 * j] = x0
-            B[3 + 2 * i][2 + 2 * j] = x1
-            B[2 + 2 * i][3 + 2 * j] = F.mul(c, x1)
-            B[3 + 2 * i][3 + 2 * j] = x0
     return _conjugate_certified(
-        alg, _frame_matrices(frame), B, "su_embed produced an uncertified map"
+        frame.alg, _frame_matrices(frame), _frame_block(A, frame),
+        "su_embed produced an uncertified map",
     )
 
 

@@ -774,7 +774,7 @@ def subalgebra_closed(alg, vectors):
 
 
 def orthogonal_complement(alg, vectors):
-    """Basis of the orthogonal complement of span(vectors) for the norm form."""
+    """Basis of the orthogonal complement of span(vectors) for the norm form:
+    the null space of the rows v bil, bil the polar Gram matrix."""
     F = alg.field
-    rows = [tuple(alg.bilinear_norm(v, alg.basis_vec(j)) for j in range(alg.dim)) for v in vectors]
-    return linalg.nullspace(F, tuple(rows))
+    return linalg.nullspace(F, linalg.mat_mul(F, linalg.mat(vectors), alg.bil))

@@ -7,10 +7,11 @@ mat_sub and mat_eq run on Python's operators, reduced mod p once per entry
 over F_p; larger products run on numpy integer arrays (int64 residues when
 no sum can overflow, Python ints otherwise; over Q the common-denominator
 numerators, divided back once), and _echelon (inverse, rank, nullspace,
-solve) on plain residues or Fractions with the operators inlined.  For the
-other handles (L = k(g), k x k and the cubic algebras) the field handle
-supplies the arithmetic.  Either way the entries returned are plain ints,
-Fractions or tuples of those.  Gaussian elimination requires an honest field
+solve) on plain residues or Fractions with the operators inlined.  Over
+L = F_p(g) the 3x3 mat_mul runs on the coordinate pairs, reduced mod p once
+per coordinate.  For the rest of L, for k x k and for the cubic algebras
+the field handle supplies the arithmetic.  Either way the entries returned
+are plain ints, Fractions or tuples of those.  Gaussian elimination requires an honest field
 (division), so callers must not pass split quadratic algebras to it.
 The 3x3 closed forms and norm_form3 use ring operations only, so they hold
 over any commutative ring: the cubic algebras of fields.py take their norms
@@ -112,6 +113,10 @@ def mat_mul(F, a, b):
             (l * x + m * u + n * r, l * y + m * v + n * s, l * z + m * w + n * t),
             (o * x + q * u + g * r, o * y + q * v + g * s, o * z + q * w + g * t),
         )
+    if p is None and len(a) == 3 and len(b) == 3 and len(b[0]) == 3 and (
+        getattr(F, "kind", None) == "field" and F.base.kind == "prime"
+    ):
+        return _mat_mul3_quadratic(F.base.p, F.c, a, b)
     if p is not None and a and b:
         (A, s), (B, t) = lattice(F, a), lattice(F, b)
         if F.kind == "prime":
@@ -127,6 +132,23 @@ def mat_mul(F, a, b):
                 s = F.add(s, F.mul(x, y))
             orow.append(s)
         out.append(tuple(orow))
+    return tuple(out)
+
+
+def _mat_mul3_quadratic(p, c, a, b):
+    """The 3x3 product over L = F_p(g), g^2 = c, on the coordinate pairs:
+    each entry sum_k (x0 + x1 g)(y0 + y1 g) is (sum x0 y0 + c sum x1 y1,
+    sum x0 y1 + x1 y0), reduced mod p once per coordinate."""
+    b0, b1, b2 = b
+    out = []
+    for (x0, x1), (y0, y1), (z0, z1) in a:
+        row = []
+        for (u0, u1), (v0, v1), (w0, w1) in zip(b0, b1, b2):
+            row.append((
+                (x0 * u0 + y0 * v0 + z0 * w0 + c * (x1 * u1 + y1 * v1 + z1 * w1)) % p,
+                (x0 * u1 + x1 * u0 + y0 * v1 + y1 * v0 + z0 * w1 + z1 * w0) % p,
+            ))
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -462,6 +484,11 @@ def krylov_similarity(F, A):
     return transpose(rows)
 
 
+class NotSimilar(ValueError):
+    """The two sides of solve_sylvester_space have different characteristic
+    polynomials, so no invertible intertwiner exists."""
+
+
 def solve_sylvester_space(F, left, right):
     """Basis of {X : left X = X right} for similar regular 3x3 sides over F:
     the basis that nullspace gives for the 9x9 linear system in the entries
@@ -473,9 +500,10 @@ def solve_sylvester_space(F, left, right):
     X0 right^2.  The free columns of the 9x9 system are the last coordinates
     on which the space projects one-to-one, so nullspace's basis is the
     reduced echelon form of that span over the reversed coordinates.  Raises
-    ValueError when the sides are not similar and regular."""
+    NotSimilar (a ValueError) when the characteristic polynomials differ, and
+    ValueError when the sides are not regular."""
     if not all(map(F.eq, charpoly3(F, left), charpoly3(F, right))):
-        raise ValueError("the sides are not similar")
+        raise NotSimilar("the sides are not similar")
     X0 = mat_mul(F, krylov_similarity(F, left), inverse3(F, krylov_similarity(F, right)))
     X1 = mat_mul(F, X0, right)
     span = (X0, X1, mat_mul(F, X1, right))

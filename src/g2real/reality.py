@@ -27,7 +27,6 @@ from .automorphisms import (
     certify_automorphism,
     extract_sl3_matrix,
     extract_su_matrix,
-    frame_swap,
     in_su,
     in_unitary,
     quadratic_subfield_frame,
@@ -35,6 +34,7 @@ from .automorphisms import (
     sl3_embed,
     split_frame_from_idempotent,
     su_embed,
+    swapped_embed,
     zorn_split_frame,
 )
 from .composition import hermitian_row, octonion_from_hermitian, zorn_algebra
@@ -105,7 +105,8 @@ def poly_text(F, chi):
 def classify(t):
     """Fixed-subalgebra classification of a certified automorphism.
 
-    Computes V_t = ker(t - 1)^8, r = dim(V_t meet trace-zero), and the case
+    Computes V_t = ker(t - 1)^8 by the kernel chain of AutMap.fixed_spaces,
+    r = dim(V_t meet trace-zero), and the case
     tag: r = 3 means a quaternion subalgebra is left invariant (fixed
     pointwise for the semisimple elements handled downstream), r = 7 covers
     the identity and unipotent-type maps, r = 1 means the fixed subalgebra is
@@ -115,8 +116,7 @@ def classify(t):
         raise RealityError("classify needs a certified automorphism")
     alg = t.algebra
     F = alg.field
-    V = t.generalized_fixed_space()
-    fixed = t.fixed_space()
+    fixed, V = t.fixed_spaces()
     # dim(V meet C0) = dim V - rank of the trace functional restricted to V
     tr_vals = [alg.trace(v) for v in V]
     r = len(V) - (0 if all(F.is_zero(x) for x in tr_vals) else 1)
@@ -135,9 +135,8 @@ def classify(t):
             raise RealityError("fixed-line generator does not square to a scalar")
         out["etale_generator"] = x
         out["etale_split"] = F.is_square(s)
-        out["fixed_is_pointwise"] = len(fixed) == len(V) and linalg.rank(
-            F, linalg.mat(tuple(V) + tuple(fixed))
-        ) == len(V)
+        # fixed lies in V, so equal dimensions make them equal
+        out["fixed_is_pointwise"] = len(fixed) == len(V)
     else:
         raise RealityError(f"unexpected fixed-space dimension data: r = {r}")
     return out
@@ -703,14 +702,14 @@ def two_involution_witness(t, frame, report):
         raise RealityError("need a real verdict with a matrix witness")
     w = report.witness
     if w["type"] == "symmetric_pair":
-        embed, m1, m2 = sl3_embed, w["S1"], linalg.inverse3(frame.alg.field, w["S2"])
+        m1, m2 = w["S1"], linalg.inverse3(frame.alg.field, w["S2"])
     elif w["type"] == "unitary_pair":
-        embed, m1, m2 = su_embed, w["A1"], w["C"]
+        m1, m2 = w["A1"], w["C"]
     else:
         raise RealityError(f"witness type {w['type']} has no involution lift")
-    rho = frame_swap(frame)
-    i1 = embed(m1, frame).compose(rho)
-    i2 = embed(m2, frame).compose(rho)
+    # iota_i = embed(m_i) frame_swap, each one certified conjugation
+    i1 = swapped_embed(m1, frame)
+    i2 = swapped_embed(m2, frame)
     if not i1.compose(i1).is_identity() or not i2.compose(i2).is_identity():
         raise RealityError("witness maps are not involutions")
     if not i1.compose(i2).eq(t):
@@ -727,12 +726,12 @@ def conjugator_witness(t, frame, report):
 
 
 def _lift_conjugator(t, frame, B, coset):
-    """h = embedding of B, times the frame swap in coset 1; raises unless
-    h t h^-1 = t^-1 holds exactly."""
-    embed = sl3_embed if isinstance(frame, SplitFrame) else su_embed
-    h = embed(B, frame)
+    """h = embedding of B, times the frame swap in coset 1 (one certified
+    conjugation either way); raises unless h t h^-1 = t^-1 holds exactly."""
     if coset == 1:
-        h = h.compose(frame_swap(frame))
+        h = swapped_embed(B, frame)
+    else:
+        h = (sl3_embed if isinstance(frame, SplitFrame) else su_embed)(B, frame)
     if not h.compose(t).compose(h.inverse()).eq(t.inverse()):
         raise RealityError("conjugator witness fails at the octonion level")
     return h
@@ -804,11 +803,13 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     checked = {0: 0, 1: 0}
     witness = None
     for coset, left, right in cosets:
-        # an invertible intertwiner makes left and right similar
-        chis = zip(linalg.charpoly3(K, left), linalg.charpoly3(K, right))
-        if not all(K.eq(x, y) for x, y in chis):
+        # an invertible intertwiner makes left and right similar; the regular
+        # sides are similar exactly when their characteristic polynomials,
+        # which solve_sylvester_space compares, agree
+        try:
+            space = linalg.solve_sylvester_space(K, left, right)
+        except linalg.NotSimilar:
             continue
-        space = linalg.solve_sylvester_space(K, left, right)
         hits = []
 
         def conjugates(B):

@@ -23,7 +23,9 @@ from g2real.automorphisms import (
     sl1_action,
     sl3_embed,
     split_frame_from_idempotent,
+    SplitFrame,
     su_embed,
+    swapped_embed,
     zorn_split_frame,
     zorn_swap,
 )
@@ -428,10 +430,28 @@ def other_frame7(zorn7):
     return split_frame_from_idempotent(zorn7, e)
 
 
+def _doubling_swap_reference(fr):
+    """C D C^-1 with C the doubling basis 1, g, a, ga, b, gb, ab, g(ab) of a
+    field frame and D = diag(+,-,+,-,...), built and certified here."""
+    O = fr.alg
+    F = O.field
+    cols = [fr.one, fr.g]
+    for v in fr.fs:
+        cols += [v, O.mul(fr.g, v)]
+    C = linalg.transpose(linalg.mat(cols))
+    D = [[F.zero] * 8 for _ in range(8)]
+    for i in range(8):
+        D[i][i] = F.one if i % 2 == 0 else F.neg(F.one)
+    M = linalg.mat_mul(F, linalg.mat_mul(F, C, D), linalg.inverse(F, C))
+    out = certify_automorphism(M, O)
+    assert out.certified
+    return out
+
+
 def test_frame_swap_matches_reference_swaps(frame7, su_setup):
     assert frame_swap(frame7).eq(zorn_swap(frame7.alg))
     _, _, fr = su_setup
-    assert frame_swap(fr) is fr.rho
+    assert frame_swap(fr).eq(_doubling_swap_reference(fr))
 
 
 def test_frame_swap_on_nonstandard_frame(other_frame7):
@@ -584,7 +604,7 @@ def test_su_extract_roundtrip(su_setup):
 
 def test_frame_rho_properties(su_setup):
     L, O, fr = su_setup
-    rho = fr.rho
+    rho = frame_swap(fr)
     assert rho.certified
     assert rho.compose(rho).is_identity()
     # restriction to L is sigma: the generator is negated
@@ -595,6 +615,112 @@ def test_frame_rho_properties(su_setup):
     A = random_su(L, fr.H, rng)
     Abar = linalg.map_entries(L.sigma, A)
     assert rho.compose(su_embed(A, fr)).compose(rho).eq(su_embed(Abar, fr))
+
+
+def _embed_then_swap(A, fr):
+    """The witness map as it was built before the one conjugation: the
+    certified embedding composed with the certified frame swap."""
+    embed = sl3_embed if isinstance(fr, SplitFrame) else su_embed
+    return embed(A, fr).compose(frame_swap(fr))
+
+
+def test_swapped_embed_is_embed_then_swap(frame7, other_frame7, su_setup):
+    rng = random.Random(19)
+    L, _, fr = su_setup
+    cases = [(fr, random_su(L, fr.H, rng)) for _ in range(4)]
+    cases += [(f, random_sl3(k7, rng)) for f in (frame7, other_frame7) for _ in range(4)]
+    Q = RationalField()
+    frQ = zorn_split_frame(zorn_algebra(Q))
+    cases.append((frQ, companion_matrix(Q, (Fraction(-1), Fraction(-1), Fraction(0)))))
+    for f, A in cases:
+        got = swapped_embed(A, f)
+        assert got.certified
+        assert got.matrix == _embed_then_swap(A, f).matrix
+
+
+def test_lifted_witnesses_equal_embed_then_swap(frame7, other_frame7, su_setup):
+    """iota1, iota2 and a coset-1 h are the same matrices as the embedding
+    composed with the frame swap, on the standard and a non-standard split
+    frame and on a field frame."""
+    from g2real.reality import (
+        brute_force_reality_oracle,
+        reality_sl3,
+        reality_su,
+        two_involution_witness,
+    )
+
+    rng = random.Random(20)
+    L, _, fr = su_setup
+    seen_h = 0
+    for f in (frame7, other_frame7, fr):
+        for _ in range(3):
+            if f is fr:
+                A = random_su(L, fr.H, rng, separable=True, avoid_eigenvalue_one=True)
+                t = su_embed(A, f)
+                rep = reality_su(L, extract_su_matrix(t, f), fr.H)
+                m1, m2 = rep.witness["A1"], rep.witness["C"]
+            else:
+                A = random_sl3(k7, rng, avoid_eigenvalue_one=True, separable=True)
+                t = sl3_embed(A, f)
+                rep = reality_sl3(k7, extract_sl3_matrix(t, f))
+                m1, m2 = rep.witness["S1"], linalg.inverse3(k7, rep.witness["S2"])
+            i1, i2 = two_involution_witness(t, f, rep)
+            assert i1.matrix == _embed_then_swap(m1, f).matrix
+            assert i2.matrix == _embed_then_swap(m2, f).matrix
+            out = brute_force_reality_oracle(t, f, level="octonion")
+            if out["verdict"] == "real" and out["coset"] == 1:
+                seen_h += 1
+                assert out["h"].matrix == _embed_then_swap(out["B"], f).matrix
+    assert seen_h >= 3
+
+
+def _nullity_by_sympy(F, M):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    if F.kind == "prime":
+        dom = sympy.GF(F.p)
+        rows = [[dom(int(x)) for x in r] for r in M]
+    else:
+        dom = sympy.QQ
+        rows = [[dom(x.numerator, x.denominator) for x in r] for r in M]
+    return len(M[0]) - DomainMatrix(rows, (len(M), len(M[0])), dom).rank()
+
+
+def _chain_cases(F):
+    """(t, r) for the identity, a unipotent element (r = 7, Jordan block of
+    size 3 on U), a mixed element fixing a quaternion subalgebra (r = 3) and
+    a regular element without eigenvalue 1 (r = 1), on the Zorn split frame."""
+    fr = zorn_split_frame(zorn_algebra(F))
+    o, z, m = F.one, F.zero, F.neg(F.one)
+    mats = [
+        (linalg.identity(F, 3), 7),
+        (((o, o, z), (z, o, o), (z, z, o)), 7),
+        (((o, z, z), (z, m, o), (z, z, m)), 3),
+        (companion_matrix(F, (m, m, z)), 1),  # X^3 - X - 1
+    ]
+    return [(sl3_embed(A, fr), r) for A, r in mats]
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), k5, k7, RationalField()], ids=str)
+def test_fixed_spaces_kernel_chain(F):
+    from g2real.reality import classify
+
+    for t, r in _chain_cases(F):
+        fixed, V = t.fixed_spaces()
+        N = linalg.mat_sub(F, t.matrix, linalg.identity(F, 8))
+        assert fixed == t.fixed_space() == linalg.nullspace(F, N)
+        assert V == linalg.nullspace(F, linalg.mat_pow(F, N, 8))
+        assert classify(t)["r"] == r
+
+
+@pytest.mark.parametrize("F", [PrimeField(3), k5, k7, RationalField()], ids=str)
+def test_fixed_spaces_dimensions_match_sympy(F):
+    for t, _ in _chain_cases(F):
+        fixed, V = t.fixed_spaces()
+        N = linalg.mat_sub(F, t.matrix, linalg.identity(F, 8))
+        assert len(fixed) == _nullity_by_sympy(F, N)
+        assert len(V) == _nullity_by_sympy(F, linalg.mat_pow(F, N, 8))
 
 
 def test_su_random_sampler_members(su_setup):

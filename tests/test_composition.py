@@ -16,6 +16,7 @@ from g2real.composition import (
     law_verdicts,
     norm_is_isotropic,
     octonion_from_hermitian,
+    orthogonal_complement,
     peirce_frame,
     pfister_octonion,
     quaternion_from_quadratic,
@@ -519,3 +520,23 @@ def test_algebra_descriptor_serialization():
     import json
 
     json.dumps(js)  # JSON-clean
+
+
+@pytest.mark.parametrize("F", [k5, k7, RationalField()], ids=str)
+def test_orthogonal_complement_matches_the_polar_form_loop(F):
+    """The rows v bil give the basis of the per-basis-vector loop
+    N(v, e_j), on the Zorn, Pfister and hermitian models."""
+    L = QuadraticEtale(F, F.nonsquare() if F.kind == "prime" else -1)
+    models = (
+        zorn_algebra(F),
+        pfister_octonion(F, (F.element(-1), F.element(2), F.element(3))),
+        octonion_from_hermitian(hermitian_space(L, (1, 1, 1))),
+    )
+    rng = random.Random(f"complement/{F!r}")
+    for alg in models:
+        for n in (1, 2, 3, 4):
+            vectors = [tuple(F.element(rng.randrange(-3, 4)) for _ in range(8)) for _ in range(n)]
+            rows = tuple(
+                tuple(alg.bilinear_norm(v, alg.basis_vec(j)) for j in range(8)) for v in vectors
+            )
+            assert orthogonal_complement(alg, vectors) == linalg.nullspace(F, rows)

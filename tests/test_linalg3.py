@@ -144,6 +144,31 @@ def test_mat_vec_at_every_length_matches_the_generic_loop(F):
         assert all(type(x) is Fraction for x in linalg.mat_vec(F, ((1, 2), (3, 4)), (5, 6)))
 
 
+def _handle_mat_mul(L, a, b):
+    """The 3x3 product as sums of L.mul through the field handle."""
+    return tuple(
+        tuple(
+            L.add(L.add(L.mul(a[i][0], b[0][j]), L.mul(a[i][1], b[1][j])), L.mul(a[i][2], b[2][j]))
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 31, MERSENNE_31])
+def test_mat_mul_over_L_on_native_pairs_matches_the_handle(p):
+    k = PrimeField(p)
+    L = QuadraticEtale(k, k.nonsquare())
+    rng = random.Random(f"mat_mul_L/{p}")
+    big = lambda: (rng.randrange(p), rng.randrange(p))
+    for entry in (lambda: L.random(rng), big, lambda: (p - 1, p - 1)):
+        for _ in range(30):
+            a, b = ([[entry() for _ in range(3)] for _ in range(3)] for _ in range(2))
+            got = linalg.mat_mul(L, linalg.mat(a), linalg.mat(b))
+            assert got == _handle_mat_mul(L, a, b)
+            assert all(type(x) is int and 0 <= x < p for row in got for e in row for x in e)
+
+
 # ---------------------------------------------------------------------------
 # cyclic vectors
 # ---------------------------------------------------------------------------
@@ -380,7 +405,7 @@ def test_sylvester_space_rejects_sides_not_similar_and_regular():
         two = F.add(o, o)
         A = _regular(F, rng)
         shifted = linalg.mat_add(F, A, linalg.identity(F, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(linalg.NotSimilar):
             linalg.solve_sylvester_space(F, A, shifted)
         N = ((o, z, z), (z, o, z), (z, z, two))
         with pytest.raises(ValueError):
