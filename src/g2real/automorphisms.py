@@ -8,9 +8,14 @@ d*M, d the lcm of the denominators of M.  On top sit the subgroup
 embeddings: SL(3) acting through a split frame, SU(3) through a quadratic
 field frame, the norm-one action fixing a quaternion subalgebra, and the
 order-2 map extending the conjugation of a quadratic subalgebra.
+
+Each frame comes from one constructor, which builds every vector once and
+sets the frame's basis matrix C and its inverse; each map on a frame is the
+one certified conjugation C D C^-1, and each 3x3 matrix read off a frame
+comes from C^-1 t C.  Nothing here is cached: every linalg call runs, so
+that counting passes over the same work agree.
 """
 
-import functools
 import itertools
 import random
 from collections import namedtuple
@@ -136,8 +141,16 @@ def certify_automorphism(matrix, alg):
 
 # -- frames -------------------------------------------------------------------
 
-SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W"])
-FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H"])
+# C is the frame's basis matrix, its columns f, U, W, e (split) or the doubling
+# basis 1, g, a, ga, b, gb, ab, g(ab) (field); Cinv its inverse
+SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W", "C", "Cinv"])
+FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H", "C", "Cinv"])
+
+
+def _basis(F, cols):
+    """The frame fields C, the matrix with columns `cols`, and C^-1."""
+    C = linalg.transpose(linalg.mat(cols))
+    return {"C": C, "Cinv": linalg.inverse(F, C)}
 
 
 def zorn_split_frame(alg):
@@ -145,84 +158,48 @@ def zorn_split_frame(alg):
     v-coordinates, W the w-coordinates."""
     if alg.model != "zorn":
         raise FieldError("zorn_split_frame needs the Zorn model")
-    F = alg.field
     e = alg.basis_vec(7)
     f = alg.basis_vec(0)
     U = tuple(alg.basis_vec(1 + i) for i in range(3))
     W = tuple(alg.basis_vec(4 + i) for i in range(3))
-    return SplitFrame(alg, e, f, U, W)
+    return SplitFrame(alg, e, f, U, W, **_basis(alg.field, (f, *U, *W, e)))
 
 
 def split_frame_from_idempotent(alg, e):
     """A split frame with the standard relations, built from a proper
-    idempotent: u x u' recovers the dual W basis via the wedge products."""
-    from .composition import peirce_frame
-
+    idempotent e (Peirce decomposition, f = 1 - e).  ker L_e = k f + U with
+    U = {x : ex = 0, xe = x}, and tr f = 1 while U has trace zero, so U is
+    the null space of L_e stacked with the trace row.  u3 is rescaled so
+    that u3 (u1 u2) = -f, and W is read off the wedge products
+    w1 = u2 u3, w2 = u3 u1, w3 = u1 u2."""
     F = alg.field
-    pf = peirce_frame(alg, e)
-    u1, u2, u3 = pf.U
+    if not alg.eq(alg.mul(e, e), e) or alg.is_zero(e) or alg.eq(e, alg.one):
+        raise FieldError("e is not a proper idempotent")
+    f = alg.sub(alg.one, e)
+    U = linalg.nullspace(F, alg.left_mul_matrix(e) + (alg.trace_row,))
+    if len(U) != 3:
+        raise FieldError("Peirce spaces are not 3-dimensional (input not split?)")
+    u1, u2, u3 = U
     w3 = alg.mul(u1, u2)
-    w1 = alg.mul(u2, u3)
-    w2 = alg.mul(u3, u1)
-    # normalize u3 so that the pairing closes: u3 w3 must be -f
-    # (u_i w_j = -delta_ij f and w_i u_j = -delta_ij e in a standard frame)
+    # u_i w_j = -delta_ij f and w_i u_j = -delta_ij e in a standard frame
     pairing = alg.mul(u3, w3)
-    target = alg.neg(pf.f)
-    scale = None
-    for idx in range(alg.dim):
-        if not F.is_zero(target[idx]):
-            if F.is_zero(pairing[idx]):
-                raise FieldError("frame completion failed")
-            scale = F.div(target[idx], pairing[idx])
-            break
-    u3s = alg.scale(scale, u3)
-    w1 = alg.mul(u2, u3s)
-    w2 = alg.mul(u3s, u1)
-    frame = SplitFrame(alg, pf.e, pf.f, (u1, u2, u3s), (w1, w2, w3))
-    _check_split_frame(frame)
-    return frame
-
-
-def _check_split_frame(frame):
-    alg = frame.alg
-    F = alg.field
-    for i, u in enumerate(frame.U):
-        for j, w in enumerate(frame.W):
-            uw = alg.mul(u, w)
-            want = alg.neg(frame.f) if i == j else alg.zero_vec()
-            if not alg.eq(uw, want):
+    idx = next(i for i in range(alg.dim) if not F.is_zero(f[i]))
+    if F.is_zero(pairing[idx]):
+        raise FieldError("frame completion failed")
+    u3 = alg.scale(F.div(F.neg(f[idx]), pairing[idx]), u3)
+    U, W = (u1, u2, u3), (alg.mul(u2, u3), alg.mul(u3, u1), w3)
+    minus_f, zero = alg.neg(f), alg.zero_vec()
+    for i, u in enumerate(U):
+        for j, w in enumerate(W):
+            if not alg.eq(alg.mul(u, w), minus_f if i == j else zero):
                 raise FieldError("split frame fails the pairing relations")
-    if not alg.eq(alg.mul(frame.U[0], frame.U[1]), frame.W[2]):
-        raise FieldError("split frame fails the wedge relations")
+    return SplitFrame(alg, e, f, U, W, **_basis(F, (f, *U, *W, e)))
 
 
-def frame_basis_matrix(frame):
-    """Change-of-basis matrix whose columns are f, U, W, e (split) or the
-    doubling basis (field)."""
-    if isinstance(frame, SplitFrame):
-        cols = [frame.f, *frame.U, *frame.W, frame.e]
-    else:
-        cols = [frame.one]
-        cols.append(frame.g)
-        for fv in frame.fs:
-            cols.append(fv)
-            cols.append(frame.alg.mul(frame.g, fv))
-    return linalg.transpose(linalg.mat(cols))
-
-
-@functools.lru_cache(maxsize=64)
-def _frame_matrices(frame):
-    """(C, C^-1) for C = frame_basis_matrix(frame), built once per frame."""
-    C = frame_basis_matrix(frame)
-    return C, linalg.inverse(frame.alg.field, C)
-
-
-def _conjugate_certified(alg, C_Cinv, D, failure):
-    """The automorphism C D C^-1 of alg, certified, given (C, C^-1); raises
-    FieldError with the text `failure` and the certification failure when it
-    does not certify."""
+def _conjugate_certified(alg, C, Cinv, D, failure):
+    """The automorphism C D C^-1 of alg, certified; raises FieldError with the
+    text `failure` and the certification failure when it does not certify."""
     F = alg.field
-    C, Cinv = C_Cinv
     M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), Cinv)
     out = certify_automorphism(M, alg)
     if not out.certified:
@@ -233,8 +210,7 @@ def _conjugate_certified(alg, C_Cinv, D, failure):
 def _in_frame_basis(t, frame):
     """The 8x8 matrix of t in the frame basis: C^-1 t C."""
     F = frame.alg.field
-    C, Cinv = _frame_matrices(frame)
-    return linalg.mat_mul(F, linalg.mat_mul(F, Cinv, t.matrix), C)
+    return linalg.mat_mul(F, linalg.mat_mul(F, frame.Cinv, t.matrix), frame.C)
 
 
 def _frame_block(A, frame):
@@ -287,7 +263,7 @@ def sl3_embed(A, frame):
     if not F.eq(linalg.det3(F, A), F.one):
         raise FieldError("sl3_embed needs det A = 1")
     return _conjugate_certified(
-        frame.alg, _frame_matrices(frame), _frame_block(A, frame),
+        frame.alg, frame.C, frame.Cinv, _frame_block(A, frame),
         "sl3_embed produced an uncertified map",
     )
 
@@ -299,7 +275,7 @@ def swapped_embed(A, frame):
     once.  A is not checked to lie in SL(3) or SU(H): certification decides
     whether the map is an automorphism."""
     return _conjugate_certified(
-        frame.alg, _frame_matrices(frame), _swapped(_frame_block(A, frame), frame),
+        frame.alg, frame.C, frame.Cinv, _swapped(_frame_block(A, frame), frame),
         "the swapped embedding failed to certify",
     )
 
@@ -328,7 +304,7 @@ def frame_swap(frame):
     fixes a, b and ab."""
     P = _swapped(linalg.identity(frame.alg.field, 8), frame)
     return _conjugate_certified(
-        frame.alg, _frame_matrices(frame), P, "the frame swap failed to certify"
+        frame.alg, frame.C, frame.Cinv, P, "the frame swap failed to certify"
     )
 
 
@@ -349,7 +325,8 @@ def quadratic_subfield_frame(alg, g_vec):
     ga = alg.mul(g_vec, a)
     b = _orthogonal_anisotropic(alg, span_L + (a, ga))
     fs = (a, b, alg.mul(a, b))
-    frame = FieldFrame(alg, L, one, g_vec, fs, None)
+    cols = (one, g_vec, a, ga, b, alg.mul(g_vec, b), fs[2], alg.mul(g_vec, fs[2]))
+    frame = FieldFrame(alg, L, one, g_vec, fs, None, None, None)
     H = []
     for i, fv in enumerate(fs):
         for j in range(i + 1, 3):
@@ -360,7 +337,7 @@ def quadratic_subfield_frame(alg, g_vec):
         if not L.in_base(hii):
             raise FieldError("hermitian diagonal is not in k")
         H.append(L.to_base(hii))
-    return frame._replace(H=tuple(H))
+    return frame._replace(H=tuple(H), **_basis(F, cols))
 
 
 def _square_scalar(alg, x):
@@ -407,7 +384,7 @@ def su_embed(A, frame):
     if not in_su(A, frame.L, frame.H):
         raise FieldError("su_embed needs A in SU(H)")
     return _conjugate_certified(
-        frame.alg, _frame_matrices(frame), _frame_block(A, frame),
+        frame.alg, frame.C, frame.Cinv, _frame_block(A, frame),
         "su_embed produced an uncertified map",
     )
 
@@ -465,7 +442,7 @@ def involution_from_quaternion(alg, D_basis):
     for i in range(8):
         D[i][i] = F.one if i < 4 else F.neg(F.one)
     return _conjugate_certified(
-        alg, (C, linalg.inverse(F, C)), D, "quaternion involution failed to certify"
+        alg, C, linalg.inverse(F, C), D, "quaternion involution failed to certify"
     )
 
 

@@ -34,10 +34,8 @@ class Algebra:
         self.norm_diag = tuple(norm_diag)
         self.bil = linalg.mat(bil)
         self.meta = meta or {}
-        F = field
-        self._trace_vec = tuple(
-            _dot(F, self.bil[i], self.one) for i in range(self.dim)
-        )
+        # the trace as a row: tr x = N(x, 1) = trace_row . x
+        self.trace_row = tuple(_dot(field, self.bil[i], self.one) for i in range(self.dim))
         self._lattice_forms = None
 
     def __repr__(self):
@@ -119,7 +117,7 @@ class Algebra:
         return n
 
     def trace(self, x):
-        return _dot(self.field, self._trace_vec, x)
+        return _dot(self.field, self.trace_row, x)
 
     def conj(self, x):
         t = self.trace(x)
@@ -129,10 +127,6 @@ class Algebra:
 
     def left_mul_matrix(self, x):
         cols = [self.mul(x, self.basis_vec(j)) for j in range(self.dim)]
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-
-    def right_mul_matrix(self, x):
-        cols = [self.mul(self.basis_vec(j), x) for j in range(self.dim)]
         return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
 
     def random(self, rng):
@@ -703,9 +697,6 @@ def norm_is_isotropic(alg):
     return ("isotropic", w)
 
 
-PeirceFrame = namedtuple("PeirceFrame", ["e", "f", "U", "W"])
-
-
 def find_proper_idempotent(alg):
     """A proper idempotent, if one can be found.
 
@@ -736,28 +727,6 @@ def find_proper_idempotent(alg):
         if alg.eq(alg.mul(e, e), e) and not alg.is_zero(e) and not alg.eq(e, alg.one):
             return e
     raise FieldError("no proper idempotent found (division algebra?)")
-
-
-def peirce_frame(alg, e):
-    """Peirce decomposition data for a proper idempotent e of a split octonion
-    algebra: U = {x : ex = 0, xe = x} and W = {x : xe = 0, ex = x}, each of
-    dimension 3."""
-    F = alg.field
-    if not alg.eq(alg.mul(e, e), e) or alg.is_zero(e) or alg.eq(e, alg.one):
-        raise FieldError("e is not a proper idempotent")
-    Le = alg.left_mul_matrix(e)
-    Re = alg.right_mul_matrix(e)
-    I = linalg.identity(F, alg.dim)
-    U = linalg.nullspace(F, _stack(Le, linalg.mat_sub(F, Re, I)))
-    W = linalg.nullspace(F, _stack(Re, linalg.mat_sub(F, Le, I)))
-    if len(U) != 3 or len(W) != 3:
-        raise FieldError("Peirce spaces are not 3-dimensional (input not split?)")
-    f = alg.sub(alg.one, e)
-    return PeirceFrame(e, f, U, W)
-
-
-def _stack(a, b):
-    return tuple(a) + tuple(b)
 
 
 def subalgebra_closed(alg, vectors):

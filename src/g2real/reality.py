@@ -719,7 +719,7 @@ def two_involution_witness(t, frame, report):
 
 def conjugator_witness(t, frame, report):
     """Lift a matrix-level conjugator to the octonion level and verify
-    h t h^-1 = t^-1 exactly."""
+    h t h^-1 = t^-1 exactly (as t h t = h)."""
     if report.witness is None or report.witness["type"] != "conjugator_matrix":
         raise RealityError("no conjugator witness present")
     return _lift_conjugator(t, frame, report.witness["B"], report.witness["coset"])
@@ -727,12 +727,13 @@ def conjugator_witness(t, frame, report):
 
 def _lift_conjugator(t, frame, B, coset):
     """h = embedding of B, times the frame swap in coset 1 (one certified
-    conjugation either way); raises unless h t h^-1 = t^-1 holds exactly."""
+    conjugation either way); raises unless h t h^-1 = t^-1 holds exactly,
+    checked as t h t = h (h is certified, so invertible)."""
     if coset == 1:
         h = swapped_embed(B, frame)
     else:
         h = (sl3_embed if isinstance(frame, SplitFrame) else su_embed)(B, frame)
-    if not h.compose(t).compose(h.inverse()).eq(t.inverse()):
+    if not t.compose(h).compose(t).eq(h):
         raise RealityError("conjugator witness fails at the octonion level")
     return h
 
@@ -1108,7 +1109,7 @@ def _reality_quaternion_case(t, case):
     if not h.certified:
         rep.notes.append("lifted inner conjugation failed to certify")
         return rep
-    if not h.compose(t).compose(h.inverse()).eq(t.inverse()):
+    if not t.compose(h).compose(t).eq(h):  # h t h^-1 = t^-1, h invertible
         rep.notes.append("inner conjugation did not invert t")
         return rep
     rep.verdict = "real"

@@ -33,10 +33,12 @@ from g2real.composition import (
     _dot,
     base_algebra,
     cayley_dickson_double,
+    find_proper_idempotent,
     hermitian_row,
     hermitian_space,
     octonion_from_hermitian,
     orthogonal_complement,
+    pfister_octonion,
     zorn_algebra,
 )
 from g2real.fields import FieldError, PrimeField, QuadraticEtale, RationalField
@@ -360,6 +362,92 @@ def test_extract_roundtrip(frame7):
     A = random_sl3(k7, rng)
     t = sl3_embed(A, frame7)
     assert linalg.mat_eq(k7, extract_sl3_matrix(t, frame7), A)
+
+
+# ---------------------------------------------------------------------------
+# frames
+# ---------------------------------------------------------------------------
+
+def _reference_split_frame(alg, e):
+    """(e, f, U, W) from both Peirce equations, without the builder's trace
+    row: U from the 16x8 null space of L_e stacked with R_e - 1, then u3
+    rescaled so that u3 (u1 u2) = -f, and W from the wedge products."""
+    F = alg.field
+
+    def mul_matrix(mul):
+        cols = [mul(alg.basis_vec(j)) for j in range(alg.dim)]
+        return linalg.transpose(linalg.mat(cols))
+
+    Le = mul_matrix(lambda x: alg.mul(e, x))
+    Re = mul_matrix(lambda x: alg.mul(x, e))
+    u1, u2, u3 = linalg.nullspace(F, Le + linalg.mat_sub(F, Re, linalg.identity(F, alg.dim)))
+    f = alg.sub(alg.one, e)
+    pairing = alg.mul(u3, alg.mul(u1, u2))
+    idx = next(i for i in range(alg.dim) if not F.is_zero(f[i]))
+    u3 = alg.scale(F.div(F.neg(f[idx]), pairing[idx]), u3)
+    return e, f, (u1, u2, u3), (alg.mul(u2, u3), alg.mul(u3, u1), alg.mul(u1, u2))
+
+
+def _moved_idempotents(F, seed):
+    """t(e_7) and t(e_0) for a seeded automorphism t of the Zorn model over F
+    that moves both: unitriangular embeddings around a non-standard swap."""
+    Z = zorn_algebra(F)
+    std = zorn_split_frame(Z)
+    rng = random.Random(seed)
+
+    def unitriangular(upper):
+        def entry(i, j):
+            if i == j:
+                return F.one
+            return F.element(rng.randrange(-3, 4)) if (i < j) == upper else F.zero
+
+        return tuple(tuple(entry(i, j) for j in range(3)) for i in range(3))
+
+    swap = frame_swap(split_frame_from_idempotent(Z, Z.add(Z.basis_vec(0), Z.basis_vec(4))))
+    t = sl3_embed(unitriangular(True), std).compose(swap).compose(
+        sl3_embed(unitriangular(False), std))
+    es = [t.apply(Z.basis_vec(7)), t.apply(Z.basis_vec(0))]
+    assert not Z.eq(es[0], Z.basis_vec(7)) and not Z.eq(es[1], Z.basis_vec(0))
+    return Z, es
+
+
+def _reference_cases():
+    for F in (PrimeField(3), k7, PrimeField(31), RationalField()):
+        for seed in range(3):
+            Z, es = _moved_idempotents(F, seed)
+            yield from ((Z, e) for e in es)
+    O = pfister_octonion(k5, (1, 1, 1))
+    e = find_proper_idempotent(O)
+    yield from ((O, e), (O, O.sub(O.one, e)))
+
+
+def test_split_frame_matches_the_peirce_reference():
+    """The builder gives the reference frame exactly, so the same C, 3x3
+    matrices and witnesses, on moved idempotents of the Zorn model over F_3,
+    F_7, F_31 and Q and on a Pfister model over F_5."""
+    cases = list(_reference_cases())
+    assert len(cases) == 4 * 3 * 2 + 2
+    for alg, e in cases:
+        fr = split_frame_from_idempotent(alg, e)
+        assert (fr.e, fr.f, fr.U, fr.W) == _reference_split_frame(alg, e)
+
+
+def test_frame_carries_its_basis_matrix(frame7, other_frame7, su_setup):
+    """C has the frame's vectors as columns and Cinv is its inverse, for each
+    of the three constructors."""
+    _, _, fu = su_setup
+    g = fu.g
+    mul = fu.alg.mul
+    field_cols = (fu.one, g) + tuple(c for v in fu.fs for c in (v, mul(g, v)))
+    for fr, cols in (
+        (frame7, (frame7.f, *frame7.U, *frame7.W, frame7.e)),
+        (other_frame7, (other_frame7.f, *other_frame7.U, *other_frame7.W, other_frame7.e)),
+        (fu, field_cols),
+    ):
+        F = fr.alg.field
+        assert fr.C == linalg.transpose(linalg.mat(cols))
+        assert linalg.mat_eq(F, linalg.mat_mul(F, fr.C, fr.Cinv), linalg.identity(F, 8))
+    assert frame7.C == linalg.identity(k7, 8)
 
 
 # ---------------------------------------------------------------------------

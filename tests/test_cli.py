@@ -42,6 +42,24 @@ def test_axioms_rationals():
     assert run(["axioms", "--field", "Q", "--samples", "2000", "--seed", "2"]) == 0
 
 
+def test_axioms_records_a_failed_frame_as_a_failed_check(monkeypatch, tmp_path):
+    # a frame builder that raises is a failed theorem-level check (exit 1),
+    # not a usage error (exit 2)
+    from g2real import automorphisms
+    from g2real.fields import FieldError
+
+    def fails(alg, e):
+        raise FieldError("split frame fails the pairing relations")
+
+    monkeypatch.setattr(automorphisms, "split_frame_from_idempotent", fails)
+    out = tmp_path / "ax.json"
+    assert run(["axioms", "--field", "7", "--samples", "10", "--seed", "1",
+                "--json", str(out)]) == 1
+    statuses = {v["name"]: v["status"] for v in json.loads(out.read_text())["verdicts"]}
+    assert statuses.pop("peirce") == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
 def test_axioms_rejects_characteristic_two(capsys):
     assert run(["axioms", "--field", "2", "--samples", "10"]) == 2
     assert "characteristic 2" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2real import linalg
+from g2real.automorphisms import split_frame_from_idempotent
 from g2real.composition import (
     LAWS,
     Algebra,
@@ -17,7 +18,6 @@ from g2real.composition import (
     norm_is_isotropic,
     octonion_from_hermitian,
     orthogonal_complement,
-    peirce_frame,
     pfister_octonion,
     quaternion_from_quadratic,
     subalgebra_closed,
@@ -440,10 +440,8 @@ def test_unknown_is_possible_over_Q():
 
 def test_peirce_frame_zorn_beta_idempotent():
     Z = zorn_algebra(k7)
-    e = Z.basis_vec(7)
-    fr = peirce_frame(Z, e)
+    fr = split_frame_from_idempotent(Z, Z.basis_vec(7))
     # U is the v-block, W the w-block
-    U_span = linalg.mat(fr.U)
     for u in fr.U:
         assert all(k7.is_zero(u[i]) for i in (0, 4, 5, 6, 7))
     for w in fr.W:
@@ -453,21 +451,23 @@ def test_peirce_frame_zorn_beta_idempotent():
 def test_peirce_frame_alpha_idempotent_swaps_blocks():
     # with the other idempotent the defining equations put the w-block in U
     Z = zorn_algebra(k7)
-    e = Z.basis_vec(0)
-    fr = peirce_frame(Z, e)
+    fr = split_frame_from_idempotent(Z, Z.basis_vec(0))
     for u in fr.U:
         assert all(k7.is_zero(u[i]) for i in (0, 1, 2, 3, 7))
+    for w in fr.W:
+        assert all(k7.is_zero(w[i]) for i in (0, 4, 5, 6, 7))
 
 
 def test_peirce_dimensions_over_f5():
     Z = zorn_algebra(k5)
-    fr = peirce_frame(Z, Z.basis_vec(7))
-    assert len(fr.U) == 3 and len(fr.W) == 3
+    fr = split_frame_from_idempotent(Z, Z.basis_vec(7))
+    assert linalg.rank(k5, linalg.mat(fr.U)) == 3
+    assert linalg.rank(k5, linalg.mat(fr.W)) == 3
 
 
 def test_peirce_multiplication_closure():
     Z = zorn_algebra(k5)
-    fr = peirce_frame(Z, Z.basis_vec(7))
+    fr = split_frame_from_idempotent(Z, Z.basis_vec(7))
     W_span = linalg.mat(fr.W)
     r = linalg.rank(k5, W_span)
     for u in fr.U:
@@ -479,7 +479,7 @@ def test_peirce_multiplication_closure():
 def test_peirce_rejects_non_idempotent():
     Z = zorn_algebra(k5)
     with pytest.raises(FieldError):
-        peirce_frame(Z, Z.one)
+        split_frame_from_idempotent(Z, Z.one)
 
 
 def test_find_proper_idempotent_doubled_model():
