@@ -12,8 +12,11 @@ order-2 map extending the conjugation of a quadratic subalgebra.
 Each frame comes from one constructor, which builds every vector once and
 sets the frame's basis matrix C and its inverse; each map on a frame is the
 one certified conjugation C D C^-1, and each 3x3 matrix read off a frame
-comes from C^-1 t C.  Nothing here is cached: every linalg call runs, so
-that counting passes over the same work agree.
+comes from C^-1 t C.  An involution pair (iota1, iota2) with product t
+takes one such conjugation, iota2 = swapped_embed(m2, frame): iota1 =
+t iota2 is certified as a product of certified maps.  Nothing here is
+cached: every linalg call runs, so that counting passes over the same work
+agree.
 """
 
 import itertools
@@ -64,14 +67,27 @@ class AutMap:
 
     def fixed_spaces(self):
         """(ker N, ker N^dim) for N = M - 1: the pointwise-fixed space and the
-        generalized one, by the chain ker N, ker N^2, ker N^4, ... that stops
-        at the first kernel that does not grow (ker N^2j = ker N^j means the
-        chain is stable from j on).  The null space basis depends only on the
-        subspace, so it is the basis of nullspace(N^dim)."""
+        generalized one.
+
+        A certified M is an isometry of the polar form B (certification
+        checks M^T B M = B), so im N = (ker N)^perp: B(My - y, z) =
+        B(My, Mz) - B(y, z) = 0 for z in ker N, and the dimensions agree.
+        Hence ker N^2 = ker N, and V = ker N, exactly when B is nondegenerate
+        on ker N: the Gram matrix of B on ker N has full rank.  Otherwise (a
+        degenerate kernel, as for unipotent types; the identity, where the
+        chain stops at once; or an uncertified M) V comes from the chain
+        ker N, ker N^2, ker N^4, ..., which stops at the first kernel that
+        does not grow (ker N^2j = ker N^j means the chain is stable from j
+        on).  The null space basis depends only on the subspace, so V is the
+        basis of nullspace(N^dim)."""
         F = self.algebra.field
         n = self.algebra.dim
         N = linalg.mat_sub(F, self.matrix, linalg.identity(F, n))
         fixed = V = linalg.nullspace(F, N)
+        if self.certified and 0 < len(fixed) < n:
+            gram = [[self.algebra.bilinear_norm(u, v) for v in fixed] for u in fixed]
+            if linalg.rank(F, gram) == len(fixed):
+                return fixed, fixed
         j = 1
         while j < n and len(V) < n:
             N, j = linalg.mat_mul(F, N, N), 2 * j

@@ -103,10 +103,12 @@ def poly_text(F, chi):
 # -- classification -----------------------------------------------------------
 
 def classify(t):
-    """Fixed-subalgebra classification of a certified automorphism.
+    """Fixed-subalgebra classification of a certified automorphism: returns
+    (case, fixed), the case dict and the basis of ker(t - 1) it computed.
 
-    Computes V_t = ker(t - 1)^8 by the kernel chain of AutMap.fixed_spaces,
-    r = dim(V_t meet trace-zero), and the case
+    Computes ker(t - 1) and V_t = ker(t - 1)^8 by AutMap.fixed_spaces (V_t
+    is ker(t - 1) itself when the norm form is nondegenerate on it, as for
+    every semisimple t), r = dim(V_t meet trace-zero), and the case
     tag: r = 3 means a quaternion subalgebra is left invariant (fixed
     pointwise for the semisimple elements handled downstream), r = 7 covers
     the identity and unipotent-type maps, r = 1 means the fixed subalgebra is
@@ -139,7 +141,7 @@ def classify(t):
         out["fixed_is_pointwise"] = len(fixed) == len(V)
     else:
         raise RealityError(f"unexpected fixed-space dimension data: r = {r}")
-    return out
+    return out, fixed
 
 
 def _trace_zero_part(alg, V):
@@ -697,23 +699,29 @@ def _non_regular_base_conjugator(L, H, A):
 
 def two_involution_witness(t, frame, report):
     """Lift a matrix-level real verdict to two exact involutions with
-    iota1 iota2 = t; raises when the verification fails (solver bug)."""
+    iota1 iota2 = t; raises when the verification fails (solver bug).
+
+    iota2 = embed(m2) frame_swap is one certified conjugation, with m2 =
+    S2^-1 for a symmetric pair S1 S2 = A and m2 = C for a unitary pair.
+    iota1 = t iota2 is certified as a product of certified maps, and it is
+    the matrix embed(m1) frame_swap for m1 = A m2 (S1, or A1), since t acts
+    as embed(A) on the frame.  With iota1^2 = iota2^2 = 1 checked,
+    iota1 iota2 = t holds by construction."""
+    if not t.certified:
+        raise RealityError("two_involution_witness needs a certified automorphism")
     if report.verdict != "real" or report.witness is None:
         raise RealityError("need a real verdict with a matrix witness")
     w = report.witness
     if w["type"] == "symmetric_pair":
-        m1, m2 = w["S1"], linalg.inverse3(frame.alg.field, w["S2"])
+        m2 = linalg.inverse3(frame.alg.field, w["S2"])
     elif w["type"] == "unitary_pair":
-        m1, m2 = w["A1"], w["C"]
+        m2 = w["C"]
     else:
         raise RealityError(f"witness type {w['type']} has no involution lift")
-    # iota_i = embed(m_i) frame_swap, each one certified conjugation
-    i1 = swapped_embed(m1, frame)
     i2 = swapped_embed(m2, frame)
+    i1 = t.compose(i2)
     if not i1.compose(i1).is_identity() or not i2.compose(i2).is_identity():
         raise RealityError("witness maps are not involutions")
-    if not i1.compose(i2).eq(t):
-        raise RealityError("involution product does not reproduce t")
     return i1, i2
 
 
@@ -1024,7 +1032,7 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
     automorphisms."""
     alg = t.algebra
     F = alg.field
-    case = classify(t)
+    case, fixed = classify(t)
     if case["tag"] == "full":
         if t.is_identity():
             rep = RealityReport(family="identity", verdict="real", case=case)
@@ -1038,7 +1046,7 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
         )
         return rep
     if case["tag"] == "fixes_quaternion":
-        return _reality_quaternion_case(t, case)
+        return _reality_quaternion_case(t, case, fixed)
     # fixes_etale
     x = case["etale_generator"]
     if case["etale_split"]:
@@ -1059,15 +1067,15 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
     return rep
 
 
-def _reality_quaternion_case(t, case):
-    """t fixes a quaternion subalgebra D pointwise, so it is x + ya -> x +
-    (py)a for the norm-one p = t(a) a^-1; conjugating p to its quaternion
-    conjugate inside D* yields a conjugator, involutive when the conjugating
-    element has trace zero."""
+def _reality_quaternion_case(t, case, D):
+    """t fixes a quaternion subalgebra D pointwise (D the basis of
+    ker(t - 1) from classify), so it is x + ya -> x + (py)a for the
+    norm-one p = t(a) a^-1; conjugating p to its quaternion conjugate inside
+    D* yields a conjugator, involutive when the conjugating element has trace
+    zero."""
     alg = t.algebra
     F = alg.field
     rep = RealityReport(family="quaternion", verdict="unknown", case=case)
-    D = t.fixed_space()
     if len(D) != 4:
         rep.notes.append("pointwise-fixed space is not a quaternion subalgebra")
         return rep

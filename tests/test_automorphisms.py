@@ -799,7 +799,65 @@ def test_fixed_spaces_kernel_chain(F):
         N = linalg.mat_sub(F, t.matrix, linalg.identity(F, 8))
         assert fixed == t.fixed_space() == linalg.nullspace(F, N)
         assert V == linalg.nullspace(F, linalg.mat_pow(F, N, 8))
-        assert classify(t)["r"] == r
+        case, fixed = classify(t)
+        assert case["r"] == r and fixed == t.fixed_space()
+
+
+def _gram_cases(F):
+    """(name, t, products) with `products` whether fixed_spaces must form
+    N^2: the _chain_cases, a field semisimple element, a quaternion-fixing
+    involution and an uncertified matrix.  Only the unipotent element
+    (degenerate kernel) and the uncertified matrix take the chain."""
+    names = ("identity", "unipotent", "mixed", "split")
+    out = [(name, t, name == "unipotent") for name, (t, _) in zip(names, _chain_cases(F))]
+    o, z, m = F.one, F.zero, F.neg(F.one)
+    # u = (1 + g)/(1 - g) has norm one and is not +-1, so diag(u, u, u^-2)
+    # lies in SU(3) without eigenvalue 1
+    L = QuadraticEtale(F, F.nonsquare() if F.kind == "prime" else -1)
+    u = L.div(L.add(L.one, (z, o)), L.sub(L.one, (z, o)))
+    D = ((u, L.zero, L.zero), (L.zero, u, L.zero), (L.zero, L.zero, L.inv(L.mul(u, u))))
+    O = octonion_from_hermitian(hermitian_space(L, (1, 1, 1)))
+    out.append(("field", su_embed(D, quadratic_subfield_frame(O, O.basis_vec(1))), False))
+    alg = zorn_algebra(F)
+    g = alg.sub(alg.basis_vec(0), alg.basis_vec(7))
+    a = alg.add(alg.basis_vec(1), alg.basis_vec(4))
+    iota = involution_from_quaternion(alg, (alg.one, g, a, alg.mul(g, a)))
+    out.append(("quaternion", iota, False))
+    # 1 + E_01 on a diagonal norm: ker N = span(e_0, e_2, ..., e_7) is
+    # nondegenerate, yet N^2 = 0; only certification rules the shortcut out
+    M = [list(r) for r in linalg.identity(F, 8)]
+    M[0][1] = o
+    uncertified = certify_automorphism(M, pfister_octonion(F, (m, m, m)))
+    assert not uncertified.certified
+    out.append(("uncertified", uncertified, True))
+    return out
+
+
+@pytest.mark.parametrize("F", [k5, k7, RationalField()], ids=str)
+def test_fixed_spaces_match_the_plain_chain(F, monkeypatch):
+    """(fixed, V) is (nullspace N, nullspace N^8) whichever way it is found,
+    and a nondegenerate kernel of a certified map forms no N^2."""
+    products = []
+    mat_mul = linalg.mat_mul
+
+    def counted(*args):
+        products.append(args)
+        return mat_mul(*args)
+
+    dims = {}
+    for name, t, chain in _gram_cases(F):
+        monkeypatch.setattr(linalg, "mat_mul", counted)
+        products.clear()
+        fixed, V = t.fixed_spaces()
+        monkeypatch.undo()
+        assert bool(products) == chain, name
+        N = linalg.mat_sub(F, t.matrix, linalg.identity(F, 8))
+        assert fixed == linalg.nullspace(F, N), name
+        assert V == linalg.nullspace(F, linalg.mat_pow(F, N, 8)), name
+        dims[name] = (len(fixed), len(V))
+    assert dims == {"identity": (8, 8), "unipotent": (4, 8), "mixed": (4, 4),
+                    "split": (2, 2), "field": (2, 2), "quaternion": (4, 4),
+                    "uncertified": (7, 8)}
 
 
 @pytest.mark.parametrize("F", [PrimeField(3), k5, k7, RationalField()], ids=str)

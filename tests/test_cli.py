@@ -200,11 +200,11 @@ def test_solver_bug_exits_1_not_usage(monkeypatch, capsys):
     from g2real import reality
 
     def broken(t, frame, report):
-        raise reality.RealityError("involution product does not reproduce t")
+        raise reality.RealityError("witness maps are not involutions")
 
     monkeypatch.setattr(reality, "two_involution_witness", broken)
     assert run(["cdk", "--q", "5", "--trials", "2", "--seed", "0"]) == 1
-    assert "does not reproduce t" in capsys.readouterr().err
+    assert "are not involutions" in capsys.readouterr().err
 
 
 def test_companion_counts_only_factorizations_that_check(monkeypatch):

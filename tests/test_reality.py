@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,8 +92,8 @@ def test_classify_identity(zorn7):
     from g2real.automorphisms import certify_automorphism
 
     t = certify_automorphism(linalg.identity(k7, 8), zorn7)
-    out = classify(t)
-    assert out["r"] == 7 and out["tag"] == "full"
+    out, fixed = classify(t)
+    assert out["r"] == 7 and out["tag"] == "full" and len(fixed) == 8
 
 
 def test_classify_involution(zorn7):
@@ -99,17 +101,18 @@ def test_classify_involution(zorn7):
     a = zorn7.add(zorn7.basis_vec(1), zorn7.basis_vec(4))
     D = (zorn7.one, g, a, zorn7.mul(g, a))
     iota = involution_from_quaternion(zorn7, D)
-    out = classify(iota)
+    out, fixed = classify(iota)
     assert out["r"] == 3 and out["tag"] == "fixes_quaternion"
+    assert fixed == iota.fixed_space() and len(fixed) == 4
 
 
 def test_classify_split_etale(zorn7, frame7):
     rng = random.Random(1)
     A = random_sl3(k7, rng, avoid_eigenvalue_one=True)
     t = sl3_embed(A, frame7)
-    out = classify(t)
+    out, fixed = classify(t)
     assert out["r"] == 1 and out["tag"] == "fixes_etale"
-    assert out["etale_split"] is True
+    assert out["etale_split"] is True and len(fixed) == 2
 
 
 def test_classify_field_etale(su5):
@@ -117,8 +120,9 @@ def test_classify_field_etale(su5):
     rng = random.Random(2)
     A = random_su(L, fr.H, rng, separable=True)
     t = su_embed(A, fr)
-    out = classify(t)
+    out, fixed = classify(t)
     assert out["tag"] == "fixes_etale" and out["etale_split"] is False
+    assert fixed == t.fixed_space()
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +457,70 @@ def test_two_involution_witness_su(su5):
     assert i1.compose(i1).is_identity()
     assert i2.compose(i2).is_identity()
     assert i1.compose(i2).eq(t)
+
+
+@pytest.fixture(scope="module")
+def pair_witness_cases(frame7, su5):
+    """(t, frame, report, m1) for real pair verdicts: symmetric pairs over F_7
+    and Q, unitary pairs over F_25/F_5; m1 the first factor of the pair."""
+    rng = random.Random(25)
+    cases = []
+    for _ in range(3):
+        A = random_sl3(k7, rng, avoid_eigenvalue_one=True, separable=True)
+        cases.append((sl3_embed(A, frame7), frame7, reality_sl3(k7, A)))
+    Q = RationalField()
+    frQ = zorn_split_frame(zorn_algebra(Q))
+    for chi in ((-1, -1, 0), (-1, 3, -2)):
+        A = companion_matrix(Q, tuple(Fraction(c) for c in chi))
+        cases.append((sl3_embed(A, frQ), frQ, reality_sl3(Q, A)))
+    L, _, fr = su5
+    for _ in range(3):
+        A = random_su(L, fr.H, rng, separable=True, avoid_eigenvalue_one=True)
+        cases.append((su_embed(A, fr), fr, reality_su(L, A, fr.H)))
+    out = []
+    for t, f, rep in cases:
+        w = rep.witness
+        assert rep.verdict == "real" and w["type"] in ("symmetric_pair", "unitary_pair")
+        out.append((t, f, rep, w["S1"] if w["type"] == "symmetric_pair" else w["A1"]))
+    return out
+
+
+def test_two_involution_witness_iota1_is_the_swapped_embedding_of_m1(pair_witness_cases):
+    """iota1 = t iota2 is the very matrix of the embedding of the pair's first
+    factor composed with the frame swap, certified on its own."""
+    from g2real.automorphisms import swapped_embed
+
+    for t, f, rep, m1 in pair_witness_cases:
+        i1, i2 = two_involution_witness(t, f, rep)
+        ref = swapped_embed(m1, f)
+        assert i1.certified and i2.certified and ref.certified
+        assert i1.matrix == ref.matrix and i1.to_json() == ref.to_json()
+        assert i1.compose(i2).eq(t)
+
+
+def test_two_involution_witness_rejects_a_tampered_m2(pair_witness_cases):
+    for t, f, rep, _ in pair_witness_cases:
+        F = f.alg.field
+        w = dict(rep.witness)
+        if w["type"] == "symmetric_pair":
+            # det 1 but not symmetric: embed(S2^-1) swap is no involution
+            w["S2"] = ((F.one, F.one, F.zero), (F.zero, F.one, F.zero), (F.zero, F.zero, F.one))
+        else:
+            # C replaced by the identity: iota2 is the frame swap, and
+            # t iota2 is no involution
+            w["C"] = linalg.identity(f.L, 3)
+        bad = dataclasses.replace(rep, witness=w)
+        with pytest.raises(RealityError, match="not involutions"):
+            two_involution_witness(t, f, bad)
+
+
+def test_two_involution_witness_needs_a_certified_t(pair_witness_cases):
+    from g2real.automorphisms import AutMap
+
+    for t, f, rep, _ in pair_witness_cases:
+        raw = AutMap(t.matrix, t.algebra, False, failure="never certified")
+        with pytest.raises(RealityError, match="certified"):
+            two_involution_witness(raw, f, rep)
 
 
 # ---------------------------------------------------------------------------
