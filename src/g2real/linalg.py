@@ -25,10 +25,11 @@ the rank of I, A, A^2 only when they all miss.
 span_search is the one enumerator of spans under a candidate budget; it
 runs the coefficient vectors lazily (lex_vectors) and hands each to the
 caller, which tests it on a closed form (such as the norm form of k[A]) and
-forms a matrix only when it needs one (combination).
-Nothing here draws random numbers.  The decisions write the witnesses of
-non-regular matrices down and take invertible basis matrices as base points,
-visiting no candidate; only a span without one is searched, under the budget.
+forms a matrix only when it needs one (combination).  Its callers are the
+brute-force oracle and, over Q, the decisions' rational grid: over a finite
+field the decisions take Krylov base points and build their norm preimages,
+visiting no span candidate.
+Nothing here draws random numbers.
 """
 
 import itertools

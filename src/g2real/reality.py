@@ -244,7 +244,9 @@ def _coefficients(F):
 
 
 class _Search:
-    """The span searches of one top-level call, sharing one candidate budget.
+    """The searches of one top-level call, sharing one candidate budget: the
+    span searches of the oracle and of the rational grid, and the scans of
+    norm_preimage for a non-cube over a finite field.
 
     Running out of budget and missing on the rational grid both raise
     _Undecided, so a None result means a finite span was enumerated in full.
@@ -273,6 +275,15 @@ class _Search:
             self.left = 0
             raise _Undecided("budget exhausted")
         self.left -= n
+
+    def first(self, xs, accept):
+        """The first x of xs with accept(x), charging one candidate before
+        each visit; None when xs runs out."""
+        for x in xs:
+            self.charge(1)
+            if accept(x):
+                return x
+        return None
 
 
 def _powers(F, A):
@@ -347,6 +358,87 @@ def det_image_exponent(F, chi):
     return 3 if triple_root(F, chi) is not None else 1
 
 
+def _non_cube(R, x):
+    return not R.is_zero(x) and not _in_power_class(R, x, 3)
+
+
+def _first_non_cube(R, search):
+    """The first non-cube of R* among R.elements() over F_p, and among 1 + b g
+    (b in F_q) over L = F_q(g), where k* and k* g are all cubes when
+    3 | q + 1; each visit is charged to search."""
+    if hasattr(R, "gen"):
+        g = R.gen()
+        candidates = (R.add(R.one, R.scalar_mul(b, g)) for b in R.base.elements())
+    else:
+        candidates = R.elements()
+    x = search.first(candidates, lambda x: _non_cube(R, x))
+    if x is None:
+        raise RealityError("no non-cube found; 9 | |R| - 1 guarantees one")
+    return x
+
+
+def _cube_root(R, x, non_cube):
+    """A cube root of the cube x of R* (R = F_p or L = F_{q^2}), n = |R| - 1:
+    x^e for e = 3^-1 mod n when 3 does not divide n, or mod n/3 when 9 does
+    not (x^(n/3) = 1); else Adleman-Manders-Miller on the 3-Sylow subgroup,
+    generated by z = non_cube()^t for n = 3^s t, 3 not dividing t."""
+    n = R.order - 1
+    if n % 9:
+        root = R.pow(x, pow(3, -1, n // 3 if n % 3 == 0 else n))
+    else:
+        s, t = 0, n
+        while t % 3 == 0:
+            s, t = s + 1, t // 3
+        # root^3 h = x with h = x^(1 - 3u) in the subgroup of order 3^(s-1)
+        root = R.pow(x, pow(3, -1, t))
+        h = R.div(x, R.pow(root, 3))
+        z = R.pow(non_cube(), t)
+        omega, zinv = R.pow(z, 3 ** (s - 1)), R.inv(z)
+        # e with z^e = h, one base-3 digit at a time; 3 | e
+        e = 0
+        for i in range(1, s):
+            d = R.pow(R.mul(h, R.pow(zinv, e)), 3 ** (s - 1 - i))
+            e += 3**i * (0 if R.eq(d, R.one) else 1 if R.eq(d, omega) else 2)
+        root = R.mul(root, R.pow(z, e // 3))
+    _require(R.eq(R.pow(root, 3), x), "cube root")
+    return root
+
+
+def norm_preimage(R, chi, target, search=None):
+    """Coefficients (c0, c1, c2) of f = c0 + c1 theta + c2 theta^2 in
+    E = R[X]/chi, theta the class of X, with N_{E/R}(f) = target, for R = F_p
+    or L = F_{q^2}, a monic cubic chi with chi(0) != 0 and target in (R*)^g,
+    g = det_image_exponent(R, chi).  A cube target takes f = c, c^3 = target
+    (always so for g = 3).  Otherwise f = c (a - theta)^j for the first a of
+    R.elements() whose N(a - theta) = chi(a) = nu is a non-cube and the
+    j in {1, 2} with target / nu^j = c^3.  The scans for a and for the
+    non-cube of _cube_root are charged to search (a _Search; unbounded at
+    the default budget when None).  By the Weil bound on the cubic character
+    sum of chi (not a cube), a non-cube value exists once |R| >= 11, so a
+    miss raises RealityError."""
+    if search is None:
+        search = _Search(DEFAULT_BUDGET)
+    z = R.zero
+    if _in_power_class(R, target, 3):
+        return _cube_root(R, target, lambda: _first_non_cube(R, search)), z, z
+    c0, c1, c2 = chi
+
+    def value(a):
+        return R.add(R.mul(R.add(R.mul(R.add(a, c2), a), c1), a), c0)
+
+    a = search.first(R.elements(), lambda a: _non_cube(R, value(a)))
+    if a is None:
+        raise RealityError("chi takes no non-cube value; its norm preimage is not built")
+    nu = value(a)
+    rest = R.div(target, nu)
+    if _in_power_class(R, rest, 3):
+        c = _cube_root(R, rest, lambda: nu)
+        return R.mul(c, a), R.neg(c), z
+    c = _cube_root(R, R.div(rest, nu), lambda: nu)
+    ca = R.mul(c, a)
+    return R.mul(ca, a), R.neg(R.add(ca, ca)), c
+
+
 # -- SL(3) side ---------------------------------------------------------------
 
 def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
@@ -354,12 +446,12 @@ def symmetric_decomposition(F, A, budget=DEFAULT_BUDGET):
 
     Looks for a symmetric determinant-1 solution S of S A = tA S and returns
     (S^-1, S A).  For regular A every solution of the linear system is
-    automatically symmetric and the solutions form T0 k[A], so the search is
-    a deterministic scan of det f(A) values.  A non-regular A has S written
-    down, and T0 is a basis matrix unless none is invertible: neither visits
-    a candidate.  The scans visit at most `budget` candidates; when that is
-    not enough, or a search over the rationals misses its grid, the record
-    carries the reason under "unknown".
+    automatically symmetric and the solutions form T0 k[A]; over a finite
+    field S = T0 f(A) is built (_regular_coset_conjugator), over Q f is
+    searched for on the rational grid.  A non-regular A has S written down.
+    The searches and the non-cube scans visit at most `budget` candidates;
+    when that is not enough, or a search over the rationals misses its grid,
+    the record carries the reason under "unknown".
     """
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
@@ -387,26 +479,30 @@ def _symmetric_decomposition(F, A, regular, search):
 
 def _regular_coset_conjugator(F, left, A, search):
     """(B, None) with B of determinant 1 in the coset {B : left B = B A} of a
-    regular A, or (None, obstruction) when the determinant class rules it
-    out.  The coset is X0 k[A] for its first invertible intertwiner X0, and
-    over a finite field det f(A) runs over (k*)^g, g = det_image_exponent,
-    so the coset holds determinant 1 exactly when 1/det X0 lies in (k*)^g;
-    past that test the scan of f(A) cannot miss."""
-    X0 = _invertible_in_span(F, linalg.solve_sylvester_space(F, left, A), search)
-    if X0 is None:
-        raise RealityError("no invertible intertwiner in the coset; solver invariant broke")
-    target = F.inv(linalg.det3(F, X0))
+    regular A similar to left, or (None, obstruction) when the determinant
+    class rules it out.  The coset is X0 k[A] for any invertible intertwiner
+    X0, and det X0 f(A) = det X0 N(f) for the norm N from k[A].  Over a
+    finite field X0 = K_left K_A^-1 from the Krylov matrices, N(f) runs over
+    (k*)^g, g = det_image_exponent, so the coset holds determinant 1 exactly
+    when 1/det X0 lies in (k*)^g; past that test norm_preimage builds f,
+    charging only its short scans for a non-cube.  Over Q, X0 is the first
+    invertible intertwiner and f the first on the rational grid."""
     chi = linalg.charpoly3(F, A)
-    if F.order is not None:
+    if F.order is None:
+        X0 = _invertible_in_span(F, linalg.solve_sylvester_space(F, left, A), search)
+        target = F.inv(linalg.det3(F, X0))
+        # det f(A) is the norm form of k[A] on f's coefficients
+        N = linalg.norm_form3(F, chi)
+        c = search(F, 3, lambda c: c if F.eq(N(c), target) else None)
+    else:
+        K_left, K_A = linalg.krylov_similarity(F, left), linalg.krylov_similarity(F, A)
+        X0 = linalg.mat_mul(F, K_left, linalg.inverse3(F, K_A))
+        target = F.inv(linalg.det3(F, X0))
         g = det_image_exponent(F, chi)
         if not _in_power_class(F, target, g):
             value = F.to_text(target)
             return None, {"value": value, "excluded_class": f"(k*)^{g}", "class_group_order": g}
-    # det f(A) is the norm form of k[A] on f's coefficients
-    N = linalg.norm_form3(F, chi)
-    c = search(F, 3, lambda c: c if F.eq(N(c), target) else None)
-    if c is None:
-        raise RealityError("no f(A) of the admitted determinant; solver invariant broke")
+        c = norm_preimage(F, chi, target, search)
     return linalg.mat_mul(F, X0, linalg.combination(F, c, _powers(F, A))), None
 
 
@@ -450,13 +546,13 @@ def reality_sl3(F, A, budget=DEFAULT_BUDGET):
     identity coset), which together exhaust the conjugators when the fixed
     subalgebra is exactly the split quadratic algebra L.  Over a finite
     field both cosets of a regular A are decided by the determinant class
-    of their base point (_regular_coset_conjugator); the identity coset is
-    tried only when the swap coset is obstructed and A, A^-1 share their
-    characteristic polynomial.  All searches together visit at most
-    `budget` candidates; past it the verdict is unknown.  A non-regular A is
-    real by a written-down symmetric pair, and the base points of the
-    regular cosets are basis matrices unless none is invertible: neither
-    visits a candidate.
+    of their Krylov base point, and the conjugator of determinant 1 is built
+    by norm_preimage (_regular_coset_conjugator), visiting no span
+    candidate; the identity coset is tried only when the swap coset is
+    obstructed and A, A^-1 share their characteristic polynomial.  Only the
+    non-cube scans of norm_preimage, and over Q the rational grid, spend
+    the budget: at most `budget` candidates together, past which the verdict
+    is unknown.  A non-regular A is real by a written-down symmetric pair.
     """
     if not F.eq(linalg.det3(F, A), F.one):
         raise RealityError("need det A = 1")
@@ -566,11 +662,11 @@ def reality_su(L, A, H, budget=DEFAULT_BUDGET):
     frame.  In the swap coset, conjugacy of t and t^-1 is conjugacy of
     conj(A) and A^-1 inside SU(H).  For a regular A over a finite field one
     class test decides it: det X0 of the unitary base conjugator against
-    (L*)^g, g = det_image_exponent, followed by one centralizer scan that
-    cannot miss (_reality_su_regular).  A non-regular A is real by a
-    written-down base conjugator, visiting no candidate.  All searches
-    together visit at most `budget` candidates; past it the verdict is
-    unknown."""
+    (L*)^g, g = det_image_exponent, after which the centralizer element of
+    the admitted determinant is built (_reality_su_regular), visiting no
+    span candidate.  A non-regular A is real by a written-down base
+    conjugator.  Only the non-cube scans of norm_preimage spend the budget,
+    at most `budget` candidates together; past it the verdict is unknown."""
     if not in_su(A, L, H):
         raise RealityError("A must lie in SU(H)")
     chi = linalg.charpoly3(L, A)
@@ -599,17 +695,19 @@ def _reality_su_regular(L, A, H, chi, report, search):
     whose determinants det y / sigma(det y), y in L[conj(A)], form L^1 meet
     (L*)^g over a finite field, g = det_image_exponent (Hilbert 90).  As
     N(det X0) = 1, the coset holds a conjugator of determinant 1 exactly
-    when det X0 lies in (L*)^g, and past that test the centralizer scan
-    cannot miss.  Only a triple root (g = 3) can fail the test; the identity
-    coset is not searched, so that verdict is not_real only when the
-    identity coset is empty."""
+    when det X0 lies in (L*)^g, and past that test
+    _find_unitary_centralizer_with_det builds the centralizer element of
+    determinant 1 / det X0.  Only a triple root (g = 3) can fail the test;
+    the identity coset is not searched, so that verdict is not_real only
+    when the identity coset is empty."""
     X0 = unitary_base_conjugator(L, H, A, chi)
     d = linalg.det3(L, X0)
     _require(L.base.eq(L.norm(d), L.base.one), "det X0 has norm 1")
     if L.order is None:
         report.notes.append("rational base: centralizer norm classes not decided")
         return report
-    if not _in_power_class(L, d, det_image_exponent(L, chi)):
+    g = det_image_exponent(L, chi)
+    if not _in_power_class(L, d, g):
         report.verdict = "not_real"
         report.obstruction = {
             "value": L.to_text(d),
@@ -625,9 +723,7 @@ def _reality_su_regular(L, A, H, chi, report, search):
                 "and A^-1 differ"
             )
         return report
-    z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), search)
-    if z is None:
-        raise RealityError("no centralizer element of the admitted det; solver invariant broke")
+    z = _find_unitary_centralizer_with_det(L, H, A, L.inv(d), g, search)
     return _finish_su(L, H, A, X0, z, report)
 
 
@@ -637,21 +733,27 @@ def _identity_coset_possible(F, chi):
     return F.eq(c2, F.neg(c1))
 
 
-def _find_unitary_centralizer_with_det(L, H, A, target, search):
+def _hilbert90(L, w):
+    """u with u / sigma(u) = w for w of norm 1: 1 + w, or g when w = -1."""
+    u = L.add(L.one, w)
+    return L.gen() if L.is_zero(u) else u
+
+
+def _find_unitary_centralizer_with_det(L, H, A, target, g, search):
     """z = y sigma_h(y)^-1 for y in L[conj(A)], unitary by construction, with
-    det z = target; the first such y in lexicographic coefficient order.
-    det y is the norm form of L[conj(A)] on y's coefficients."""
+    det z = det y / sigma(det y) = target, for a target w in L^1 meet (L*)^g,
+    g = det_image_exponent, over a finite L.  Hilbert 90 writes w = u /
+    sigma(u), and y = f(conj(A)) with N(f) = u from norm_preimage.  A triple
+    root (g = 3) takes the scalar y = u' for u' / sigma(u') = v, v in L^1
+    with v^3 = w: v = (c / sigma(c))^2 sigma(w) for any cube root c of w."""
     Abar = _sigma_mat(L, A)
-    N = linalg.norm_form3(L, linalg.charpoly3(L, Abar))
-
-    def accept(c):
-        dy = N(c)
-        return c if L.is_unit(dy) and L.eq(L.div(dy, L.sigma(dy)), target) else None
-
-    c = search(L, 3, accept)
-    if c is None:
-        return None
-    y = linalg.combination(L, c, _powers(L, Abar))
+    if g == 3:
+        c = _cube_root(L, target, lambda: _first_non_cube(L, search))
+        v = L.mul(L.pow(L.div(c, L.sigma(c)), 2), L.sigma(target))
+        coeffs = (_hilbert90(L, v), L.zero, L.zero)
+    else:
+        coeffs = norm_preimage(L, linalg.charpoly3(L, Abar), _hilbert90(L, target), search)
+    y = linalg.combination(L, coeffs, _powers(L, Abar))
     return linalg.mat_mul(L, y, linalg.inverse3(L, sigma_h(L, H, y)))
 
 

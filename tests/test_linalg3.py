@@ -544,9 +544,9 @@ def _peak_kib(run):
 
 
 def test_decisions_over_large_fields_stay_small():
-    # a small budget bounds the candidates and so the memory: neither the
-    # SU scan over L^3 at q = 10007 nor the SL3 scan at p = 2^31 - 1 lists a
-    # coefficient set
+    # the decisions at q = 10007 (SU) and p = 2^31 - 1 (SL3) build their
+    # norm preimages, so a budget of 30 decides them, and their short
+    # non-cube scans list no coefficient set
     from g2real.automorphisms import random_sl3, random_su
     from g2real.reality import reality_sl3, reality_su
 
@@ -561,4 +561,4 @@ def test_decisions_over_large_fields_stay_small():
         assert _peak_kib(lambda: reports.append(reality_su(L, A, H, budget=30))) < 1024
         B = random_sl3(M, rng)
         assert _peak_kib(lambda: reports.append(reality_sl3(M, B, budget=30))) < 1024
-    assert any("budget exhausted" in r.notes for r in reports)
+    assert all(r.verdict in ("real", "not_real") for r in reports)

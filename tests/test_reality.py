@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2real import linalg, sweeps
+from g2real import linalg, reality, sweeps
 from g2real.automorphisms import (
     first_anisotropic,
     in_su,
@@ -42,7 +42,9 @@ from g2real.reality import (
     classify,
     companion_factorization,
     companion_matrix,
+    det_image_exponent,
     min_equals_char3,
+    norm_preimage,
     reality_report_for,
     reality_sl3,
     reality_su,
@@ -54,6 +56,7 @@ from g2real.reality import (
 
 k5 = PrimeField(5)
 k7 = PrimeField(7)
+MERSENNE_31 = 2**31 - 1
 
 
 @pytest.fixture(scope="module")
@@ -1514,9 +1517,9 @@ def test_su_non_regular_over_f25_is_immediate(monkeypatch, kind, su5):
 
 def test_decisions_draw_no_random_numbers(monkeypatch, su5):
     # draws of the criterion-07 and criterion-09 seeds whose intertwiner
-    # spaces have no invertible basis matrix: their base points come from
-    # the span search, so no decision, report or oracle run needs a random
-    # number generator
+    # spaces have no invertible basis matrix: the oracle's base points come
+    # from the span search and the decisions' from Krylov matrices, so no
+    # decision, report or oracle run needs a random number generator
     L, _, fr = su5
     k7 = PrimeField(7)
     split = [
@@ -1615,20 +1618,20 @@ def test_span_search_matches_product_reference(over):
 
 
 def _visits(monkeypatch, run):
-    """Candidates that run(DEFAULT_BUDGET) visits over all its span searches,
-    and its result."""
-    counts = []
-    search = linalg.span_search
+    """Candidates that run(DEFAULT_BUDGET) charges to its budgets (span
+    searches, the non-cube scans of norm_preimage and the oracle's coset
+    sweeps), and its result."""
+    searches = []
 
-    def counting(*args):
-        hit, n = search(*args)
-        counts.append(n)
-        return hit, n
+    class Counting(reality._Search):
+        def __init__(self, budget):
+            super().__init__(budget)
+            searches.append(self)
 
     with monkeypatch.context() as m:
-        m.setattr(linalg, "span_search", counting)
+        m.setattr(reality, "_Search", Counting)
         out = run(DEFAULT_BUDGET)
-    return sum(counts), out
+    return sum(DEFAULT_BUDGET - s.left for s in searches), out
 
 
 def _sweep_calls(monkeypatch, run):
@@ -1675,14 +1678,27 @@ def _su_by_route(L, H, route):
 
 
 def _budget_routes():
+    """Routes that spend budget: the non-cube scans of norm_preimage over F_7,
+    F_19 and F_25 (a non-cube value of chi, or the non-cube of
+    Adleman-Manders-Miller at 9 | |R| - 1: F_19 and L over F_17), the
+    rational grid, and the oracle's coset sweeps."""
+    k19 = PrimeField(19)
     L5 = QuadraticEtale(k5, 2)
     O5 = octonion_from_hermitian(hermitian_space(L5, (1, 1, 1)))
     fr5 = quadratic_subfield_frame(O5, O5.basis_vec(1))
     sym_regular = _sl3(((2, 3, 0), (2, 0, 3), (3, 3, 3)), k5)
     real5 = sl3_embed(sym_regular, zorn_split_frame(zorn_algebra(k5)))
+    # swap coset of a non-cube target, and diag(2, 1, 1) J diag(2, 1, 1)^-1
+    # for the unipotent Jordan block J: its swap coset is obstructed and its
+    # identity coset takes a cube root by Adleman-Manders-Miller
+    sym7 = _sl3(((0, 4, 2), (3, 4, 6), (6, 0, 5)), k7)
+    unipotent19 = _sl3(((1, 2, 0), (0, 1, 1), (0, 0, 1)), k19)
     ce7 = build_counterexample_sl3(7)
-    su = {r: _su_by_route(L5, fr5.H, r) for r in ("separable", "triple_root", "repeated_root")}
+    ce17 = build_counterexample_su(17)
+    su = {r: _su_by_route(L5, fr5.H, r) for r in ("separable", "repeated_root")}
     su_t = su_embed(su["separable"], fr5)
+    Q = RationalField()
+    grid = companion_matrix(Q, (Fraction(-1), Fraction(3), Fraction(-2)))
 
     def dec_view(d):
         return ("real" if d["ok"] else "unknown" if "unknown" in d else "not_real"), d
@@ -1691,16 +1707,14 @@ def _budget_routes():
         return o["verdict"], o
 
     return {
-        "sl3 regular, symmetric pair": (lambda b: reality_sl3(k5, sym_regular, b), _report_view),
-        "sl3 identity coset": (
-            lambda b: reality_sl3(k7, _sl3(((2, 4, 5), (3, 0, 3), (6, 2, 1)), k7), b),
-            _report_view,
-        ),
-        "symmetric_decomposition": (
-            lambda b: symmetric_decomposition(k5, sym_regular, b), dec_view,
-        ),
+        "sl3 regular, symmetric pair": (lambda b: reality_sl3(k7, sym7, b), _report_view),
+        "sl3 identity coset": (lambda b: reality_sl3(k19, unipotent19, b), _report_view),
+        "symmetric_decomposition": (lambda b: symmetric_decomposition(k7, sym7, b), dec_view),
+        "sl3 rational grid": (lambda b: reality_sl3(Q, grid, b), _report_view),
         "su separable": (lambda b: reality_su(L5, su["separable"], fr5.H, b), _report_view),
-        "su triple root": (lambda b: reality_su(L5, su["triple_root"], fr5.H, b), _report_view),
+        "su triple root": (
+            lambda b: reality_su(ce17["L"], ce17["A"], (1, 1, 1), b), _report_view,
+        ),
         "su repeated root": (
             lambda b: reality_su(L5, su["repeated_root"], fr5.H, b), _report_view,
         ),
@@ -1721,10 +1735,9 @@ def test_budget_one_short_gives_unknown(monkeypatch, route):
     n, default = _visits(monkeypatch, run)
     q = {"oracle split, real": 5, "oracle split, not real": 7, "oracle field": 25}.get(route)
     if q is not None:
-        # an oracle coset over a finite field is one kernel call over all
-        # q^3 candidates, not a span search
-        assert n == 0
-        n = q**3 * _sweep_calls(monkeypatch, run)
+        # an oracle coset over a finite field is one kernel call charged
+        # with all q^3 candidates, not a span search
+        assert n == q**3 * _sweep_calls(monkeypatch, run)
     assert n > 0
     short, _ = view(run(n - 1))
     assert short == "unknown"
@@ -1733,6 +1746,40 @@ def test_budget_one_short_gives_unknown(monkeypatch, route):
     if route.startswith("oracle"):
         assert sum(run(n - 1)["checked"].values()) == n - 1
         assert sum(default["checked"].values()) == n
+
+
+def _search_free_routes():
+    """Regular finite-field elements whose decisions charge nothing: every
+    element of F_5 is a cube, and the other two norm preimages are cube
+    roots by exponent (9 divides neither 7 - 1 nor 25 - 1)."""
+    L5 = QuadraticEtale(k5, 2)
+    O5 = octonion_from_hermitian(hermitian_space(L5, (1, 1, 1)))
+    fr5 = quadratic_subfield_frame(O5, O5.basis_vec(1))
+    sym_regular = _sl3(((2, 3, 0), (2, 0, 3), (3, 3, 3)), k5)
+    identity_coset = _sl3(((2, 4, 5), (3, 0, 3), (6, 2, 1)), k7)
+    return {
+        "sl3 regular, symmetric pair": (k5, sym_regular, None),
+        "sl3 identity coset": (k7, identity_coset, None),
+        "su triple root": (L5, _su_by_route(L5, fr5.H, "triple_root"), fr5.H),
+    }
+
+
+@pytest.mark.parametrize("route", list(_search_free_routes()))
+def test_finite_field_decision_is_decided_at_budget_zero(monkeypatch, route):
+    # over F_q the base point is the Krylov intertwiner and the norm
+    # preimage is built, so these decisions visit no span candidate; their
+    # default verdict and witness come at budget 0 as well
+    K, A, H = _search_free_routes()[route]
+
+    def run(b):
+        return reality_sl3(K, A, b) if H is None else reality_su(K, A, H, b)
+
+    n, default = _visits(monkeypatch, run)
+    assert n == 0
+    assert default.verdict == "real"
+    assert _report_view(run(0)) == _report_view(default)
+    if H is None:
+        assert symmetric_decomposition(K, A, 0) == symmetric_decomposition(K, A)
 
 
 def _non_regular_routes():
@@ -1770,6 +1817,109 @@ def test_non_regular_decides_real_at_budget_zero(monkeypatch, route):
     assert rep.witness["type"] == ("symmetric_pair" if H is None else "unitary_pair")
     check_witness(K, A, rep.witness, H)
     assert _report_view(rep) == _report_view(default)
+
+
+# ---------------------------------------------------------------------------
+# norm preimages by construction
+# ---------------------------------------------------------------------------
+
+def _norm_preimage_cases(R, chis):
+    """Check N(norm_preimage(R, chi, tau)) = tau for every chi with chi(0)
+    != 0 and every tau in (R*)^g, g = det_image_exponent; returns the count."""
+    n = 0
+    for chi in chis:
+        if R.is_zero(chi[0]):
+            continue
+        g = det_image_exponent(R, chi)
+        N = linalg.norm_form3(R, chi)
+        for tau in R.elements():
+            if reality._in_power_class(R, tau, g):
+                assert R.eq(N(norm_preimage(R, chi, tau)), tau), (chi, tau)
+                n += 1
+    return n
+
+
+@pytest.mark.parametrize("p, cases", [(7, 1740), (13, 24240), (19, 116748)])
+def test_norm_preimage_over_every_cubic_of_a_prime_field(p, cases):
+    # 3 | p - 1 at all three, so non-cube targets take the scan for a with
+    # chi(a) a non-cube; 9 | 19 - 1, so F_19 takes cube roots by
+    # Adleman-Manders-Miller
+    R = PrimeField(p)
+    assert _norm_preimage_cases(R, itertools.product(R.elements(), repeat=3)) == cases
+
+
+def test_norm_preimage_over_a_sample_of_cubics_over_f25():
+    # a seeded sample of cubics over L = F_25, with every triple root (X - m)^3
+    L = QuadraticEtale(k5, 2)
+    rng = random.Random(25)
+    elements = list(L.elements())
+    chis = [tuple(rng.choice(elements) for _ in range(3)) for _ in range(300)]
+    three = L.element(3)
+    for m in elements:
+        chis.append((L.neg(L.pow(m, 3)), L.mul(three, L.mul(m, m)), L.neg(L.mul(three, m))))
+    assert sum(triple_root(L, chi) is not None for chi in chis) >= 24
+    assert _norm_preimage_cases(L, chis) == 7064
+
+
+def _cubes_of(R, ys):
+    return [R.pow(y, 3) for y in ys if not R.is_zero(y)]
+
+
+@pytest.mark.parametrize("q", [19, 37, MERSENNE_31, "L10007"])
+def test_cube_roots_where_nine_divides_the_group_order(q):
+    # (X - 1)^3 has norm preimages f = c with c^3 = tau: |R| - 1 is 18, 36,
+    # 2 * 3^2 * 7 * 11 * 31 * 151 * 331, and 10007^2 - 1 = 2^4 * 3^2 * 139 * 5003
+    if q == "L10007":
+        k = PrimeField(10007)
+        R = QuadraticEtale(k, k.nonsquare())
+        ys = [(a, b) for a in (0, 1, 2, 5000, 10006) for b in (0, 1, 3, 4321)]
+    else:
+        R = PrimeField(q)
+        ys = R.elements() if q < 100 else [1, 2, 3, 10**9 + 7, q - 2, q - 1, 123456789]
+    assert (R.order - 1) % 9 == 0
+    chi = (R.neg(R.one), R.element(3), R.element(-3))
+    N = linalg.norm_form3(R, chi)
+    for tau in _cubes_of(R, ys):
+        c = norm_preimage(R, chi, tau)
+        assert R.eq(R.pow(c[0], 3), tau) and R.is_zero(c[1]) and R.is_zero(c[2])
+        assert R.eq(N(c), tau)
+
+
+@pytest.mark.parametrize("p", [1_000_003, MERSENNE_31])
+def test_sl3_decisions_at_large_primes(p):
+    # a norm preimage is built, not scanned for: budget 10^3 decides every
+    # draw where the lexicographic scan needed about p candidates
+    from g2real.reality import check_witness
+
+    k = PrimeField(p)
+    rng = random.Random(3)
+    for _ in range(20):
+        A = random_sl3(k, rng)
+        start = time.perf_counter()
+        rep = reality_sl3(k, A, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert rep.verdict in ("real", "not_real")
+        if rep.verdict == "real":
+            check_witness(k, A, rep.witness)
+
+
+@pytest.mark.parametrize("q", [10007, 1_000_003])
+def test_su_decisions_at_large_primes(q):
+    # 9 | 10007^2 - 1, so cube roots over L there take Adleman-Manders-Miller
+    from g2real.reality import check_witness
+
+    k = PrimeField(q)
+    L = QuadraticEtale(k, k.nonsquare())
+    H = (k.one, k.one, k.one)
+    rng = random.Random(3)
+    for _ in range(10):
+        A = random_su(L, H, rng)
+        start = time.perf_counter()
+        rep = reality_su(L, A, H, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert rep.verdict in ("real", "not_real")
+        if rep.verdict == "real":
+            check_witness(L, A, rep.witness, H)
 
 
 # ---------------------------------------------------------------------------
