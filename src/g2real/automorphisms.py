@@ -97,10 +97,6 @@ class AutMap:
             V = grown
         return fixed, V
 
-    def to_json(self):
-        F = self.algebra.field
-        return [[F.to_text(x) for x in row] for row in self.matrix]
-
 
 def certify_automorphism(matrix, alg):
     """Certify that `matrix` is a k-algebra automorphism of alg.

@@ -154,26 +154,6 @@ class Algebra:
             self._lattice_forms = (linalg.lattice(F, T), linalg.lattice(F, self.bil))
         return self._lattice_forms
 
-    def to_json(self):
-        F = self.field
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for m, c in self.table[i][j]:
-                    triples.append([i, j, m, F.to_text(c)])
-        return {
-            "model": self.model,
-            "field": field_spec(F),
-            "dim": self.dim,
-            "one": [F.to_text(c) for c in self.one],
-            "norm_diag": [F.to_text(c) for c in self.norm_diag],
-            "structure": triples,
-        }
-
-
-def field_spec(F):
-    return "Q" if F.kind == "rationals" else str(F.p)
-
 
 def _dot(F, u, v):
     s = F.zero
@@ -615,86 +595,6 @@ def law_verdicts(alg, X, Y, laws=LAWS):
         out["alternative_laws"] = ((mul(x, mul(x, y)) != mul(xx, y)).any(axis=0)
                                    | (mul(mul(y, x), x) != mul(y, xx)).any(axis=0))
     return out
-
-
-def diagonal_form_isotropy(F, diag_q):
-    """Isotropy of a nondegenerate diagonal quadratic form.
-
-    Returns (verdict, coefficient vector): "isotropic" with an exact zero,
-    "anisotropic", or "unknown" (rationals only, when neither a definiteness
-    argument nor the structured search decides).  Finite prime fields are
-    always decided: a two-term square ratio or, from rank 3 on, a scan of
-    d1 x^2 + d2 y^2 + d3 = 0, which always has a solution there.
-    """
-    n = len(diag_q)
-
-    def vec(coeffs, idxs):
-        out = [F.zero] * n
-        for c, i in zip(coeffs, idxs):
-            out[i] = c
-        return tuple(out)
-
-    if F.kind == "prime":
-        p = F.p
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = F.neg(F.div(diag_q[i], diag_q[j]))
-                if F.is_square(r):
-                    return ("isotropic", vec((F.one, F.sqrt(r)), (i, j)))
-        if n >= 3:
-            d1, d2, d3 = diag_q[0], diag_q[1], diag_q[2]
-            for x in range(p):
-                rhs = F.div(F.neg(F.add(F.mul(d1, F.mul(x, x)), d3)), d2)
-                if F.is_square(rhs):
-                    return ("isotropic", vec((x, F.sqrt(rhs), F.one), (0, 1, 2)))
-        return ("anisotropic", None)
-
-    pos = sum(1 for d in diag_q if d > 0)
-    neg = sum(1 for d in diag_q if d < 0)
-    if pos == 0 or neg == 0:
-        return ("anisotropic", None)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = -diag_q[i] / diag_q[j]
-            if r > 0 and F.is_square(r):
-                return ("isotropic", vec((F.one, F.sqrt(r)), (i, j)))
-    # bounded integer box on the first few coordinates
-    from itertools import product as iproduct
-
-    m = min(n, 4)
-    for coords in iproduct(range(-4, 5), repeat=m):
-        if all(c == 0 for c in coords):
-            continue
-        val = sum(d * c * c for d, c in zip(diag_q[:m], coords))
-        if val == 0:
-            w = [F.zero] * n
-            for i, c in enumerate(coords):
-                w[i] = F.element(c)
-            return ("isotropic", tuple(w))
-    return ("unknown", None)
-
-
-def norm_is_isotropic(alg):
-    """Decide isotropy of the norm form of an algebra.
-
-    Returns (verdict, witness) with the witness a coordinate vector of norm
-    zero when isotropic.  "unknown" is an honest rational-field outcome,
-    never an error.
-    """
-    F = alg.field
-    basis, diag = linalg.diagonalize_form(F, alg.bil)
-    diag_q = [F.div(d, F.add(F.one, F.one)) for d in diag]  # q(v) = B(v,v)/2
-    verdict, coeffs = diagonal_form_isotropy(F, diag_q)
-    if verdict != "isotropic":
-        return (verdict, None)
-    w = [F.zero] * alg.dim
-    for c, bv in zip(coeffs, basis):
-        for t in range(alg.dim):
-            w[t] = F.add(w[t], F.mul(c, bv[t]))
-    w = tuple(w)
-    if not F.is_zero(alg.norm(w)):
-        raise FieldError("isotropic vector from the diagonal form has nonzero norm")
-    return ("isotropic", w)
 
 
 def find_proper_idempotent(alg):

@@ -22,13 +22,10 @@ solve_sylvester_space builds the intertwiner space of two similar regular
 vector search always ends for a regular matrix.  min_equals_char3 decides
 regularity by the same fixed candidates for a cyclic vector first, and by
 the rank of I, A, A^2 only when they all miss.
-span_search is the one enumerator of spans under a candidate budget; it
-runs the coefficient vectors lazily (lex_vectors) and hands each to the
-caller, which tests it on a closed form (such as the norm form of k[A]) and
-forms a matrix only when it needs one (combination).  Its callers are the
-brute-force oracle and, over Q, the decisions' rational grid: over a finite
-field the decisions take Krylov base points and build their norm preimages,
-visiting no span candidate.
+lex_vectors runs the coefficient vectors of a span lazily; the candidate
+budget that bounds a search over them is reality._Search's, which hands
+each vector to the caller to test on a closed form (such as the norm form
+of k[A]), forming a matrix only when it needs one (combination).
 Nothing here draws random numbers.
 """
 
@@ -587,30 +584,3 @@ def lex_vectors(n, coeffs, head=()):
     else:
         for x in coeffs():
             yield from lex_vectors(n - 1, coeffs, head + (x,))
-
-
-class BudgetExhausted(Exception):
-    """A span search needed more candidates than its budget allowed."""
-
-
-def span_search(n, coeffs, accept, budget):
-    """The first non-None accept(c) over the coefficient vectors c of length
-    n, and the number of candidates visited: (hit or None, visited).
-
-    The vectors run as lex_vectors(n, coeffs) gives them, so nothing is
-    tabulated before the first candidate.  accept sees the coefficients only;
-    a caller that needs the matrix sum c_i basis[i] forms it with
-    combination.  The budget is checked before each visit: BudgetExhausted
-    is raised instead of visiting candidate budget + 1.  n = 0 spans no
-    candidates.
-    """
-    visited = 0
-    if n:
-        for c in lex_vectors(n, coeffs):
-            if visited == budget:
-                raise BudgetExhausted(f"span search budget {budget} exhausted")
-            visited += 1
-            got = accept(c)
-            if got is not None:
-                return got, visited
-    return None, visited

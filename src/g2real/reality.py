@@ -65,35 +65,6 @@ class RealityReport:
     obstruction: dict | None = None
     notes: list = field(default_factory=list)
 
-    def to_json(self):
-        def plain(v):
-            if isinstance(v, (bool, int, str)) or v is None:
-                return v
-            return str(v)
-
-        out = {
-            "family": self.family,
-            "verdict": self.verdict,
-            "char_poly": self.char_poly,
-            "case": {k: plain(v) for k, v in self.case.items()},
-            "notes": list(self.notes),
-        }
-        out["witness"] = _witness_json(self.witness) if self.witness else None
-        out["obstruction"] = dict(self.obstruction) if self.obstruction else None
-        return out
-
-
-def _witness_json(w):
-    out = {}
-    for key, val in w.items():
-        if isinstance(val, AutMap):
-            out[key] = val.to_json()
-        elif isinstance(val, tuple) and val and isinstance(val[0], tuple):
-            out[key] = [list(map(str, row)) for row in val]
-        else:
-            out[key] = str(val)
-    return out
-
 
 def poly_text(F, chi):
     c0, c1, c2 = (F.to_text(c) if not isinstance(c, tuple) else str(c) for c in chi)
@@ -245,8 +216,10 @@ def _coefficients(F):
 
 class _Search:
     """The searches of one top-level call, sharing one candidate budget: the
-    span searches of the oracle and of the rational grid, and the scans of
-    norm_preimage for a non-cube over a finite field.
+    span searches of the oracle and of the rational grid and the scans of
+    norm_preimage for a non-cube over a finite field, whose candidates first
+    charges one at a time, and the oracle's coset sweeps, charged whole.
+    charge is the one place the budget runs out.
 
     Running out of budget and missing on the rational grid both raise
     _Undecided, so a None result means a finite span was enumerated in full.
@@ -257,14 +230,9 @@ class _Search:
 
     def __call__(self, F, n, accept):
         """The first non-None accept(c) over the coefficient vectors c of a
-        span of n matrices (linalg.span_search)."""
-        coeffs = _coefficients(F)
-        try:
-            hit, visited = linalg.span_search(n, coeffs, accept, self.left)
-        except linalg.BudgetExhausted:
-            self.left = 0
-            raise _Undecided("budget exhausted") from None
-        self.left -= visited
+        span of n >= 1 matrices, in the lexicographic order of
+        linalg.lex_vectors."""
+        hit = self.first(linalg.lex_vectors(n, _coefficients(F)), accept)
         if hit is None and F.order is None:
             raise _Undecided("no determinant-1 combination on the rational grid")
         return hit
@@ -277,12 +245,14 @@ class _Search:
         self.left -= n
 
     def first(self, xs, accept):
-        """The first x of xs with accept(x), charging one candidate before
-        each visit; None when xs runs out."""
+        """The first non-None accept(x) over xs, charging one candidate
+        before each visit, so candidate budget + 1 is drawn but not visited;
+        None when xs runs out."""
         for x in xs:
             self.charge(1)
-            if accept(x):
-                return x
+            got = accept(x)
+            if got is not None:
+                return got
         return None
 
 
@@ -371,7 +341,7 @@ def _first_non_cube(R, search):
         candidates = (R.add(R.one, R.scalar_mul(b, g)) for b in R.base.elements())
     else:
         candidates = R.elements()
-    x = search.first(candidates, lambda x: _non_cube(R, x))
+    x = search.first(candidates, lambda x: x if _non_cube(R, x) else None)
     if x is None:
         raise RealityError("no non-cube found; 9 | |R| - 1 guarantees one")
     return x
@@ -426,7 +396,8 @@ def norm_preimage(R, chi, target, search=None):
     def value(a):
         return R.add(R.mul(R.add(R.mul(R.add(a, c2), a), c1), a), c0)
 
-    a = search.first(R.elements(), lambda a: _non_cube(R, value(a)))
+    # a = 0 is a hit: a miss is None, not a falsy a
+    a = search.first(R.elements(), lambda a: a if _non_cube(R, value(a)) else None)
     if a is None:
         raise RealityError("chi takes no non-cube value; its norm preimage is not built")
     nu = value(a)
@@ -608,23 +579,31 @@ def companion_matrix(L, chi):
     )
 
 
-def companion_factorization(L, chi):
-    """The two displayed factors of the companion matrix of a self-dual cubic
-    chi = X^3 - sigma(a) X^2 + a X - 1: A1 depends on the coefficients and
-    A2 is the anti-diagonal (-1, -1, -1); both satisfy conj(Ai) Ai = 1."""
+def _self_dual_anti_diagonal(L, chi):
+    """The anti-diagonal (-1, -1, -1), the constant factor of the companion
+    matrix of a self-dual cubic chi = X^3 - sigma(a) X^2 + a X - 1; raises
+    RealityError for any other chi."""
     c0, c1, c2 = chi
-    mone = L.neg(L.one)
+    z, mone = L.zero, L.neg(L.one)
     if not L.eq(c0, mone):
         raise RealityError("constant coefficient must be -1 (determinant 1)")
     if not L.eq(L.neg(c2), L.sigma(c1)):
         raise RealityError("coefficients violate the self-duality -c2 = sigma(c1)")
-    z, o = L.zero, L.one
+    return ((z, z, mone), (z, mone, z), (mone, z, z))
+
+
+def companion_factorization(L, chi):
+    """The two displayed factors of the companion matrix of a self-dual cubic
+    chi = X^3 - sigma(a) X^2 + a X - 1: A1 depends on the coefficients and
+    A2 is the anti-diagonal (-1, -1, -1); both satisfy conj(Ai) Ai = 1."""
+    A2 = _self_dual_anti_diagonal(L, chi)
+    _, c1, c2 = chi
+    z, mone = L.zero, L.neg(L.one)
     A1 = (
         (mone, z, z),
         (c1, z, mone),
         (c2, mone, z),
     )
-    A2 = ((z, z, mone), (z, mone, z), (mone, z, z))
     Ach = companion_matrix(L, chi)
     _require(linalg.mat_eq(L, linalg.mat_mul(L, A1, A2), Ach), "A1 A2 = companion matrix")
     for name, Ai in (("A1", A1), ("A2", A2)):
@@ -638,14 +617,14 @@ def _sigma_mat(L, M):
 
 
 def unitary_base_conjugator(L, H, A, chi):
-    """X0 in U(H) with X0 conj(A) X0^-1 = A^-1 and conj(X0) X0 = 1, built
-    from the companion factorization (needs min poly = char poly)."""
-    A1c, A2c = companion_factorization(L, chi)
+    """X0 = T J sigma(T)^-1 in U(H) with X0 conj(A) X0^-1 = A^-1 and
+    conj(X0) X0 = 1, for T = krylov_similarity(L, A) (A = T C T^-1, C the
+    companion matrix of chi) and J the anti-diagonal (-1, -1, -1), the
+    constant factor of companion_factorization (needs min poly = char
+    poly)."""
+    J = _self_dual_anti_diagonal(L, chi)
     T = linalg.krylov_similarity(L, A)
-    Tbar = _sigma_mat(L, T)
-    Tinv = linalg.inverse3(L, T)
-    B2 = linalg.mat_mul(L, linalg.mat_mul(L, Tbar, A2c), Tinv)
-    X0 = _sigma_mat(L, B2)
+    X0 = linalg.mat_mul(L, linalg.mat_mul(L, T, J), linalg.inverse3(L, _sigma_mat(L, T)))
     Abar = _sigma_mat(L, A)
     Ainv = linalg.inverse3(L, A)
     _require(in_unitary(X0, L, H), "companion conjugator in U(H)")
@@ -870,7 +849,7 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     coset is one sweeps.coset_sweep call over that basis (determinant 1 on
     a split frame, SU(H) on a field frame), and its first hit is rebuilt and
     re-checked exactly: det 1, left B = B right and, on a field frame, B in
-    U(H).  Over Q a split coset is a span_search on the rational grid and a
+    U(H).  Over Q a split coset is a _Search of the rational grid and a
     field coset is not searched.  The coset holding the first witness is
     enumerated in full, so `checked` counts every candidate of every coset
     visited.  All cosets together visit at most `budget` candidates; past

@@ -238,8 +238,8 @@ def _windows(start, stop, chunk, run):
 def coset_sweep(K, basis, H=None, start=0, stop=None):
     """Count the members of determinant 1, and given H of U(H), of the span
     c0 M0 + c1 M1 + c2 M2 of basis = (M0, M1, M2), (c0, c1, c2) over K^3 in
-    span_search's order (c0 slowest).  K is F_p without H, or L = F_p(g)
-    with H.  Returns (hits, example): the count and the first hit's
+    the order of linalg.lex_vectors (c0 slowest).  K is F_p without H, or
+    L = F_p(g) with H.  Returns (hits, example): the count and the first hit's
     coefficient triple, or None.  start/stop restrict the flattened
     candidate index range, 0 <= start <= stop <= |K|^3 (ValueError
     otherwise); the counts of disjoint partitions add up.

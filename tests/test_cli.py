@@ -279,17 +279,28 @@ def test_tampered_not_real_instance_fails_verify_without_asserts(tmp_path, kind,
     assert "witnesses re-verified" not in proc.stdout
 
 
+def _as_singular_conjugator(w):
+    """A symmetric_pair rewritten as a conjugator_matrix witness of the zero
+    matrix, whose coset sides need its inverse."""
+    w.update(kind="conjugator_matrix", B=w.pop("S1"), coset=0, A=[["0"] * 3] * 3)
+    del w["S2"]
+
+
 _MALFORMED = {
     "unparsable S1 entry": ("symmetric_pair", lambda w: w["S1"][0].__setitem__(0, "x")),
     "unparsable A1 entry": ("unitary_pair", lambda w: w["A1"][0].__setitem__(0, "x")),
     "A1 missing a row": ("unitary_pair", lambda w: w["A1"].pop()),
     "S2 missing": ("symmetric_pair", lambda w: w.pop("S2")),
+    # entries that make a matrix singular divide by zero in the re-check
+    "zero H entry": ("unitary_pair", lambda w: w["H"].__setitem__(1, "0")),
+    "singular conjugator A": ("symmetric_pair", _as_singular_conjugator),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))
 def test_malformed_witness_fails_verify_without_asserts(tmp_path, case):
-    # a witness that does not parse is a failed witness, not a traceback
+    # a witness that does not parse, or does not compute, is a failed
+    # witness, not a traceback
     import g2real
 
     kind, tamper = _MALFORMED[case]
@@ -298,6 +309,7 @@ def test_malformed_witness_fails_verify_without_asserts(tmp_path, case):
     data = json.loads(out.read_text())
     index = next(i for i, w in enumerate(data["witnesses"]) if w["kind"] == kind)
     tamper(data["witnesses"][index])
+    kind = data["witnesses"][index]["kind"]
     out.write_text(json.dumps(data))
     src = str(Path(g2real.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -306,7 +318,7 @@ def test_malformed_witness_fails_verify_without_asserts(tmp_path, case):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert f"witness {index} ({kind}) fails" in proc.stderr
+    assert f"verification failed: witness {index} ({kind}) fails" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

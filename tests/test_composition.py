@@ -10,12 +10,10 @@ from g2real.composition import (
     Algebra,
     base_algebra,
     cayley_dickson_double,
-    diagonal_form_isotropy,
     find_proper_idempotent,
     hermitian_space,
     law_failures,
     law_verdicts,
-    norm_is_isotropic,
     octonion_from_hermitian,
     orthogonal_complement,
     pfister_octonion,
@@ -254,8 +252,9 @@ def test_double_twice_gives_split_quaternions_over_f7():
     D = cayley_dickson_double(cayley_dickson_double(base_algebra(k7), 1), 1)
     assert D.dim == 4
     assert law_failures(D, 2000, 6, ("composition_law",)) == {"composition_law": 0}
-    verdict, w = norm_is_isotropic(D)
-    assert verdict == "isotropic"
+    # split: a proper idempotent e has N(e) = 0
+    e = find_proper_idempotent(D)
+    assert k7.is_zero(D.norm(e))
     # independent exhaustive confirmation over F7^4
     found = False
     for a in range(7):
@@ -319,9 +318,8 @@ def test_quaternion_is_associative_and_split_over_f5():
     for _ in range(200):
         x, y, z = Qa.random(rng), Qa.random(rng), Qa.random(rng)
         assert Qa.eq(Qa.mul(Qa.mul(x, y), z), Qa.mul(x, Qa.mul(y, z)))
-    verdict, w = norm_is_isotropic(Qa)
-    assert verdict == "isotropic"
-    assert k5.is_zero(Qa.norm(w))
+    e = find_proper_idempotent(Qa)
+    assert Qa.eq(Qa.mul(e, e), e) and k5.is_zero(Qa.norm(e))
 
 
 def test_quaternion_rejects_nontrivial_discriminant():
@@ -365,7 +363,7 @@ def test_hermitian_psi_independence_structural():
     algs = [octonion_from_hermitian(s1, psi) for psi in psis]
     for O in algs:
         assert law_failures(O, 3000, 12, ("composition_law",)) == {"composition_law": 0}
-        assert norm_is_isotropic(O)[0] == "isotropic"
+        assert k7.is_zero(O.norm(find_proper_idempotent(O)))
     assert sorted(algs[0].norm_diag) == sorted(algs[1].norm_diag)
 
 
@@ -400,38 +398,14 @@ def test_hermitian_rejects_bad_psi():
 # isotropy
 # ---------------------------------------------------------------------------
 
-def test_split_zorn_norm_is_isotropic():
-    Z = zorn_algebra(k7)
-    verdict, w = norm_is_isotropic(Z)
-    assert verdict == "isotropic"
-    assert k7.is_zero(Z.norm(w))
-
-
-def test_totally_real_six_dim_form_is_anisotropic():
-    diag = [Q.element(x) for x in (1, 2, 2, 1, 2, 2)]
-    assert diagonal_form_isotropy(Q, diag)[0] == "anisotropic"
-
-
-def test_imaginary_quadratic_form_is_isotropic():
-    c = 2
-    diag = [Q.element(x) for x in (1, -1, -1, -c, c, c)]
-    verdict, w = diagonal_form_isotropy(Q, diag)
-    assert verdict == "isotropic"
-
-
 def test_division_octonions_over_Q():
     # L = Q(i), Gram <1,2,2>: the hermitian construction of a division algebra
     L = QuadraticEtale(Q, -1)
     O = octonion_from_hermitian(hermitian_space(L, (1, 2, 2)))
-    assert norm_is_isotropic(O)[0] == "anisotropic"
-
-
-def test_unknown_is_possible_over_Q():
-    # indefinite but with no square ratio among pairs: outcome may be unknown,
-    # and must never be an error
-    diag = [Q.element(x) for x in (1, 1, 1, 1, 1, -2)]
-    verdict, _ = diagonal_form_isotropy(Q, diag)
-    assert verdict in ("isotropic", "unknown")
+    # the polar form diagonalizes to eight positive entries: a definite
+    # form, so the norm is anisotropic
+    _, diag = linalg.diagonalize_form(Q, O.bil)
+    assert len(diag) == 8 and all(d > 0 for d in diag)
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +475,6 @@ def test_subalgebra_closure_check():
     assert subalgebra_closed(Z, D)
     bad = (Z.one, g, a, Z.basis_vec(2))
     assert not subalgebra_closed(Z, bad)
-
-
-def test_isotropy_bounded_box_over_Q():
-    # 1 + 1 + 1 - 3 = 0 needs the integer box, not a pairwise square ratio
-    diag = [Q.element(x) for x in (1, 1, 1, -3)]
-    verdict, w = diagonal_form_isotropy(Q, diag)
-    assert verdict == "isotropic"
-    assert sum(d * c * c for d, c in zip(diag, w)) == 0
-
-
-def test_algebra_descriptor_serialization():
-    Z = zorn_algebra(k5)
-    js = Z.to_json()
-    assert js["model"] == "zorn" and js["dim"] == 8
-    assert js["field"] == "5"
-    assert any(t[:3] == [0, 0, 0] for t in js["structure"])
-    import json
-
-    json.dumps(js)  # JSON-clean
 
 
 @pytest.mark.parametrize("F", [k5, k7, RationalField()], ids=str)

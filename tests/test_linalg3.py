@@ -9,11 +9,12 @@ installed, sympy.
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from g2real import linalg
+from g2real import linalg, reality
 from g2real.fields import PrimeField, QuadraticEtale, RationalField
 
 Q = RationalField()
@@ -527,8 +528,9 @@ def test_lex_vectors_read_the_coefficients_lazily():
         ("h", a, b) for a in range(3) for b in range(3)
     ]
     drawn.clear()
-    with pytest.raises(linalg.BudgetExhausted):
-        linalg.span_search(3, coeffs, lambda c: None, 40)
+    field = types.SimpleNamespace(order=MERSENNE_31, elements=coeffs)
+    with pytest.raises(reality._Undecided, match="^budget exhausted$"):
+        reality._Search(40)(field, 3, lambda c: None)
     assert len(drawn) == 2 + 41  # the vector past the budget is drawn, not visited
 
 

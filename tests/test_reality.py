@@ -497,7 +497,7 @@ def test_two_involution_witness_iota1_is_the_swapped_embedding_of_m1(pair_witnes
         i1, i2 = two_involution_witness(t, f, rep)
         ref = swapped_embed(m1, f)
         assert i1.certified and i2.certified and ref.certified
-        assert i1.matrix == ref.matrix and i1.to_json() == ref.to_json()
+        assert i1.matrix == ref.matrix
         assert i1.compose(i2).eq(t)
 
 
@@ -659,14 +659,6 @@ def test_pipeline_counterexample_not_real():
     rep = reality_report_for(ce["t"])
     assert rep.verdict == "not_real"
     assert rep.obstruction is not None
-
-
-def test_report_serialization():
-    ce = build_counterexample_sl3(7)
-    rep = reality_report_for(ce["t"])
-    js = rep.to_json()
-    assert js["verdict"] == "not_real"
-    assert "obstruction" in js and js["obstruction"]["class_group_order"] == 3
 
 
 def test_counterexample_su_q23_constructs():
@@ -1571,7 +1563,7 @@ def _reference_span_search(F, basis, accept, budget):
     visited = 0
     for cs in itertools.product(list(F.elements()), repeat=len(basis)):
         if visited == budget:
-            raise linalg.BudgetExhausted
+            raise reality._Undecided("budget exhausted")
         visited += 1
         M = linalg.zeros(F, 3, 3)
         for c, b in zip(cs, basis):
@@ -1584,8 +1576,9 @@ def _reference_span_search(F, basis, accept, budget):
 
 @pytest.mark.parametrize("over", ["F5", "F25"])
 def test_span_search_matches_product_reference(over):
-    # span_search hands accept the coefficient vector; the reference forms
-    # each matrix by partial sums and hands accept the matrix
+    # _Search hands accept the coefficient vector; the reference forms each
+    # matrix by partial sums and hands accept the matrix.  Both give the hit
+    # and the candidates charged for it.
     F = k5 if over == "F5" else QuadraticEtale(k5, 2)
     rng = random.Random(40)
     A = tuple(tuple(F.random(rng) for _ in range(3)) for _ in range(3))
@@ -1593,6 +1586,11 @@ def test_span_search_matches_product_reference(over):
     targets = [F.one, F.zero, F.element(3)]
     if over == "F25":
         targets.append(F.gen())
+
+    def searched(n, accept, budget):
+        search = reality._Search(budget)
+        return search(F, n, accept), budget - search.left
+
     for basis in ((I, A, A2), (A, A2), (A2,)):
         n = len(basis)
         for target in targets:
@@ -1603,18 +1601,17 @@ def test_span_search_matches_product_reference(over):
                 return accept(linalg.combination(F, c, basis))
 
             want = _reference_span_search(F, basis, accept, 10**9)
-            assert linalg.span_search(n, F.elements, accept_c, 10**9) == want
+            assert searched(n, accept_c, 10**9) == want
             hit, visited = want
             if hit is not None:
                 # the budget is checked before each visit, never overrun
-                assert linalg.span_search(n, F.elements, accept_c, visited) == want
-                with pytest.raises(linalg.BudgetExhausted):
-                    linalg.span_search(n, F.elements, accept_c, visited - 1)
+                assert searched(n, accept_c, visited) == want
+                with pytest.raises(reality._Undecided, match="^budget exhausted$"):
+                    searched(n, accept_c, visited - 1)
         size = F.order ** n
-        assert linalg.span_search(n, F.elements, lambda c: None, size) == (None, size)
-        with pytest.raises(linalg.BudgetExhausted):
-            linalg.span_search(n, F.elements, lambda c: None, size - 1)
-    assert linalg.span_search(0, F.elements, lambda c: c, 0) == (None, 0)
+        assert searched(n, lambda c: None, size) == (None, size)
+        with pytest.raises(reality._Undecided, match="^budget exhausted$"):
+            searched(n, lambda c: None, size - 1)
 
 
 def _visits(monkeypatch, run):
@@ -1654,7 +1651,7 @@ def _sl3(rows, F):
 
 
 def _report_view(rep):
-    return rep.verdict, rep.to_json()
+    return rep.verdict, dataclasses.asdict(rep)
 
 
 def _su_route(L, A):
@@ -1846,6 +1843,12 @@ def test_norm_preimage_over_every_cubic_of_a_prime_field(p, cases):
     # Adleman-Manders-Miller
     R = PrimeField(p)
     assert _norm_preimage_cases(R, itertools.product(R.elements(), repeat=3)) == cases
+
+
+def test_norm_preimage_scan_for_a_can_stop_at_zero():
+    # chi = X^3 + 3 over F_7: chi(0) = 3 is a non-cube, so the first a is 0,
+    # and the non-cube target 3 takes f = c (0 - theta) with c^3 = 3 / 3
+    assert norm_preimage(k7, (3, 0, 0), 3) == (0, 6, 0)
 
 
 def test_norm_preimage_over_a_sample_of_cubics_over_f25():
