@@ -183,10 +183,6 @@ def power(mul, one, x, n):
     return one if r is None else r
 
 
-def mat_pow(F, a, n):
-    return power(lambda x, y: mat_mul(F, x, y), identity(F, len(a)), a, n)
-
-
 def mat_eq(F, a, b):
     p = _modulus(F)
     if p is not None and a == b:

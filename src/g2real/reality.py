@@ -24,9 +24,9 @@ from .automorphisms import (
     _orthogonal_anisotropic,
     _square_scalar,
     first_anisotropic,
+    _in_frame_basis,
     certify_automorphism,
-    extract_sl3_matrix,
-    extract_su_matrix,
+    extract_frame_matrix,
     in_su,
     in_unitary,
     quadratic_subfield_frame,
@@ -849,37 +849,49 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     coset is one sweeps.coset_sweep call over that basis (determinant 1 on
     a split frame, SU(H) on a field frame), and its first hit is rebuilt and
     re-checked exactly: det 1, left B = B right and, on a field frame, B in
-    U(H).  Over Q a split coset is a _Search of the rational grid and a
-    field coset is not searched.  The coset holding the first witness is
-    enumerated in full, so `checked` counts every candidate of every coset
-    visited.  All cosets together visit at most `budget` candidates; past
-    it, or when the rational grid misses, the verdict is unknown.
+    U(H).  Over Q a split coset is a _Search of the rational grid, which
+    stops at its first hit, and a field coset is not searched.  Only a
+    finite-field coset is enumerated in full, so there `checked` counts every
+    candidate of every coset visited.  All cosets together visit at most
+    `budget` candidates; past it, or when the rational grid misses, the
+    verdict is unknown.
 
-    Preconditions: t certified, its fixed subalgebra is exactly the frame's
-    quadratic algebra, and the induced 3x3 matrix is regular.  At level
-    "octonion" a found witness is re-verified as an 8x8 conjugation.
+    Preconditions, raised as RealityError: t is certified, its fixed
+    subalgebra is exactly the frame's quadratic algebra L, and the induced
+    3x3 matrix A is regular.  The first two are read off the frame block
+    B = C^-1 t C.  A certified t that fixes the basis of L (the columns of
+    f and e, or of 1 and g, are unit columns of B) keeps L^perp.  On a split
+    frame it fixes e and f, so it keeps the Peirce spaces U and W, acting as
+    A on U and, since it keeps the pairing U x W -> k f, as A^-T on W.  On a
+    field frame it is L-linear on L^perp (t(g x) = g t(x)), with L-matrix A.
+    So ker(t - 1) is L + ker(A - 1) (+ its dual on W): it is exactly L iff
+    det(A - I) != 0, and t = 1 iff A = I.  At level "octonion" a found
+    witness is re-verified as an 8x8 conjugation.
     """
+    if not t.certified:
+        raise RealityError("the oracle needs a certified automorphism")
     alg = frame.alg
     F = alg.field
-    if t.is_identity():
+    split = isinstance(frame, SplitFrame)
+    B8 = _in_frame_basis(t, frame)
+    if not all(
+        F.eq(B8[i][j], F.one if i == j else F.zero)
+        for j in ((0, 7) if split else (0, 1))
+        for i in range(8)
+    ):
+        raise RealityError("fixed subalgebra of t is not the frame algebra")
+    K = F if split else frame.L
+    A = extract_frame_matrix(t, frame, B8)
+    I = linalg.identity(K, 3)
+    if linalg.mat_eq(K, A, I):
         return {
             "verdict": "real",
             "checked": {0: 1, 1: 0},
             "coset": 0,
             "h": AutMap(linalg.identity(F, alg.dim), alg, True),
         }
-    fixed = t.fixed_space()
-    if len(fixed) != 2:
+    if K.is_zero(linalg.det3(K, linalg.mat_sub(K, A, I))):
         raise RealityError("fixed subalgebra of t is not 2-dimensional")
-    split = isinstance(frame, SplitFrame)
-    Lbasis = (alg.one, alg.sub(frame.e, frame.f)) if split else (frame.one, frame.g)
-    # the fixed space is a plane, so it is the frame's algebra when t fixes
-    # that algebra's basis
-    if not all(all(map(F.eq, t.apply(v), v)) for v in Lbasis):
-        raise RealityError("fixed subalgebra of t is not the frame algebra")
-
-    K = F if split else frame.L
-    A = extract_sl3_matrix(t, frame) if split else extract_su_matrix(t, frame)
     if not min_equals_char3(K, A):
         raise RealityError("oracle needs a regular matrix")
     Ainv = linalg.inverse3(K, A)
@@ -891,7 +903,6 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
         cosets = ((0, Ainv, A), (1, Ainv, _sigma_mat(K, A)))
     search = _Search(budget)
     checked = {0: 0, 1: 0}
-    witness = None
     for coset, left, right in cosets:
         # an invertible intertwiner makes left and right similar; the regular
         # sides are similar exactly when their characteristic polynomials,
@@ -900,7 +911,6 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
             space = linalg.solve_sylvester_space(K, left, right)
         except linalg.NotSimilar:
             continue
-        hits = []
 
         def conjugates(B):
             return K.eq(linalg.det3(K, B), K.one) and linalg.mat_eq(
@@ -908,10 +918,8 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
             )
 
         def accept(c):
-            if not hits:
-                B = linalg.combination(K, c, basis)
-                if conjugates(B):
-                    hits.append(B)
+            B = linalg.combination(K, c, basis)
+            return B if conjugates(B) else None
 
         before = search.left
         try:
@@ -921,33 +929,29 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
             B0R = linalg.mat_mul(K, B0, right)
             basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
             if K.order is None:
-                search(K, 3, accept)
+                hit = search(K, 3, accept)
             else:
                 search.charge(K.order**3)
                 from .sweeps import coset_sweep
 
                 _, example = coset_sweep(K, basis, None if split else frame.H)
+                hit = None
                 if example is not None:
-                    B = linalg.combination(K, example, basis)
-                    if not (conjugates(B) and (split or in_unitary(B, K, frame.H))):
+                    hit = linalg.combination(K, example, basis)
+                    if not (conjugates(hit) and (split or in_unitary(hit, K, frame.H))):
                         raise RealityError("coset sweep hit fails the exact re-check")
-                    hits.append(B)
             undecided = False
         except _Undecided:
             undecided = True
         checked[coset] += before - search.left
         if undecided:
             return {"verdict": "unknown", "checked": checked}
-        if hits:
-            witness = (coset, hits[0])
-            break
-    if witness is None:
-        return {"verdict": "not_real", "checked": checked}
-    coset, B = witness
-    out = {"verdict": "real", "checked": checked, "coset": coset, "B": B}
-    if level == "octonion":
-        out["h"] = _lift_conjugator(t, frame, B, coset)
-    return out
+        if hit is not None:
+            out = {"verdict": "real", "checked": checked, "coset": coset, "B": hit}
+            if level == "octonion":
+                out["h"] = _lift_conjugator(t, frame, hit, coset)
+            return out
+    return {"verdict": "not_real", "checked": checked}
 
 
 # -- finite-field counterexample constructions ---------------------------------
@@ -1134,10 +1138,10 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
         root = F.sqrt(_square_scalar(alg, x))
         e = alg.scale(F.inv(F.add(F.one, F.one)), alg.add(alg.one, alg.scale(F.inv(root), x)))
         frame = split_frame_from_idempotent(alg, e)
-        rep = reality_sl3(F, extract_sl3_matrix(t, frame), budget)
+        rep = reality_sl3(F, extract_frame_matrix(t, frame), budget)
     else:
         frame = quadratic_subfield_frame(alg, x)
-        rep = reality_su(frame.L, extract_su_matrix(t, frame), frame.H, budget)
+        rep = reality_su(frame.L, extract_frame_matrix(t, frame), frame.H, budget)
     rep.case.update(case)
     # a symmetric or unitary pair lifts to two involutions, a conjugator to h
     if rep.verdict == "real" and rep.witness["type"] == "conjugator_matrix":

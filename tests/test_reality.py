@@ -10,6 +10,9 @@ import pytest
 
 from g2real import linalg, reality, sweeps
 from g2real.automorphisms import (
+    AutMap,
+    SplitFrame,
+    certify_automorphism,
     first_anisotropic,
     in_su,
     in_unitary,
@@ -563,6 +566,73 @@ def test_oracle_rejects_a_fixed_plane_other_than_the_frame_algebra(zorn5, frame5
         brute_force_reality_oracle(t, frame5)
     # on its own frame the same t passes the check
     assert brute_force_reality_oracle(t, split_frame_from_idempotent(zorn5, x))["verdict"] == "real"
+
+
+def _oracle_precondition_cases(fr, alg, embed, draw, a):
+    """Seeded certified t fixing the frame algebra pointwise: regular
+    elements with and without eigenvalue 1, the involution fixing the
+    quaternion algebra L + L a, and the identity."""
+    rng = random.Random(28)
+    ts = [embed(draw(rng), fr) for _ in range(40)]
+    g = alg.sub(fr.e, fr.f) if isinstance(fr, SplitFrame) else fr.g
+    ts.append(involution_from_quaternion(alg, (alg.one, g, a, alg.mul(g, a))))
+    ts.append(certify_automorphism(linalg.identity(alg.field, 8), alg))
+    return ts
+
+
+@pytest.mark.parametrize("which", ["split", "field"])
+def test_oracle_accepts_t_exactly_when_its_fixed_space_is_a_plane(which, zorn5, frame5, su5):
+    # the oracle reads dim ker(t - 1) = 2 off det(A - I) != 0 and t = 1 off
+    # A = I; the 8x8 null space stays the reference here
+    if which == "split":
+        fr = frame5
+        draw = lambda rng: random_sl3(k5, rng, avoid_eigenvalue_one=False, separable=True)
+        a = zorn5.add(zorn5.basis_vec(1), zorn5.basis_vec(4))
+        cases = _oracle_precondition_cases(fr, zorn5, sl3_embed, draw, a)
+    else:
+        L, O, fr = su5
+        draw = lambda rng: random_su(L, fr.H, rng, separable=True, avoid_eigenvalue_one=False)
+        cases = _oracle_precondition_cases(fr, O, su_embed, draw, fr.fs[0])
+    dims = set()
+    for t in cases:
+        n = len(t.fixed_space())
+        dims.add(n)
+        if n == 2:
+            assert brute_force_reality_oracle(t, fr)["verdict"] in ("real", "not_real")
+        elif n == 8:
+            orc = brute_force_reality_oracle(t, fr)
+            assert orc["verdict"] == "real" and orc["checked"] == {0: 1, 1: 0}
+            assert orc["h"].is_identity()
+        else:
+            with pytest.raises(RealityError, match="^fixed subalgebra of t is not 2-dimensional$"):
+                brute_force_reality_oracle(t, fr)
+    assert dims == {2, 4, 8}
+
+
+def test_oracle_rejects_an_uncertified_map(zorn5, frame5):
+    # the frame-block argument needs an automorphism; the identity matrix
+    # passed uncertified is refused before it is read
+    t = AutMap(linalg.identity(k5, 8), zorn5, False)
+    with pytest.raises(RealityError, match="certified"):
+        brute_force_reality_oracle(t, frame5)
+
+
+def test_oracle_finds_a_witness_on_the_rational_grid():
+    # a split coset over Q is a grid search that stops at its first hit
+    Q = RationalField()
+    A = companion_matrix(Q, (-1, 3, -2))
+    fr = zorn_split_frame(zorn_algebra(Q))
+    t = sl3_embed(A, fr)
+    assert reality_sl3(Q, A).verdict == "real"
+    orc = brute_force_reality_oracle(t, fr, level="octonion")
+    assert orc["verdict"] == "real"
+    B = orc["B"]
+    assert linalg.det3(Q, B) == 1
+    left, right = (linalg.inverse3(Q, A), A) if orc["coset"] == 0 else (A, linalg.transpose(A))
+    assert linalg.mat_eq(Q, linalg.mat_mul(Q, left, B), linalg.mat_mul(Q, B, right))
+    assert 0 < sum(orc["checked"].values()) < len(reality._RATIONAL_GRID) ** 3
+    h = orc["h"]
+    assert h.compose(t).compose(h.inverse()).eq(t.inverse())
 
 
 def test_oracle_real_semisimple_with_octonion_verification(frame5):
