@@ -421,12 +421,10 @@ def in_su(A, L, H):
     return L.eq(linalg.det3(L, A), L.one) and in_unitary(A, L, H)
 
 
-def extract_frame_matrix(t, frame, B=None):
-    """The 3x3 matrix of t on the frame (t must fix the frame algebra
-    pointwise): over k on U for a split frame, over L on the f_i for a field
-    frame.  It is read off B = C^-1 t C, formed here unless it is given."""
-    if B is None:
-        B = _in_frame_basis(t, frame)
+def extract_frame_matrix(B, frame):
+    """The 3x3 matrix on the frame of a map t fixing the frame algebra
+    pointwise, read off its frame block B = C^-1 t C (`_in_frame_basis`):
+    over k on U for a split frame, over L on the f_i for a field frame."""
     if isinstance(frame, SplitFrame):
         return tuple(tuple(B[1 + i][1 + j] for j in range(3)) for i in range(3))
     return tuple(

@@ -881,7 +881,7 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     ):
         raise RealityError("fixed subalgebra of t is not the frame algebra")
     K = F if split else frame.L
-    A = extract_frame_matrix(t, frame, B8)
+    A = extract_frame_matrix(B8, frame)
     I = linalg.identity(K, 3)
     if linalg.mat_eq(K, A, I):
         return {
@@ -1138,10 +1138,11 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
         root = F.sqrt(_square_scalar(alg, x))
         e = alg.scale(F.inv(F.add(F.one, F.one)), alg.add(alg.one, alg.scale(F.inv(root), x)))
         frame = split_frame_from_idempotent(alg, e)
-        rep = reality_sl3(F, extract_frame_matrix(t, frame), budget)
+        rep = reality_sl3(F, extract_frame_matrix(_in_frame_basis(t, frame), frame), budget)
     else:
         frame = quadratic_subfield_frame(alg, x)
-        rep = reality_su(frame.L, extract_frame_matrix(t, frame), frame.H, budget)
+        A = extract_frame_matrix(_in_frame_basis(t, frame), frame)
+        rep = reality_su(frame.L, A, frame.H, budget)
     rep.case.update(case)
     # a symmetric or unitary pair lifts to two involutions, a conjugator to h
     if rep.verdict == "real" and rep.witness["type"] == "conjugator_matrix":

@@ -7,6 +7,7 @@ import pytest
 
 from g2real import linalg
 from g2real.automorphisms import (
+    _in_frame_basis,
     certify_automorphism,
     extract_frame_matrix,
     frame_swap,
@@ -360,7 +361,7 @@ def test_extract_roundtrip(frame7):
     rng = random.Random(7)
     A = random_sl3(k7, rng)
     t = sl3_embed(A, frame7)
-    assert linalg.mat_eq(k7, extract_frame_matrix(t, frame7), A)
+    assert linalg.mat_eq(k7, extract_frame_matrix(_in_frame_basis(t, frame7), frame7), A)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +687,7 @@ def test_su_extract_roundtrip(su_setup):
     rng = random.Random(16)
     A = random_su(L, fr.H, rng)
     t = su_embed(A, fr)
-    assert linalg.mat_eq(L, extract_frame_matrix(t, fr), A)
+    assert linalg.mat_eq(L, extract_frame_matrix(_in_frame_basis(t, fr), fr), A)
 
 
 def test_frame_rho_properties(su_setup):
@@ -744,12 +745,12 @@ def test_lifted_witnesses_equal_embed_then_swap(frame7, other_frame7, su_setup):
             if f is fr:
                 A = random_su(L, fr.H, rng, separable=True, avoid_eigenvalue_one=True)
                 t = su_embed(A, f)
-                rep = reality_su(L, extract_frame_matrix(t, f), fr.H)
+                rep = reality_su(L, extract_frame_matrix(_in_frame_basis(t, f), f), fr.H)
                 m1, m2 = rep.witness["A1"], rep.witness["C"]
             else:
                 A = random_sl3(k7, rng, avoid_eigenvalue_one=True, separable=True)
                 t = sl3_embed(A, f)
-                rep = reality_sl3(k7, extract_frame_matrix(t, f))
+                rep = reality_sl3(k7, extract_frame_matrix(_in_frame_basis(t, f), f))
                 m1, m2 = rep.witness["S1"], linalg.inverse3(k7, rep.witness["S2"])
             i1, i2 = two_involution_witness(t, f, rep)
             assert i1.matrix == _embed_then_swap(m1, f).matrix
