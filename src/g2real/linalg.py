@@ -17,15 +17,21 @@ The 3x3 closed forms and norm_form3 use ring operations only, so they hold
 over any commutative ring: the cubic algebras of fields.py take their norms
 with det3, and det3, which needs only add, sub and mul, also runs on the
 numpy arrays of the SU coset sweep.
-solve_sylvester_space builds the intertwiner space of two similar regular
-3x3 matrices from their Krylov matrices (krylov_similarity), whose cyclic
-vector search always ends for a regular matrix.  min_equals_char3 decides
-regularity by the same fixed candidates for a cyclic vector first, and by
-the rank of I, A, A^2 only when they all miss.
-lex_vectors runs the coefficient vectors of a span lazily; the candidate
-budget that bounds a search over them is reality._Search's, which hands
-each vector to the caller to test on a closed form (such as the norm form
-of k[A]), forming a matrix only when it needs one (combination).
+krylov_similarity gives K = [v, Av, A^2 v] for a cyclic vector v of a
+regular 3x3 A, whose search always ends for a regular matrix; the product
+K_left K_right^-1 of two similar regular matrices' Krylov matrices is an
+invertible intertwiner.  solve_sylvester_space, which only the decisions
+over Q use, returns the whole intertwiner space in the echelon basis of
+its 9x9 linear system.  min_equals_char3 decides regularity by the same
+fixed candidates for a cyclic vector first, and by the rank of I, A, A^2
+only when they all miss.
+lex_vectors runs coefficient vectors lazily, so a large field costs
+nothing before its elements are reached.  krylov_similarity chains it
+after its curve scan on every finite field (it is reached only on a field
+of fewer than seven elements), and reality._Search runs the rational grid
+on it, handing each vector to the caller to test on a closed form (such as
+the norm form of k[A]) and forming a matrix only when it needs one
+(combination).
 Nothing here draws random numbers.
 """
 
@@ -478,11 +484,6 @@ def krylov_similarity(F, A):
     return transpose(rows)
 
 
-class NotSimilar(ValueError):
-    """The two sides of solve_sylvester_space have different characteristic
-    polynomials, so no invertible intertwiner exists."""
-
-
 def solve_sylvester_space(F, left, right):
     """Basis of {X : left X = X right} for similar regular 3x3 sides over F:
     the basis that nullspace gives for the 9x9 linear system in the entries
@@ -494,10 +495,10 @@ def solve_sylvester_space(F, left, right):
     X0 right^2.  The free columns of the 9x9 system are the last coordinates
     on which the space projects one-to-one, so nullspace's basis is the
     reduced echelon form of that span over the reversed coordinates.  Raises
-    NotSimilar (a ValueError) when the characteristic polynomials differ, and
-    ValueError when the sides are not regular."""
+    ValueError when the characteristic polynomials differ or the sides are
+    not regular."""
     if not all(map(F.eq, charpoly3(F, left), charpoly3(F, right))):
-        raise NotSimilar("the sides are not similar")
+        raise ValueError("the sides are not similar")
     X0 = mat_mul(F, krylov_similarity(F, left), inverse3(F, krylov_similarity(F, right)))
     X1 = mat_mul(F, X0, right)
     span = (X0, X1, mat_mul(F, X1, right))

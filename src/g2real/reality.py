@@ -204,36 +204,30 @@ class _Undecided(Exception):
     goes with the verdict unknown."""
 
 
-def _coefficients(F):
-    """The coefficient set of every span search, in order: all of a finite
-    field, or the fixed grid 0, 1, -1, 2, -2, 3, -3 over the rationals."""
-    if F.order is not None:
-        return F.elements
-    if F.kind == "rationals":
-        return lambda: _RATIONAL_GRID
-    raise _Undecided("spans over an infinite extension of Q are not searched")
-
-
 class _Search:
     """The searches of one top-level call, sharing one candidate budget: the
-    span searches of the oracle and of the rational grid and the scans of
-    norm_preimage for a non-cube over a finite field, whose candidates first
-    charges one at a time, and the oracle's coset sweeps, charged whole.
-    charge is the one place the budget runs out.
+    rational-grid searches of the decisions and of the oracle's split cosets
+    over Q and the scans of norm_preimage for a non-cube over a finite
+    field, whose candidates first charges one at a time, and the oracle's
+    finite-field coset sweeps, charged whole.  charge is the one place the
+    budget runs out.
 
     Running out of budget and missing on the rational grid both raise
-    _Undecided, so a None result means a finite span was enumerated in full.
+    _Undecided; so does a span over an infinite extension of Q, which is not
+    searched.
     """
 
     def __init__(self, budget):
         self.left = budget
 
     def __call__(self, F, n, accept):
-        """The first non-None accept(c) over the coefficient vectors c of a
-        span of n >= 1 matrices, in the lexicographic order of
-        linalg.lex_vectors."""
-        hit = self.first(linalg.lex_vectors(n, _coefficients(F)), accept)
-        if hit is None and F.order is None:
+        """The first non-None accept(c) over the coefficient vectors c in
+        _RATIONAL_GRID^n of a span of n >= 1 matrices over Q, in the
+        lexicographic order of linalg.lex_vectors."""
+        if F.kind != "rationals":
+            raise _Undecided("spans over an infinite extension of Q are not searched")
+        hit = self.first(linalg.lex_vectors(n, lambda: _RATIONAL_GRID), accept)
+        if hit is None:
             raise _Undecided("no determinant-1 combination on the rational grid")
         return hit
 
@@ -259,22 +253,6 @@ class _Search:
 def _powers(F, A):
     """The basis I, A, A^2 of k[A]: c is the f(A) = combination(F, c, _powers(F, A))."""
     return (linalg.identity(F, 3), A, linalg.mat_mul(F, A, A))
-
-
-def _invertible_in_span(F, basis, search):
-    """The first invertible basis matrix, else the first invertible
-    combination that `search` visits (None: a finite span holds none).  det
-    of a combination is a cubic form, so if it is nonzero it vanishes
-    neither on the rational grid nor on all of F_q^3 (q > 3)."""
-    for b in basis:
-        if not F.is_zero(linalg.det3(F, b)):
-            return b
-
-    def accept(c):
-        M = linalg.combination(F, c, basis)
-        return None if F.is_zero(linalg.det3(F, M)) else M
-
-    return search(F, len(basis), accept)
 
 
 def _cyclic_pair(F, A):
@@ -457,10 +435,21 @@ def _regular_coset_conjugator(F, left, A, search):
     (k*)^g, g = det_image_exponent, so the coset holds determinant 1 exactly
     when 1/det X0 lies in (k*)^g; past that test norm_preimage builds f,
     charging only its short scans for a non-cube.  Over Q, X0 is the first
-    invertible intertwiner and f the first on the rational grid."""
+    invertible matrix of solve_sylvester_space's basis, else the first
+    invertible combination on the rational grid, and f the first on the
+    grid."""
     chi = linalg.charpoly3(F, A)
     if F.order is None:
-        X0 = _invertible_in_span(F, linalg.solve_sylvester_space(F, left, A), search)
+        space = linalg.solve_sylvester_space(F, left, A)
+
+        def invertible(M):
+            return None if F.is_zero(linalg.det3(F, M)) else M
+
+        # det is a nonzero cubic form on the span, so some grid point avoids
+        # its zeros
+        X0 = next(filter(None, map(invertible, space)), None) or search(
+            F, 3, lambda c: invertible(linalg.combination(F, c, space))
+        )
         target = F.inv(linalg.det3(F, X0))
         # det f(A) is the norm form of k[A] on f's coefficients
         N = linalg.norm_form3(F, chi)
@@ -827,25 +816,18 @@ def _lift_conjugator(t, frame, B, coset):
     return h
 
 
-def involution_pair_from_involutive_conjugator(h, t):
-    """When h^2 = 1 and h t h^-1 = t^-1, the pair (h, h t) consists of
-    involutions with product t."""
-    if not h.compose(h).is_identity():
-        raise RealityError("conjugator is not an involution")
-    ht = h.compose(t)
-    if not ht.compose(ht).is_identity():
-        raise RealityError("h t is not an involution")
-    return h, ht
-
-
 # -- independent oracle ---------------------------------------------------------
 
 def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     """Decide reality of t by enumerating conjugator candidates over both
     cosets of the subgroup preserving L, independent of the norm-class logic.
 
-    Each coset {B : left B = B right} is B0 k[right] for one invertible
-    intertwiner B0, the span of B0, B0 right, B0 right^2.  Over F_p each
+    A coset {B : left B = B right} is empty unless its regular sides share
+    the characteristic polynomial.  Then it is B0 k[right] for any invertible
+    intertwiner B0, the span of B0, B0 right, B0 right^2.  The oracle takes
+    B0 = K_left K_right^-1 (linalg.krylov_similarity) and checks exactly
+    that it is invertible and intertwines (else RealityError), so no helper
+    is trusted for the coset it enumerates.  Over F_p each
     coset is one sweeps.coset_sweep call over that basis (determinant 1 on
     a split frame, SU(H) on a field frame), and its first hit is rebuilt and
     re-checked exactly: det 1, left B = B right and, on a field frame, B in
@@ -904,18 +886,21 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
     search = _Search(budget)
     checked = {0: 0, 1: 0}
     for coset, left, right in cosets:
-        # an invertible intertwiner makes left and right similar; the regular
-        # sides are similar exactly when their characteristic polynomials,
-        # which solve_sylvester_space compares, agree
-        try:
-            space = linalg.solve_sylvester_space(K, left, right)
-        except linalg.NotSimilar:
+        if not all(map(K.eq, linalg.charpoly3(K, left), linalg.charpoly3(K, right))):
             continue
 
+        def intertwines(B):
+            return linalg.mat_eq(K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right))
+
+        K_left, K_right = linalg.krylov_similarity(K, left), linalg.krylov_similarity(K, right)
+        B0 = linalg.mat_mul(K, K_left, linalg.inverse3(K, K_right))
+        if K.is_zero(linalg.det3(K, B0)) or not intertwines(B0):
+            raise RealityError("Krylov base point is not an invertible intertwiner")
+        B0R = linalg.mat_mul(K, B0, right)
+        basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
+
         def conjugates(B):
-            return K.eq(linalg.det3(K, B), K.one) and linalg.mat_eq(
-                K, linalg.mat_mul(K, left, B), linalg.mat_mul(K, B, right)
-            )
+            return K.eq(linalg.det3(K, B), K.one) and intertwines(B)
 
         def accept(c):
             B = linalg.combination(K, c, basis)
@@ -923,11 +908,6 @@ def brute_force_reality_oracle(t, frame, budget=DEFAULT_BUDGET, level="matrix"):
 
         before = search.left
         try:
-            B0 = _invertible_in_span(K, space, search)
-            if B0 is None:
-                raise RealityError("similar sides without an invertible intertwiner")
-            B0R = linalg.mat_mul(K, B0, right)
-            basis = (B0, B0R, linalg.mat_mul(K, B0R, right))
             if K.order is None:
                 hit = search(K, 3, accept)
             else:
@@ -985,8 +965,9 @@ def build_counterexample_sl3(q):
     alg = zorn_algebra(k)
     fr = zorn_split_frame(alg)
     t = sl3_embed(B, fr)
-    fixed = t.fixed_space()
-    _require(len(fixed) == 2, "fixed subalgebra must be exactly L")
+    # dim ker(t - 1) = 2 iff B has no eigenvalue 1 (brute_force_reality_oracle)
+    chi_B = linalg.charpoly3(k, B)
+    _require(not _has_eigenvalue_one(k, chi_B), "fixed subalgebra must be exactly L")
     return {
         "alg": alg,
         "frame": fr,
@@ -1092,8 +1073,9 @@ def build_counterexample_su(q):
     B = linalg.mat_mul(L, linalg.mat_mul(L, D, A), Dinv)
     _require(in_su(B, L, frame.H), "B in SU(H)")
     t = su_embed(B, frame)
-    fixed = t.fixed_space()
-    _require(len(fixed) == 2, "fixed subalgebra must be exactly L")
+    # dim ker(t - 1) = 2 iff B has no eigenvalue 1 (brute_force_reality_oracle)
+    chi_B = linalg.charpoly3(L, B)
+    _require(not _has_eigenvalue_one(L, chi_B), "fixed subalgebra must be exactly L")
     return {
         "alg": alg,
         "frame": frame,
@@ -1208,8 +1190,11 @@ def _reality_quaternion_case(t, case, D):
         return rep
     rep.verdict = "real"
     if h.compose(h).is_identity():
-        i1, i2 = involution_pair_from_involutive_conjugator(h, t)
-        rep.witness = {"type": "two_involutions", "iota1": i1, "iota2": i2}
+        # h t h^-1 = t^-1 with h^2 = 1: (h, h t) are involutions with product t
+        ht = h.compose(t)
+        if not ht.compose(ht).is_identity():
+            raise RealityError("h t is not an involution")
+        rep.witness = {"type": "two_involutions", "iota1": h, "iota2": ht}
     else:
         rep.witness = {"type": "conjugator", "h": h}
     return rep

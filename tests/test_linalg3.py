@@ -9,12 +9,11 @@ installed, sympy.
 
 import itertools
 import random
-import types
 from fractions import Fraction
 
 import pytest
 
-from g2real import linalg, reality
+from g2real import linalg
 from g2real.fields import PrimeField, QuadraticEtale, RationalField
 
 Q = RationalField()
@@ -406,7 +405,7 @@ def test_sylvester_space_rejects_sides_not_similar_and_regular():
         two = F.add(o, o)
         A = _regular(F, rng)
         shifted = linalg.mat_add(F, A, linalg.identity(F, 3))
-        with pytest.raises(linalg.NotSimilar):
+        with pytest.raises(ValueError, match="^the sides are not similar$"):
             linalg.solve_sylvester_space(F, A, shifted)
         N = ((o, z, z), (z, o, z), (z, z, two))
         with pytest.raises(ValueError):
@@ -510,7 +509,7 @@ def test_closed_forms_as_polynomial_identities():
 
 
 # ---------------------------------------------------------------------------
-# span searches over large fields
+# lazy coefficient vectors over large fields
 # ---------------------------------------------------------------------------
 
 def test_lex_vectors_read_the_coefficients_lazily():
@@ -527,11 +526,6 @@ def test_lex_vectors_read_the_coefficients_lazily():
     assert list(linalg.lex_vectors(2, lambda: range(3), ("h",))) == [
         ("h", a, b) for a in range(3) for b in range(3)
     ]
-    drawn.clear()
-    field = types.SimpleNamespace(order=MERSENNE_31, elements=coeffs)
-    with pytest.raises(reality._Undecided, match="^budget exhausted$"):
-        reality._Search(40)(field, 3, lambda c: None)
-    assert len(drawn) == 2 + 41  # the vector past the budget is drawn, not visited
 
 
 def _peak_kib(run):

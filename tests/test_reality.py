@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -1292,6 +1293,44 @@ def test_whole_sl3_class_list_agrees_with_the_oracle(q):
     assert not_real == list(range(len(classes) - 4, len(classes)))
 
 
+@pytest.mark.parametrize("q", [7, 13, 19, 31])
+def test_oracle_needs_no_intertwiner_space_or_span_search(monkeypatch, q):
+    # each coset's base point is the checked Krylov intertwiner, so the class
+    # list keeps its verdicts with the intertwiner space and the search for
+    # an invertible member of it refused, and each coset is charged its q^3
+    # sweep and nothing more: the identity coset of these classes is empty
+    # (chi(1) != 0) and the swap coset decides every class
+    def refused(*args):
+        raise AssertionError("the oracle builds its own base point")
+
+    monkeypatch.setattr(linalg, "solve_sylvester_space", refused)
+    monkeypatch.setattr(reality, "_invertible_in_span", refused, raising=False)
+    k, classes = _regular_sl3_classes(q)
+    frame = zorn_split_frame(zorn_algebra(k))
+    seen = collections.Counter()
+    for A in classes:
+        orc = brute_force_reality_oracle(sl3_embed(A, frame), frame)
+        seen[orc["verdict"], orc["checked"][0], orc["checked"][1], orc.get("coset")] += 1
+    assert seen == {("real", 0, q**3, 1): q * q - q, ("not_real", 0, q**3, None): 4}
+
+
+def test_oracle_refuses_a_base_point_that_does_not_intertwine(monkeypatch, su5):
+    # the oracle checks X0 = K_left K_right^-1 rather than trusting
+    # krylov_similarity: a wrong X0 would sweep a set that is not the coset
+    ce = build_counterexample_sl3(7)
+    L, _, fr = su5
+    su = random_su(L, fr.H, random.Random(6), separable=True, avoid_eigenvalue_one=True)
+    elements = [
+        (ce["t"], ce["frame"]),
+        (sl3_embed(ce["A"], ce["frame"]), ce["frame"]),
+        (su_embed(su, fr), fr),
+    ]
+    monkeypatch.setattr(linalg, "krylov_similarity", lambda F, A: linalg.identity(F, 3))
+    for t, frame in elements:
+        with pytest.raises(RealityError, match="^Krylov base point is not an invertible intertwiner$"):
+            brute_force_reality_oracle(t, frame)
+
+
 def test_non_regular_semisimple_is_real(frame7):
     # diag(3, 3, 4) over F7: minimal polynomial degree 2, no eigenvalue 1
     A = (
@@ -1628,60 +1667,69 @@ def test_first_anisotropic_tries_pairwise_sums(frame5):
 # the span enumerator and the budget rule
 # ---------------------------------------------------------------------------
 
-def _reference_span_search(F, basis, accept, budget):
-    """Plain itertools.product enumeration of the span, same order and rule."""
+def _reference_grid_search(basis, accept, budget):
+    """Plain itertools.product enumeration of the span on the rational grid,
+    same order and rule."""
+    Q = RationalField()
     visited = 0
-    for cs in itertools.product(list(F.elements()), repeat=len(basis)):
+    for cs in itertools.product(reality._RATIONAL_GRID, repeat=len(basis)):
         if visited == budget:
             raise reality._Undecided("budget exhausted")
         visited += 1
-        M = linalg.zeros(F, 3, 3)
+        M = linalg.zeros(Q, 3, 3)
         for c, b in zip(cs, basis):
-            M = linalg.mat_add(F, M, linalg.scalar_mat(F, c, b))
+            M = linalg.mat_add(Q, M, linalg.scalar_mat(Q, c, b))
         got = accept(M)
         if got is not None:
             return got, visited
     return None, visited
 
 
-@pytest.mark.parametrize("over", ["F5", "F25"])
-def test_span_search_matches_product_reference(over):
+def test_rational_grid_search_matches_product_reference():
     # _Search hands accept the coefficient vector; the reference forms each
     # matrix by partial sums and hands accept the matrix.  Both give the hit
-    # and the candidates charged for it.
-    F = k5 if over == "F5" else QuadraticEtale(k5, 2)
+    # and the candidates charged for it, and both miss the target 1/2.
+    Q = RationalField()
     rng = random.Random(40)
-    A = tuple(tuple(F.random(rng) for _ in range(3)) for _ in range(3))
-    I, A, A2 = linalg.identity(F, 3), A, linalg.mat_mul(F, A, A)
-    targets = [F.one, F.zero, F.element(3)]
-    if over == "F25":
-        targets.append(F.gen())
+    A = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3))
+    I, A2 = linalg.identity(Q, 3), linalg.mat_mul(Q, A, A)
+    miss = "^no determinant-1 combination on the rational grid$"
 
     def searched(n, accept, budget):
         search = reality._Search(budget)
-        return search(F, n, accept), budget - search.left
+        return search(Q, n, accept), budget - search.left
 
+    hits = 0
     for basis in ((I, A, A2), (A, A2), (A2,)):
         n = len(basis)
-        for target in targets:
+        for target in (Q.one, Q.zero, Fraction(2), Fraction(-4), Fraction(1, 2)):
             def accept(M):
-                return M if F.eq(linalg.det3(F, M), target) else None
+                return M if linalg.det3(Q, M) == target else None
 
             def accept_c(c):
-                return accept(linalg.combination(F, c, basis))
+                return accept(linalg.combination(Q, c, basis))
 
-            want = _reference_span_search(F, basis, accept, 10**9)
+            hit, visited = want = _reference_grid_search(basis, accept, 10**9)
+            if hit is None:
+                with pytest.raises(reality._Undecided, match=miss):
+                    searched(n, accept_c, 10**9)
+                continue
+            hits += 1
             assert searched(n, accept_c, 10**9) == want
-            hit, visited = want
-            if hit is not None:
-                # the budget is checked before each visit, never overrun
-                assert searched(n, accept_c, visited) == want
-                with pytest.raises(reality._Undecided, match="^budget exhausted$"):
-                    searched(n, accept_c, visited - 1)
-        size = F.order ** n
-        assert searched(n, lambda c: None, size) == (None, size)
+            # the budget is checked before each visit, never overrun
+            assert searched(n, accept_c, visited) == want
+            with pytest.raises(reality._Undecided, match="^budget exhausted$"):
+                searched(n, accept_c, visited - 1)
+        size = len(reality._RATIONAL_GRID) ** n
+        search = reality._Search(size)
+        with pytest.raises(reality._Undecided, match=miss):
+            search(Q, n, lambda c: None)
+        assert search.left == 0
         with pytest.raises(reality._Undecided, match="^budget exhausted$"):
             searched(n, lambda c: None, size - 1)
+    assert hits == 9
+    with pytest.raises(reality._Undecided, match="^spans over an infinite extension"):
+        reality._Search(10)(QuadraticEtale(Q, Fraction(2)), 3, lambda c: None)
 
 
 def _visits(monkeypatch, run):
