@@ -1732,6 +1732,63 @@ def test_rational_grid_search_matches_product_reference():
         reality._Search(10)(QuadraticEtale(Q, Fraction(2)), 3, lambda c: None)
 
 
+def _reference_span_search(F, basis, accept, budget):
+    """Plain itertools.product enumeration of the span, same order and rule."""
+    visited = 0
+    for cs in itertools.product(list(F.elements()), repeat=len(basis)):
+        if visited == budget:
+            raise reality._Undecided("budget exhausted")
+        visited += 1
+        M = linalg.zeros(F, 3, 3)
+        for c, b in zip(cs, basis):
+            M = linalg.mat_add(F, M, linalg.scalar_mat(F, c, b))
+        got = accept(M)
+        if got is not None:
+            return got, visited
+    return None, visited
+
+
+@pytest.mark.parametrize("over", ["F5", "F25"])
+def test_span_search_matches_product_reference(over):
+    # _Search.first over linalg.lex_vectors(n, F.elements) hands accept the
+    # coefficient vector; the reference forms each matrix by partial sums and
+    # hands accept the matrix.  Both give the hit and the candidates charged
+    # for it, and a full miss charges the whole span and gives None.
+    F = k5 if over == "F5" else QuadraticEtale(k5, 2)
+    rng = random.Random(40)
+    A = tuple(tuple(F.random(rng) for _ in range(3)) for _ in range(3))
+    I, A, A2 = linalg.identity(F, 3), A, linalg.mat_mul(F, A, A)
+    targets = [F.one, F.zero, F.element(3)]
+    if over == "F25":
+        targets.append(F.gen())
+
+    def searched(n, accept, budget):
+        search = reality._Search(budget)
+        return search.first(linalg.lex_vectors(n, F.elements), accept), budget - search.left
+
+    for basis in ((I, A, A2), (A, A2), (A2,)):
+        n = len(basis)
+        for target in targets:
+            def accept(M):
+                return M if F.eq(linalg.det3(F, M), target) else None
+
+            def accept_c(c):
+                return accept(linalg.combination(F, c, basis))
+
+            want = _reference_span_search(F, basis, accept, 10**9)
+            assert searched(n, accept_c, 10**9) == want
+            hit, visited = want
+            if hit is not None:
+                # the budget is checked before each visit, never overrun
+                assert searched(n, accept_c, visited) == want
+                with pytest.raises(reality._Undecided, match="^budget exhausted$"):
+                    searched(n, accept_c, visited - 1)
+        size = F.order ** n
+        assert searched(n, lambda c: None, size) == (None, size)
+        with pytest.raises(reality._Undecided, match="^budget exhausted$"):
+            searched(n, lambda c: None, size - 1)
+
+
 def _visits(monkeypatch, run):
     """Candidates that run(DEFAULT_BUDGET) charges to its budgets (span
     searches, the non-cube scans of norm_preimage and the oracle's coset
