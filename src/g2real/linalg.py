@@ -8,15 +8,17 @@ over F_p; larger products run on numpy integer arrays (int64 residues when
 no sum can overflow, Python ints otherwise; over Q the common-denominator
 numerators, divided back once), and _echelon (inverse, rank, nullspace,
 solve) on plain residues or Fractions with the operators inlined.  Over
-L = F_p(g) the 3x3 mat_mul runs on the coordinate pairs, reduced mod p once
-per coordinate.  For the rest of L, for k x k and for the cubic algebras
+L = F_p(g) the 3x3 mat_mul and det3 run on the coordinate pairs, reduced
+mod p once per coordinate.  For the rest of L, for k x k and for the cubic algebras
 the field handle supplies the arithmetic.  Either way the entries returned
 are plain ints, Fractions or tuples of those.  Gaussian elimination requires an honest field
 (division), so callers must not pass split quadratic algebras to it.
 The 3x3 closed forms and norm_form3 use ring operations only, so they hold
 over any commutative ring: the cubic algebras of fields.py take their norms
-with det3, and det3, which needs only add, sub and mul, also runs on the
-numpy arrays of the SU coset sweep.
+with det3, and det3 also runs on the numpy arrays of the coset sweep: its
+array handles take the closed forms of F_p and of L while the unreduced
+sums fit in int64, and give add, sub and mul, reduced each time, above
+that.
 krylov_similarity gives K = [v, Av, A^2 v] for a cyclic vector v of a
 regular 3x3 A, whose search always ends for a regular matrix; the product
 K_left K_right^-1 of two similar regular matrices' Krylov matrices is an
@@ -60,10 +62,18 @@ def transpose(a):
 
 def _modulus(F):
     """p over F_p, 0 over Q and None for every other handle (and for the
-    sweep's array handles, which have no kind): over F_p and Q the closed
+    sweep's array handles that have no kind): over F_p and Q the closed
     forms run on Python's operators, reduced mod p once per entry over F_p."""
     kind = getattr(F, "kind", None)
     return F.p if kind == "prime" else 0 if kind == "rationals" else None
+
+
+def _quadratic(F):
+    """(p, c) over L = F_p(g), g^2 = c, whose 3x3 closed forms run on the
+    coordinate pairs, and None for every other handle."""
+    if getattr(F, "kind", None) == "field" and F.base.kind == "prime":
+        return F.base.p, F.c
+    return None
 
 
 def mat_add(F, a, b):
@@ -117,10 +127,9 @@ def mat_mul(F, a, b):
             (l * x + m * u + n * r, l * y + m * v + n * s, l * z + m * w + n * t),
             (o * x + q * u + g * r, o * y + q * v + g * s, o * z + q * w + g * t),
         )
-    if p is None and len(a) == 3 and len(b) == 3 and len(b[0]) == 3 and (
-        getattr(F, "kind", None) == "field" and F.base.kind == "prime"
-    ):
-        return _mat_mul3_quadratic(F.base.p, F.c, a, b)
+    pc = _quadratic(F) if p is None else None
+    if pc and len(a) == 3 and len(b) == 3 and len(b[0]) == 3:
+        return _mat_mul3_quadratic(*pc, a, b)
     if p is not None and a and b:
         (A, s), (B, t) = lattice(F, a), lattice(F, b)
         if F.kind == "prime":
@@ -317,10 +326,32 @@ def det3(F, a):
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
         d = a00 * (a11 * a22 - a12 * a21) + a01 * (a12 * a20 - a10 * a22) + a02 * (a10 * a21 - a11 * a20)
         return d % p if p else d
+    pc = _quadratic(F)
+    if pc:
+        return _det3_quadratic(*pc, a)
     t1 = F.mul(a[0][0], F.sub(F.mul(a[1][1], a[2][2]), F.mul(a[1][2], a[2][1])))
     t2 = F.mul(a[0][1], F.sub(F.mul(a[1][2], a[2][0]), F.mul(a[1][0], a[2][2])))
     t3 = F.mul(a[0][2], F.sub(F.mul(a[1][0], a[2][1]), F.mul(a[1][1], a[2][0])))
     return F.add(F.add(t1, t2), t3)
+
+
+def _det3_quadratic(p, c, a):
+    """det3 over L = F_p(g), g^2 = c, on the coordinate pairs: the cofactor
+    expansion along the first row, with each 2x2 minor and each product
+    (x0 + x1 g)(y0 + y1 g) = (x0 y0 + c x1 y1, x0 y1 + x1 y0) left
+    unreduced and the two coordinates reduced mod p once, at the end.  On
+    residues and for 1 <= c < p no partial sum passes 3 (1 + 3c) (p - 1)^3."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    d0 = d1 = 0
+    # (x0, x1) times the minor (y0, y1)(z0, z1) - (u0, u1)(v0, v1)
+    for (x0, x1), (y0, y1), (z0, z1), (u0, u1), (v0, v1) in (
+        (a00, a11, a22, a12, a21), (a01, a12, a20, a10, a22), (a02, a10, a21, a11, a20)
+    ):
+        m0 = y0 * z0 + c * (y1 * z1) - u0 * v0 - c * (u1 * v1)
+        m1 = y0 * z1 + y1 * z0 - u0 * v1 - u1 * v0
+        d0 = d0 + x0 * m0 + c * (x1 * m1)
+        d1 = d1 + x0 * m1 + x1 * m0
+    return (d0 % p, d1 % p)
 
 
 def adjugate3(F, a):

@@ -13,14 +13,16 @@ sweep reads every matrix entry off per-coefficient lookup tables, built
 once per coset and shared by the calls on it.  The (0, 0) norm form of
 X* H X is split into a part fixed per run of Q = p^2 candidates and a part
 in c2 alone, and an inverted table of p^4 entries lists, for each value of
-the fixed part, the c2 that solve it.  So each run costs a few lookups and only its about
-p + 1 solutions are visited; the (1, 1) form filters those by two row
-lookups each.  The full q = 17 SU coset of 24,137,569 candidates takes
-about 0.1 s on one core (acceptance criterion 06).  The determinant
-formula is not repeated here: _PArrays and _LArrays give arrays of
-residues and of L-elements the add, sub and mul of a field handle, so the
-determinants are linalg.det3 on those arrays: of the column mixes over
-F_p, of the candidates that pass the unitarity test over L.
+the fixed part, the c2 that solve it.  The fixed parts of columns 0 and 1
+are read off per-coset tables too, one key per run, so each run costs two
+lookups and only its about p + 1 solutions are visited; the (1, 1) form
+filters those by one lookup each in a table of p^4 residues.  The full
+q = 17 SU coset of 24,137,569 candidates takes about 0.07 s on one core,
+its tables included (acceptance criterion 06).  The determinant formula is
+not repeated here: _PArrays and _LArrays give arrays of residues and of
+L-elements the kind of F_p and of L, so the determinants are linalg.det3's
+closed forms on those arrays while their sums fit in int64: of the column
+mixes over F_p, of the candidates that pass the unitarity test over L.
 """
 
 import functools
@@ -37,7 +39,9 @@ def _frozen(a):
 
 
 class _PArrays:
-    """Arrays of residues mod p: a field handle for linalg.det3."""
+    """Arrays of residues mod p: a field handle for linalg.det3, which takes
+    its closed form over F_p (kind "prime") while the unreduced sums, below
+    3 (p - 1)^3, fit in int64, and the add, sub and mul here above that."""
 
     # candidates per vectorized slice; it also bounds the power tables that
     # coset_sweep keeps per p (p^2 <= chunk)
@@ -45,6 +49,7 @@ class _PArrays:
 
     def __init__(self, p):
         self.p = p
+        self.kind = "prime" if 3 * (p - 1) ** 3 < 2**63 else None
 
     def mul(self, x, y):
         return x * y % self.p
@@ -64,7 +69,9 @@ class _PArrays:
 
 class _LArrays:
     """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b),
-    coded as 3p a + b; enough of a field handle for linalg.det3."""
+    coded as 3p a + b; enough of a field handle for linalg.det3, which takes
+    its closed form over L (kind "field" on an F_p base) while the
+    unreduced sums, below 3 (1 + 3c) (p - 1)^3, fit in int64."""
 
     # candidates per vectorized slice; the filters work per run of p^2 and
     # per listed candidate, about p + 1 of each run
@@ -73,6 +80,8 @@ class _LArrays:
     def __init__(self, p, c):
         self.p = p
         self.c = c
+        self.base = _PArrays(p)
+        self.kind = "field" if 3 * (1 + 3 * c) * (p - 1) ** 3 < 2**63 else None
         self.coefficients = tuple(map(_frozen, np.divmod(np.arange(p * p, dtype=np.int64), p)))
         # (a, b) of every sum of up to three codes, so that decoding is a lookup
         self.parts = tuple(_frozen(x % p) for x in np.divmod(np.arange(9 * p * p), 3 * p))
@@ -164,6 +173,10 @@ def _power_tables(p):
     return _frozen(_run_monomials(np.arange(p * p, dtype=np.int64), p)), _frozen(_powers(c, p))
 
 
+# runs per slice of the key tables' build, so that its temporaries stay small
+_KEY_RUNS = 1 << 11
+
+
 @functools.lru_cache(maxsize=4)
 def _tables(K, basis, H):
     """(ar, T, norm_tables): the lookup tables of coset_sweep over L for one
@@ -171,22 +184,24 @@ def _tables(K, basis, H):
     share them.  Every array is read-only.
 
     T[t, r, s, j] is the code of c_j M_t[r][s] for the j-th element c_j of
-    K, and norm_tables = (hnorm, G, XU, YV, J, starts) serve the norm forms
-    on the diagonal of X* H X, with hnorm[r, e] = H_r N(x) for the sum
-    x coded e.  Column s < 2 is h_r + c2 m_r with the run head h_r = c0
-    M_0[r][s] + c1 M_1[r][s] and m_r = M_2[r][s], so its form is delta +
-    alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r N(h_r),
-    alpha = sum_r H_r N(m_r) and gamma = sum_r H_r h_r sigma(m_r).  gamma
-    is c0 g_0 + c1 g_1 with g_t = sum_r H_r M_t[r][s] sigma(m_r), so G[t, s,
-    j] is the code of c_j g_t.  For c2 = c_j = x + y g and gamma = u + v g
-    the trace is 2 (x u - c y v), so the rows XU[s, u, j] = alpha N(c_j) +
-    2 x u and YV[v, j] = -2 c y v, mod p, give the form up to delta; only
-    alpha depends on the column.  The inverted table J, starts lists the
-    solutions of column 0: J[starts[k]:starts[k + 1]] holds, in ascending
-    order, every j with XU[0, u, j] + YV[v, j] = f mod p, for the key k =
-    (u p + v) p + f.  Each (u, v) splits the Q = p^2 values of j among the
-    p values of f, so J has p^4 entries (83,521 at p = 17); the oracle asks
-    for it only on a coset its budget admits whole.
+    K, and norm_tables = (J, starts, key0, key1, S) serve the norm forms on
+    the diagonal of X* H X.  Column s < 2 is h_r + c2 m_r with the run head
+    h_r = c0 M_0[r][s] + c1 M_1[r][s] and m_r = M_2[r][s], so its form is
+    delta + alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r
+    N(h_r), alpha = sum_r H_r N(m_r) and gamma = sum_r H_r h_r sigma(m_r).
+    gamma is c0 g_0 + c1 g_1 with g_t = sum_r H_r M_t[r][s] sigma(m_r).  For
+    c2 = c_j = x + y g and gamma = u + v g the trace is 2 (x u - c y v), so
+    with the rows XU[s, u, j] = alpha N(c_j) + 2 x u and YV[v, j] = -2 c y
+    v, mod p, the form is H_s exactly when XU[s, u, j] + YV[v, j] = f mod p
+    for f = H_s - delta; only alpha depends on the column.  The run r = c0 Q
+    + c1 fixes gamma and f, and key0[r], key1[r] are the keys (u p + v) p +
+    f of columns 0 and 1.  The inverted table J, starts lists the solutions
+    of column 0: J[starts[k]:starts[k + 1]] holds, in ascending order, every
+    j with XU[0, u, j] + YV[v, j] = f mod p, for the key k = (u p + v) p + f.
+    Column 1 is read forwards: S[(u p + v) Q + j] = XU[1, u, j] + YV[v, j]
+    mod p.  Each (u, v) splits the Q = p^2 values of j among the p values of
+    f, so J, S, key0 and key1 each have p^4 entries (83,521 at p = 17); the
+    oracle asks for them only on a coset its budget admits whole.
     """
     if not (K.kind == "field" and K.base.kind == "prime" and H is not None):
         raise ValueError("sweep needs F_p without H, or L = F_p(g) with H")
@@ -196,30 +211,46 @@ def _tables(K, basis, H):
     p, c, Q = ar.p, ar.c, K.order
     Hcol = np.array([int(h) for h in H], dtype=np.int64)[:, None]
     a, b = ar.parts
-    hnorm = _frozen(Hcol * ((a * a - c * (b * b % p)) % p) % p)
+    # hnorm[r, e] = H_r N(x) for the sum x coded e
+    hnorm = Hcol * ((a * a - c * (b * b % p)) % p) % p
     # m_r of columns 0 and 1, indexed [r, s, 1]
     ma, mb = (e[2, :, :2] for e in entries)
     Hr = Hcol[..., None]
     g = ar.mul(tuple(e[:2, :, :2] for e in entries), (Hr * ma % p, -Hr * mb % p))
-    G = _frozen(ar.code(ar.mul(ar.coefficients, tuple(x.sum(axis=1) % p for x in g))))
+    # G[t, s, j] is the code of c_j g_t
+    G = ar.code(ar.mul(ar.coefficients, tuple(x.sum(axis=1) % p for x in g)))
     alpha = (Hr * (ma * ma - c * (mb * mb % p))).sum(axis=0) % p
     x, y = ar.coefficients
     steps = np.arange(p, dtype=np.int64)[:, None]
     # int32 rows: the sum of two stays below 2p
     XU = alpha[:, None] * ((x * x - c * (y * y % p)) % p) + steps * (2 * x)
-    XU = _frozen((XU % p).astype(np.int32))
-    YV = _frozen((steps * (-2 * c * y % p) % p).astype(np.int32))
+    XU = (XU % p).astype(np.int32)
+    YV = (steps * (-2 * c * y % p) % p).astype(np.int32)
     # one u at a time, so that the int64 argsort output stays p^3 long
     J = np.empty((p, p * Q), dtype=np.min_scalar_type(Q - 1))
+    S = np.empty((p, p, Q), dtype=np.min_scalar_type(p - 1))
     counts = np.empty((p, p * p), dtype=np.int64)
     vp = np.arange(0, p * p, p, dtype=np.int32)[:, None]
     for u in range(p):
         f = (XU[0, u] + YV) % p
         J[u] = np.argsort(f, axis=1, kind="stable").ravel()
         counts[u] = np.bincount((vp + f).ravel(), minlength=p * p)
+        S[u] = (XU[1, u] + YV) % p
     starts = np.zeros(p**3 + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    return ar, T, (hnorm, G, XU, YV, _frozen(J.ravel()), _frozen(starts))
+    # the keys of both columns from the run heads, for a block of c0 at a time
+    keys = np.empty((2, Q, Q), dtype=np.min_scalar_type(p**3 - 1))
+    G0, G1 = G[0][:, :, None], G[1][:, None]
+    T0, T1 = T[0, :, :2, :, None], T[1, :, :2, None]
+    rows = max(1, _KEY_RUNS // Q)
+    for i0 in range(0, Q, rows):
+        block = slice(i0, i0 + rows)
+        u, v = ar.decode(G0[:, block] + G1)
+        heads = T0[:, :, block] + T1
+        f = (Hcol[:2, :, None] - sum(hnorm[r][heads[r]] for r in range(3))) % p
+        keys[:, block] = (u * p + v) * p + f
+    key0, key1 = keys.reshape(2, Q * Q)
+    return ar, T, tuple(map(_frozen, (J.ravel(), starts, key0, key1, S.ravel())))
 
 
 def _windows(start, stop, chunk, run):
@@ -259,20 +290,21 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     three decodes exactly), built once per coset.  The norm forms sum_r H_r
     N(X[r][s]) of columns 0 and 1 on the diagonal of X* H X filter first.
     Each splits into delta + alpha N(c2) + Tr(sigma(c2) gamma) with delta
-    and gamma fixed within a run and alpha within the coset.  So the (0, 0)
-    form equals H_0 exactly for the c2 that the inverted table lists at the
-    run's key (gamma, H_0 - delta), about p + 1 of the Q, and no other
-    candidate is visited.  The (1, 1) form takes two row lookups per listed
-    candidate and leaves about 1/p of them; those take the full unitarity
-    test, all nine entries of X* H X as batched integer 3x3 products, then
-    linalg.det3.
+    and gamma fixed within a run and alpha within the coset, and the
+    per-coset tables hold each run's keys (gamma, H_s - delta) of both
+    columns.  So the (0, 0) form equals H_0 exactly for the c2 that the
+    inverted table lists at the run's key, about p + 1 of the Q, and no
+    other candidate is visited.  The (1, 1) form takes one lookup per
+    listed candidate and leaves about 1/p of them; those take the full
+    unitarity test, all nine entries of X* H X as batched integer 3x3
+    products, then linalg.det3.
     """
     basis = tuple(linalg.mat(M) for M in basis)
     if K.kind == "prime" and H is None:
         ar = _PArrays(K.p)
         by_c2 = _BY_C2 * _cubic_form(ar, basis)[:, None]
     else:
-        ar, (T0, T1, T2), (hnorm, G, XU, YV, J, starts) = _tables(
+        ar, (T0, T1, T2), (J, starts, key0, key1, S) = _tables(
             K, basis, None if H is None else tuple(H)
         )
         Hints = np.array([int(h) % ar.p for h in H], dtype=np.int64)
@@ -304,14 +336,9 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
             d = (a @ Vc % p).ravel()[off - c2.start:][: hi - lo]
             found = lo + np.flatnonzero(ar.is_one(d))
         else:
-            # per run and column s < 2: gamma = u + v g, and f = H_s - delta
-            # from the run heads h_r
-            i0, i1 = np.divmod(runs, Q)
-            u, v = ar.decode(G[0][:, i0] + G[1][:, i1])
-            heads = T0[:, :2, i0] + T1[:, :2, i1]
-            f = (Hints[:2, None] - sum(hnorm[r][heads[r]] for r in range(3))) % p
-            # (0, 0): each run's slice of the inverted table, flattened in order
-            key = (u[0] * p + v[0]) * p + f[0]
+            # (0, 0): each run's slice of the inverted table at its key,
+            # flattened in order
+            key = key0[first:last + 1]
             begin = starts[key]
             count = starts[key + 1] - begin
             j2 = J[np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count, count)]
@@ -319,10 +346,10 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
             # only the first and last runs can stick out of [lo, hi)
             cut = slice(*np.searchsorted(idx, (lo, hi)))
             j2, idx = j2[cut], idx[cut]
-            # (1, 1): XU + YV is in [0, 2p), so the form is H_1 there, or H_1 + p
-            u1, v1, f1 = (np.repeat(a, count)[cut] for a in (u[1] * Q, v[1] * Q, f[1]))
-            s11 = XU[1].ravel()[u1 + j2] + YV.ravel()[v1 + j2] - f1
-            keep = (s11 == 0) | (s11 == p)
+            # (1, 1): the column-1 table at the run's (u, v) against its f, the
+            # index formed in int64 (u p + v times Q passes the keys' dtype)
+            uv1, f1 = np.divmod(np.repeat(key1[first:last + 1].astype(np.int64), count)[cut], p)
+            keep = S[uv1 * Q + j2] == f1
             if not keep.any():
                 continue
             idx, j2 = idx[keep], j2[keep]
@@ -331,7 +358,7 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
             # full unitarity: X^T H conj(X) = H in all nine entries, from A^T H A,
             # B^T H B and M = B^T H A (the g part is M - M^T), on the integer
             # lattice with one residue per entry (the sums stay below 6 p^4, inside
-            # int64 for any p whose hnorm table fits)
+            # int64 for any p whose tables fit)
             At, Bt = A.transpose(0, 2, 1), B.transpose(0, 2, 1)
             HA = Hints[:, None] * A
             M = Bt @ HA % p

@@ -846,6 +846,77 @@ def test_sweep_matches_candidate_by_candidate_reference(
         assert su_coset_sweep(L, fr.H, A, X0, start=i, stop=i) == (0, None)
 
 
+def _column_gamma_index(L, H, basis, cs):
+    """(u p + v) Q + j for the candidate cs = (c0, c1, c2), j the index of
+    c2: u + v g is gamma = sum_r H_r h_r sigma(m_r) of column 1, with the run
+    head h_r = c0 M0[r][1] + c1 M1[r][1] and m_r = M2[r][1], from the basis
+    alone.  It is where the sweep reads its (1, 1) filter."""
+    M0, M1, M2 = basis
+    p = L.base.p
+    gamma = L.zero
+    for r in range(3):
+        h = L.add(L.mul(cs[0], M0[r][1]), L.mul(cs[1], M1[r][1]))
+        gamma = L.add(gamma, L.mul(L.embed(H[r]), L.mul(h, L.sigma(M2[r][1]))))
+    x, y = cs[2]
+    return (gamma[0] * p + gamma[1]) * p * p + x * p + y
+
+
+def test_su_sweep_at_bench_scale():
+    # the q = 17 coset of the real untwisted element, whole: the count and
+    # the first hit the sweep has always given, and windows of Q^2 + 7
+    # candidates, which cut across run heads, adding up to it.  Then hits
+    # found without the sweep: X conj(A)^n is in the coset and in SU(H) with
+    # X, so the first hit's coefficients times powers of conj(A) (reduced by
+    # its characteristic polynomial) give 51 of them, 29 with a (1, 1)
+    # filter index past 2^15.  The runs of two, one with that index past
+    # 2^16, go candidate by candidate against SU(H) membership on the field
+    # handle, so that an index formed in 16 bits shows.
+    ce = build_counterexample_su(17)
+    L, H, A = ce["L"], ce["frame"].H, ce["A"]
+    X0 = unitary_base_conjugator(L, H, A, linalg.charpoly3(L, A))
+    Q = L.order
+
+    def sweep(start=0, stop=None):
+        return sweeps.su_coset_sweep(L, H, A, X0, start, stop)
+
+    first = ((0, 0), (0, 0), (7, 4))
+    assert sweep() == (867, first)
+    step = Q * Q + 7
+    assert sum(sweep(lo, min(lo + step, Q**3))[0] for lo in range(0, Q**3, step)) == 867
+
+    Abar = linalg.map_entries(L.sigma, A)
+    M1 = linalg.mat_mul(L, X0, Abar)
+    basis = (X0, M1, linalg.mat_mul(L, M1, Abar))
+    chi = linalg.charpoly3(L, Abar)
+    orbit = [first]
+    while True:
+        c0, c1, c2 = orbit[-1]
+        nxt = (L.neg(L.mul(chi[0], c2)), L.sub(c0, L.mul(chi[1], c2)), L.sub(c1, L.mul(chi[2], c2)))
+        if nxt == first:
+            break
+        orbit.append(nxt)
+    elements = list(L.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    flat = [(index[c0] * Q + index[c1]) * Q + index[c2] for c0, c1, c2 in orbit]
+    for i, cs in zip(flat, orbit):
+        assert sweep(i, i + 1) == (1, cs)
+    ranked = sorted((_column_gamma_index(L, H, basis, cs), i) for i, cs in zip(flat, orbit))
+    assert len(orbit) == 51 and sum(k > 2**15 for k, _ in ranked) == 29
+    middle = next(f for f in ranked if f[0] > 2**15)
+    assert ranked[-1][0] > 2**16 > middle[0]
+    for _, i in (middle, ranked[-1]):
+        head = i - i % Q
+        c0, c1 = elements[head // (Q * Q)], elements[head // Q % Q]
+        ref = [
+            head + j
+            for j, c2 in enumerate(elements)
+            if in_su(linalg.combination(L, (c0, c1, c2), basis), L, H)
+        ]
+        assert i in ref and sweep(head, head + Q) == (len(ref), (c0, c1, elements[ref[0] - head]))
+        for j in range(head, head + Q):
+            assert sweep(j, j + 1) == ((1, (c0, c1, elements[j - head])) if j in ref else (0, None))
+
+
 def _hermitian_norm(L, H, v):
     return sum(h * L.norm(x) for h, x in zip(H, v)) % L.base.p
 
@@ -924,21 +995,53 @@ def test_sweep_on_nonunitary_bases_and_its_table_cache(su5):
     isotropic = []
     for basis in cosets:
         cached = list(arrays(sweeps._tables(L, basis, tuple(H))))
-        assert len(cached) == 11
+        assert len(cached) == 10
         for a in cached:
             assert np.issubdtype(a.dtype, np.integer)
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
-        # the inverted table lists, for every key (u, v, f), the ascending c2
-        # indices j with XU[0, u, j] + YV[v, j] = f mod p
-        _, _, (_, _, XU, YV, J, starts) = sweeps._tables(L, basis, tuple(H))
-        assert len(J) == p**4 and len(starts) == p**3 + 1
-        for k, (u, v, f) in enumerate(itertools.product(range(p), repeat=3)):
-            want = np.flatnonzero((XU[0, u] + YV[v]) % p == f)
-            assert np.array_equal(J[starts[k]:starts[k + 1]], want)
-        # XU[0, 0] = alpha N(c2) is 0 for all c2 on the isotropic coset only
-        isotropic.append(not XU[0, 0].any())
+        _, _, (J, starts, key0, key1, S) = sweeps._tables(L, basis, tuple(H))
+        assert len(J) == len(key0) == len(key1) == len(S) == p**4 and len(starts) == p**3 + 1
+        # the smallest dtypes that hold a key (< p^3) and an f (< p)
+        assert key0.dtype == key1.dtype == np.min_scalar_type(p**3 - 1) and S.dtype == np.uint8
+        # the norm forms of columns 0 and 1 of every candidate, straight
+        # from the basis, against what the tables say of it: column 0 is
+        # H_0 exactly where the inverted table lists c2 at the run's key,
+        # column 1 is H_1 exactly where S at the run's (u, v) is its f
+        forms = _column_norm_forms(L, H, basis)
+        runs = np.arange(Q**3) // Q
+        j = np.arange(Q**3) % Q
+        listed = np.zeros(Q**3, dtype=bool)
+        for r in range(Q * Q):
+            listed[r * Q + J[starts[key0[r]]:starts[key0[r] + 1]].astype(np.int64)] = True
+        assert np.array_equal(listed, forms[0] == int(H[0]) % p)
+        uv1, f1 = np.divmod(key1[runs].astype(np.int64), p)
+        assert np.array_equal(S[uv1 * Q + j] == f1, forms[1] == int(H[1]) % p)
+        # each key's list is strictly ascending
+        assert all(np.all(np.diff(J[starts[k]:starts[k + 1]].astype(np.int64)) > 0) for k in range(p**3))
+        # alpha = 0 in column 0 (the isotropic coset) makes the key (0, 0, 0)
+        # list every c2; otherwise only c2 = 0 has norm form 0 there
+        isotropic.append(starts[1] - starts[0] == Q)
     assert isotropic == [True, False]
+
+
+def _column_norm_forms(L, H, basis):
+    """sum_r H_r N(X[r][s]) mod p for s = 0, 1 and every candidate X of the
+    span, in the sweep's order, on integer arrays from the basis alone."""
+    p, c = L.base.p, int(L.c)
+    Q = p * p
+    e = np.array(basis, dtype=np.int64)
+    i = np.arange(Q**3, dtype=np.int64)
+    coeffs = [np.divmod(j, p) for j in (i // (Q * Q), i // Q % Q, i % Q)]
+    forms = []
+    for s in range(2):
+        form = 0
+        for r in range(3):
+            x0 = sum(a * e[t, r, s, 0] + c * b * e[t, r, s, 1] for t, (a, b) in enumerate(coeffs))
+            x1 = sum(a * e[t, r, s, 1] + b * e[t, r, s, 0] for t, (a, b) in enumerate(coeffs))
+            form = form + int(H[r]) * (x0 * x0 - c * x1 * x1)
+        forms.append(form % p)
+    return forms
 
 
 def _numpy_span_hits(L, H, basis):
