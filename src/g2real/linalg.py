@@ -15,10 +15,9 @@ are plain ints, Fractions or tuples of those.  Gaussian elimination requires an 
 (division), so callers must not pass split quadratic algebras to it.
 The 3x3 closed forms and norm_form3 use ring operations only, so they hold
 over any commutative ring: the cubic algebras of fields.py take their norms
-with det3, and det3 also runs on the numpy arrays of the coset sweep: its
-array handles take the closed forms of F_p and of L while the unreduced
-sums fit in int64, and give add, sub and mul, reduced each time, above
-that.
+with det3, and det3 also runs on the numpy arrays of the coset sweep: on
+the add, sub and mul of its F_p handle, and on the closed form of L for
+its L handle, which has the kind of L.
 krylov_similarity gives K = [v, Av, A^2 v] for a cyclic vector v of a
 regular 3x3 A, whose search always ends for a regular matrix; the product
 K_left K_right^-1 of two similar regular matrices' Krylov matrices is an
@@ -62,7 +61,7 @@ def transpose(a):
 
 def _modulus(F):
     """p over F_p, 0 over Q and None for every other handle (and for the
-    sweep's array handles that have no kind): over F_p and Q the closed
+    sweep's array handles): over F_p and Q the closed
     forms run on Python's operators, reduced mod p once per entry over F_p."""
     kind = getattr(F, "kind", None)
     return F.p if kind == "prime" else 0 if kind == "rationals" else None

@@ -19,10 +19,10 @@ lookups and only its about p + 1 solutions are visited; the (1, 1) form
 filters those by one lookup each in a table of p^4 residues.  The full
 q = 17 SU coset of 24,137,569 candidates takes about 0.07 s on one core,
 its tables included (acceptance criterion 06).  The determinant formula is
-not repeated here: _PArrays and _LArrays give arrays of residues and of
-L-elements the kind of F_p and of L, so the determinants are linalg.det3's
-closed forms on those arrays while their sums fit in int64: of the column
-mixes over F_p, of the candidates that pass the unitarity test over L.
+not repeated here: the determinants are linalg.det3 on arrays, of the
+column mixes over F_p through the add, sub and mul of _PArrays, and of the
+candidates that pass the unitarity test over L through its closed form on
+the coordinate pairs of _LArrays, which has the kind of L.
 """
 
 import functools
@@ -39,9 +39,7 @@ def _frozen(a):
 
 
 class _PArrays:
-    """Arrays of residues mod p: a field handle for linalg.det3, which takes
-    its closed form over F_p (kind "prime") while the unreduced sums, below
-    3 (p - 1)^3, fit in int64, and the add, sub and mul here above that."""
+    """Arrays of residues mod p: a field handle for linalg.det3."""
 
     # candidates per vectorized slice; it also bounds the power tables that
     # coset_sweep keeps per p (p^2 <= chunk)
@@ -49,7 +47,6 @@ class _PArrays:
 
     def __init__(self, p):
         self.p = p
-        self.kind = "prime" if 3 * (p - 1) ** 3 < 2**63 else None
 
     def mul(self, x, y):
         return x * y % self.p
@@ -69,19 +66,20 @@ class _PArrays:
 
 class _LArrays:
     """Arithmetic on arrays of elements of L = F_p(g), g^2 = c, as (a, b),
-    coded as 3p a + b; enough of a field handle for linalg.det3, which takes
-    its closed form over L (kind "field" on an F_p base) while the
-    unreduced sums, below 3 (1 + 3c) (p - 1)^3, fit in int64."""
+    coded as 3p a + b; with the kind of L over the F_p handle base, so that
+    linalg.det3 takes its closed form over L on the coordinate pairs."""
 
     # candidates per vectorized slice; the filters work per run of p^2 and
     # per listed candidate, about p + 1 of each run
     chunk = 1 << 18
 
-    def __init__(self, p, c):
-        self.p = p
+    def __init__(self, base, c):
+        p = self.p = base.p
         self.c = c
-        self.base = _PArrays(p)
-        self.kind = "field" if 3 * (1 + 3 * c) * (p - 1) ** 3 < 2**63 else None
+        self.base = base
+        # det3's unreduced sums stay below 9 p^4, inside int64 for any p
+        # whose tables fit
+        self.kind = "field"
         self.coefficients = tuple(map(_frozen, np.divmod(np.arange(p * p, dtype=np.int64), p)))
         # (a, b) of every sum of up to three codes, so that decoding is a lookup
         self.parts = tuple(_frozen(x % p) for x in np.divmod(np.arange(9 * p * p), 3 * p))
@@ -91,14 +89,6 @@ class _LArrays:
         u, v = y
         p, c = self.p, self.c
         return ((a * u + c * (b * v % p)) % p, (a * v + b * u) % p)
-
-    def add(self, x, y):
-        p = self.p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def sub(self, x, y):
-        p = self.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
     def entries(self, basis):
         e = np.array(basis, dtype=np.int64)
@@ -205,7 +195,7 @@ def _tables(K, basis, H):
     """
     if not (K.kind == "field" and K.base.kind == "prime" and H is not None):
         raise ValueError("sweep needs F_p without H, or L = F_p(g) with H")
-    ar = _LArrays(K.base.p, int(K.c))
+    ar = _LArrays(K.base, int(K.c))
     entries = ar.entries(basis)
     T = _frozen(ar.code(ar.mul(ar.coefficients, entries)))
     p, c, Q = ar.p, ar.c, K.order

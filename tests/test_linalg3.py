@@ -184,31 +184,17 @@ def test_det3_over_L_on_native_pairs_matches_the_generic_loop(p):
             assert all(type(x) is int and 0 <= x < p for x in got)
 
 
-def test_sweep_handles_take_the_closed_forms_inside_int64():
-    # the coset sweep's array handles: det3 runs the closed form of F_p
-    # while 3 (p - 1)^3 < 2^63 (up to p = 1,454,084) and the handle's reduced
-    # operations above; at p = 2,097,143 the 0/1 matrix of determinant 2
-    # scaled by p - 1 has the unreduced determinant 2 (p - 1)^3 > 2^63.
-    # Over L the closed form runs on the (a, b) arrays of _LArrays.
+def test_sweep_L_handle_takes_the_det3_closed_form():
+    # the coset sweep's array handle over L has the kind of L, so det3 runs
+    # the closed form over L on its (a, b) arrays
     import numpy as np
 
     from g2real import sweeps
 
     rng = random.Random("sweep-handles")
-    for p, kind in ((1_454_081, "prime"), (2_097_143, None)):
-        k = PrimeField(p)
-        ar = sweeps._PArrays(p)
-        assert ar.kind == kind
-        mats = [_matrix(k, rng) for _ in range(20)]
-        mats += [tuple(tuple(rng.choice((0, p - 1)) for _ in range(3)) for _ in range(3)) for _ in range(20)]
-        mats.append(tuple(tuple((p - 1) * x for x in r) for r in ((1, 1, 0), (0, 1, 1), (1, 0, 1))))
-        arrays = np.array(mats, dtype=np.int64).transpose(1, 2, 0)
-        got = linalg.det3(ar, [[arrays[r, s] for s in range(3)] for r in range(3)])
-        assert got.tolist() == [linalg.det3(k, M) for M in mats]
-        assert got[-1] == p - 2
     for L in (L25, QuadraticEtale(PrimeField(17), 3)):
-        ar = sweeps._LArrays(L.base.p, L.c)
-        assert ar.kind == "field" and ar.base.kind == "prime"
+        ar = sweeps._LArrays(L.base, L.c)
+        assert linalg._quadratic(ar) == (L.base.p, L.c)
         mats = [_matrix(L, rng) for _ in range(40)]
         arrays = np.array(mats, dtype=np.int64).transpose(1, 2, 3, 0)
         got = linalg.det3(ar, [[(arrays[r, s, 0], arrays[r, s, 1]) for s in range(3)] for r in range(3)])
