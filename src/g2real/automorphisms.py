@@ -6,17 +6,18 @@ M^T B M = B (norm preservation, B the polar form of N) is kept as a
 redundant net.  Both run in integers: on residues over F_p, and over Q on
 d*M, d the lcm of the denominators of M.  On top sit the subgroup
 embeddings: SL(3) acting through a split frame, SU(3) through a quadratic
-field frame, the norm-one action fixing a quaternion subalgebra, and the
-order-2 map extending the conjugation of a quadratic subalgebra.
+field frame, the stabilizer of a quaternion subalgebra D acting through the
+quaternion frame D + D a, and the order-2 map extending the conjugation of a
+quadratic subalgebra.
 
 Each frame comes from one constructor, which builds every vector once and
-sets the frame's basis matrix C and its inverse; each map on a frame is the
-one certified conjugation C D C^-1, and each 3x3 matrix read off a frame
-comes from C^-1 t C.  An involution pair (iota1, iota2) with product t
-takes one such conjugation, iota2 = swapped_embed(m2, frame): iota1 =
-t iota2 is certified as a product of certified maps.  Nothing here is
-cached: every linalg call runs, so that counting passes over the same work
-agree.
+sets the frame's basis matrix C and its inverse; each map on a frame is one
+certified product with C^-1 (C D C^-1 for a block D, images C^-1 for the
+Stab(D) map), and each 3x3 matrix read off a frame comes from C^-1 t C.  An
+involution pair (iota1, iota2) with product t takes one such conjugation,
+iota2 = swapped_embed(m2, frame): iota1 = t iota2 is certified as a product
+of certified maps.  Nothing here is cached: every linalg call runs, so that
+counting passes over the same work agree.
 """
 
 import itertools
@@ -24,7 +25,7 @@ import random
 from collections import namedtuple
 
 from . import linalg
-from .composition import _dot, hermitian_row, orthogonal_complement
+from .composition import _dot, hermitian_row, orthogonal_complement, subalgebra_closed
 from .fields import FieldError, QuadraticEtale, _cubic_separable, _has_eigenvalue_one
 
 
@@ -153,10 +154,12 @@ def certify_automorphism(matrix, alg):
 
 # -- frames -------------------------------------------------------------------
 
-# C is the frame's basis matrix, its columns f, U, W, e (split) or the doubling
-# basis 1, g, a, ga, b, gb, ab, g(ab) (field); Cinv its inverse
+# C is the frame's basis matrix, its columns f, U, W, e (split), the doubling
+# basis 1, g, a, ga, b, gb, ab, g(ab) (field) or D, D a (quaternion); Cinv its
+# inverse
 SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W", "C", "Cinv"])
 FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H", "C", "Cinv"])
+QuaternionFrame = namedtuple("QuaternionFrame", ["alg", "D", "a", "C", "Cinv"])
 
 
 def _basis(F, cols):
@@ -433,80 +436,74 @@ def extract_frame_matrix(B, frame):
     )
 
 
+def quaternion_frame(alg, D, a=None):
+    """QuaternionFrame for the quaternion subalgebra spanned by the 4 vectors
+    D, with the basis D, D a of alg.  D must be closed with a nondegenerate
+    norm (its Gram matrix has rank 4), and the doubling vector a orthogonal
+    to D with N(a) != 0, by default `_orthogonal_anisotropic`'s; then D a is
+    the orthogonal complement of D, so the 8 columns are a basis."""
+    F = alg.field
+    gram = [[alg.bilinear_norm(u, v) for v in D] for u in D]
+    if len(D) != 4 or linalg.rank(F, gram) != 4:
+        raise FieldError("need 4 vectors with a nondegenerate norm Gram matrix")
+    if not subalgebra_closed(alg, D):
+        raise FieldError("the span is not closed under multiplication")
+    if a is None:
+        a = _orthogonal_anisotropic(alg, D)
+    elif F.is_zero(alg.norm(a)) or not all(F.is_zero(alg.bilinear_norm(d, a)) for d in D):
+        raise FieldError("doubling vector must be anisotropic and orthogonal to D")
+    return QuaternionFrame(alg, tuple(D), a, **_basis(F, (*D, *(alg.mul(d, a) for d in D))))
+
+
+def stab_map(frame, x, y):
+    """The automorphism u + v a -> x u x^-1 + (y v x^-1) a of the stabilizer
+    of D (Springer-Veldkamp, ch. 2) for x, y in D with N(x) = N(y) != 0, as
+    the one certified product of its images of the frame basis with C^-1.
+    (1, p) with N(p) = 1 fixes D pointwise, (1, -1) is the involution fixing
+    D, and (u, u) extends conjugation by u."""
+    alg = frame.alg
+    F = alg.field
+    n = alg.norm(x)
+    if F.is_zero(n) or not F.eq(n, alg.norm(y)):
+        raise FieldError("the Stab(D) map needs N(x) = N(y) != 0")
+    xinv = alg.scale(F.inv(n), alg.conj(x))
+    images = [alg.mul(alg.mul(x, d), xinv) for d in frame.D]
+    images += [alg.mul(alg.mul(alg.mul(y, d), xinv), frame.a) for d in frame.D]
+    out = certify_automorphism(
+        linalg.mat_mul(F, linalg.transpose(linalg.mat(images)), frame.Cinv), alg
+    )
+    if not out.certified:
+        raise FieldError(f"the Stab(D) map failed to certify: {out.failure}")
+    return out
+
+
 def involution_from_quaternion(alg, D_basis):
     """The involution fixing the quaternion subalgebra spanned by D_basis
-    pointwise and acting as -1 on its orthogonal complement."""
-    from .composition import subalgebra_closed
-
-    F = alg.field
-    if len(D_basis) != 4 or linalg.rank(F, linalg.mat(D_basis)) != 4:
-        raise FieldError("need a 4-dimensional subalgebra basis")
-    if not subalgebra_closed(alg, D_basis):
-        raise FieldError("the span is not closed under multiplication")
-    comp = orthogonal_complement(alg, D_basis)
-    if len(comp) != 4:
-        raise FieldError("the subalgebra is degenerate")
-    C = linalg.transpose(linalg.mat(tuple(D_basis) + tuple(comp)))
-    D = [[F.zero] * 8 for _ in range(8)]
-    for i in range(8):
-        D[i][i] = F.one if i < 4 else F.neg(F.one)
-    return _conjugate_certified(
-        alg, C, linalg.inverse(F, C), D, "quaternion involution failed to certify"
-    )
-
-
-def sl1_action(alg, D_basis, a, p):
-    """The automorphism x + ya -> x + (p y) a for p in the quaternion
-    subalgebra D with N(p) = 1; fixes D pointwise."""
-    F = alg.field
-    if F.is_zero(alg.norm(a)):
-        raise FieldError("doubling vector must be anisotropic")
-    if not F.eq(alg.norm(p), F.one):
-        raise FieldError("p must have norm 1")
-    cols = list(D_basis) + [alg.mul(d, a) for d in D_basis]
-    C = linalg.transpose(linalg.mat(cols))
-    if linalg.rank(F, linalg.mat(cols)) != 8:
-        raise FieldError("D + Da does not span the algebra")
-    images = list(D_basis) + [alg.mul(alg.mul(p, d), a) for d in D_basis]
-    Mimg = linalg.transpose(linalg.mat(images))
-    M = linalg.mat_mul(F, Mimg, linalg.inverse(F, C))
-    out = certify_automorphism(M, alg)
-    if not out.certified:
-        raise FieldError(f"norm-one action failed to certify: {out.failure}")
-    return out
+    pointwise and acting as -1 on its orthogonal complement: the Stab(D) map
+    of (1, -1)."""
+    return stab_map(quaternion_frame(alg, D_basis), alg.one, alg.neg(alg.one))
 
 
 def involution_conjugacy_classes(alg):
     """Over a finite field all quaternion algebras are split, so involutions
     form a single conjugacy class.  Returns (1, witness) where the witness
-    carries two independently built involutions and a certified conjugator.
+    carries two independently built involutions and a certified conjugator:
+    the map C2 C1^-1 between the quaternion frames of two triples g, a, b with
+    the same norm data.
     """
     F = alg.field
     if F.kind != "prime":
         raise FieldError("involution class count is implemented for finite fields")
     rng = random.Random(7)
-    one = alg.one
+    one, minus_one = alg.one, alg.neg(alg.one)
     g = _trace_zero_split_generator(alg)
     spanL = (one, g)
     a1 = _orthogonal_anisotropic(alg, spanL)
-    ga1 = alg.mul(g, a1)
-    D1 = (one, g, a1, ga1)
-    b1 = _orthogonal_anisotropic(alg, D1)
-
-    def triple_matrix(a, b):
-        ga = alg.mul(g, a)
-        ab = alg.mul(a, b)
-        gab = alg.mul(ga, b)
-        gb = alg.mul(g, b)
-        cols = (one, g, a, ga, b, gb, ab, gab)
-        return linalg.transpose(linalg.mat(cols)), cols
-
-    C1, _ = triple_matrix(a1, b1)
-    if linalg.rank(F, C1) < 8:
-        raise FieldError("degenerate base triple")
+    D1 = (one, g, a1, alg.mul(g, a1))
+    frame1 = quaternion_frame(alg, D1)
 
     # a second, randomly found triple with the same norm data
-    na, nb = alg.norm(a1), alg.norm(b1)
+    na, nb = alg.norm(a1), alg.norm(frame1.a)
     for _ in range(2000):
         a2 = _random_orthogonal_with_norm(alg, spanL, na, rng)
         if a2 is None:
@@ -517,15 +514,12 @@ def involution_conjugacy_classes(alg):
         b2 = _random_orthogonal_with_norm(alg, D2, nb, rng)
         if b2 is None:
             continue
-        C2, _ = triple_matrix(a2, b2)
-        if linalg.rank(F, C2) < 8:
-            continue
-        M = linalg.mat_mul(F, C2, linalg.inverse(F, C1))
-        conj = certify_automorphism(M, alg)
+        frame2 = quaternion_frame(alg, D2, b2)
+        conj = certify_automorphism(linalg.mat_mul(F, frame2.C, frame1.Cinv), alg)
         if not conj.certified:
             continue
-        i1 = involution_from_quaternion(alg, D1)
-        i2 = involution_from_quaternion(alg, D2)
+        i1 = stab_map(frame1, one, minus_one)
+        i2 = stab_map(frame2, one, minus_one)
         check = conj.compose(i1).compose(conj.inverse())
         if not check.eq(i2):
             raise FieldError("transported involution mismatch")

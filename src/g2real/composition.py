@@ -633,13 +633,8 @@ def subalgebra_closed(alg, vectors):
     """Whether the span of `vectors` is closed under multiplication."""
     F = alg.field
     span = linalg.mat(vectors)
-    r = linalg.rank(F, span)
-    for x in vectors:
-        for y in vectors:
-            p = alg.mul(x, y)
-            if linalg.rank(F, span + (p,)) != r:
-                return False
-    return True
+    products = tuple(alg.mul(x, y) for x in vectors for y in vectors)
+    return linalg.rank(F, span + products) == linalg.rank(F, span)
 
 
 def orthogonal_complement(alg, vectors):

@@ -21,18 +21,19 @@ from . import linalg
 from .automorphisms import (
     AutMap,
     SplitFrame,
-    _orthogonal_anisotropic,
     _square_scalar,
     first_anisotropic,
     _in_frame_basis,
-    certify_automorphism,
+    certify_automorphism,  # re-exported: the bench span tests read reality.certify_automorphism
     extract_frame_matrix,
     in_su,
     in_unitary,
     quadratic_subfield_frame,
+    quaternion_frame,
     sigma_h,
     sl3_embed,
     split_frame_from_idempotent,
+    stab_map,
     su_embed,
     swapped_embed,
     zorn_split_frame,
@@ -1138,9 +1139,9 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
 def _reality_quaternion_case(t, case, D):
     """t fixes a quaternion subalgebra D pointwise (D the basis of
     ker(t - 1) from classify), so it is x + ya -> x + (py)a for the
-    norm-one p = t(a) a^-1; conjugating p to its quaternion conjugate inside
-    D* yields a conjugator, involutive when the conjugating element has trace
-    zero."""
+    norm-one p = t(a) a^-1; conjugating p to its quaternion conjugate by a
+    u in D* yields the conjugator h, the Stab(D) map of (u, u), involutive
+    when u has trace zero."""
     alg = t.algebra
     F = alg.field
     rep = RealityReport(family="quaternion", verdict="unknown", case=case)
@@ -1152,7 +1153,8 @@ def _reality_quaternion_case(t, case, D):
         i2 = AutMap(linalg.identity(F, alg.dim), alg, True)
         rep.witness = {"type": "two_involutions", "iota1": t, "iota2": i2}
         return rep
-    a = _orthogonal_anisotropic(alg, D)
+    frame = quaternion_frame(alg, D)
+    a = frame.a
     ta = t.apply(a)
     abar = alg.conj(a)
     p = alg.scale(F.inv(alg.norm(a)), alg.mul(ta, abar))
@@ -1171,20 +1173,7 @@ def _reality_quaternion_case(t, case, D):
     if u is None:
         rep.notes.append("no invertible conjugating element found in D")
         return rep
-    cols = list(D) + [alg.mul(d, a) for d in D]
-    C = linalg.transpose(linalg.mat(cols))
-    uinv_scale = F.inv(alg.norm(u))
-    ubar = alg.conj(u)
-
-    def int_u(x):
-        return alg.scale(uinv_scale, alg.mul(alg.mul(u, x), ubar))
-
-    images = [int_u(d) for d in D] + [alg.mul(int_u(d), a) for d in D]
-    Mh = linalg.mat_mul(F, linalg.transpose(linalg.mat(images)), linalg.inverse(F, C))
-    h = certify_automorphism(Mh, alg)
-    if not h.certified:
-        rep.notes.append("lifted inner conjugation failed to certify")
-        return rep
+    h = stab_map(frame, u, u)
     if not t.compose(h).compose(t).eq(h):  # h t h^-1 = t^-1, h invertible
         rep.notes.append("inner conjugation did not invert t")
         return rep

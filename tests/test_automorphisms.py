@@ -17,13 +17,14 @@ from g2real.automorphisms import (
     involution_conjugacy_classes,
     involution_from_quaternion,
     quadratic_subfield_frame,
+    quaternion_frame,
     random_sl3,
     random_su,
     sigma_h,
-    sl1_action,
     sl3_embed,
     split_frame_from_idempotent,
     SplitFrame,
+    stab_map,
     su_embed,
     swapped_embed,
     zorn_split_frame,
@@ -39,6 +40,7 @@ from g2real.composition import (
     octonion_from_hermitian,
     orthogonal_complement,
     pfister_octonion,
+    subalgebra_closed,
     zorn_algebra,
 )
 from g2real.fields import FieldError, PrimeField, QuadraticEtale, RationalField
@@ -46,6 +48,7 @@ from g2real.reality import companion_matrix
 
 k5 = PrimeField(5)
 k7 = PrimeField(7)
+Q = RationalField()
 
 
 @pytest.fixture(scope="module")
@@ -505,10 +508,17 @@ def test_involution_from_quaternion(zorn7):
     assert linalg.rank(k7, linalg.mat(tuple(fixed) + D)) == 4
 
 
-def test_involution_from_quaternion_rejects_degenerate(zorn7):
+def test_involution_from_quaternion_rejects_degenerate(zorn7, frame7):
     bad = (zorn7.one, zorn7.basis_vec(1), zorn7.basis_vec(2), zorn7.basis_vec(3))
     with pytest.raises(FieldError):
         involution_from_quaternion(zorn7, bad)
+    # closed but degenerate: span(e, f, u1, w2) is a subalgebra whose norm
+    # Gram has rank 2, so D + D a is no basis for any a
+    fr = frame7
+    closed = (fr.e, fr.f, fr.U[0], fr.W[1])
+    assert subalgebra_closed(zorn7, closed)
+    with pytest.raises(FieldError):
+        involution_from_quaternion(zorn7, closed)
 
 
 @pytest.fixture(scope="module")
@@ -573,7 +583,7 @@ def test_sl3_rho_composition_identity(frame7):
 
 
 # ---------------------------------------------------------------------------
-# norm-one quaternion action
+# the quaternion frame and its Stab(D) map
 # ---------------------------------------------------------------------------
 
 def _quaternion_data(alg):
@@ -584,6 +594,11 @@ def _quaternion_data(alg):
     D = (alg.one, g, a, alg.mul(g, a))
     b = _orthogonal_anisotropic(alg, D)
     return D, b
+
+
+def _norm_one_action(alg, D, b, p):
+    """The Stab(D) map of (1, p): x + y b -> x + (p y) b."""
+    return stab_map(quaternion_frame(alg, D, b), alg.one, p)
 
 
 def _random_norm_one(alg, D, rng):
@@ -601,12 +616,88 @@ def _random_norm_one(alg, D, rng):
             return alg.scale(s, p)
 
 
+def _random_in_span(alg, D, rng):
+    """A random element of span(D) with nonzero norm."""
+    F = alg.field
+    while True:
+        x = alg.zero_vec()
+        for d in D:
+            x = alg.add(x, alg.scale(F.random(rng), d))
+        if not F.is_zero(alg.norm(x)):
+            return x
+
+
+def _equal_norm_pair(alg, D, rng):
+    """(x, y) in D with N(x) = N(y) != 0, over any field: y = n w conj(x) w^-1
+    with n = s e + s^-1 f of norm 1, for the idempotents e = basis_vec(7) and
+    f = basis_vec(0) of the Zorn model, which lie in D = (1, g, a, ga)."""
+    F = alg.field
+    x, w = _random_in_span(alg, D, rng), _random_in_span(alg, D, rng)
+    s = F.zero
+    while F.is_zero(s):
+        s = F.random(rng)
+    n = alg.add(alg.scale(s, alg.basis_vec(7)), alg.scale(F.inv(s), alg.basis_vec(0)))
+    winv = alg.scale(F.inv(alg.norm(w)), alg.conj(w))
+    y = alg.mul(n, alg.mul(alg.mul(w, alg.conj(x)), winv))
+    assert F.eq(alg.norm(x), alg.norm(y))
+    return x, y
+
+
+@pytest.mark.parametrize("F", [k5, Q], ids=["F5", "Q"])
+def test_stab_map_matches_its_formula_on_the_frame(F):
+    Z = zorn_algebra(F)
+    D, b = _quaternion_data(Z)
+    fr = quaternion_frame(Z, D, b)
+    rng = random.Random(31)
+    for _ in range(6):
+        x, y = _equal_norm_pair(Z, D, rng)
+        m = stab_map(fr, x, y)
+        assert m.certified
+        xinv = Z.scale(F.inv(Z.norm(x)), Z.conj(x))
+        for d in D:
+            # u + v a -> x u x^-1 + (y v x^-1) a on u = d and on v = d
+            assert Z.eq(m.apply(d), Z.mul(Z.mul(x, d), xinv))
+            assert Z.eq(m.apply(Z.mul(d, b)), Z.mul(Z.mul(Z.mul(y, d), xinv), b))
+
+
+@pytest.mark.parametrize("F", [k5, Q], ids=["F5", "Q"])
+def test_stab_map_homomorphism(F):
+    Z = zorn_algebra(F)
+    D, b = _quaternion_data(Z)
+    fr = quaternion_frame(Z, D, b)
+    rng = random.Random(32)
+    for _ in range(8):
+        (x, y), (x2, y2) = _equal_norm_pair(Z, D, rng), _equal_norm_pair(Z, D, rng)
+        lhs = stab_map(fr, x, y).compose(stab_map(fr, x2, y2))
+        assert lhs.eq(stab_map(fr, Z.mul(x, x2), Z.mul(y, y2)))
+
+
+@pytest.mark.parametrize("F", [k5, Q], ids=["F5", "Q"])
+def test_stab_map_refuses_unequal_norms(F):
+    Z = zorn_algebra(F)
+    D, b = _quaternion_data(Z)
+    fr = quaternion_frame(Z, D, b)
+    with pytest.raises(FieldError):
+        stab_map(fr, Z.one, Z.scale(F.element(2), Z.one))  # N = 1 and 4
+    with pytest.raises(FieldError):
+        stab_map(fr, Z.basis_vec(7), Z.basis_vec(7))  # N = 0
+
+
+def test_quaternion_frame_refuses_a_bad_doubling_vector():
+    Z = zorn_algebra(k5)
+    D, b = _quaternion_data(Z)
+    with pytest.raises(FieldError):
+        quaternion_frame(Z, D, Z.one)  # not orthogonal to D
+    with pytest.raises(FieldError):
+        quaternion_frame(Z, D, Z.basis_vec(2))  # isotropic
+
+
 def test_sl1_identity_and_minus_one():
     Z = zorn_algebra(k5)
     D, b = _quaternion_data(Z)
-    t1 = sl1_action(Z, D, b, Z.one)
+    t1 = _norm_one_action(Z, D, b, Z.one)
     assert t1.is_identity()
-    tm = sl1_action(Z, D, b, Z.neg(Z.one))
+    tm = _norm_one_action(Z, D, b, Z.neg(Z.one))
     assert tm.eq(involution_from_quaternion(Z, D))
 
 
@@ -617,8 +708,8 @@ def test_sl1_homomorphism():
     for _ in range(25):
         p = _random_norm_one(Z, D, rng)
         q = _random_norm_one(Z, D, rng)
-        lhs = sl1_action(Z, D, b, p).compose(sl1_action(Z, D, b, q))
-        rhs = sl1_action(Z, D, b, Z.mul(p, q))
+        lhs = _norm_one_action(Z, D, b, p).compose(_norm_one_action(Z, D, b, q))
+        rhs = _norm_one_action(Z, D, b, Z.mul(p, q))
         assert lhs.eq(rhs)
 
 
@@ -629,7 +720,7 @@ def test_sl1_commutes_with_quaternion_involution():
     rng = random.Random(14)
     for _ in range(10):
         p = _random_norm_one(Z, D, rng)
-        t = sl1_action(Z, D, b, p)
+        t = _norm_one_action(Z, D, b, p)
         assert t.compose(iota).eq(iota.compose(t))
 
 
@@ -637,7 +728,7 @@ def test_sl1_rejects_non_norm_one():
     Z = zorn_algebra(k5)
     D, b = _quaternion_data(Z)
     with pytest.raises(FieldError):
-        sl1_action(Z, D, b, Z.scale(k5.element(2), Z.one))
+        _norm_one_action(Z, D, b, Z.scale(k5.element(2), Z.one))
 
 
 # ---------------------------------------------------------------------------

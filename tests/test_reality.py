@@ -20,9 +20,10 @@ from g2real.automorphisms import (
     involution_from_quaternion,
     quadratic_subfield_frame,
     random_sl3,
+    quaternion_frame,
     random_su,
-    sl1_action,
     sl3_embed,
+    stab_map,
     su_embed,
     zorn_split_frame,
     zorn_swap,
@@ -693,7 +694,7 @@ def test_pipeline_sl1_element(zorn5):
         p = zorn5.scale(k5.sqrt(k5.inv(n)), p)
         if not zorn5.eq(zorn5.mul(p, p), zorn5.one):
             break
-    t = sl1_action(zorn5, D, b, p)
+    t = stab_map(quaternion_frame(zorn5, D, b), zorn5.one, p)
     rep = reality_report_for(t)
     assert rep.verdict == "real"
     if rep.witness["type"] == "two_involutions":
@@ -702,6 +703,49 @@ def test_pipeline_sl1_element(zorn5):
     else:
         h = rep.witness["h"]
         assert h.compose(t).compose(h.inverse()).eq(t.inverse())
+
+
+def _inner_conjugation_reference(t, D):
+    """The quaternion case's h from its definition, without the frame: a the
+    first anisotropic vector orthogonal to D, p = t(a) a^-1, u the first
+    anisotropic solution in D of u p = conj(p) u, and the map d -> u d u^-1,
+    d a -> (u d u^-1) a, solved for with its own inverse of C = [D, D a]."""
+    alg = t.algebra
+    F = alg.field
+    a = _orthogonal_anisotropic(alg, D)
+    p = alg.mul(t.apply(a), alg.scale(F.inv(alg.norm(a)), alg.conj(a)))
+    rows = [alg.sub(alg.mul(d, p), alg.mul(alg.conj(p), d)) for d in D]
+    W = []
+    for coefs in linalg.nullspace(F, linalg.transpose(linalg.mat(rows))):
+        w = alg.zero_vec()
+        for c, d in zip(coefs, D):
+            w = alg.add(w, alg.scale(c, d))
+        W.append(w)
+    u = first_anisotropic(alg, W)
+    uinv = alg.scale(F.inv(alg.norm(u)), alg.conj(u))
+    inner = [alg.mul(alg.mul(u, d), uinv) for d in D]
+    images = inner + [alg.mul(x, a) for x in inner]
+    C = linalg.transpose(linalg.mat(list(D) + [alg.mul(d, a) for d in D]))
+    M = linalg.mat_mul(F, linalg.transpose(linalg.mat(images)), linalg.inverse(F, C))
+    return certify_automorphism(M, alg)
+
+
+def test_quaternion_case_witness_is_the_inner_conjugation(su5):
+    """An SU3(F_25) element with eigenvalue 1 (random_su without
+    avoid_eigenvalue_one, the kind of the lift workload's su-25/2) fixes a
+    quaternion subalgebra; its witness iota1 is the (u, u) map."""
+    L, O, fr = su5
+    A = random_su(L, fr.H, random.Random(6), separable=True)
+    assert _has_eigenvalue_one(L, linalg.charpoly3(L, A))
+    t = su_embed(A, fr)
+    case, D = classify(t)
+    assert case["tag"] == "fixes_quaternion" and not t.compose(t).is_identity()
+    rep = reality_report_for(t)
+    assert rep.verdict == "real" and rep.witness["type"] == "two_involutions"
+    i1, i2 = rep.witness["iota1"], rep.witness["iota2"]
+    ref = _inner_conjugation_reference(t, D)
+    assert ref.certified and i1.eq(ref)
+    assert i1.compose(i2).eq(t)
 
 
 def test_pipeline_split_etale_case(frame7):
