@@ -10,19 +10,24 @@ each chunk of candidates is two small integer products with tables of
 powers mod p, shared by every call at p while they are small; the q = 97
 coset of 912,673 candidates takes about 0.01 s on one core.  Over L the
 sweep reads every matrix entry off per-coefficient lookup tables, built
-once per coset and shared by the calls on it.  The (0, 0) norm form of
-X* H X is split into a part fixed per run of Q = p^2 candidates and a part
-in c2 alone, and an inverted table of p^4 entries lists, for each value of
-the fixed part, the c2 that solve it.  The fixed parts of columns 0 and 1
-are read off per-coset tables too, one key per run, so each run costs two
-lookups and only its about p + 1 solutions are visited; the (1, 1) form
-filters those by one lookup each in a table of p^4 residues.  The full
-q = 17 SU coset of 24,137,569 candidates takes about 0.07 s on one core,
-its tables included (acceptance criterion 06).  The determinant formula is
-not repeated here: the determinants are linalg.det3 on arrays, of the
-column mixes over F_p through the add, sub and mul of _PArrays, and of the
-candidates that pass the unitarity test over L through its closed form on
-the coordinate pairs of _LArrays, which has the kind of L.
+once per coset and shared by the calls on it.  Three forms of X* H X
+filter first: the norm forms of columns 0 and 1 and the real part of entry
+(0, 1), which a member of U(H) takes to H_0, H_1 and 0.  Each is split into
+a part fixed per run of Q = p^2 candidates and a part in c2 alone, and an
+inverted table of p^4 entries lists, for each value of the fixed part of
+the (0, 0) form, the c2 that solve it.  The fixed parts of all three are
+read off per-coset tables too, one key per run, so each run costs two
+lookups and only its about p + 1 solutions are visited; the (1, 1) and
+(0, 1) forms filter those by one lookup each in a table of p^4 residues,
+and the full unitarity test and the determinant see about 1/p^3 of the
+candidates.  (The (2, 2) norm form would filter nothing more: on the q = 17
+swap cosets it holds on every candidate that passes the (1, 1) form.)  The
+full q = 17 SU coset of 24,137,569 candidates takes about 0.04 s on one
+core, its tables included (acceptance criterion 06).  The determinant
+formula is not repeated here: the determinants are linalg.det3 on arrays,
+of the column mixes over F_p through the add, sub and mul of _PArrays, and
+of the candidates that pass the unitarity test over L through its closed
+form on the coordinate pairs of _LArrays, which has the kind of L.
 """
 
 import functools
@@ -165,33 +170,42 @@ def _power_tables(p):
 
 # runs per slice of the key tables' build, so that its temporaries stay small
 _KEY_RUNS = 1 << 11
+# the columns (s, s') of the three forms, the real parts of the entries
+# (0, 0), (1, 1) and (0, 1) of X* H X, one form per column of this array
+_FORMS = np.array([[0, 1, 0], [0, 1, 1]])
 
 
 @functools.lru_cache(maxsize=4)
 def _tables(K, basis, H):
-    """(ar, T, norm_tables): the lookup tables of coset_sweep over L for one
+    """(ar, T, form_tables): the lookup tables of coset_sweep over L for one
     coset, built once per (K, basis, H), so that the windows of a coset
     share them.  Every array is read-only.
 
     T[t, r, s, j] is the code of c_j M_t[r][s] for the j-th element c_j of
-    K, and norm_tables = (J, starts, key0, key1, S) serve the norm forms on
-    the diagonal of X* H X.  Column s < 2 is h_r + c2 m_r with the run head
-    h_r = c0 M_0[r][s] + c1 M_1[r][s] and m_r = M_2[r][s], so its form is
-    delta + alpha N(c2) + Tr(sigma(c2) gamma), where delta = sum_r H_r
-    N(h_r), alpha = sum_r H_r N(m_r) and gamma = sum_r H_r h_r sigma(m_r).
-    gamma is c0 g_0 + c1 g_1 with g_t = sum_r H_r M_t[r][s] sigma(m_r).  For
-    c2 = c_j = x + y g and gamma = u + v g the trace is 2 (x u - c y v), so
-    with the rows XU[s, u, j] = alpha N(c_j) + 2 x u and YV[v, j] = -2 c y
-    v, mod p, the form is H_s exactly when XU[s, u, j] + YV[v, j] = f mod p
-    for f = H_s - delta; only alpha depends on the column.  The run r = c0 Q
-    + c1 fixes gamma and f, and key0[r], key1[r] are the keys (u p + v) p +
-    f of columns 0 and 1.  The inverted table J, starts lists the solutions
-    of column 0: J[starts[k]:starts[k + 1]] holds, in ascending order, every
-    j with XU[0, u, j] + YV[v, j] = f mod p, for the key k = (u p + v) p + f.
-    Column 1 is read forwards: S[(u p + v) Q + j] = XU[1, u, j] + YV[v, j]
-    mod p.  Each (u, v) splits the Q = p^2 values of j among the p values of
-    f, so J, S, key0 and key1 each have p^4 entries (83,521 at p = 17); the
-    oracle asks for them only on a coset its budget admits whole.
+    K, and form_tables = (J, starts, key0, key1, key01, S, S01) serve three
+    forms of X* H X: the real parts of B(X_s, X_s') = sum_r H_r X[r][s]
+    sigma(X[r][s']) for (s, s') = (0, 0), (1, 1), (0, 1), which a member of
+    U(H) takes to H_0, H_1 and 0.  Column s < 2 is h_s + c2 m_s with the run
+    head h_s = c0 M_0[:, s] + c1 M_1[:, s] and m_s = M_2[:, s], so by
+    sesquilinearity the form is delta + alpha N(c2) + Tr(sigma(c2) gamma),
+    where delta = Re B(h_s, h_s'), alpha = Re B(m_s, m_s') and gamma =
+    (B(h_s, m_s') + B(h_s', m_s)) / 2 (B(h_s, m_s) on the diagonal, where
+    the form is the norm form sum_r H_r N(X[r][s])).  gamma is c0 g_0 + c1
+    g_1 with g_t = (B(M_t[:, s], m_s') + B(M_t[:, s'], m_s)) / 2.  For c2 = c_j
+    = x + y g and gamma = u + v g the trace is 2 (x u - c y v), so with the
+    rows XU[k, u, j] = alpha N(c_j) + 2 x u and YV[v, j] = -2 c y v, mod p,
+    form k takes its target exactly when XU[k, u, j] + YV[v, j] = f mod p
+    for f = target - delta; only alpha depends on the form.  The run r = c0
+    Q + c1 fixes gamma and f, and key0[r], key1[r], key01[r] are the keys (u
+    p + v) p + f of the three forms.  The inverted table J, starts lists the
+    solutions of the (0, 0) form: J[starts[k]:starts[k + 1]] holds, in
+    ascending order, every j with XU[0, u, j] + YV[v, j] = f mod p, for the
+    key k = (u p + v) p + f.  The other two are read forwards: S[(u p + v) Q
+    + j] = XU[1, u, j] + YV[v, j] and S01[(u p + v) Q + j] = XU[2, u, j] +
+    YV[v, j], mod p.  Each (u, v) splits the Q = p^2 values of j among the p
+    values of f, so J, S, S01 and the three key tables each have p^4
+    entries (83,521 at p = 17); the oracle asks for them only on a coset its
+    budget admits whole.
     """
     if not (K.kind == "field" and K.base.kind == "prime" and H is not None):
         raise ValueError("sweep needs F_p without H, or L = F_p(g) with H")
@@ -199,48 +213,70 @@ def _tables(K, basis, H):
     entries = ar.entries(basis)
     T = _frozen(ar.code(ar.mul(ar.coefficients, entries)))
     p, c, Q = ar.p, ar.c, K.order
-    Hcol = np.array([int(h) for h in H], dtype=np.int64)[:, None]
-    a, b = ar.parts
-    # hnorm[r, e] = H_r N(x) for the sum x coded e
-    hnorm = Hcol * ((a * a - c * (b * b % p)) % p) % p
-    # m_r of columns 0 and 1, indexed [r, s, 1]
-    ma, mb = (e[2, :, :2] for e in entries)
-    Hr = Hcol[..., None]
-    g = ar.mul(tuple(e[:2, :, :2] for e in entries), (Hr * ma % p, -Hr * mb % p))
-    # G[t, s, j] is the code of c_j g_t
-    G = ar.code(ar.mul(ar.coefficients, tuple(x.sum(axis=1) % p for x in g)))
-    alpha = (Hr * (ma * ma - c * (mb * mb % p))).sum(axis=0) % p
+    s0, s1 = _FORMS
+    Hr = np.array([int(h) % p for h in H], dtype=np.int64)[:, None, None]
+
+    def sym(X, Y):
+        """B(X_s, Y_s') + B(X_s', Y_s) for the three forms (s, s'), on the
+        entries X, Y of columns 0 and 1 indexed [..., r, s, 1]; a pair
+        indexed [..., k, 1]."""
+        Yc = (Hr * Y[0] % p, -Hr * Y[1] % p)
+        x, y = (ar.mul((X[0][..., i, :], X[1][..., i, :]), (Yc[0][..., j, :], Yc[1][..., j, :]))
+                for i, j in ((s0, s1), (s1, s0)))
+        return tuple((a + b).sum(axis=-3) % p for a, b in zip(x, y))
+
+    # the columns of M_0, M_1 (indexed [t, r, s, 1]) and of m = M_2; g_t is
+    # half a sym, and so are alpha and beta, as Re B(y, x) = Re B(x, y); p
+    # is odd, as F_p has the nonsquare c
+    half = (p + 1) // 2
+    M = tuple(e[:2, :, :2] for e in entries)
+    m = tuple(e[2, :, :2] for e in entries)
+    # G[t, k, j] is the code of c_j g_t of form k
+    G = ar.code(ar.mul(ar.coefficients, tuple(z * half % p for z in sym(M, m))))
+    alpha = sym(m, m)[0] * half % p
+    # delta of the run (c0, c1) is N(c0) beta_0 + N(c1) beta_1 + Re(c0
+    # sigma(c1) w), for beta_t = Re B(M_t[:, s], M_t[:, s']) and w = B(M_0[:, s],
+    # M_1[:, s']) + B(M_0[:, s'], M_1[:, s])
+    beta = sym(M, M)[0] * half % p
     x, y = ar.coefficients
+    norms = (x * x - c * (y * y % p)) % p
     steps = np.arange(p, dtype=np.int64)[:, None]
     # int32 rows: the sum of two stays below 2p
-    XU = alpha[:, None] * ((x * x - c * (y * y % p)) % p) + steps * (2 * x)
-    XU = (XU % p).astype(np.int32)
+    XU = ((alpha[:, None] * norms + steps * (2 * x)) % p).astype(np.int32)
     YV = (steps * (-2 * c * y % p) % p).astype(np.int32)
     # one u at a time, so that the int64 argsort output stays p^3 long
     J = np.empty((p, p * Q), dtype=np.min_scalar_type(Q - 1))
-    S = np.empty((p, p, Q), dtype=np.min_scalar_type(p - 1))
+    S = np.empty((2, p, p, Q), dtype=np.min_scalar_type(p - 1))
     counts = np.empty((p, p * p), dtype=np.int64)
     vp = np.arange(0, p * p, p, dtype=np.int32)[:, None]
     for u in range(p):
         f = (XU[0, u] + YV) % p
         J[u] = np.argsort(f, axis=1, kind="stable").ravel()
         counts[u] = np.bincount((vp + f).ravel(), minlength=p * p)
-        S[u] = (XU[1, u] + YV) % p
+        S[:, u] = (XU[1:, u, None] + YV) % p
     starts = np.zeros(p**3 + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    # the keys of both columns from the run heads, for a block of c0 at a time
-    keys = np.empty((2, Q, Q), dtype=np.min_scalar_type(p**3 - 1))
+    # f = target - delta, against the targets H_0, H_1 and 0, as F0[k, c0] +
+    # F1[k, c1] + x0 P[k, c1] + y0 R[k, c1] mod p, for c0 = x0 + y0 g and
+    # sigma(c1) w = a + b g, so that Re(c0 sigma(c1) w) = x0 a + c y0 b
+    target = np.append(Hr[:2, 0, 0], 0)[:, None]
+    F0 = -beta[0] * norms % p
+    F1 = (target - beta[1] * norms) % p
+    a, b = ar.mul((x, -y % p), sym(tuple(z[0] for z in M), tuple(z[1] for z in M)))
+    P, R = -a % p, -c * b % p
+    # the keys of the three forms, for a block of c0 at a time
+    keys = np.empty((3, Q, Q), dtype=np.min_scalar_type(p**3 - 1))
     G0, G1 = G[0][:, :, None], G[1][:, None]
-    T0, T1 = T[0, :, :2, :, None], T[1, :, :2, None]
     rows = max(1, _KEY_RUNS // Q)
     for i0 in range(0, Q, rows):
         block = slice(i0, i0 + rows)
         u, v = ar.decode(G0[:, block] + G1)
-        heads = T0[:, :, block] + T1
-        f = (Hcol[:2, :, None] - sum(hnorm[r][heads[r]] for r in range(3))) % p
+        x0, y0 = x[block, None], y[block, None]
+        f = (F0[:, block, None] + F1[:, None] + x0 * P[:, None] + y0 * R[:, None]) % p
         keys[:, block] = (u * p + v) * p + f
-    key0, key1 = keys.reshape(2, Q * Q)
-    return ar, T, tuple(map(_frozen, (J.ravel(), starts, key0, key1, S.ravel())))
+    key0, key1, key01 = keys.reshape(3, Q * Q)
+    S, S01 = S.reshape(2, p**4)
+    return ar, T, tuple(map(_frozen, (J.ravel(), starts, key0, key1, key01, S, S01)))
 
 
 def _windows(start, stop, chunk, run):
@@ -277,15 +313,17 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
     windows of that one run, which take only their own c2 columns.  Over L
     each entry of X is a sum of three lookups in per-coefficient tables of
     c M_t[r][s] over the elements c (codes 3p re + im, so that a sum of
-    three decodes exactly), built once per coset.  The norm forms sum_r H_r
-    N(X[r][s]) of columns 0 and 1 on the diagonal of X* H X filter first.
+    three decodes exactly), built once per coset.  Three forms of X* H X
+    filter first: the norm forms sum_r H_r N(X[r][s]) of columns 0 and 1
+    and the real part of entry (0, 1), sum_r H_r Re(X[r][0] sigma(X[r][1])).
     Each splits into delta + alpha N(c2) + Tr(sigma(c2) gamma) with delta
     and gamma fixed within a run and alpha within the coset, and the
-    per-coset tables hold each run's keys (gamma, H_s - delta) of both
-    columns.  So the (0, 0) form equals H_0 exactly for the c2 that the
-    inverted table lists at the run's key, about p + 1 of the Q, and no
-    other candidate is visited.  The (1, 1) form takes one lookup per
-    listed candidate and leaves about 1/p of them; those take the full
+    per-coset tables hold each run's keys (gamma, target - delta) of the
+    three forms (_tables).  So the (0, 0) form equals H_0 exactly for the c2
+    that the inverted table lists at the run's key, about p + 1 of the Q,
+    and no other candidate is visited.  The (1, 1) form takes one lookup per
+    listed candidate and leaves about 1/p of them, and the (0, 1) form one
+    lookup per survivor, which leaves about 1/p of those; they take the full
     unitarity test, all nine entries of X* H X as batched integer 3x3
     products, then linalg.det3.
     """
@@ -294,7 +332,7 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
         ar = _PArrays(K.p)
         by_c2 = _BY_C2 * _cubic_form(ar, basis)[:, None]
     else:
-        ar, (T0, T1, T2), (J, starts, key0, key1, S) = _tables(
+        ar, (T0, T1, T2), (J, starts, key0, key1, key01, S, S01) = _tables(
             K, basis, None if H is None else tuple(H)
         )
         Hints = np.array([int(h) % ar.p for h in H], dtype=np.int64)
@@ -336,14 +374,22 @@ def coset_sweep(K, basis, H=None, start=0, stop=None):
             # only the first and last runs can stick out of [lo, hi)
             cut = slice(*np.searchsorted(idx, (lo, hi)))
             j2, idx = j2[cut], idx[cut]
-            # (1, 1): the column-1 table at the run's (u, v) against its f, the
+            # (1, 1): the column-1 table at the run's (u, v) against its f,
+            # split once per run and repeated over its listed candidates, the
             # index formed in int64 (u p + v times Q passes the keys' dtype)
-            uv1, f1 = np.divmod(np.repeat(key1[first:last + 1].astype(np.int64), count)[cut], p)
-            keep = S[uv1 * Q + j2] == f1
+            uv1, f1 = np.divmod(key1[first:last + 1].astype(np.int64), p)
+            keep = np.flatnonzero(S[np.repeat(uv1 * Q, count)[cut] + j2] == np.repeat(f1, count)[cut])
+            if not len(keep):
+                continue
+            idx, j2 = idx[keep], j2[keep]
+            # (0, 1): the same read in its own table, at the survivor's run
+            run = idx // Q
+            uv01, f01 = np.divmod(key01[run].astype(np.int64), p)
+            keep = S01[uv01 * Q + j2] == f01
             if not keep.any():
                 continue
             idx, j2 = idx[keep], j2[keep]
-            j0, j1 = np.divmod(idx // Q, Q)
+            j0, j1 = np.divmod(run[keep], Q)
             A, B = ar.decode((T0[:, :, j0] + T1[:, :, j1] + T2[:, :, j2]).transpose(2, 0, 1))
             # full unitarity: X^T H conj(X) = H in all nine entries, from A^T H A,
             # B^T H B and M = B^T H A (the g part is M - M^T), on the integer

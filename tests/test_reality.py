@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -890,17 +891,23 @@ def test_sweep_matches_candidate_by_candidate_reference(
         assert su_coset_sweep(L, fr.H, A, X0, start=i, stop=i) == (0, None)
 
 
-def _column_gamma_index(L, H, basis, cs):
+def _column_gamma_index(L, H, basis, cs, s=1, t=1):
     """(u p + v) Q + j for the candidate cs = (c0, c1, c2), j the index of
-    c2: u + v g is gamma = sum_r H_r h_r sigma(m_r) of column 1, with the run
-    head h_r = c0 M0[r][1] + c1 M1[r][1] and m_r = M2[r][1], from the basis
-    alone.  It is where the sweep reads its (1, 1) filter."""
+    c2: u + v g is gamma = (B(h_s, m_t) + B(h_t, m_s)) / 2 of the form (s,
+    t), for B(x, y) = sum_r H_r x_r sigma(y_r), the run heads h_s = c0
+    M0[:, s] + c1 M1[:, s] and m_s = M2[:, s], from the basis alone.  It is
+    where the sweep reads its (1, 1) filter, and for (s, t) = (0, 1) its
+    (0, 1) filter."""
     M0, M1, M2 = basis
     p = L.base.p
-    gamma = L.zero
-    for r in range(3):
-        h = L.add(L.mul(cs[0], M0[r][1]), L.mul(cs[1], M1[r][1]))
-        gamma = L.add(gamma, L.mul(L.embed(H[r]), L.mul(h, L.sigma(M2[r][1]))))
+
+    def B(x, y):
+        terms = (L.mul(L.embed(H[r]), L.mul(x[r], L.sigma(y[r]))) for r in range(3))
+        return functools.reduce(L.add, terms)
+
+    h, m = ([[L.add(L.mul(cs[0], M0[r][s]), L.mul(cs[1], M1[r][s])) for r in range(3)] for s in (0, 1)],
+            [[M2[r][s] for r in range(3)] for s in (0, 1)])
+    gamma = L.mul(L.add(B(h[s], m[t]), B(h[t], m[s])), L.inv(L.embed(2)))
     x, y = cs[2]
     return (gamma[0] * p + gamma[1]) * p * p + x * p + y
 
@@ -912,9 +919,11 @@ def test_su_sweep_at_bench_scale():
     # found without the sweep: X conj(A)^n is in the coset and in SU(H) with
     # X, so the first hit's coefficients times powers of conj(A) (reduced by
     # its characteristic polynomial) give 51 of them, 29 with a (1, 1)
-    # filter index past 2^15.  The runs of two, one with that index past
-    # 2^16, go candidate by candidate against SU(H) membership on the field
-    # handle, so that an index formed in 16 bits shows.
+    # filter index past 2^15 and 12 with a (0, 1) filter index past 2^16.
+    # The runs of two, one with the (1, 1) index past 2^16, and the run of
+    # the largest (0, 1) index go candidate by candidate against SU(H)
+    # membership on the field handle, so that an index formed in 16 bits
+    # shows.
     ce = build_counterexample_su(17)
     L, H, A = ce["L"], ce["frame"].H, ce["A"]
     X0 = unitary_base_conjugator(L, H, A, linalg.charpoly3(L, A))
@@ -948,7 +957,9 @@ def test_su_sweep_at_bench_scale():
     assert len(orbit) == 51 and sum(k > 2**15 for k, _ in ranked) == 29
     middle = next(f for f in ranked if f[0] > 2**15)
     assert ranked[-1][0] > 2**16 > middle[0]
-    for _, i in (middle, ranked[-1]):
+    ranked01 = sorted((_column_gamma_index(L, H, basis, cs, 0, 1), i) for i, cs in zip(flat, orbit))
+    assert sum(k > 2**16 for k, _ in ranked01) == 12
+    for _, i in (middle, ranked[-1], ranked01[-1]):
         head = i - i % Q
         c0, c1 = elements[head // (Q * Q)], elements[head // Q % Q]
         ref = [
@@ -1039,20 +1050,22 @@ def test_sweep_on_nonunitary_bases_and_its_table_cache(su5):
     isotropic = []
     for basis in cosets:
         cached = list(arrays(sweeps._tables(L, basis, tuple(H))))
-        assert len(cached) == 10
+        assert len(cached) == 12
         for a in cached:
             assert np.issubdtype(a.dtype, np.integer)
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
-        _, _, (J, starts, key0, key1, S) = sweeps._tables(L, basis, tuple(H))
-        assert len(J) == len(key0) == len(key1) == len(S) == p**4 and len(starts) == p**3 + 1
+        _, _, (J, starts, key0, key1, key01, S, S01) = sweeps._tables(L, basis, tuple(H))
+        assert all(len(a) == p**4 for a in (J, key0, key1, key01, S, S01)) and len(starts) == p**3 + 1
         # the smallest dtypes that hold a key (< p^3) and an f (< p)
-        assert key0.dtype == key1.dtype == np.min_scalar_type(p**3 - 1) and S.dtype == np.uint8
-        # the norm forms of columns 0 and 1 of every candidate, straight
-        # from the basis, against what the tables say of it: column 0 is
-        # H_0 exactly where the inverted table lists c2 at the run's key,
-        # column 1 is H_1 exactly where S at the run's (u, v) is its f
-        forms = _column_norm_forms(L, H, basis)
+        assert key0.dtype == key1.dtype == key01.dtype == np.min_scalar_type(p**3 - 1)
+        assert S.dtype == S01.dtype == np.uint8
+        # the three forms of every candidate, straight from the basis,
+        # against what the tables say of it: column 0 is H_0 exactly where
+        # the inverted table lists c2 at the run's key, column 1 is H_1
+        # exactly where S at the run's (u, v) is its f, and the real part of
+        # entry (0, 1) is 0 exactly where S01 at the run's (u, v) is its f
+        forms = _column_forms(L, H, basis)
         runs = np.arange(Q**3) // Q
         j = np.arange(Q**3) % Q
         listed = np.zeros(Q**3, dtype=bool)
@@ -1061,6 +1074,8 @@ def test_sweep_on_nonunitary_bases_and_its_table_cache(su5):
         assert np.array_equal(listed, forms[0] == int(H[0]) % p)
         uv1, f1 = np.divmod(key1[runs].astype(np.int64), p)
         assert np.array_equal(S[uv1 * Q + j] == f1, forms[1] == int(H[1]) % p)
+        uv01, f01 = np.divmod(key01[runs].astype(np.int64), p)
+        assert np.array_equal(S01[uv01 * Q + j] == f01, forms[2] == 0)
         # each key's list is strictly ascending
         assert all(np.all(np.diff(J[starts[k]:starts[k + 1]].astype(np.int64)) > 0) for k in range(p**3))
         # alpha = 0 in column 0 (the isotropic coset) makes the key (0, 0, 0)
@@ -1069,21 +1084,27 @@ def test_sweep_on_nonunitary_bases_and_its_table_cache(su5):
     assert isotropic == [True, False]
 
 
-def _column_norm_forms(L, H, basis):
-    """sum_r H_r N(X[r][s]) mod p for s = 0, 1 and every candidate X of the
-    span, in the sweep's order, on integer arrays from the basis alone."""
+def _column_forms(L, H, basis):
+    """sum_r H_r Re(X[r][s] sigma(X[r][t])) mod p for (s, t) = (0, 0), (1, 1),
+    (0, 1) and every candidate X of the span, in the sweep's order, on
+    integer arrays from the basis alone: the norm forms of columns 0 and 1
+    and the real part of entry (0, 1) of X^T H sigma(X)."""
     p, c = L.base.p, int(L.c)
     Q = p * p
     e = np.array(basis, dtype=np.int64)
     i = np.arange(Q**3, dtype=np.int64)
     coeffs = [np.divmod(j, p) for j in (i // (Q * Q), i // Q % Q, i % Q)]
+    # the (real, g) parts of X[r][s] for columns 0 and 1, indexed [r][s]
+    X = [[(
+        sum(a * e[t, r, s, 0] + c * b * e[t, r, s, 1] for t, (a, b) in enumerate(coeffs)) % p,
+        sum(a * e[t, r, s, 1] + b * e[t, r, s, 0] for t, (a, b) in enumerate(coeffs)) % p,
+    ) for s in range(2)] for r in range(3)]
     forms = []
-    for s in range(2):
+    for s, t in ((0, 0), (1, 1), (0, 1)):
         form = 0
         for r in range(3):
-            x0 = sum(a * e[t, r, s, 0] + c * b * e[t, r, s, 1] for t, (a, b) in enumerate(coeffs))
-            x1 = sum(a * e[t, r, s, 1] + b * e[t, r, s, 0] for t, (a, b) in enumerate(coeffs))
-            form = form + int(H[r]) * (x0 * x0 - c * x1 * x1)
+            (x0, x1), (y0, y1) = X[r][s], X[r][t]
+            form = form + int(H[r]) * (x0 * y0 - c * x1 * y1)
         forms.append(form % p)
     return forms
 
