@@ -4,17 +4,23 @@ Certification checks M(1) = 1 and multiplicativity on all 64 basis pairs;
 bilinearity makes that a complete proof, and the exact Gram identity
 M^T B M = B (norm preservation, B the polar form of N) is kept as a
 redundant net.  Both run in integers: on residues over F_p, and over Q on
-d*M, d the lcm of the denominators of M.  On top sit the subgroup
+d*M, d a common denominator of M.  On top sit the subgroup
 embeddings: SL(3) acting through a split frame, SU(3) through a quadratic
 field frame, the stabilizer of a quaternion subalgebra D acting through the
 quaternion frame D + D a, and the order-2 map extending the conjugation of a
 quadratic subalgebra.
 
 Each frame comes from one constructor, which builds every vector once and
-sets the frame's basis matrix C and its inverse; each map on a frame is one
-certified product with C^-1 (C D C^-1 for a block D, images C^-1 for the
-Stab(D) map), and each 3x3 matrix read off a frame comes from C^-1 t C.  An
-involution pair (iota1, iota2) with product t takes one such conjugation,
+sets the frame's basis matrix C, its inverse and their integer Lattices.
+Frame work runs on the integer T and B of Algebra.lattice_forms, which
+certification reads too: products are batches on T (Algebra.products), and
+C^-1 = G^-1 C^T B comes from the exact Gram matrix G = C^T B C, checked
+against the frame's pattern and inverted in closed form, so no frame does an
+8x8 elimination.  Each map on a frame is one certified product with C^-1
+(C D C^-1 for a block D, images C^-1 for the Stab(D) map), an integer chain
+whose Lattice goes straight to certification, and each 3x3 matrix read off
+a frame comes from the chain C^-1 t C.  An involution pair (iota1, iota2)
+with product t takes one such conjugation,
 iota2 = swapped_embed(m2, frame): iota1 = t iota2 is certified as a product
 of certified maps.  Nothing here is cached: every linalg call runs, so that
 counting passes over the same work agree.
@@ -111,14 +117,17 @@ def certify_automorphism(matrix, alg):
     the first failing basis pair recorded.
 
     Both identities run in exact integers: over F_p on residues, and over Q
-    on N = d*M, with d the lcm of the denominators of M, as
+    on N = d*M, with d a common denominator of M, as
     d*N(e_i e_j) = N(e_i) N(e_j) and N^T B N = d^2 B (the structure constants
-    and B cleared of their own denominators).
+    and B cleared of their own denominators).  `matrix` is a matrix over k
+    (d the lcm of its denominators) or the linalg.Lattice (N, d) of an
+    integer chain, which is read as it is.
     """
     import numpy as np
 
     F = alg.field
-    matrix = linalg.mat(matrix)
+    lat = matrix if isinstance(matrix, linalg.Lattice) else None
+    matrix = linalg.mat(matrix) if lat is None else linalg.from_lattice(F, lat)
     n = alg.dim
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise FieldError("matrix shape does not match the algebra")
@@ -129,21 +138,24 @@ def certify_automorphism(matrix, alg):
     # T and B are scaled by their own lcms, which cancel: each identity is
     # linear in T and in B.  With N = d*M the identities are those for M times
     # nonzero constants, so the verdict and the first failing pair are the same.
-    M, d = linalg.lattice(F, matrix)
+    M, d = linalg.lattice(F, matrix) if lat is None else lat
     (T, _), (B, _) = alg.lattice_forms()
     p = F.p if F.kind == "prime" else None
 
     def red(a):
-        # reduce after every product: keeps int64 in range, and makes the
-        # object path (primes too large for int64 sums) compare residues
+        # reduce each factor of a later product (keeps int64 in range) and
+        # each compared difference (the object path compares residues)
         return a if p is None else a % p
 
     # three integer products: (i, j, m) -> d*N(e_i e_j) from T as n^2 x n,
-    # and N(e_i) N(e_j) from M^T (T as n x n^2), then M^T on each (b, m) slice
-    lhs = red(d * (T.reshape(n * n, n) @ M.T)).reshape(n, n, n)
+    # and N(e_i) N(e_j) from M^T (T as n x n^2), then M^T on each (b, m)
+    # slice; each side is one product of reduced factors (d = 1 over F_p),
+    # so only their difference is reduced
+    lhs = (T.reshape(n * n, n) @ M.T).reshape(n, n, n)
+    if d != 1:
+        lhs = d * lhs
     tmp = red(M.T @ T.reshape(n, n * n)).reshape(n, n, n)  # (i, b, m)
-    rhs = red(M.T @ tmp)  # (i, j, m)
-    diff = lhs != rhs
+    diff = red(lhs - M.T @ tmp) != 0  # (i, j, m)
     if diff.any():
         i, j, _ = np.argwhere(diff)[0]
         return AutMap(matrix, alg, False, failure=(int(i), int(j)))
@@ -156,16 +168,50 @@ def certify_automorphism(matrix, alg):
 
 # C is the frame's basis matrix, its columns f, U, W, e (split), the doubling
 # basis 1, g, a, ga, b, gb, ab, g(ab) (field) or D, D a (quaternion); Cinv its
-# inverse
-SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W", "C", "Cinv"])
-FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H", "C", "Cinv"])
-QuaternionFrame = namedtuple("QuaternionFrame", ["alg", "D", "a", "C", "Cinv"])
+# inverse, and lattices the linalg.Lattices of C and Cinv, which the integer
+# chains of _in_frame_basis and _conjugate_certified start from
+SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W", "C", "Cinv", "lattices"])
+FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H", "C", "Cinv", "lattices"])
+QuaternionFrame = namedtuple("QuaternionFrame", ["alg", "D", "a", "C", "Cinv", "lattices"])
+
+# the frame swap on the split frame basis f, U, W, e: column j of B P is
+# column _SPLIT_SWAP[j] of B
+_SPLIT_SWAP = (7, 4, 5, 6, 1, 2, 3, 0)
+# P itself, the Gram matrix of the polar form on that basis
+_SPLIT_GRAM = tuple(tuple(int(j == _SPLIT_SWAP[i]) for j in range(8)) for i in range(8))
 
 
-def _basis(F, cols):
-    """The frame fields C, the matrix with columns `cols`, and C^-1."""
-    C = linalg.transpose(linalg.mat(cols))
-    return {"C": C, "Cinv": linalg.inverse(F, C)}
+def _gram(alg, cols):
+    """(G, Lattice of C, Lattice of C^T B) for the matrix C with columns
+    `cols`: the Gram matrix G = C^T B C of the polar form B on them, over k,
+    from one integer chain on the B of Algebra.lattice_forms."""
+    F = alg.field
+    X = linalg.lattice(F, cols)  # C^T
+    CL = linalg.Lattice(X.N.T, X.s)
+    CtB = linalg.lattice_mul(F, X, alg.lattice_forms()[1])
+    return linalg.from_lattice(F, linalg.lattice_mul(F, CtB, CL)), CL, CtB
+
+
+def _basis(F, cols, CL, CtB, Ginv):
+    """The frame fields C (columns `cols`), Cinv = G^-1 C^T B and their
+    lattices, for the inverse Ginv of the Gram matrix G = C^T B C of _gram:
+    G^-1 C^T B C = 1, so C is invertible with that inverse."""
+    CinvL = linalg.lattice_mul(F, linalg.lattice(F, Ginv), CtB)
+    return {"C": linalg.transpose(linalg.mat(cols)), "Cinv": linalg.from_lattice(F, CinvL),
+            "lattices": (CL, CinvL)}
+
+
+def _split_frame(alg, e, f, U, W):
+    """The SplitFrame on f, U, W, e.  Its Gram matrix must be the hyperbolic
+    permutation P pairing f with e and u_i with w_i (N(e, f) = tr f = 1 and
+    N(u_i, w_j) = -tr(u_i w_j) = delta_ij), which is its own inverse, so
+    C^-1 = P C^T B."""
+    F = alg.field
+    cols = (f, *U, *W, e)
+    G, CL, CtB = _gram(alg, cols)
+    if not linalg.mat_eq(F, G, _SPLIT_GRAM):
+        raise FieldError("split frame fails the pairing relations")
+    return SplitFrame(alg, e, f, U, W, **_basis(F, cols, CL, CtB, _SPLIT_GRAM))
 
 
 def zorn_split_frame(alg):
@@ -177,16 +223,20 @@ def zorn_split_frame(alg):
     f = alg.basis_vec(0)
     U = tuple(alg.basis_vec(1 + i) for i in range(3))
     W = tuple(alg.basis_vec(4 + i) for i in range(3))
-    return SplitFrame(alg, e, f, U, W, **_basis(alg.field, (f, *U, *W, e)))
+    return _split_frame(alg, e, f, U, W)
 
 
 def split_frame_from_idempotent(alg, e):
     """A split frame with the standard relations, built from a proper
     idempotent e (Peirce decomposition, f = 1 - e).  ker L_e = k f + U with
     U = {x : ex = 0, xe = x}, and tr f = 1 while U has trace zero, so U is
-    the null space of L_e stacked with the trace row.  u3 is rescaled so
-    that u3 (u1 u2) = -f, and W is read off the wedge products
-    w1 = u2 u3, w2 = u3 u1, w3 = u1 u2."""
+    the null space of L_e stacked with the trace row.  u3 is rescaled by the
+    lam with lam u3 (u1 u2) = -f, and W is read off the wedge products
+    w1 = u2 u3, w2 = u3 u1, w3 = u1 u2.  The wedges and then the nine
+    pairing relations u_i w_j = -delta_ij f are two batches of products on
+    the u3 of the null space: the rescaling multiplies w1 and w2 by lam as
+    well, so it multiplies each diagonal product u_i w_i by lam and each
+    other one by a power of lam != 0, which keeps it zero or nonzero."""
     F = alg.field
     if not alg.eq(alg.mul(e, e), e) or alg.is_zero(e) or alg.eq(e, alg.one):
         raise FieldError("e is not a proper idempotent")
@@ -195,37 +245,45 @@ def split_frame_from_idempotent(alg, e):
     if len(U) != 3:
         raise FieldError("Peirce spaces are not 3-dimensional (input not split?)")
     u1, u2, u3 = U
-    w3 = alg.mul(u1, u2)
+    W = alg.products((u2, u3, u1), (u3, u1, u2))
+    pairs = tuple(itertools.product(range(3), repeat=2))
+    R = alg.products([U[i] for i, _ in pairs], [W[j] for _, j in pairs])
     # u_i w_j = -delta_ij f and w_i u_j = -delta_ij e in a standard frame
-    pairing = alg.mul(u3, w3)
+    pairing = R[-1]  # u3 (u1 u2)
     idx = next(i for i in range(alg.dim) if not F.is_zero(f[i]))
     if F.is_zero(pairing[idx]):
         raise FieldError("frame completion failed")
-    u3 = alg.scale(F.div(F.neg(f[idx]), pairing[idx]), u3)
-    U, W = (u1, u2, u3), (alg.mul(u2, u3), alg.mul(u3, u1), w3)
+    lam = F.div(F.neg(f[idx]), pairing[idx])
     minus_f, zero = alg.neg(f), alg.zero_vec()
-    for i, u in enumerate(U):
-        for j, w in enumerate(W):
-            if not alg.eq(alg.mul(u, w), minus_f if i == j else zero):
-                raise FieldError("split frame fails the pairing relations")
-    return SplitFrame(alg, e, f, U, W, **_basis(F, (f, *U, *W, e)))
+    if not linalg.mat_eq(F, tuple(alg.scale(lam, r) if i == j else r for (i, j), r in zip(pairs, R)),
+                         tuple(minus_f if i == j else zero for i, j in pairs)):
+        raise FieldError("split frame fails the pairing relations")
+    U = (u1, u2, alg.scale(lam, u3))
+    W = (alg.scale(lam, W[0]), alg.scale(lam, W[1]), W[2])
+    return _split_frame(alg, e, f, U, W)
 
 
-def _conjugate_certified(alg, C, Cinv, D, failure):
-    """The automorphism C D C^-1 of alg, certified; raises FieldError with the
-    text `failure` and the certification failure when it does not certify."""
-    F = alg.field
-    M = linalg.mat_mul(F, linalg.mat_mul(F, C, linalg.mat(D)), Cinv)
-    out = certify_automorphism(M, alg)
+def _conjugate_certified(frame, D, failure):
+    """The automorphism C D C^-1 of the frame's algebra, certified on the
+    Lattice of one integer chain from the frame's lattices; raises
+    FieldError with the text `failure` and the certification failure when it
+    does not certify."""
+    F = frame.alg.field
+    CL, CinvL = frame.lattices
+    M = linalg.lattice_mul(F, linalg.lattice_mul(F, CL, linalg.lattice(F, D)), CinvL)
+    out = certify_automorphism(M, frame.alg)
     if not out.certified:
         raise FieldError(f"{failure}: {out.failure}")
     return out
 
 
 def _in_frame_basis(t, frame):
-    """The 8x8 matrix of t in the frame basis: C^-1 t C."""
+    """The 8x8 matrix of t in the frame basis: C^-1 t C, one integer chain
+    from the frame's lattices."""
     F = frame.alg.field
-    return linalg.mat_mul(F, linalg.mat_mul(F, frame.Cinv, t.matrix), frame.C)
+    CL, CinvL = frame.lattices
+    return linalg.from_lattice(
+        F, linalg.lattice_mul(F, linalg.lattice_mul(F, CinvL, linalg.lattice(F, t.matrix)), CL))
 
 
 def _frame_block(A, frame):
@@ -255,11 +313,6 @@ def _frame_block(A, frame):
     return B
 
 
-# the frame swap on the split frame basis f, U, W, e: column j of B P is
-# column _SPLIT_SWAP[j] of B
-_SPLIT_SWAP = (7, 4, 5, 6, 1, 2, 3, 0)
-
-
 def _swapped(B, frame):
     """B P for the frame's swap P in the frame basis, as an operation on the
     columns of B: the permutation exchanging f with e and U with W on a
@@ -278,7 +331,7 @@ def sl3_embed(A, frame):
     if not F.eq(linalg.det3(F, A), F.one):
         raise FieldError("sl3_embed needs det A = 1")
     return _conjugate_certified(
-        frame.alg, frame.C, frame.Cinv, _frame_block(A, frame),
+        frame, _frame_block(A, frame),
         "sl3_embed produced an uncertified map",
     )
 
@@ -290,7 +343,7 @@ def swapped_embed(A, frame):
     once.  A is not checked to lie in SL(3) or SU(H): certification decides
     whether the map is an automorphism."""
     return _conjugate_certified(
-        frame.alg, frame.C, frame.Cinv, _swapped(_frame_block(A, frame), frame),
+        frame, _swapped(_frame_block(A, frame), frame),
         "the swapped embedding failed to certify",
     )
 
@@ -318,16 +371,21 @@ def frame_swap(frame):
     the standard Zorn frame), on a field frame it acts as sigma on L and
     fixes a, b and ab."""
     P = _swapped(linalg.identity(frame.alg.field, 8), frame)
-    return _conjugate_certified(
-        frame.alg, frame.C, frame.Cinv, P, "the frame swap failed to certify"
-    )
+    return _conjugate_certified(frame, P, "the frame swap failed to certify")
 
 
 def quadratic_subfield_frame(alg, g_vec):
     """FieldFrame for L = k(g) inside alg: completes g to a doubling basis
-    a, b, ab of the orthogonal complement and computes the hermitian Gram.
+    a, b, ab of the orthogonal complement and reads the hermitian Gram off
+    the frame's Gram matrix G.
 
-    g must be trace zero with g^2 = c a nonsquare in k.
+    g must be trace zero with g^2 = c a nonsquare in k.  The hermitian form
+    h(x, y) = N(x, y) + g^-1 N(g x, y) on L^perp, N(., .) the polar form, has
+    h(f_i, f_j) = (G[2i+2][2j+2], G[2i+3][2j+2] / c) on the basis vectors
+    f = a, b, ab, since column 2i + 3 of C is g f_i.  So G is diagonal
+    exactly when the f_i are h-orthogonal with h(f_i, f_i) in k and the
+    doubling basis is orthogonal, and then H_i = G[2i+2][2i+2] and
+    C^-1 = G^-1 C^T B.
     """
     F = alg.field
     c = _square_scalar(alg, g_vec)
@@ -339,20 +397,23 @@ def quadratic_subfield_frame(alg, g_vec):
     a = _orthogonal_anisotropic(alg, span_L)
     ga = alg.mul(g_vec, a)
     b = _orthogonal_anisotropic(alg, span_L + (a, ga))
-    fs = (a, b, alg.mul(a, b))
-    cols = (one, g_vec, a, ga, b, alg.mul(g_vec, b), fs[2], alg.mul(g_vec, fs[2]))
-    frame = FieldFrame(alg, L, one, g_vec, fs, None, None, None)
+    ab = alg.mul(a, b)
+    gb, gab = alg.products((g_vec, g_vec), (b, ab))
+    cols = (one, g_vec, a, ga, b, gb, ab, gab)
+    G, CL, CtB = _gram(alg, cols)
     H = []
-    for i, fv in enumerate(fs):
-        for j in range(i + 1, 3):
-            hij = hermitian_form(frame, fv, fs[j])
-            if not L.is_zero(hij):
-                raise FieldError("doubling frame is not orthogonal")
-        hii = hermitian_form(frame, fv, fv)
-        if not L.in_base(hii):
+    for i in range(3):
+        r = 2 + 2 * i
+        if any(not F.is_zero(G[q][2 + 2 * j]) for j in range(i + 1, 3) for q in (r, r + 1)):
+            raise FieldError("doubling frame is not orthogonal")
+        if not F.is_zero(G[r + 1][r]):
             raise FieldError("hermitian diagonal is not in k")
-        H.append(L.to_base(hii))
-    return frame._replace(H=tuple(H), **_basis(F, cols))
+        H.append(G[r][r])
+    diag = [G[i][i] for i in range(8)]
+    if not linalg.mat_eq(F, G, _block_diagonal(F, *(((x,),) for x in diag))):
+        raise FieldError("doubling frame is not orthogonal")
+    Ginv = _block_diagonal(F, *(((F.inv(x),),) for x in diag))
+    return FieldFrame(alg, L, one, g_vec, (a, b, ab), tuple(H), **_basis(F, cols, CL, CtB, Ginv))
 
 
 def _square_scalar(alg, x):
@@ -382,24 +443,13 @@ def _orthogonal_anisotropic(alg, span):
     return v
 
 
-def hermitian_form(frame, x, y):
-    """h(x, y) = N(x, y) + g^{-1} N(g x, y) on the orthogonal complement of L,
-    returned as an element of L.  Linear in x, sesquilinear in y."""
-    alg = frame.alg
-    F = alg.field
-    L = frame.L
-    n1 = alg.bilinear_norm(x, y)
-    n2 = alg.bilinear_norm(alg.mul(frame.g, x), y)
-    return (n1, F.div(n2, L.c))
-
-
 def su_embed(A, frame):
     """The automorphism fixing L pointwise whose restriction to the
     orthogonal complement, as an L-space in the frame basis, is A in SU(H)."""
     if not in_su(A, frame.L, frame.H):
         raise FieldError("su_embed needs A in SU(H)")
     return _conjugate_certified(
-        frame.alg, frame.C, frame.Cinv, _frame_block(A, frame),
+        frame, _frame_block(A, frame),
         "su_embed produced an uncertified map",
     )
 
@@ -441,10 +491,20 @@ def quaternion_frame(alg, D, a=None):
     D, with the basis D, D a of alg.  D must be closed with a nondegenerate
     norm (its Gram matrix has rank 4), and the doubling vector a orthogonal
     to D with N(a) != 0, by default `_orthogonal_anisotropic`'s; then D a is
-    the orthogonal complement of D, so the 8 columns are a basis."""
+    the orthogonal complement of D, so the 8 columns are a basis.  The
+    frame's Gram matrix is then G = diag(G_D, N(a) G_D) for the Gram matrix
+    G_D of D (N(u a, v a) = N(a) N(u, v)): G_D is inverted once, which is
+    the rank test, and C^-1 = G^-1 C^T B."""
     F = alg.field
-    gram = [[alg.bilinear_norm(u, v) for v in D] for u in D]
-    if len(D) != 4 or linalg.rank(F, gram) != 4:
+    D = tuple(D)
+    gram_inv = None
+    if len(D) == 4:
+        gram = _gram(alg, D)[0]
+        try:
+            gram_inv = linalg.inverse(F, gram)
+        except ZeroDivisionError:
+            pass
+    if gram_inv is None:
         raise FieldError("need 4 vectors with a nondegenerate norm Gram matrix")
     if not subalgebra_closed(alg, D):
         raise FieldError("the span is not closed under multiplication")
@@ -452,7 +512,22 @@ def quaternion_frame(alg, D, a=None):
         a = _orthogonal_anisotropic(alg, D)
     elif F.is_zero(alg.norm(a)) or not all(F.is_zero(alg.bilinear_norm(d, a)) for d in D):
         raise FieldError("doubling vector must be anisotropic and orthogonal to D")
-    return QuaternionFrame(alg, tuple(D), a, **_basis(F, (*D, *(alg.mul(d, a) for d in D))))
+    cols = D + alg.products(D, (a,) * 4)
+    G, CL, CtB = _gram(alg, cols)
+    na = alg.norm(a)
+    if not linalg.mat_eq(F, G, _block_diagonal(F, gram, linalg.scalar_mat(F, na, gram))):
+        raise FieldError("doubling vector must be anisotropic and orthogonal to D")
+    Ginv = _block_diagonal(F, gram_inv, linalg.scalar_mat(F, F.inv(na), gram_inv))
+    return QuaternionFrame(alg, D, a, **_basis(F, cols, CL, CtB, Ginv))
+
+
+def _block_diagonal(F, *blocks):
+    """The block diagonal matrix of the square matrices `blocks`."""
+    n, rows = sum(map(len, blocks)), []
+    for b in blocks:
+        z = (F.zero,) * len(rows)
+        rows += [z + tuple(r) + (F.zero,) * (n - len(z) - len(b)) for r in b]
+    return tuple(rows)
 
 
 def stab_map(frame, x, y):
@@ -467,10 +542,12 @@ def stab_map(frame, x, y):
     if F.is_zero(n) or not F.eq(n, alg.norm(y)):
         raise FieldError("the Stab(D) map needs N(x) = N(y) != 0")
     xinv = alg.scale(F.inv(n), alg.conj(x))
-    images = [alg.mul(alg.mul(x, d), xinv) for d in frame.D]
-    images += [alg.mul(alg.mul(alg.mul(y, d), xinv), frame.a) for d in frame.D]
+    # x d x^-1 and (y d) x^-1 for d in D, then the second four times a
+    D = frame.D
+    images = alg.products(alg.products((x,) * 4 + (y,) * 4, D + D), (xinv,) * 8)
+    images = images[:4] + alg.products(images[4:], (frame.a,) * 4)
     out = certify_automorphism(
-        linalg.mat_mul(F, linalg.transpose(linalg.mat(images)), frame.Cinv), alg
+        linalg.lattice_mul(F, linalg.lattice(F, linalg.transpose(images)), frame.lattices[1]), alg
     )
     if not out.certified:
         raise FieldError(f"the Stab(D) map failed to certify: {out.failure}")
@@ -515,7 +592,7 @@ def involution_conjugacy_classes(alg):
         if b2 is None:
             continue
         frame2 = quaternion_frame(alg, D2, b2)
-        conj = certify_automorphism(linalg.mat_mul(F, frame2.C, frame1.Cinv), alg)
+        conj = certify_automorphism(linalg.lattice_mul(F, frame2.lattices[0], frame1.lattices[1]), alg)
         if not conj.certified:
             continue
         i1 = stab_map(frame1, one, minus_one)

@@ -6,12 +6,14 @@ quadratic spaces, and octonion algebras from rank-3 hermitian spaces over a
 quadratic etale algebra.  An Algebra carries a dense-indexed sparse
 multiplication table, the norm data, and the identity, so automorphism
 checking downstream is construction-agnostic.  Its integer structure tensor
-and polar form (Algebra.lattice_forms) serve both certification and one
-batch of the octonion laws (law_failures): the composition law, the minimal
-equation and the two alternative laws, for every model and dimension, exact
-over Q and over F_p for every accepted prime.
+and polar form (Algebra.lattice_forms) serve certification, the batched
+products of the frames (Algebra.products, left_mul_matrix and the closure
+test) and one batch of the octonion laws (law_failures): the composition
+law, the minimal equation and the two alternative laws, for every model and
+dimension, exact over Q and over F_p for every accepted prime.
 """
 
+import operator
 from collections import namedtuple
 
 from . import linalg
@@ -23,6 +25,9 @@ class Algebra:
 
     table[i][j] is a tuple of (index, coeff) pairs giving e_i * e_j.
     norm_diag[i] = N(e_i); bil[i][j] = N(e_i + e_j) - N(e_i) - N(e_j).
+    k is F_p or Q, so the coordinate helpers (eq, is_zero, add, sub, neg,
+    scale, trace) run on Python's operators, reduced mod p once per
+    coordinate over F_p.
     """
 
     def __init__(self, model, field, table, one, norm_diag, bil, meta=None):
@@ -37,6 +42,7 @@ class Algebra:
         # the trace as a row: tr x = N(x, 1) = trace_row . x
         self.trace_row = tuple(_dot(field, self.bil[i], self.one) for i in range(self.dim))
         self._lattice_forms = None
+        self._p = field.p if field.kind == "prime" else 0  # 0: no reduction over Q
 
     def __repr__(self):
         return f"Algebra({self.model}, dim={self.dim}, k={self.field!r})"
@@ -55,25 +61,30 @@ class Algebra:
         return tuple(self.field.mul(a, c) for c in self.one)
 
     def eq(self, x, y):
-        return all(self.field.eq(a, b) for a, b in zip(x, y))
+        p = self._p
+        if p:
+            return all((a - b) % p == 0 for a, b in zip(x, y))
+        return all(a == b for a, b in zip(x, y))
 
     def is_zero(self, x):
-        return all(self.field.is_zero(a) for a in x)
+        p = self._p
+        return all(a % p == 0 for a in x) if p else all(a == 0 for a in x)
 
     def add(self, x, y):
-        F = self.field
-        return tuple(F.add(a, b) for a, b in zip(x, y))
+        p = self._p
+        return tuple([(a + b) % p for a, b in zip(x, y)] if p else [a + b for a, b in zip(x, y)])
 
     def sub(self, x, y):
-        F = self.field
-        return tuple(F.sub(a, b) for a, b in zip(x, y))
+        p = self._p
+        return tuple([(a - b) % p for a, b in zip(x, y)] if p else [a - b for a, b in zip(x, y)])
 
     def neg(self, x):
-        return tuple(self.field.neg(a) for a in x)
+        p = self._p
+        return tuple([-a % p for a in x] if p else [-a for a in x])
 
     def scale(self, c, x):
-        F = self.field
-        return tuple(F.mul(c, a) for a in x)
+        p = self._p
+        return tuple([c * a % p for a in x] if p else [c * a for a in x])
 
     def mul(self, x, y):
         if self.model == "zorn":
@@ -117,7 +128,8 @@ class Algebra:
         return n
 
     def trace(self, x):
-        return _dot(self.field, self.trace_row, x)
+        t = sum(map(operator.mul, self.trace_row, x), self.field.zero)
+        return t % self._p if self._p else t
 
     def conj(self, x):
         t = self.trace(x)
@@ -126,8 +138,32 @@ class Algebra:
         )
 
     def left_mul_matrix(self, x):
-        cols = [self.mul(x, self.basis_vec(j)) for j in range(self.dim)]
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
+        """L_x, whose column j is x e_j: the contraction of x with T."""
+        n = self.dim
+        xT = self._left_contraction((x,))
+        return linalg.from_lattice(self.field, linalg.Lattice(xT.N.reshape(n, n).T, xT.s))
+
+    def products(self, xs, ys):
+        """The products x y of the pairs (x, y) of xs and ys, the vectors that
+        mul gives, from one batched contraction with T (lattice_products)."""
+        return linalg.from_lattice(self.field, self.lattice_products(xs, ys))
+
+    def lattice_products(self, xs, ys):
+        """The Lattice of the rows x y for the pairs (x, y) of xs and ys, as
+        one batched contraction with the structure tensor T of lattice_forms:
+        z_km = sum_ij x_ki y_kj T[i, j, m]."""
+        F, n = self.field, self.dim
+        xT = self._left_contraction(xs)
+        Y = linalg.lattice(F, ys)
+        z = (Y.N[:, None, :] @ xT.N.reshape(-1, n, n))[:, 0, :]
+        return linalg.Lattice(z % F.p if F.kind == "prime" else z, Y.s * xT.s)
+
+    def _left_contraction(self, xs):
+        """The Lattice of the rows sum_i x_i T[i, j, m], indexed (j, m), for
+        the vectors x of xs: one integer product with T as n x n^2."""
+        F, n = self.field, self.dim
+        (T, sT), _ = self.lattice_forms()
+        return linalg.lattice_mul(F, linalg.lattice(F, xs), linalg.Lattice(T.reshape(n, n * n), sT))
 
     def random(self, rng):
         return tuple(self.field.random(rng) for _ in range(self.dim))
@@ -630,15 +666,23 @@ def find_proper_idempotent(alg):
 
 
 def subalgebra_closed(alg, vectors):
-    """Whether the span of `vectors` is closed under multiplication."""
+    """Whether the span of `vectors` is closed under multiplication: a vector
+    lies in the span exactly when the right null space K of the matrix of
+    `vectors` annihilates it, so every product x y must have (x y) K = 0.
+    The products are one batch on T and the test one integer product."""
     F = alg.field
-    span = linalg.mat(vectors)
-    products = tuple(alg.mul(x, y) for x in vectors for y in vectors)
-    return linalg.rank(F, span + products) == linalg.rank(F, span)
+    K = linalg.nullspace(F, linalg.mat(vectors))
+    if not K:
+        return True
+    products = alg.lattice_products([x for x in vectors for _ in vectors],
+                                    [y for _ in vectors for y in vectors])
+    K = linalg.lattice(F, K)
+    return not linalg.lattice_mul(F, products, linalg.Lattice(K.N.T, K.s)).N.any()
 
 
 def orthogonal_complement(alg, vectors):
     """Basis of the orthogonal complement of span(vectors) for the norm form:
-    the null space of the rows v bil, bil the polar Gram matrix."""
+    the null space of the rows v B, B the polar form of lattice_forms."""
     F = alg.field
-    return linalg.nullspace(F, linalg.mat_mul(F, linalg.mat(vectors), alg.bil))
+    rows = linalg.lattice_mul(F, linalg.lattice(F, vectors), alg.lattice_forms()[1])
+    return linalg.nullspace(F, linalg.from_lattice(F, rows))

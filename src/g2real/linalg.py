@@ -4,10 +4,12 @@ Matrices are immutable tuples of tuples of raw field elements.  Over F_p and
 Q the 3x3 closed forms (det3, adjugate3, inverse3, charpoly3, the 3x3
 mat_mul, combination), mat_vec at every length and the entrywise mat_add,
 mat_sub and mat_eq run on Python's operators, reduced mod p once per entry
-over F_p; larger products run on numpy integer arrays (int64 residues when
-no sum can overflow, Python ints otherwise; over Q the common-denominator
-numerators, divided back once), and _echelon (inverse, rank, nullspace,
-solve) on plain residues or Fractions with the operators inlined.  Over
+over F_p; larger products run on numpy integer arrays, the Lattice (N, s)
+of a matrix (int64 residues when no sum can overflow, Python ints
+otherwise; over Q the common-denominator numerators, divided back once by
+from_lattice), which also carry chains of products (lattice_mul) that
+convert each operand once; and _echelon (inverse, rank, nullspace, solve)
+runs on plain residues or Fractions with the operators inlined.  Over
 L = F_p(g) the 3x3 mat_mul and det3 run on the coordinate pairs, reduced
 mod p once per coordinate.  For the rest of L, for k x k and for the cubic algebras
 the field handle supplies the arithmetic.  Either way the entries returned
@@ -39,6 +41,7 @@ Nothing here draws random numbers.
 import itertools
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -93,21 +96,62 @@ def scalar_mat(F, c, a):
     return tuple(tuple(F.mul(c, x) for x in r) for r in a)
 
 
+# an integer matrix or tensor N with its scale s: the array s*a of a matrix a
+# over F_p (s = 1, N the residues) or Q (s a common denominator)
+Lattice = namedtuple("Lattice", ["N", "s"])
+
+
 def lattice(F, a):
-    """(N, s) with N = s*a an integer numpy array, for a matrix or tensor a
-    over F_p or Q.  Over F_p, s = 1 and N holds the residues: int64 when
-    n*(p - 1)**2 < 2**63 for n the longer of the first two sides, so that
-    sums of n products stay in range, and Python ints otherwise.  Over Q, s
-    is the lcm of the entries' denominators and N holds Python ints."""
+    """The Lattice (N, s) with N = s*a an integer numpy array, for a matrix
+    or tensor a over F_p or Q.  Over F_p, s = 1 and N holds the residues:
+    int64 when n*(p - 1)**2 < 2**63 for n the longer of the first two sides,
+    so that sums of n products stay in range, and Python ints otherwise.
+    Over Q, s is the lcm of the entries' denominators and N holds Python
+    ints."""
     import numpy as np
 
     if F.kind == "prime":
         small = max(len(a), len(a[0])) * (F.p - 1) ** 2 < 2**63
-        return np.array(a, dtype=np.int64 if small else object) % F.p, 1
+        return Lattice(np.array(a, dtype=np.int64 if small else object) % F.p, 1)
     a = np.asarray(a, dtype=object)
     s = math.lcm(*(x.denominator for x in a.flat))
     N = np.array([x.numerator * (s // x.denominator) for x in a.flat], dtype=object)
-    return N.reshape(a.shape), s
+    return Lattice(N.reshape(a.shape), s)
+
+
+def lattice_mul(F, a, b):
+    """The Lattice of the product of two Lattices: (N_a N_b, s_a s_b), the
+    residues reduced after the product over F_p.  Each sum runs over the
+    shared side, at most the length that lattice chose int64 for."""
+    N = a.N @ b.N
+    return Lattice(N % F.p if F.kind == "prime" else N, a.s * b.s)
+
+
+def from_lattice(F, a):
+    """The matrix N / s of a Lattice with 2-dimensional N, as rows of plain
+    residues over F_p and of Fractions over Q."""
+    rows = a.N.tolist()
+    if F.kind == "prime":
+        return tuple(map(tuple, rows))
+    s = a.s
+    return tuple(tuple(Fraction(x, s) for x in r) for r in rows)
+
+
+def lattice_eq(F, a, b):
+    """Whether two Lattices stand for the same matrix: N_a s_b = N_b s_a, or
+    over F_p (s = 1, N the residues) N_a = N_b."""
+    if F.kind == "prime":
+        return not (a.N != b.N).any()
+    return not (a.N * b.s != b.N * a.s).any()
+
+
+def lattice_is_identity(F, a):
+    """Whether the square Lattice a stands for the identity matrix: N has s
+    on its diagonal and no other nonzero entry."""
+    import numpy as np
+
+    N, s = a
+    return np.count_nonzero(N) == len(N) and bool((N.diagonal() == s).all())
 
 
 def mat_mul(F, a, b):
@@ -130,10 +174,7 @@ def mat_mul(F, a, b):
     if pc and len(a) == 3 and len(b) == 3 and len(b[0]) == 3:
         return _mat_mul3_quadratic(*pc, a, b)
     if p is not None and a and b:
-        (A, s), (B, t) = lattice(F, a), lattice(F, b)
-        if F.kind == "prime":
-            return tuple(map(tuple, ((A @ B) % F.p).tolist()))
-        return tuple(tuple(Fraction(x, s * t) for x in r) for r in (A @ B).tolist())
+        return from_lattice(F, lattice_mul(F, lattice(F, a), lattice(F, b)))
     bt = transpose(b)
     out = []
     for row in a:

@@ -790,10 +790,14 @@ def two_involution_witness(t, frame, report):
     else:
         raise RealityError(f"witness type {w['type']} has no involution lift")
     i2 = swapped_embed(m2, frame)
-    i1 = t.compose(i2)
-    if not i1.compose(i1).is_identity() or not i2.compose(i2).is_identity():
+    # iota1 = t iota2 and both squares, one integer chain on t and iota2
+    F = frame.alg.field
+    T, I2 = linalg.lattice(F, t.matrix), linalg.lattice(F, i2.matrix)
+    I1 = linalg.lattice_mul(F, T, I2)
+    if not (linalg.lattice_is_identity(F, linalg.lattice_mul(F, I1, I1))
+            and linalg.lattice_is_identity(F, linalg.lattice_mul(F, I2, I2))):
         raise RealityError("witness maps are not involutions")
-    return i1, i2
+    return AutMap(linalg.from_lattice(F, I1), t.algebra, t.certified and i2.certified), i2
 
 
 def conjugator_witness(t, frame, report):
@@ -812,9 +816,16 @@ def _lift_conjugator(t, frame, B, coset):
         h = swapped_embed(B, frame)
     else:
         h = (sl3_embed if isinstance(frame, SplitFrame) else su_embed)(B, frame)
-    if not t.compose(h).compose(t).eq(h):
+    F = t.algebra.field
+    if not _inverts(F, linalg.lattice(F, t.matrix), linalg.lattice(F, h.matrix)):
         raise RealityError("conjugator witness fails at the octonion level")
     return h
+
+
+def _inverts(F, T, H):
+    """Whether h t h^-1 = t^-1 for an invertible h, from the Lattices T and H
+    of t and h: t h t = h, one integer chain."""
+    return linalg.lattice_eq(F, linalg.lattice_mul(F, linalg.lattice_mul(F, T, H), T), H)
 
 
 # -- independent oracle ---------------------------------------------------------
@@ -1148,7 +1159,8 @@ def _reality_quaternion_case(t, case, D):
     if len(D) != 4:
         rep.notes.append("pointwise-fixed space is not a quaternion subalgebra")
         return rep
-    if t.compose(t).is_identity():
+    T = linalg.lattice(F, t.matrix)
+    if linalg.lattice_is_identity(F, linalg.lattice_mul(F, T, T)):
         rep.verdict = "real"
         i2 = AutMap(linalg.identity(F, alg.dim), alg, True)
         rep.witness = {"type": "two_involutions", "iota1": t, "iota2": i2}
@@ -1161,7 +1173,8 @@ def _reality_quaternion_case(t, case, D):
     pbar = alg.conj(p)
     # W = {u in D : u p = pbar u, tr u = 0}; u p = pbar u already forces
     # tr u = 0 (p is not central, char != 2), so the trace row changes no basis
-    rows = [alg.sub(alg.mul(dj, p), alg.mul(pbar, dj)) for dj in D]
+    prods = alg.products(D + (pbar,) * 4, (p,) * 4 + D)
+    rows = [alg.sub(dp, pd) for dp, pd in zip(prods[:4], prods[4:])]
     M = linalg.transpose(linalg.mat(rows)) + (tuple(alg.trace(dj) for dj in D),)
     W = []
     for coefs in linalg.nullspace(F, M):
@@ -1174,15 +1187,17 @@ def _reality_quaternion_case(t, case, D):
         rep.notes.append("no invertible conjugating element found in D")
         return rep
     h = stab_map(frame, u, u)
-    if not t.compose(h).compose(t).eq(h):  # h t h^-1 = t^-1, h invertible
+    H = linalg.lattice(F, h.matrix)
+    if not _inverts(F, T, H):
         rep.notes.append("inner conjugation did not invert t")
         return rep
     rep.verdict = "real"
-    if h.compose(h).is_identity():
+    if linalg.lattice_is_identity(F, linalg.lattice_mul(F, H, H)):
         # h t h^-1 = t^-1 with h^2 = 1: (h, h t) are involutions with product t
-        ht = h.compose(t)
-        if not ht.compose(ht).is_identity():
+        HT = linalg.lattice_mul(F, H, T)
+        if not linalg.lattice_is_identity(F, linalg.lattice_mul(F, HT, HT)):
             raise RealityError("h t is not an involution")
+        ht = AutMap(linalg.from_lattice(F, HT), alg, h.certified and t.certified)
         rep.witness = {"type": "two_involutions", "iota1": h, "iota2": ht}
     else:
         rep.witness = {"type": "conjugator", "h": h}

@@ -11,7 +11,6 @@ from g2real.automorphisms import (
     certify_automorphism,
     extract_frame_matrix,
     frame_swap,
-    hermitian_form,
     in_su,
     in_unitary,
     involution_conjugacy_classes,
@@ -49,6 +48,16 @@ from g2real.reality import companion_matrix
 k5 = PrimeField(5)
 k7 = PrimeField(7)
 Q = RationalField()
+
+
+def hermitian_form(frame, x, y):
+    """The reference h(x, y) = N(x, y) + g^-1 N(g x, y) on the orthogonal
+    complement of L, returned as an element of L: linear in x, sesquilinear
+    in y, from the algebra's own product and polar form."""
+    alg = frame.alg
+    n1 = alg.bilinear_norm(x, y)
+    n2 = alg.bilinear_norm(alg.mul(frame.g, x), y)
+    return (n1, alg.field.div(n2, frame.L.c))
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +460,134 @@ def test_frame_carries_its_basis_matrix(frame7, other_frame7, su_setup):
         assert fr.C == linalg.transpose(linalg.mat(cols))
         assert linalg.mat_eq(F, linalg.mat_mul(F, fr.C, fr.Cinv), linalg.identity(F, 8))
     assert frame7.C == linalg.identity(k7, 8)
+
+
+BIG = PrimeField(2**31 - 1)
+
+
+def _field_frames(F):
+    """Field frames over F on the hermitian model (g its generator s) and on
+    a Pfister model (g the first doubling vector, g^2 = lam1 a nonsquare),
+    with denominators in the polar form over Q."""
+    c = F.nonsquare() if F.kind == "prime" else F.element(-1)
+    O = octonion_from_hermitian(hermitian_space(QuadraticEtale(F, c), (1, 2, 5)))
+    P = pfister_octonion(F, (c, F.inv(F.element(3)), F.element(5)))
+    return [quadratic_subfield_frame(O, O.basis_vec(1)), quadratic_subfield_frame(P, P.basis_vec(1))]
+
+
+def _split_frames(F):
+    Z, es = _moved_idempotents(F, 1)
+    frames = [split_frame_from_idempotent(Z, e) for e in es] + [zorn_split_frame(Z)]
+    if F.kind == "prime":
+        O = pfister_octonion(F, (1, 1, 1))
+        frames.append(split_frame_from_idempotent(O, find_proper_idempotent(O)))
+    return frames
+
+
+@pytest.mark.parametrize("F", [k7, PrimeField(31), BIG, Q], ids=str)
+def test_frame_inverses_and_hermitian_gram_match_the_references(F):
+    """C^-1 = G^-1 C^T B from the Gram matrix equals the elimination inverse
+    of C, for split frames from seeded idempotents, field frames and
+    quaternion frames; H read off G equals the hermitian_form reference, and
+    the field frame's C has the doubling basis as columns."""
+    split, field = _split_frames(F), _field_frames(F)
+    Z = zorn_algebra(F)
+    D, b = _quaternion_data(Z)
+    # N(3 b) = 9 N(b) puts a scale on the D a half of G
+    quaternion = [quaternion_frame(Z, D, a) for a in (None, b, Z.scale(F.element(3), b))]
+    assert not F.eq(Z.norm(quaternion[2].a), F.one)
+    for fr in split + field + quaternion:
+        assert fr.Cinv == linalg.inverse(F, fr.C)
+    for fr in field:
+        g, mul = fr.g, fr.alg.mul
+        cols = (fr.one, g) + tuple(c for v in fr.fs for c in (v, mul(g, v)))
+        assert fr.C == linalg.transpose(linalg.mat(cols))
+        assert fr.fs[2] == mul(fr.fs[0], fr.fs[1])
+        for i, fi in enumerate(fr.fs):
+            assert hermitian_form(fr, fi, fi) == (fr.H[i], F.zero)
+            for fj in fr.fs[i + 1:]:
+                assert hermitian_form(fr, fi, fj) == (F.zero, F.zero)
+    if F.kind == "rationals":
+        # the inverses carry the scales of C and of B: both are past 1 here
+        assert any(_denominator_lcm(fr.C) > 1 for fr in split + field)
+        assert any(fr.alg.lattice_forms()[1][1] > 1 for fr in field)
+
+
+def _tamper_gram(monkeypatch, tamper, size=8):
+    """Make automorphisms._gram return tamper(G) for each size x size Gram
+    matrix G, as a list of lists; tamper=(i, j) adds 1 to entry (i, j)."""
+    from g2real import automorphisms
+
+    gram = automorphisms._gram
+    if isinstance(tamper, tuple):
+        i, j = tamper
+
+        def tamper(G, F):
+            G[i][j] = F.add(G[i][j], F.one)
+            return G
+
+    def tampered(alg, cols):
+        G, *lattices = gram(alg, cols)
+        if len(G) == size:
+            G = linalg.mat(tamper([list(r) for r in G], alg.field))
+        return (G, *lattices)
+
+    monkeypatch.setattr(automorphisms, "_gram", tampered)
+
+
+def test_frame_constructors_refuse_bad_input_with_their_texts(monkeypatch):
+    """A non-idempotent e, a tampered product and a tampered Gram matrix
+    raise each constructor's own FieldError text."""
+    Z = zorn_algebra(k7)
+    for e in (Z.basis_vec(1), Z.one, Z.zero_vec()):
+        with pytest.raises(FieldError, match="^e is not a proper idempotent$"):
+            split_frame_from_idempotent(Z, e)
+    e = Z.add(Z.basis_vec(0), Z.basis_vec(4))
+    products = Z.products
+
+    def one_bad_relation(xs, ys):
+        out = products(xs, ys)
+        if len(out) == 9:  # the pairing relations u_i w_j
+            out = out[:1] + (Z.add(out[1], Z.basis_vec(3)),) + out[2:]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(Z, "products", one_bad_relation)
+        with pytest.raises(FieldError, match="^split frame fails the pairing relations$"):
+            split_frame_from_idempotent(Z, e)
+    for entry in ((0, 7), (3, 4), (2, 2)):
+        with monkeypatch.context() as m:
+            _tamper_gram(m, entry)
+            with pytest.raises(FieldError, match="^split frame fails the pairing relations$"):
+                split_frame_from_idempotent(Z, e)
+    O = _field_frames(k7)[0].alg
+    for entry, text in (((2, 4), "doubling frame is not orthogonal"),
+                        ((5, 6), "doubling frame is not orthogonal"),
+                        ((3, 2), "hermitian diagonal is not in k"),
+                        ((0, 1), "doubling frame is not orthogonal"),
+                        ((7, 0), "doubling frame is not orthogonal")):
+        with monkeypatch.context() as m:
+            _tamper_gram(m, entry)
+            with pytest.raises(FieldError, match=f"^{text}$"):
+                quadratic_subfield_frame(O, O.basis_vec(1))
+    D, b = _quaternion_data(Z)
+    for entry in ((0, 5), (6, 7), (4, 4)):
+        with monkeypatch.context() as m:
+            _tamper_gram(m, entry)
+            with pytest.raises(FieldError, match="^doubling vector must be anisotropic and orthogonal to D$"):
+                quaternion_frame(Z, D, b)
+    degenerate = "^need 4 vectors with a nondegenerate norm Gram matrix$"
+    with monkeypatch.context() as m:
+        _tamper_gram(m, lambda G, F: [r[:3] + [F.zero] for r in G], size=4)
+        with pytest.raises(FieldError, match=degenerate):
+            quaternion_frame(Z, D, b)
+    for bad in (D[:3], D[:3] + (Z.basis_vec(2),)):
+        with pytest.raises(FieldError, match=degenerate):
+            quaternion_frame(Z, bad, b)
+    # a nondegenerate span that is not closed: (u1 + w1)(u2 + w2) leaves it
+    x = Z.add(Z.basis_vec(2), Z.basis_vec(5))
+    with pytest.raises(FieldError, match="^the span is not closed under multiplication$"):
+        quaternion_frame(Z, D[:3] + (x,))
 
 
 # ---------------------------------------------------------------------------

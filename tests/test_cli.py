@@ -511,3 +511,20 @@ def test_report_truncated_json(tmp_path, capsys):
 def test_report_missing_input_is_a_usage_error(tmp_path, capsys):
     assert run(["report", "--input", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read report")
+
+
+def test_importing_the_cli_and_the_decisions_loads_no_numpy():
+    # numpy is imported inside the functions that use it (only sweeps imports
+    # it at module level), so starting the CLI or importing the decisions
+    # does not pay for numpy's import before a verdict needs it
+    import g2real
+
+    src = str(Path(g2real.__file__).resolve().parents[1])
+    for module in ("g2real.cli", "g2real.reality"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", module

@@ -495,3 +495,69 @@ def test_orthogonal_complement_matches_the_polar_form_loop(F):
                 tuple(alg.bilinear_norm(v, alg.basis_vec(j)) for j in range(8)) for v in vectors
             )
             assert orthogonal_complement(alg, vectors) == linalg.nullspace(F, rows)
+
+
+# ---------------------------------------------------------------------------
+# batched products on the structure tensor
+# ---------------------------------------------------------------------------
+
+BIG = PrimeField(2**31 - 1)
+
+
+def _every_model(F):
+    """One algebra of every model and dimension over F: k itself, the Zorn
+    model, doublings of dimension 2, 4 and 8 (denominators in T and B over
+    Q), a quaternion algebra from a quadratic space and an octonion algebra
+    from a hermitian space."""
+    half = F.inv(F.element(2))
+    L = QuadraticEtale(F, F.nonsquare() if F.kind == "prime" else -1)
+    return (
+        base_algebra(F),
+        zorn_algebra(F),
+        cayley_dickson_double(base_algebra(F), half),
+        cayley_dickson_double(cayley_dickson_double(base_algebra(F), F.element(-1)), half),
+        pfister_octonion(F, (F.element(-1), half, F.element(3))),
+        quaternion_from_quadratic(F, (1, 2, 2)),
+        octonion_from_hermitian(hermitian_space(L, (1, 1, 1))),
+    )
+
+
+@pytest.mark.parametrize("F", [k7, BIG, Q], ids=str)
+def test_batched_products_match_mul(F):
+    """Algebra.products and left_mul_matrix, one contraction with T each,
+    give the vectors of the one-pair product mul, on every model and
+    dimension; past 2^30 the residues run on Python ints."""
+    rng = random.Random(f"products/{F!r}")
+    models = _every_model(F)
+    assert {alg.dim for alg in models} == {1, 2, 4, 8}
+    for alg in models:
+        xs = [alg.random(rng) for _ in range(7)] + [alg.one, alg.zero_vec()]
+        ys = [alg.random(rng) for _ in range(7)] + [alg.basis_vec(alg.dim - 1), alg.one]
+        assert alg.products(xs, ys) == tuple(alg.mul(x, y) for x, y in zip(xs, ys))
+        x = xs[0]
+        reference = linalg.transpose([alg.mul(x, alg.basis_vec(j)) for j in range(alg.dim)])
+        assert alg.left_mul_matrix(x) == reference
+        if F is BIG:
+            assert alg.lattice_products(xs, ys).N.dtype == object
+
+
+@pytest.mark.parametrize("F", [k5, BIG, Q], ids=str)
+def test_subalgebra_closed_matches_the_rank_reference(F):
+    """The null-space test of subalgebra_closed agrees with rank(span +
+    products) == rank(span) on closed and open spans, degenerate ones too."""
+    Z = zorn_algebra(F)
+    g = Z.sub(Z.basis_vec(0), Z.basis_vec(7))
+    a = Z.add(Z.basis_vec(1), Z.basis_vec(4))
+    rng = random.Random(f"closed/{F!r}")
+    spans = [
+        (Z.one, g, a, Z.mul(g, a)),  # split quaternions
+        (Z.basis_vec(0), Z.basis_vec(7), Z.basis_vec(1), Z.basis_vec(5)),  # closed, rank-2 Gram
+        (Z.one, g),
+        (Z.one, g, a, Z.basis_vec(2)),
+        tuple(Z.basis_vec(i) for i in range(8)),
+    ] + [tuple(Z.random(rng) for _ in range(n)) for n in (1, 2, 3)]
+    for span in spans:
+        products = tuple(Z.mul(x, y) for x in span for y in span)
+        rank = linalg.rank(F, linalg.mat(span))
+        assert subalgebra_closed(Z, span) == (linalg.rank(F, span + products) == rank)
+    assert [subalgebra_closed(Z, s) for s in spans[:5]] == [True, True, True, False, True]
