@@ -10,8 +10,12 @@ field frame, the stabilizer of a quaternion subalgebra D acting through the
 quaternion frame D + D a, and the order-2 map extending the conjugation of a
 quadratic subalgebra.
 
-Each frame comes from one constructor, which builds every vector once and
-sets the frame's basis matrix C, its inverse and their integer Lattices.
+The integer form of an 8x8 map, its linalg.Lattice, lives in this module.
+An AutMap carries both forms of its map: the matrix over k and its Lattice,
+which certification already holds and on which compose, eq and is_identity
+run, so callers use the AutMap API and never convert.  Each frame comes from
+one constructor, which builds every vector once and sets the Lattices C and
+Cinv of the frame's basis matrix and of its inverse.
 Frame work runs on the integer T and B of Algebra.lattice_forms, which
 certification reads too: products are batches on T (Algebra.products), and
 C^-1 = G^-1 C^T B comes from the exact Gram matrix G = C^T B C, checked
@@ -19,8 +23,8 @@ against the frame's pattern and inverted in closed form, so no frame does an
 8x8 elimination.  Each map on a frame is one certified product with C^-1
 (C D C^-1 for a block D, images C^-1 for the Stab(D) map), an integer chain
 whose Lattice goes straight to certification, and each 3x3 matrix read off
-a frame comes from the chain C^-1 t C.  An involution pair (iota1, iota2)
-with product t takes one such conjugation,
+a frame comes from the chain C^-1 t C on t's Lattice.  An involution pair
+(iota1, iota2) with product t takes one such conjugation,
 iota2 = swapped_embed(m2, frame): iota1 = t iota2 is certified as a product
 of certified maps.  Nothing here is cached: every linalg call runs, so that
 counting passes over the same work agree.
@@ -36,10 +40,16 @@ from .fields import FieldError, QuadraticEtale, _cubic_separable, _has_eigenvalu
 
 
 class AutMap:
-    """An 8x8 matrix over k together with its certification state."""
+    """An 8x8 map over k in both of its forms, with its certification state:
+    `matrix`, rows of field elements (read by apply, inverse and the fixed
+    spaces), and `lattice`, its linalg.Lattice, on which compose, eq and
+    is_identity run.  The Lattice is computed from `matrix` unless it is
+    given: certification passes in the one it already holds."""
 
-    def __init__(self, matrix, algebra, certified, failure=None):
+    def __init__(self, matrix, algebra, certified, failure=None, lattice=None):
+        F = algebra.field
         self.matrix = linalg.mat(matrix)
+        self.lattice = linalg.lattice(F, self.matrix) if lattice is None else lattice
         self.algebra = algebra
         self.certified = certified
         self.failure = failure
@@ -52,19 +62,30 @@ class AutMap:
         return linalg.mat_vec(self.algebra.field, self.matrix, x)
 
     def compose(self, other):
-        m = linalg.mat_mul(self.algebra.field, self.matrix, other.matrix)
-        return AutMap(m, self.algebra, self.certified and other.certified)
+        F = self.algebra.field
+        lat = linalg.lattice_mul(F, self.lattice, other.lattice)
+        return AutMap(linalg.from_lattice(F, lat), self.algebra,
+                      self.certified and other.certified, lattice=lat)
 
     def inverse(self):
         m = linalg.inverse(self.algebra.field, self.matrix)
         return AutMap(m, self.algebra, self.certified)
 
     def eq(self, other):
-        return linalg.mat_eq(self.algebra.field, self.matrix, other.matrix)
+        """Whether both stand for the same matrix: N_a s_b = N_b s_a for the
+        Lattices (N, s), or over F_p (s = 1, N the residues) N_a = N_b."""
+        (a, s), (b, t) = self.lattice, other.lattice
+        if self.algebra.field.kind == "prime":
+            return not (a != b).any()
+        return not (a * t != b * s).any()
 
     def is_identity(self):
-        F = self.algebra.field
-        return linalg.mat_eq(F, self.matrix, linalg.identity(F, self.algebra.dim))
+        """Whether the Lattice (N, s) has s on its diagonal and no other
+        nonzero entry."""
+        import numpy as np
+
+        N, s = self.lattice
+        return bool(np.count_nonzero(N) == len(N) and (N.diagonal() == s).all())
 
     def fixed_space(self):
         """Basis of ker(M - 1): the subalgebra fixed pointwise."""
@@ -131,14 +152,16 @@ def certify_automorphism(matrix, alg):
     n = alg.dim
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise FieldError("matrix shape does not match the algebra")
+    if lat is None:
+        lat = linalg.lattice(F, matrix)
     one_img = linalg.mat_vec(F, matrix, alg.one)
     if not all(F.eq(a, b) for a, b in zip(one_img, alg.one)):
-        return AutMap(matrix, alg, False, failure="one")
+        return AutMap(matrix, alg, False, failure="one", lattice=lat)
 
     # T and B are scaled by their own lcms, which cancel: each identity is
     # linear in T and in B.  With N = d*M the identities are those for M times
     # nonzero constants, so the verdict and the first failing pair are the same.
-    M, d = linalg.lattice(F, matrix) if lat is None else lat
+    M, d = lat
     (T, _), (B, _) = alg.lattice_forms()
     p = F.p if F.kind == "prime" else None
 
@@ -158,21 +181,21 @@ def certify_automorphism(matrix, alg):
     diff = red(lhs - M.T @ tmp) != 0  # (i, j, m)
     if diff.any():
         i, j, _ = np.argwhere(diff)[0]
-        return AutMap(matrix, alg, False, failure=(int(i), int(j)))
+        return AutMap(matrix, alg, False, failure=(int(i), int(j)), lattice=lat)
     if (red(M.T @ red(B @ M)) != d * d * B).any():
-        return AutMap(matrix, alg, False, failure="norm")
-    return AutMap(matrix, alg, True)
+        return AutMap(matrix, alg, False, failure="norm", lattice=lat)
+    return AutMap(matrix, alg, True, lattice=lat)
 
 
 # -- frames -------------------------------------------------------------------
 
-# C is the frame's basis matrix, its columns f, U, W, e (split), the doubling
-# basis 1, g, a, ga, b, gb, ab, g(ab) (field) or D, D a (quaternion); Cinv its
-# inverse, and lattices the linalg.Lattices of C and Cinv, which the integer
-# chains of _in_frame_basis and _conjugate_certified start from
-SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W", "C", "Cinv", "lattices"])
-FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H", "C", "Cinv", "lattices"])
-QuaternionFrame = namedtuple("QuaternionFrame", ["alg", "D", "a", "C", "Cinv", "lattices"])
+# C is the linalg.Lattice of the frame's basis matrix, its columns f, U, W, e
+# (split), the doubling basis 1, g, a, ga, b, gb, ab, g(ab) (field) or D, D a
+# (quaternion), and Cinv the Lattice of its inverse: the integer chains of
+# _in_frame_basis and _conjugate_certified start from them
+SplitFrame = namedtuple("SplitFrame", ["alg", "e", "f", "U", "W", "C", "Cinv"])
+FieldFrame = namedtuple("FieldFrame", ["alg", "L", "one", "g", "fs", "H", "C", "Cinv"])
+QuaternionFrame = namedtuple("QuaternionFrame", ["alg", "D", "a", "C", "Cinv"])
 
 # the frame swap on the split frame basis f, U, W, e: column j of B P is
 # column _SPLIT_SWAP[j] of B
@@ -192,13 +215,11 @@ def _gram(alg, cols):
     return linalg.from_lattice(F, linalg.lattice_mul(F, CtB, CL)), CL, CtB
 
 
-def _basis(F, cols, CL, CtB, Ginv):
-    """The frame fields C (columns `cols`), Cinv = G^-1 C^T B and their
-    lattices, for the inverse Ginv of the Gram matrix G = C^T B C of _gram:
+def _basis(F, CL, CtB, Ginv):
+    """The frame fields: C, the Lattice CL of _gram, and Cinv, the Lattice of
+    G^-1 C^T B for the inverse Ginv of the Gram matrix G = C^T B C of _gram:
     G^-1 C^T B C = 1, so C is invertible with that inverse."""
-    CinvL = linalg.lattice_mul(F, linalg.lattice(F, Ginv), CtB)
-    return {"C": linalg.transpose(linalg.mat(cols)), "Cinv": linalg.from_lattice(F, CinvL),
-            "lattices": (CL, CinvL)}
+    return {"C": CL, "Cinv": linalg.lattice_mul(F, linalg.lattice(F, Ginv), CtB)}
 
 
 def _split_frame(alg, e, f, U, W):
@@ -207,11 +228,10 @@ def _split_frame(alg, e, f, U, W):
     N(u_i, w_j) = -tr(u_i w_j) = delta_ij), which is its own inverse, so
     C^-1 = P C^T B."""
     F = alg.field
-    cols = (f, *U, *W, e)
-    G, CL, CtB = _gram(alg, cols)
+    G, CL, CtB = _gram(alg, (f, *U, *W, e))
     if not linalg.mat_eq(F, G, _SPLIT_GRAM):
         raise FieldError("split frame fails the pairing relations")
-    return SplitFrame(alg, e, f, U, W, **_basis(F, cols, CL, CtB, _SPLIT_GRAM))
+    return SplitFrame(alg, e, f, U, W, **_basis(F, CL, CtB, _SPLIT_GRAM))
 
 
 def zorn_split_frame(alg):
@@ -265,12 +285,11 @@ def split_frame_from_idempotent(alg, e):
 
 def _conjugate_certified(frame, D, failure):
     """The automorphism C D C^-1 of the frame's algebra, certified on the
-    Lattice of one integer chain from the frame's lattices; raises
+    Lattice of one integer chain from the frame's C and Cinv; raises
     FieldError with the text `failure` and the certification failure when it
     does not certify."""
     F = frame.alg.field
-    CL, CinvL = frame.lattices
-    M = linalg.lattice_mul(F, linalg.lattice_mul(F, CL, linalg.lattice(F, D)), CinvL)
+    M = linalg.lattice_mul(F, linalg.lattice_mul(F, frame.C, linalg.lattice(F, D)), frame.Cinv)
     out = certify_automorphism(M, frame.alg)
     if not out.certified:
         raise FieldError(f"{failure}: {out.failure}")
@@ -279,11 +298,10 @@ def _conjugate_certified(frame, D, failure):
 
 def _in_frame_basis(t, frame):
     """The 8x8 matrix of t in the frame basis: C^-1 t C, one integer chain
-    from the frame's lattices."""
+    from the frame's Cinv, t's Lattice and the frame's C."""
     F = frame.alg.field
-    CL, CinvL = frame.lattices
     return linalg.from_lattice(
-        F, linalg.lattice_mul(F, linalg.lattice_mul(F, CinvL, linalg.lattice(F, t.matrix)), CL))
+        F, linalg.lattice_mul(F, linalg.lattice_mul(F, frame.Cinv, t.lattice), frame.C))
 
 
 def _frame_block(A, frame):
@@ -399,8 +417,7 @@ def quadratic_subfield_frame(alg, g_vec):
     b = _orthogonal_anisotropic(alg, span_L + (a, ga))
     ab = alg.mul(a, b)
     gb, gab = alg.products((g_vec, g_vec), (b, ab))
-    cols = (one, g_vec, a, ga, b, gb, ab, gab)
-    G, CL, CtB = _gram(alg, cols)
+    G, CL, CtB = _gram(alg, (one, g_vec, a, ga, b, gb, ab, gab))
     H = []
     for i in range(3):
         r = 2 + 2 * i
@@ -413,7 +430,7 @@ def quadratic_subfield_frame(alg, g_vec):
     if not linalg.mat_eq(F, G, _block_diagonal(F, *(((x,),) for x in diag))):
         raise FieldError("doubling frame is not orthogonal")
     Ginv = _block_diagonal(F, *(((F.inv(x),),) for x in diag))
-    return FieldFrame(alg, L, one, g_vec, (a, b, ab), tuple(H), **_basis(F, cols, CL, CtB, Ginv))
+    return FieldFrame(alg, L, one, g_vec, (a, b, ab), tuple(H), **_basis(F, CL, CtB, Ginv))
 
 
 def _square_scalar(alg, x):
@@ -512,13 +529,12 @@ def quaternion_frame(alg, D, a=None):
         a = _orthogonal_anisotropic(alg, D)
     elif F.is_zero(alg.norm(a)) or not all(F.is_zero(alg.bilinear_norm(d, a)) for d in D):
         raise FieldError("doubling vector must be anisotropic and orthogonal to D")
-    cols = D + alg.products(D, (a,) * 4)
-    G, CL, CtB = _gram(alg, cols)
+    G, CL, CtB = _gram(alg, D + alg.products(D, (a,) * 4))
     na = alg.norm(a)
     if not linalg.mat_eq(F, G, _block_diagonal(F, gram, linalg.scalar_mat(F, na, gram))):
         raise FieldError("doubling vector must be anisotropic and orthogonal to D")
     Ginv = _block_diagonal(F, gram_inv, linalg.scalar_mat(F, F.inv(na), gram_inv))
-    return QuaternionFrame(alg, D, a, **_basis(F, cols, CL, CtB, Ginv))
+    return QuaternionFrame(alg, D, a, **_basis(F, CL, CtB, Ginv))
 
 
 def _block_diagonal(F, *blocks):
@@ -547,7 +563,7 @@ def stab_map(frame, x, y):
     images = alg.products(alg.products((x,) * 4 + (y,) * 4, D + D), (xinv,) * 8)
     images = images[:4] + alg.products(images[4:], (frame.a,) * 4)
     out = certify_automorphism(
-        linalg.lattice_mul(F, linalg.lattice(F, linalg.transpose(images)), frame.lattices[1]), alg
+        linalg.lattice_mul(F, linalg.lattice(F, linalg.transpose(images)), frame.Cinv), alg
     )
     if not out.certified:
         raise FieldError(f"the Stab(D) map failed to certify: {out.failure}")
@@ -592,7 +608,7 @@ def involution_conjugacy_classes(alg):
         if b2 is None:
             continue
         frame2 = quaternion_frame(alg, D2, b2)
-        conj = certify_automorphism(linalg.lattice_mul(F, frame2.lattices[0], frame1.lattices[1]), alg)
+        conj = certify_automorphism(linalg.lattice_mul(F, frame2.C, frame1.Cinv), alg)
         if not conj.certified:
             continue
         i1 = stab_map(frame1, one, minus_one)

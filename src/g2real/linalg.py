@@ -8,7 +8,8 @@ over F_p; larger products run on numpy integer arrays, the Lattice (N, s)
 of a matrix (int64 residues when no sum can overflow, Python ints
 otherwise; over Q the common-denominator numerators, divided back once by
 from_lattice), which also carry chains of products (lattice_mul) that
-convert each operand once; and _echelon (inverse, rank, nullspace, solve)
+convert each operand once (automorphisms.AutMap and the frames hold the
+Lattices of their 8x8 maps); and _echelon (inverse, rank, nullspace, solve)
 runs on plain residues or Fractions with the operators inlined.  Over
 L = F_p(g) the 3x3 mat_mul and det3 run on the coordinate pairs, reduced
 mod p once per coordinate.  For the rest of L, for k x k and for the cubic algebras
@@ -137,23 +138,6 @@ def from_lattice(F, a):
     return tuple(tuple(Fraction(x, s) for x in r) for r in rows)
 
 
-def lattice_eq(F, a, b):
-    """Whether two Lattices stand for the same matrix: N_a s_b = N_b s_a, or
-    over F_p (s = 1, N the residues) N_a = N_b."""
-    if F.kind == "prime":
-        return not (a.N != b.N).any()
-    return not (a.N * b.s != b.N * a.s).any()
-
-
-def lattice_is_identity(F, a):
-    """Whether the square Lattice a stands for the identity matrix: N has s
-    on its diagonal and no other nonzero entry."""
-    import numpy as np
-
-    N, s = a
-    return np.count_nonzero(N) == len(N) and bool((N.diagonal() == s).all())
-
-
 def mat_mul(F, a, b):
     p = _modulus(F)
     if p is not None and len(a) == 3 and len(b) == 3 and len(b[0]) == 3:
@@ -254,7 +238,9 @@ def map_entries(f, a):
 def _echelon(F, a):
     """Row-reduce; returns (reduced rows as lists, pivot column list).  Over
     F_p the rows hold plain residues and over Q Fractions, updated with the
-    operators inlined: the same pivots and rows as through the handle."""
+    operators inlined: the same pivots and rows as through the handle.  The
+    pivot row is zero left of its column c, so each scale and each row
+    operation runs on the entries from c on and keeps the ones before."""
     if F.kind == "prime":
         p = F.p
         rows = [[x % p for x in r] for r in a]
@@ -280,10 +266,13 @@ def _echelon(F, a):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = scale(F.inv(rows[r][c]), rows[r])
+        row = rows[r]
+        tail = scale(F.inv(row[c]), row[c:])
+        rows[r] = row[:c] + tail
         for i in range(n):
-            if i != r and nonzero(rows[i][c]):
-                rows[i] = axpy(rows[i][c], rows[i], rows[r])
+            u = rows[i]
+            if i != r and nonzero(u[c]):
+                rows[i] = u[:c] + axpy(u[c], u[c:], tail)
         pivots.append(c)
         r += 1
         if r == n:

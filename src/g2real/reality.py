@@ -84,7 +84,9 @@ def classify(t):
     tag: r = 3 means a quaternion subalgebra is left invariant (fixed
     pointwise for the semisimple elements handled downstream), r = 7 covers
     the identity and unipotent-type maps, r = 1 means the fixed subalgebra is
-    a two-dimensional etale algebra (split or a field).
+    a two-dimensional etale algebra (split or a field), k 1 + k x with its
+    trace-zero generator x and x^2 = s 1 recorded as etale_generator and
+    etale_square.
     """
     if not t.certified:
         raise RealityError("classify needs a certified automorphism")
@@ -107,7 +109,7 @@ def classify(t):
         s = _square_scalar(alg, x)
         if s is None:
             raise RealityError("fixed-line generator does not square to a scalar")
-        out["etale_generator"] = x
+        out["etale_generator"], out["etale_square"] = x, s
         out["etale_split"] = F.is_square(s)
         # fixed lies in V, so equal dimensions make them equal
         out["fixed_is_pointwise"] = len(fixed) == len(V)
@@ -790,14 +792,10 @@ def two_involution_witness(t, frame, report):
     else:
         raise RealityError(f"witness type {w['type']} has no involution lift")
     i2 = swapped_embed(m2, frame)
-    # iota1 = t iota2 and both squares, one integer chain on t and iota2
-    F = frame.alg.field
-    T, I2 = linalg.lattice(F, t.matrix), linalg.lattice(F, i2.matrix)
-    I1 = linalg.lattice_mul(F, T, I2)
-    if not (linalg.lattice_is_identity(F, linalg.lattice_mul(F, I1, I1))
-            and linalg.lattice_is_identity(F, linalg.lattice_mul(F, I2, I2))):
+    i1 = t.compose(i2)
+    if not i1.compose(i1).is_identity() or not i2.compose(i2).is_identity():
         raise RealityError("witness maps are not involutions")
-    return AutMap(linalg.from_lattice(F, I1), t.algebra, t.certified and i2.certified), i2
+    return i1, i2
 
 
 def conjugator_witness(t, frame, report):
@@ -816,16 +814,9 @@ def _lift_conjugator(t, frame, B, coset):
         h = swapped_embed(B, frame)
     else:
         h = (sl3_embed if isinstance(frame, SplitFrame) else su_embed)(B, frame)
-    F = t.algebra.field
-    if not _inverts(F, linalg.lattice(F, t.matrix), linalg.lattice(F, h.matrix)):
+    if not t.compose(h).compose(t).eq(h):
         raise RealityError("conjugator witness fails at the octonion level")
     return h
-
-
-def _inverts(F, T, H):
-    """Whether h t h^-1 = t^-1 for an invertible h, from the Lattices T and H
-    of t and h: t h t = h, one integer chain."""
-    return linalg.lattice_eq(F, linalg.lattice_mul(F, linalg.lattice_mul(F, T, H), T), H)
 
 
 # -- independent oracle ---------------------------------------------------------
@@ -1129,7 +1120,7 @@ def reality_report_for(t, budget=DEFAULT_BUDGET):
     # fixes_etale
     x = case["etale_generator"]
     if case["etale_split"]:
-        root = F.sqrt(_square_scalar(alg, x))
+        root = F.sqrt(case["etale_square"])
         e = alg.scale(F.inv(F.add(F.one, F.one)), alg.add(alg.one, alg.scale(F.inv(root), x)))
         frame = split_frame_from_idempotent(alg, e)
         rep = reality_sl3(F, extract_frame_matrix(_in_frame_basis(t, frame), frame), budget)
@@ -1159,8 +1150,7 @@ def _reality_quaternion_case(t, case, D):
     if len(D) != 4:
         rep.notes.append("pointwise-fixed space is not a quaternion subalgebra")
         return rep
-    T = linalg.lattice(F, t.matrix)
-    if linalg.lattice_is_identity(F, linalg.lattice_mul(F, T, T)):
+    if t.compose(t).is_identity():
         rep.verdict = "real"
         i2 = AutMap(linalg.identity(F, alg.dim), alg, True)
         rep.witness = {"type": "two_involutions", "iota1": t, "iota2": i2}
@@ -1187,17 +1177,15 @@ def _reality_quaternion_case(t, case, D):
         rep.notes.append("no invertible conjugating element found in D")
         return rep
     h = stab_map(frame, u, u)
-    H = linalg.lattice(F, h.matrix)
-    if not _inverts(F, T, H):
+    if not t.compose(h).compose(t).eq(h):  # h t h^-1 = t^-1, h invertible
         rep.notes.append("inner conjugation did not invert t")
         return rep
     rep.verdict = "real"
-    if linalg.lattice_is_identity(F, linalg.lattice_mul(F, H, H)):
+    if h.compose(h).is_identity():
         # h t h^-1 = t^-1 with h^2 = 1: (h, h t) are involutions with product t
-        HT = linalg.lattice_mul(F, H, T)
-        if not linalg.lattice_is_identity(F, linalg.lattice_mul(F, HT, HT)):
+        ht = h.compose(t)
+        if not ht.compose(ht).is_identity():
             raise RealityError("h t is not an involution")
-        ht = AutMap(linalg.from_lattice(F, HT), alg, h.certified and t.certified)
         rep.witness = {"type": "two_involutions", "iota1": h, "iota2": ht}
     else:
         rep.witness = {"type": "conjugator", "h": h}

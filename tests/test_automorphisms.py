@@ -7,6 +7,7 @@ import pytest
 
 from g2real import linalg
 from g2real.automorphisms import (
+    AutMap,
     _in_frame_basis,
     certify_automorphism,
     extract_frame_matrix,
@@ -316,6 +317,52 @@ def test_certify_does_not_depend_on_global_random_state(zorn7, frame7):
         random.setstate(saved)
 
 
+def _integer_form_cases(F):
+    """AutMaps over F with their tuple references: maps certify built from a
+    chain Lattice (sl3_embed, frame_swap), the same maps certified again
+    from their tuples, products of compose, and uncertified scalar maps."""
+    Z = zorn_algebra(F)
+    frame = zorn_split_frame(Z)
+    if F.kind == "prime":
+        rng = random.Random(f"integer-form/{F.p}")
+        As = [random_sl3(F, rng) for _ in range(2)]
+    else:
+        As = [companion_matrix(F, (Fraction(-1), Fraction(3, 2), Fraction(-2, 5))),
+              companion_matrix(F, (Fraction(-1), Fraction(-7, 3), Fraction(1, 4)))]
+    chain = [sl3_embed(A, frame) for A in As] + [frame_swap(frame)]
+    tuples = [certify_automorphism(t.matrix, Z) for t in chain]
+    maps = chain + tuples + [chain[0].compose(chain[1]), chain[2].compose(tuples[2]),
+                             chain[0].compose(chain[0].inverse()), tuples[0].compose(chain[2])]
+    two, half = F.add(F.one, F.one), F.inv(F.add(F.one, F.one))
+    maps += [AutMap(linalg.scalar_mat(F, c, linalg.identity(F, 8)), Z, False) for c in (two, half)]
+    return maps
+
+
+@pytest.mark.parametrize("F", [k7, PrimeField(2**31 - 1), Q], ids=str)
+def test_compose_eq_and_is_identity_match_the_tuple_references(F):
+    """compose, eq and is_identity run on the Lattices and agree with
+    linalg.mat_mul and mat_eq on the matrices, over F_7, F_(2^31 - 1) (object
+    arrays) and Q; each map's Lattice stands for its matrix."""
+    maps = _integer_form_cases(F)
+    if F.kind == "prime" and F.p > 2**31 - 2:
+        assert all(t.lattice.N.dtype == object for t in maps)
+    I = linalg.identity(F, 8)
+    identities = []
+    for a in maps:
+        assert linalg.from_lattice(F, a.lattice) == a.matrix
+        assert a.is_identity() == linalg.mat_eq(F, a.matrix, I)
+        identities.append(a.is_identity())
+        for b in maps:
+            ab = a.compose(b)
+            assert ab.matrix == linalg.mat_mul(F, a.matrix, b.matrix)
+            assert ab.certified == (a.certified and b.certified)
+            assert a.eq(b) == linalg.mat_eq(F, a.matrix, b.matrix)
+    # the swap squared and t t^-1 are the identity, the scalar maps 2 and 1/2
+    # are not, and the chain maps equal their tuple copies
+    assert identities == [False] * 7 + [True, True] + [False] * 3
+    assert all(c.eq(t) and t.eq(c) for c, t in zip(maps[:3], maps[3:6]))
+
+
 def test_sl3_embed_rejects_det_not_one(frame7):
     A = ((k7.element(2), k7.zero, k7.zero), (k7.zero, k7.one, k7.zero), (k7.zero, k7.zero, k7.one))
     with pytest.raises(FieldError):
@@ -445,8 +492,8 @@ def test_split_frame_matches_the_peirce_reference():
 
 
 def test_frame_carries_its_basis_matrix(frame7, other_frame7, su_setup):
-    """C has the frame's vectors as columns and Cinv is its inverse, for each
-    of the three constructors."""
+    """C is the Lattice of the matrix with the frame's vectors as columns and
+    Cinv the Lattice of its inverse, for each of the three constructors."""
     _, _, fu = su_setup
     g = fu.g
     mul = fu.alg.mul
@@ -457,9 +504,10 @@ def test_frame_carries_its_basis_matrix(frame7, other_frame7, su_setup):
         (fu, field_cols),
     ):
         F = fr.alg.field
-        assert fr.C == linalg.transpose(linalg.mat(cols))
-        assert linalg.mat_eq(F, linalg.mat_mul(F, fr.C, fr.Cinv), linalg.identity(F, 8))
-    assert frame7.C == linalg.identity(k7, 8)
+        C, Cinv = linalg.from_lattice(F, fr.C), linalg.from_lattice(F, fr.Cinv)
+        assert C == linalg.transpose(linalg.mat(cols))
+        assert linalg.mat_eq(F, linalg.mat_mul(F, C, Cinv), linalg.identity(F, 8))
+    assert linalg.from_lattice(k7, frame7.C) == linalg.identity(k7, 8)
 
 
 BIG = PrimeField(2**31 - 1)
@@ -487,9 +535,10 @@ def _split_frames(F):
 @pytest.mark.parametrize("F", [k7, PrimeField(31), BIG, Q], ids=str)
 def test_frame_inverses_and_hermitian_gram_match_the_references(F):
     """C^-1 = G^-1 C^T B from the Gram matrix equals the elimination inverse
-    of C, for split frames from seeded idempotents, field frames and
-    quaternion frames; H read off G equals the hermitian_form reference, and
-    the field frame's C has the doubling basis as columns."""
+    of C, and C C^-1 = 1, for split frames from seeded idempotents, field
+    frames and quaternion frames, each read from its Lattices; H read off G
+    equals the hermitian_form reference, and the field frame's C has the
+    doubling basis as columns."""
     split, field = _split_frames(F), _field_frames(F)
     Z = zorn_algebra(F)
     D, b = _quaternion_data(Z)
@@ -497,11 +546,13 @@ def test_frame_inverses_and_hermitian_gram_match_the_references(F):
     quaternion = [quaternion_frame(Z, D, a) for a in (None, b, Z.scale(F.element(3), b))]
     assert not F.eq(Z.norm(quaternion[2].a), F.one)
     for fr in split + field + quaternion:
-        assert fr.Cinv == linalg.inverse(F, fr.C)
+        C, Cinv = linalg.from_lattice(F, fr.C), linalg.from_lattice(F, fr.Cinv)
+        assert Cinv == linalg.inverse(F, C)
+        assert linalg.mat_mul(F, C, Cinv) == linalg.identity(F, 8)
     for fr in field:
         g, mul = fr.g, fr.alg.mul
         cols = (fr.one, g) + tuple(c for v in fr.fs for c in (v, mul(g, v)))
-        assert fr.C == linalg.transpose(linalg.mat(cols))
+        assert linalg.from_lattice(F, fr.C) == linalg.transpose(linalg.mat(cols))
         assert fr.fs[2] == mul(fr.fs[0], fr.fs[1])
         for i, fi in enumerate(fr.fs):
             assert hermitian_form(fr, fi, fi) == (fr.H[i], F.zero)
@@ -509,7 +560,7 @@ def test_frame_inverses_and_hermitian_gram_match_the_references(F):
                 assert hermitian_form(fr, fi, fj) == (F.zero, F.zero)
     if F.kind == "rationals":
         # the inverses carry the scales of C and of B: both are past 1 here
-        assert any(_denominator_lcm(fr.C) > 1 for fr in split + field)
+        assert any(fr.C.s > 1 for fr in split + field)
         assert any(fr.alg.lattice_forms()[1][1] > 1 for fr in field)
 
 

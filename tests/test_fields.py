@@ -42,6 +42,20 @@ def test_prime_field_arithmetic():
         k7.sqrt(3)
 
 
+@pytest.mark.parametrize("p", [7, 31, 2**31 - 1])
+def test_prime_field_inverse_is_the_fermat_power(p):
+    """inv agrees with a^(p - 2) on every unit of F_7 and F_31 and on a seeded
+    sample at 2^31 - 1, reduces its argument first, and rejects 0."""
+    F = PrimeField(p)
+    units = range(1, p) if p < 100 else random.Random(5).sample(range(1, p), 200)
+    for a in units:
+        assert F.inv(a) == pow(a, p - 2, p)
+        assert F.inv(a + 3 * p) == F.inv(a - p) == F.inv(a)
+    for zero in (0, p, -2 * p):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(zero)
+
+
 def test_tonelli_shanks_large_prime():
     p = PrimeField(2**31 - 1)
     for a in (2, 5, 1234567):

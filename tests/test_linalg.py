@@ -14,7 +14,7 @@ import pytest
 from g2real import linalg
 from g2real.automorphisms import sl3_embed, zorn_split_frame
 from g2real.composition import zorn_algebra
-from g2real.fields import PrimeField, RationalField
+from g2real.fields import PrimeField, QuadraticEtale, RationalField
 from g2real.reality import companion_matrix, reality_report_for
 
 MERSENNE_31 = 2**31 - 1  # 8 (p - 1)^2 passes 2^63: the Python-int path
@@ -94,6 +94,55 @@ def test_backend_matches_the_generic_loop(F, seed):
     assert linalg.mat_vec(F, low, x) == rhs
     off = tuple(F.add(v, F.one) for v in rhs)
     assert linalg.solve(F, low, off) is None and linalg.solve(G, low, off) is None
+
+
+def _full_row_echelon(F, a):
+    """Reference elimination through the handle with every scale and row
+    operation over the whole row."""
+    rows = [[F.add(x, F.zero) for x in r] for r in a]
+    n, m = len(rows), len(rows[0])
+    pivots, r = [], 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if not F.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(n):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows, pivots
+
+
+@pytest.mark.parametrize(
+    "F", [PrimeField(31), RationalField(), QuadraticEtale(PrimeField(31), 3)], ids=["F31", "Q", "L"]
+)
+def test_echelon_from_the_pivot_column_matches_the_full_row_reference(F):
+    """_echelon, which starts each scale and row operation at the pivot
+    column, gives the rows and pivots of full-row elimination on seeded
+    8x8 and 3x9 inputs: full rank, rank deficient, and with a zero column
+    that a pivot skips."""
+    rng = random.Random(f"echelon/{F!r}")
+    draw = (lambda: _random_entry(F, rng)) if F.kind != "field" else (lambda: F.random(rng))
+    G = Generic(F)
+    cases = []
+    for n, m, k in ((8, 8, 5), (3, 9, 2)):
+        full = tuple(tuple(draw() for _ in range(m)) for _ in range(n))
+        low = linalg.mat_mul(G, tuple(tuple(draw() for _ in range(k)) for _ in range(n)),
+                             tuple(tuple(draw() for _ in range(m)) for _ in range(k)))
+        cases += [full, low, tuple((F.zero,) + r[1:] for r in full)]
+    ranks = []
+    for a in cases:
+        rows, pivots = linalg._echelon(F, a)
+        assert (rows, pivots) == _full_row_echelon(F, a)
+        ranks.append(len(pivots))
+    assert ranks == [8, 5, 7, 3, 2, 3]
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=IDS)
